@@ -7,14 +7,14 @@ NF):
   full trace's hash inputs (the byte-table gather path is ~2 orders of
   magnitude faster in practice);
 * end-to-end ``run_functional`` with the interpreter fast path
-  (steering cache + grouped execution, ``kernels=False``) must beat the
-  seed packet-at-a-time path from a cold start;
+  (batched steering + grouped execution, ``kernels=False``) must beat
+  the seed packet-at-a-time path from a cold start;
 * the compiled dataplane (``kernels=True``, the default) must beat the
-  reference by a much larger factor in *steady state* — a warmed
-  ``FlowSteeringCache`` plus hot kernel memos, the regime a long-lived
-  dataplane actually runs in — and its kernel coverage is gated too,
-  so a path-classification regression fails even if wall-clock noise
-  hides it.
+  reference by a much larger factor in *steady state* — new packets of
+  established flows over warm state and hot kernel memos, the regime a
+  long-lived dataplane actually runs in — and its kernel coverage is
+  gated too, so a path-classification regression fails even if
+  wall-clock noise hides it.
 
 All gates use *best-of-rounds* minima — the standard noise-robust
 estimator for wall-clock micro-benchmarks — and all assert the fast
@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ from repro.rs3.toeplitz import (
     toeplitz_hash,
     toeplitz_hash_batch,
 )
-from repro.sim.functional import FlowSteeringCache, run_functional
-from repro.traffic import TrafficGenerator
+from repro.sim.functional import run_functional
+from repro.traffic import Trace, TrafficGenerator
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -97,6 +98,23 @@ def trace():
     generator = TrafficGenerator(seed=3)
     flows = generator.make_flows(N_FLOWS)
     return generator.trace(N_PACKETS, flows, reply_port=1, reply_fraction=0.3)
+
+
+def fresh_rounds(trace: Trace, n: int) -> list[Trace]:
+    """``n`` copies of ``trace``: new ``Packet`` objects, same flows.
+
+    Copy ``k`` is shifted ``k + 1`` trace spans later, so the rounds
+    form one continuous stream of new packets over the same flow
+    population; no round replays an earlier round's objects.
+    """
+    step = trace[-1][1].timestamp - trace[0][1].timestamp + 1e-6
+    return [
+        [
+            (port, replace(pkt, timestamp=pkt.timestamp + (k + 1) * step))
+            for port, pkt in trace
+        ]
+        for k in range(n)
+    ]
 
 
 def test_batch_hash_speedup_and_exactness(parallel_factory, trace):
@@ -194,30 +212,30 @@ def test_run_functional_speedup_and_exactness(parallel_factory, trace):
 def test_compiled_steady_state_speedup(parallel_factory, trace):
     """Compiled kernels vs the reference, in steady state.
 
-    A long-lived dataplane runs warm: the steering cache knows every
-    flow, every flow's state is established, and the kernel memo has
-    classified every (flow, path) pair.  Each leg keeps one ParallelNF
-    (and, for the compiled leg, one FlowSteeringCache) across rounds —
-    one untimed warm-up round, then timed rounds, best-of-rounds.  Both
-    legs replay the same trace every round, so their per-round state
-    evolutions stay in lockstep and the last round is compared
-    bit-for-bit.
+    A long-lived dataplane runs warm: every flow's state is established
+    and the kernel memo has classified every (flow, path) pair, but
+    each batch is new packets.  Each leg keeps one ParallelNF across
+    rounds — one untimed warm-up round on ``trace``, then timed rounds
+    on fresh copies (:func:`fresh_rounds`, built before any timing),
+    best-of-rounds.  Both legs see the same packets in the same order,
+    so their state evolutions stay in lockstep and the last round is
+    compared bit-for-bit.
     """
     par_ref = parallel_factory()
     par_comp = parallel_factory()
-    cache = FlowSteeringCache(par_comp.rss)
+    rounds = fresh_rounds(trace, ROUNDS)
     run_functional(par_ref, trace, fastpath=False)  # warm-up, untimed
-    run_functional(par_comp, trace, flow_cache=cache)
+    run_functional(par_comp, trace)
 
     t_ref = float("inf")
     t_comp = float("inf")
     run_ref = run_comp = None
-    for _ in range(ROUNDS):
+    for batch in rounds:
         start = time.perf_counter()
-        run_ref = run_functional(par_ref, trace, fastpath=False)
+        run_ref = run_functional(par_ref, batch, fastpath=False)
         t_ref = min(t_ref, time.perf_counter() - start)
         start = time.perf_counter()
-        run_comp = run_functional(par_comp, trace, flow_cache=cache)
+        run_comp = run_functional(par_comp, batch)
         t_comp = min(t_comp, time.perf_counter() - start)
 
     assert list(run_ref.results) == list(run_comp.results)

@@ -4,11 +4,11 @@ CI's bench-smoke job runs this after the benchmark suite::
 
     python benchmarks/compiled_coverage.py --quick --out compiled-coverage.json
 
-For every bundled NF it runs one cold pass and one warm pass (same
-trace, shared ``FlowSteeringCache``, established flow state) through
-``run_functional`` with kernels enabled, and records how many packets
-executed in compiled kernels vs the interpreter fallback.  The JSON
-artifact is the per-NF coverage ledger; the gate **fails (exit 1) when
+For every bundled NF it runs one cold pass and one warm pass (new
+packets of the same flows, later in time, over the established flow
+state) through ``run_functional`` with kernels enabled, and records how
+many packets executed in compiled kernels vs the interpreter fallback.
+The JSON artifact is the per-NF coverage ledger; the gate **fails (exit 1) when
 any NF hits 100% interpreter fallback in both passes** — that means the
 compiler lost every path of that NF (a lowering or classification
 regression), which wall-clock benchmarks on the flagship firewall would
@@ -24,10 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from repro.core.pipeline import Maestro
 from repro.nf.nfs import ALL_NFS
-from repro.sim.functional import FlowSteeringCache, run_functional
+from repro.sim.functional import run_functional
 from repro.traffic import TrafficGenerator
 
 
@@ -38,9 +39,13 @@ def measure_nf(name: str, n_packets: int, n_flows: int, n_cores: int) -> dict:
     trace = generator.trace(
         n_packets, flows, reply_port=1, reply_fraction=0.3
     )
-    cache = FlowSteeringCache(parallel.rss)
-    cold = run_functional(parallel, trace, flow_cache=cache)
-    warm = run_functional(parallel, trace, flow_cache=cache)
+    span = trace[-1][1].timestamp - trace[0][1].timestamp + 1e-6
+    fresh = [
+        (port, replace(pkt, timestamp=pkt.timestamp + span))
+        for port, pkt in trace
+    ]
+    cold = run_functional(parallel, trace)
+    warm = run_functional(parallel, fresh)
     if not hasattr(cold, "compiled"):
         # compile_parallel refused the NF outright: no kernels at all.
         return {

@@ -21,13 +21,11 @@ applicable strategy and per trace:
   finding — a certified lane may still fall back dynamically (hazard
   demotion, out-of-bounds keys), which is the runtime exercising
   exactly the fallback set the certifier proved sound;
-* **warm vs. cold fast path vs. compiled** — the same trace through
-  the reference path, a cold
-  :class:`~repro.sim.functional.FlowSteeringCache`, a pre-warmed
-  cache (both with kernels pinned off), and the compiled batch
-  dataplane (kernels on) must yield identical per-packet
-  (core, action) sequences; cache hit/miss/invalidation accounting
-  and compiled kernel-coverage stats are attached to the report.
+* **reference vs. batched vs. compiled** — the same trace through the
+  packet-at-a-time reference path, the batched interpreter (kernels
+  pinned off), and the compiled batch dataplane (kernels on) must
+  yield identical per-packet (core, action) sequences; compiled
+  kernel-coverage stats are attached to the report.
 
 Fault injection (``fault=``) seeds known pipeline bugs so the oracle
 and shrinker can be validated end to end:
@@ -38,8 +36,6 @@ and shrinker can be validated end to end:
 * ``forge-shared-nothing`` — force a shared-nothing build from a
   forged ``Verdict.SHARED_NOTHING`` solution when the analysis said
   LOCKS (the equivalence check or MAE103 must trip);
-* ``stale-cache`` — corrupt one warm steering-cache entry (the
-  warm/cold comparison must diverge);
 * ``skew-kernel`` — corrupt one compiled-kernel scatter mask so a
   single kernel lane emits a flipped action (the compiled leg must
   diverge from the reference).
@@ -58,11 +54,7 @@ from repro.fuzz.generator import NfSpec, build_nf
 from repro.fuzz.workloads import WorkloadSpec, materialize_workload
 from repro.obs.flight import FlightRecorder
 from repro.sim.equivalence import check_equivalence
-from repro.sim.functional import (
-    FlowSteeringCache,
-    _get_dispatcher,
-    run_functional,
-)
+from repro.sim.functional import _get_dispatcher, run_functional
 
 __all__ = ["FAULTS", "FuzzFailure", "OracleReport", "run_oracle"]
 
@@ -70,7 +62,6 @@ __all__ = ["FAULTS", "FuzzFailure", "OracleReport", "run_oracle"]
 FAULTS: tuple[str, ...] = (
     "drop-lock",
     "forge-shared-nothing",
-    "stale-cache",
     "skew-kernel",
 )
 
@@ -128,7 +119,6 @@ class OracleReport:
     rescale_checks: int = 0
     capacity_divergences: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
-    cache_stats: dict | None = None
     compiled_stats: dict | None = None
 
     @property
@@ -145,7 +135,6 @@ class OracleReport:
             "rescale_checks": self.rescale_checks,
             "capacity_divergences": self.capacity_divergences,
             "failures": [f.to_dict() for f in self.failures],
-            "cache_stats": self.cache_stats,
             "compiled_stats": self.compiled_stats,
         }
 
@@ -353,11 +342,11 @@ def run_oracle(
             if check_fastpath and (
                 failed
                 or index == 0
-                or fault in ("stale-cache", "skew-kernel")
+                or fault == "skew-kernel"
             ):
                 _check_fastpath(
                     report, make_nf, make_parallel, strategy, workload,
-                    trace, result.tree, n_cores, fault, certificate,
+                    trace, result.tree, fault, certificate,
                 )
     return report
 
@@ -489,13 +478,13 @@ def _check_rescale(
 
 def _check_fastpath(
     report, make_nf, make_parallel, strategy, workload, trace, tree,
-    n_cores, fault, certificate=None,
+    fault, certificate=None,
 ) -> None:
-    """Reference vs. cold/warm fast path vs. compiled kernels.
+    """Reference vs. batched interpreter vs. compiled kernels.
 
-    The interpreter legs are pinned ``kernels=False`` so each leg
-    isolates one mechanism: steering-cache dispatch (cold and warm) and
-    the compiled batch dataplane (kernels on).  When a ``certificate``
+    The batched leg is pinned ``kernels=False`` so each leg isolates one
+    mechanism: batched steering with grouped execution, and the compiled
+    batch dataplane (kernels on).  When a ``certificate``
     (:class:`repro.analysis.CertifyReport`) is supplied, the compiled
     leg is cross-checked against it: kernel-executed lanes must carry
     certified path ids, and a certificate with lowered paths must
@@ -503,24 +492,8 @@ def _check_fastpath(
     """
     try:
         reference = run_functional(make_parallel(strategy), trace, fastpath=False)
-        cold_parallel = make_parallel(strategy)
-        cold_cache = FlowSteeringCache(cold_parallel.rss)
-        cold = run_functional(
-            cold_parallel, trace, fastpath=True, flow_cache=cold_cache,
-            kernels=False,
-        )
-        warm_parallel = make_parallel(strategy)
-        warm_cache = FlowSteeringCache(warm_parallel.rss)
-        warm_cache.steer(trace)  # warming only touches the cache, not NF state
-        if fault == "stale-cache" and warm_cache._cores:
-            key = sorted(warm_cache._cores)[0]
-            warm_cache._cores[key] = (warm_cache._cores[key] + 1) % n_cores
-            # The whole-trace memo would otherwise replay the pre-fault
-            # decisions verbatim; drop it so the corrupted entry steers.
-            warm_cache._trace_memo = None
-        warm = run_functional(
-            warm_parallel, trace, fastpath=True, flow_cache=warm_cache,
-            kernels=False,
+        batched = run_functional(
+            make_parallel(strategy), trace, fastpath=True, kernels=False
         )
         comp_parallel = make_parallel(strategy)
         # The analysis already explored this NF; reuse its tree so the
@@ -531,8 +504,7 @@ def _check_fastpath(
             if dispatcher is not None:
                 dispatcher.fault = "skew-kernel"
         compiled = run_functional(
-            comp_parallel, trace, fastpath=True,
-            flow_cache=FlowSteeringCache(comp_parallel.rss), kernels=True,
+            comp_parallel, trace, fastpath=True, kernels=True
         )
     except Exception as exc:  # noqa: BLE001
         report.failures.append(
@@ -546,10 +518,6 @@ def _check_fastpath(
         )
         return
     report.checks += 1
-    report.cache_stats = {
-        "cold": cold_cache.stats(),
-        "warm": warm_cache.stats(),
-    }
     report.compiled_stats = getattr(compiled, "compiled", None)
     if certificate is not None:
         certified = set(certificate.supported_pids)
@@ -596,7 +564,7 @@ def _check_fastpath(
                     codes=("certify-compile",),
                 )
             )
-    for label, run in (("cold", cold), ("warm", warm), ("compiled", compiled)):
+    for label, run in (("batched", batched), ("compiled", compiled)):
         for i, ((ref_core, ref_res), (run_core, run_res)) in enumerate(
             zip(reference.results, run.results)
         ):
@@ -608,8 +576,7 @@ def _check_fastpath(
                             f"{label} fast path diverges from reference at "
                             f"packet #{i}: "
                             f"{_observable(ref_core, ref_res)} != "
-                            f"{_observable(run_core, run_res)} "
-                            f"(cache {report.cache_stats.get(label, report.compiled_stats)})"
+                            f"{_observable(run_core, run_res)}"
                         ),
                         strategy=strategy.value,
                         workload=workload.to_dict() if workload else None,

@@ -107,29 +107,6 @@ def _histogram_section(collector: MemoryCollector) -> str:
     return format_table(header, rows)
 
 
-def _fastpath_section(collector: MemoryCollector) -> str | None:
-    """Steering-cache effectiveness, when the trace recorded any.
-
-    Returns None for traces without ``fastpath.*`` counters so reports
-    from analysis-only runs don't grow an all-zero section.
-    """
-    hits = collector.counter_total("fastpath.hits")
-    misses = collector.counter_total("fastpath.misses")
-    invalidations = collector.counter_total("fastpath.invalidations")
-    if not (hits or misses or invalidations):
-        return None
-    total = hits + misses
-    hit_rate = 100.0 * hits / total if total else 0.0
-    rows = [
-        ["steering-cache hits", str(hits)],
-        ["steering-cache misses", str(misses)],
-        ["hit rate", f"{hit_rate:.1f}%"],
-    ]
-    if invalidations:
-        rows.append(["invalidations", str(invalidations)])
-    return format_table(["fast path", "value"], rows)
-
-
 def render_collector(collector: MemoryCollector, *, title: str = "trace") -> str:
     """Render the report sections for an aggregated trace."""
     sections = [
@@ -142,9 +119,6 @@ def render_collector(collector: MemoryCollector, *, title: str = "trace") -> str
         f"== {title}: histograms ==",
         _histogram_section(collector),
     ]
-    fastpath = _fastpath_section(collector)
-    if fastpath is not None:
-        sections.extend(["", f"== {title}: fast path ==", fastpath])
     return "\n".join(sections)
 
 
@@ -162,14 +136,10 @@ def render_top(sink: TelemetrySink) -> str:
         return "(no telemetry windows)"
     packet_series = sink.series("packets")
     total_packets = sink.total("packets") or 1
-    steer_hits = sink.core_totals("steer_hits")
-    steer_misses = sink.core_totals("steer_misses")
     rows = []
     for core in range(sink.n_cores):
         per_window = [float(row[core]) for row in packet_series]
         packets = sink.core_totals("packets")[core]
-        steered = steer_hits[core] + steer_misses[core]
-        hit_rate = f"{100.0 * steer_hits[core] / steered:.1f}%" if steered else "-"
         rows.append(
             [
                 f"core{core}",
@@ -181,12 +151,11 @@ def render_top(sink: TelemetrySink) -> str:
                 str(sink.core_totals("writes")[core]),
                 str(sink.core_totals("new_flows")[core]),
                 str(sink.core_totals("lock_waits")[core]),
-                hit_rate,
             ]
         )
     header = [
         "core", "packets", "share", "p50/win", "p95/win",
-        "reads", "writes", "new_flows", "lock_waits", "steer_hit",
+        "reads", "writes", "new_flows", "lock_waits",
     ]
     label = f" [{sink.label}]" if sink.label else ""
     head = (

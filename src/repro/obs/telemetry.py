@@ -3,7 +3,7 @@
 Run-scoped aggregate counters (PR 1) answer *how much*; this module
 answers *when*.  A :class:`TelemetrySink` collects fixed-size windows of
 per-core activity — packets, stateful reads/writes, new flows, lock-wait
-events, steering-cache hits/misses — over **virtual time**: a window
+events — over **virtual time**: a window
 closes every ``window_packets`` processed packets, not every N wall-clock
 seconds, so series from deterministic replays are themselves
 deterministic and comparable across machines.
@@ -52,16 +52,13 @@ __all__ = [
 #: Per-core metrics tracked in every window, in storage order.
 #: ``lock_waits`` counts write-lock acquisitions (writes to objects the
 #: :class:`~repro.core.codegen.LockPlan` guards — the contended operation
-#: under LOCKS/TM); ``steer_hits``/``steer_misses`` count packets
-#: dispatched from vs. hashed into the flow-steering cache.
+#: under LOCKS/TM).
 METRICS: tuple[str, ...] = (
     "packets",
     "reads",
     "writes",
     "new_flows",
     "lock_waits",
-    "steer_hits",
-    "steer_misses",
 )
 
 _METRIC_INDEX = {name: i for i, name in enumerate(METRICS)}

@@ -16,7 +16,13 @@ from repro.errors import SimulationError
 from repro.nf.packet import Packet
 from repro.rs3.fields import FieldSetOption
 from repro.rs3.indirection import IndirectionTable
-from repro.rs3.toeplitz import hash_input_matrix, hash_packet, toeplitz_hash_batch
+from repro.rs3.toeplitz import (
+    hash_input_matrix,
+    hash_input_rows,
+    hash_packet,
+    toeplitz_hash_batch,
+)
+from repro.traffic.generator import TraceColumns
 
 __all__ = ["PortRssConfig", "RssConfiguration"]
 
@@ -96,31 +102,57 @@ class RssConfiguration:
         except KeyError:
             raise SimulationError(f"no RSS configuration for port {port}") from None
 
-    def steer_trace(self, trace: Sequence[tuple[int, Packet]]) -> np.ndarray:
-        """Core of every ``(port, packet)`` in ``trace``, fully batched.
+    def steer_trace(
+        self,
+        trace: Sequence[tuple[int, Packet]],
+        columns: TraceColumns | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(cores, slots)`` of every ``(port, packet)`` in ``trace``.
 
-        Packets are grouped per ingress port, hashed through the
-        vectorized Toeplitz path, and steered through each port's
-        indirection table in bulk; results come back in trace order.
+        What the NIC does, for a whole trace at once: every packet's
+        hash input is hashed with its ingress port's Toeplitz key, and
+        the low hash bits pick an indirection-table slot whose entry is
+        the core.  There is no flow cache: steering is a pure function
+        of the header bits and the current tables.  ``slots`` is the
+        per-packet table index (``hash & (size - 1)``), the bucket
+        elastic re-sharding migrates by.  ``columns`` (built from
+        ``trace`` when omitted) supplies the header fields, so a run
+        that already extracted them does not walk the packets again.
         """
-        cores = np.zeros(len(trace), dtype=np.int64)
-        by_port: dict[int, list[int]] = {}
-        for i, (port, _) in enumerate(trace):
-            by_port.setdefault(port, []).append(i)
-        for port, indices in by_port.items():
+        cols = columns if columns is not None else TraceColumns(trace)
+        n = len(cols)
+        cores = np.zeros(n, dtype=np.int64)
+        slots = np.zeros(n, dtype=np.int64)
+        ports = cols.ports
+        unique_ports = np.unique(ports)
+        for port in unique_ports.tolist():
             config = self.port_config(port)
-            packets = [trace[i][1] for i in indices]
-            cores[indices] = config.steer_batch(packets)
-        return cores
+            if len(unique_ports) == 1:
+                idx = slice(None)
+                count = n
+            else:
+                idx = np.flatnonzero(ports == port)
+                count = idx.size
+            rows = hash_input_rows(
+                [cols.field(f.packet_field)[idx] for f in config.option.fields],
+                config.option,
+                count,
+            )
+            hashes = config.hash_rows(rows)
+            cores[idx] = config.table.steer_batch(hashes)
+            slots[idx] = hashes.astype(np.int64) & (config.table.size - 1)
+        return cores, slots
 
     @property
     def steering_generation(self) -> int:
         """Monotonic counter over every table mutation.
 
-        Flow-steering caches (:class:`repro.sim.functional.FlowSteeringCache`)
-        snapshot this value and drop their entries whenever it moves —
-        rebalancing an indirection table silently remaps flows to other
-        cores, so any cached dispatch decision may be stale.
+        Steering itself reads the tables afresh on every call, so it is
+        never stale; the compiled dispatcher
+        (:class:`repro.sim.compiled.CompiledDispatcher`) snapshots this
+        value and flushes its classification memo whenever it moves —
+        rebalancing an indirection table remaps flows to other cores, so
+        a classification computed against one shard no longer applies.
         """
         return sum(config.table.generation for config in self.ports.values())
 

@@ -33,8 +33,9 @@ class IndirectionTable:
         if self.size <= 0 or self.size & (self.size - 1):
             raise SimulationError("table size must be a power of two")
         self.entries = np.arange(self.size, dtype=np.int64) % self.n_queues
-        #: Bumped on every entry reassignment; steering caches key on it
-        #: so a rebalance invalidates previously cached flow->core maps.
+        #: Bumped on every entry reassignment; the compiled dispatcher keys
+        #: its classification memo on it, so a rebalance flushes memoized
+        #: per-shard classifications.
         self.generation = 0
 
     def lookup(self, hash_value: int) -> int:
@@ -60,8 +61,8 @@ class IndirectionTable:
         controller computes a target assignment off to the side, migrates
         state bucket-by-bucket, then commits the new table in one shot.
         The generation is bumped **iff** at least one entry actually
-        changed — a no-op reprogram must not invalidate steering caches
-        or compiled-kernel memos.  Returns the number of entries moved.
+        changed — a no-op reprogram must not invalidate compiled-kernel
+        memos.  Returns the number of entries moved.
         """
         new = np.asarray(entries, dtype=np.int64)
         if new.shape != self.entries.shape:

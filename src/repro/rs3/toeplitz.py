@@ -36,6 +36,7 @@ __all__ = [
     "key_window_table",
     "hash_input",
     "hash_input_matrix",
+    "hash_input_rows",
     "hash_packet",
     "hash_packets_batch",
     "key_bit",
@@ -182,14 +183,33 @@ def hash_input_matrix(
             raise KeyError(f"unknown packet field {name!r}")
         # attrgetter + map keeps the per-packet extraction in C; this is
         # the bulk-column equivalent of Packet.field(name).
-        values = np.fromiter(
-            map(operator.attrgetter(name), packets), dtype=np.int64, count=n
+        columns.append(
+            np.fromiter(
+                map(operator.attrgetter(name), packets), dtype=np.int64, count=n
+            )
         )
-        dtype = ">u4" if fld.width == 32 else ">u2"
-        columns.append(values.astype(dtype).view(np.uint8).reshape(n, -1))
-    if not columns:
+    return hash_input_rows(columns, option, n)
+
+
+def hash_input_rows(
+    columns: Sequence[np.ndarray], option: FieldSetOption, n: int
+) -> np.ndarray:
+    """The ``(n, bytes)`` hash-input matrix from per-field value columns.
+
+    ``columns[i]`` holds the integer values of ``option.fields[i]`` for
+    ``n`` packets; each is converted to big-endian bytes in bulk and the
+    results are concatenated in the option's layout order.
+    """
+    parts = [
+        np.asarray(values)
+        .astype(">u4" if fld.width == 32 else ">u2")
+        .view(np.uint8)
+        .reshape(n, -1)
+        for fld, values in zip(option.fields, columns, strict=True)
+    ]
+    if not parts:
         return np.zeros((n, 0), dtype=np.uint8)
-    return np.concatenate(columns, axis=1)
+    return np.concatenate(parts, axis=1)
 
 
 def hash_packet(key: bytes, pkt: Packet, option: FieldSetOption) -> int:

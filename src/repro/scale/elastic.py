@@ -26,7 +26,7 @@ from repro import obs
 from repro.core.codegen import ParallelNF, Strategy
 from repro.errors import SimulationError
 from repro.scale.migrate import BucketIndex, MigrationStats, rescale_parallel
-from repro.sim.functional import FlowSteeringCache, FunctionalRun, run_functional
+from repro.sim.functional import FunctionalRun, run_functional
 from repro.traffic.generator import Trace
 
 __all__ = ["RescaleEvent", "enable_elastic", "run_elastic", "ElasticRun"]
@@ -93,7 +93,6 @@ def run_elastic(
     events: Sequence[RescaleEvent],
     *,
     fastpath: bool = True,
-    flow_cache: FlowSteeringCache | None = None,
     kernels: bool = True,
     sanitize: bool = False,
 ) -> ElasticRun:
@@ -139,7 +138,6 @@ def run_elastic(
                     parallel,
                     segment,
                     fastpath=fastpath,
-                    flow_cache=flow_cache,
                     kernels=kernels,
                     sanitize=sanitize,
                 )
@@ -154,7 +152,6 @@ def run_elastic(
                 parallel,
                 tail,
                 fastpath=fastpath,
-                flow_cache=flow_cache,
                 kernels=kernels,
                 sanitize=sanitize,
             )

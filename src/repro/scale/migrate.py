@@ -22,8 +22,8 @@ state-as-transferable-delta framing):
    index may be taken), and the paired map values / vector rows are
    rewritten through the old->new index remap;
 4. **commit** — the table entry flips to the receiver and the steering
-   generation bumps, invalidating flow-steering caches and compiled
-   memos.
+   generation bumps, invalidating compiled classification memos (steering
+   itself reads the table afresh for every packet).
 
 Every handoff is reported to an installed :class:`RaceMonitor` so the
 MAE103 ownership checker transfers ownership atomically at the commit
@@ -445,8 +445,8 @@ def rescale_parallel(
     receiving cores, migrate each moving bucket's state (two-phase, each
     handoff reported to the race monitor when one is installed), then
     commit every port's table with exactly **one** reprogram — so the
-    steering generation bumps once per rescale and flow-steering caches
-    plus compiled memos invalidate themselves.
+    steering generation bumps once per rescale and compiled memos
+    invalidate themselves.
 
     ``torn_hook(slot, src, dst)`` is a fault-injection point between
     extract and install (the unowned epoch); tests use it to prove the

@@ -2,7 +2,7 @@
 
 from repro.sim.attack import AttackSet, evaluate_attack, find_colliding_flows
 from repro.sim.equivalence import EquivalenceReport, Mismatch, check_equivalence
-from repro.sim.functional import FlowSteeringCache, FunctionalRun, run_functional
+from repro.sim.functional import FunctionalRun, run_functional
 from repro.sim.latency import latency_probe
 from repro.sim.perf import PerformanceModel, ThroughputResult, Workload
 
@@ -13,7 +13,6 @@ __all__ = [
     "EquivalenceReport",
     "Mismatch",
     "check_equivalence",
-    "FlowSteeringCache",
     "FunctionalRun",
     "run_functional",
     "latency_probe",

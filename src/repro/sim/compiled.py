@@ -42,7 +42,6 @@ shard whose state it was computed from.
 
 from __future__ import annotations
 
-import operator
 from itertools import starmap
 
 import numpy as np
@@ -748,10 +747,7 @@ class CompiledDispatcher:
         self._sn = parallel.strategy is Strategy.SHARED_NOTHING
         self._ctxs = [core.ctx for core in parallel.cores]
         self._bucket_ids = None
-        self._trace = None
-        self._trace_ref = None
-        self._pkts = None
-        self._fields = {}
+        self._cols = None
         self._triggers = {}
         self._ts_pending = {}
         self._plans = {}
@@ -778,33 +774,24 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     # Run setup
     # -------------------------------------------------------------- #
-    def start_run(self, trace, core_ids, window_packets, bucket_ids=None):
-        n = len(trace)
-        self._trace = trace
+    def start_run(self, cols, core_ids, window_packets, bucket_ids=None):
+        """Bind one run's :class:`~repro.traffic.TraceColumns`; return chunk edges.
+
+        Every per-run table — header columns, uid plans, epochs — is
+        derived from ``cols`` afresh, so nothing carries over from an
+        earlier run but the byte-keyed cross-run memo.
+        """
+        n = len(cols)
+        self._cols = cols
         #: Per-packet indirection-table slots (elastic runs only): the
         #: fallback path installs them as ``ctx.current_bucket`` so
         #: establishment packets bucket-tag the state they create, and
         #: kernel vector scatters re-tag the rows they overwrite.
         self._bucket_ids = bucket_ids
-        if trace is not self._trace_ref:
-            # Packets are immutable, so the column/uid tables derived
-            # from a trace stay valid for as long as the *same* trace
-            # object is replayed (epochs additionally self-check their
-            # state versions).  They're retained across runs for warm
-            # replays and rebuilt only when a new trace shows up.
-            self._trace_ref = trace
-            self._pkts = [pkt for _, pkt in trace]
-            self._ports_arr = np.fromiter(
-                map(operator.itemgetter(0), trace), np.int64, count=n
-            )
-            self._ts = np.fromiter(
-                map(operator.attrgetter("timestamp"), self._pkts),
-                np.float64,
-                count=n,
-            )
-            self._fields = {}
-            self._plans = {}
-            self._epochs = {}
+        self._ports_arr = cols.ports
+        self._ts = cols.field("timestamp")
+        self._plans = {}
+        self._epochs = {}
         self._core_ids = core_ids
         self.path_ids = np.full(n, -1, dtype=np.int32)
         self._check_generation()
@@ -817,20 +804,13 @@ class CompiledDispatcher:
         return sorted(edges)
 
     def end_run(self):
-        self._trace = None
+        self._cols = None
         self._triggers = {}
         self._bucket_ids = None
 
     def _field_col(self, name):
-        col = self._fields.get(name)
-        if col is None:
-            col = np.fromiter(
-                map(operator.attrgetter(name[4:]), self._pkts),
-                np.int64,
-                count=len(self._pkts),
-            )
-            self._fields[name] = col
-        return col
+        """Column of symbol ``pkt.<field>``, shared with steering."""
+        return self._cols.field(name[4:])
 
     def _plan_triggers(self):
         """Exact positions where ``expire_flows`` fires, per context.
@@ -946,7 +926,7 @@ class CompiledDispatcher:
     def _run_fallback(self, f_lanes, results, cid):
         if not f_lanes.size:
             return
-        trace = self._trace
+        trace = self._cols.trace
         idx = f_lanes.tolist()
         buckets = self._bucket_ids
         if cid is not None:

@@ -8,11 +8,15 @@ semantic-equivalence checking and for measuring per-core load under skew.
 
 Two execution paths produce bit-identical results:
 
-* the **fast path** (default) steers the whole trace at once — vectorized
-  field extraction, batched Toeplitz hashing of the *unique* flows only
-  (a per-flow dispatch cache skips re-hashing repeated flows), batched
-  indirection lookups — then runs the per-packet NF code grouped by core
-  where state shards are independent;
+* the **fast path** (default) reads the trace column-wise: one pass per
+  needed header field (:class:`~repro.traffic.TraceColumns`), then
+  :meth:`~repro.rs3.config.RssConfiguration.steer_trace` hashes *every*
+  packet with the batched Toeplitz path and reads each port's
+  indirection table, exactly as the NIC does — no flow cache, no memo,
+  so steering is a pure function of the header bits and the current
+  tables.  The per-packet NF code then runs grouped by core where state
+  shards are independent, or through the compiled kernels
+  (:mod:`repro.sim.compiled`), which read the same columns;
 * the **reference path** (``fastpath=False``) is the original
   packet-at-a-time loop through :meth:`ParallelNF.process`, kept as the
   oracle the fast path is benchmarked and property-tested against
@@ -32,12 +36,10 @@ from repro import obs
 from repro.core.codegen import ParallelNF, Strategy
 from repro.nf.api import ActionKind
 from repro.nf.runtime import PacketResult
-from repro.rs3.toeplitz import hash_input_matrix
 from repro.sim.compiled import compile_parallel
-from repro.traffic.generator import Trace
+from repro.traffic.generator import Trace, TraceColumns
 
 __all__ = [
-    "FlowSteeringCache",
     "FunctionalRun",
     "run_functional",
     "ChainRun",
@@ -52,218 +54,6 @@ _KIND_FOR_CODE: tuple[ActionKind, ...] = tuple(ActionKind)
 
 #: Ops that touch state without being a "hard" write (see write_fraction).
 _SOFT_WRITE_OPS = frozenset({"dchain_rejuvenate", "expire"})
-
-
-class FlowSteeringCache:
-    """Per-flow dispatch cache: RSS hash input ⟶ core, across traces.
-
-    RSS steering is a pure function of the packet's hash-input bytes and
-    the ingress port, so the first packet of a flow fixes the core for
-    every later packet of that flow.  The cache works at *unique-flow*
-    granularity: a trace is reduced with ``np.unique`` first, only the
-    rows never seen before are Toeplitz-hashed, and the per-packet fan-out
-    back is a single vectorized gather.
-
-    The one way a cached decision can go stale is the indirection table
-    being rebalanced underneath it (RSS++ moves entries between queues),
-    so the cache snapshots :attr:`RssConfiguration.steering_generation`
-    and flushes itself whenever the tables change.
-
-    Counters: ``fastpath.hits`` counts packets dispatched from the cache,
-    ``fastpath.misses`` counts unique flows that had to be hashed.
-    """
-
-    def __init__(self, rss) -> None:
-        self.rss = rss
-        self._cores: dict[tuple[int, bytes], int] = {}
-        # Indirection-table slot per cached flow, kept in a parallel dict
-        # (not folded into _cores values): elastic runs need the slot to
-        # bucket-tag state, while existing consumers — and the fuzzer's
-        # stale-cache fault injector — treat _cores values as plain core
-        # ints.
-        self._slots: dict[tuple[int, bytes], int] = {}
-        self._generation = rss.steering_generation
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        # Whole-trace memo: steering is a pure function of (generation,
-        # packet bytes), so replaying the *same* trace object against an
-        # unchanged generation can skip hashing entirely.
-        self._trace_memo: tuple | None = None
-
-    def __len__(self) -> int:
-        return len(self._cores)
-
-    def invalidate(self) -> None:
-        """Drop every cached dispatch decision."""
-        self._cores.clear()
-        self._slots.clear()
-        self._trace_memo = None
-        self._generation = self.rss.steering_generation
-        self.invalidations += 1
-
-    def stats(self) -> dict:
-        """Accounting snapshot for oracles and reports.
-
-        ``generation`` is the steering generation the current entries
-        were hashed under; a mismatch with
-        ``rss.steering_generation`` means the next :meth:`steer` call
-        will self-invalidate.
-        """
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._cores),
-            "invalidations": self.invalidations,
-            "generation": self._generation,
-        }
-
-    def _check_generation(self) -> None:
-        if self._generation != self.rss.steering_generation:
-            self.invalidate()
-
-    def steer(
-        self,
-        trace: Sequence[tuple[int, "object"]],
-        *,
-        with_misses: bool = False,
-        with_slots: bool = False,
-    ) -> np.ndarray | tuple[np.ndarray, ...]:
-        """Core ids for every packet of ``trace``, in trace order.
-
-        ``with_misses=True`` additionally returns a per-packet boolean
-        mask — True where the packet's flow had to be hashed (a cache
-        miss) — which is what lets the telemetry plane attribute
-        ``steer_hits``/``steer_misses`` to windows without re-probing
-        the cache per packet.
-
-        ``with_slots=True`` additionally returns the per-packet
-        indirection-table slot (the steering *bucket*), which elastic
-        runs use to bucket-tag the state each packet creates.  Return
-        order is ``cores[, miss][, slots]``.
-        """
-        self._check_generation()
-        memo = self._trace_memo
-        if memo is not None and memo[0] is trace and (
-            not with_slots or memo[3] is not None
-        ):
-            # Every flow of this exact trace is already cached; replay
-            # the decisions and the counters a warm re-steer would emit.
-            _, memo_cores, port_counts, memo_slots = memo
-            n = len(trace)
-            self.hits += n
-            if obs.enabled():
-                for port, count in port_counts:
-                    obs.counter("fastpath.misses", 0, port=port)
-                    obs.counter("fastpath.hits", count, port=port)
-            out: list[np.ndarray] = [memo_cores.copy()]
-            if with_misses:
-                out.append(np.zeros(n, dtype=bool))
-            if with_slots:
-                out.append(memo_slots.copy())
-            return out[0] if len(out) == 1 else tuple(out)
-        cores = np.zeros(len(trace), dtype=np.int64)
-        miss = np.zeros(len(trace), dtype=bool) if with_misses else None
-        slots = np.zeros(len(trace), dtype=np.int64) if with_slots else None
-        by_port: dict[int, list[int]] = {}
-        for i, (port, _) in enumerate(trace):
-            by_port.setdefault(port, []).append(i)
-        for port, indices in by_port.items():
-            port_cores, port_miss, port_slots = self._steer_port(
-                port, [trace[i][1] for i in indices], with_misses, with_slots
-            )
-            cores[indices] = port_cores
-            if miss is not None and port_miss is not None:
-                miss[indices] = port_miss
-            if slots is not None and port_slots is not None:
-                slots[indices] = port_slots
-        self._trace_memo = (
-            trace,
-            cores.copy(),
-            [(port, len(indices)) for port, indices in by_port.items()],
-            slots.copy() if slots is not None else None,
-        )
-        out = [cores]
-        if with_misses:
-            out.append(miss)
-        if with_slots:
-            out.append(slots)
-        return out[0] if len(out) == 1 else tuple(out)
-
-    def _steer_port(
-        self,
-        port: int,
-        packets: list,
-        with_misses: bool = False,
-        with_slots: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        config = self.rss.port_config(port)
-        matrix = hash_input_matrix(packets, config.option)
-        if matrix.shape[1] == 0:
-            # Degenerate empty field option: every packet hashes alike.
-            core = config.table.lookup(0)
-            mask = np.zeros(len(packets), dtype=bool) if with_misses else None
-            slots = (
-                np.zeros(len(packets), dtype=np.int64) if with_slots else None
-            )
-            return np.full(len(packets), core, dtype=np.int64), mask, slots
-        # Collapse the trace to its unique flows: one void view per row
-        # lets np.unique treat each hash input as an opaque scalar.
-        rows = np.ascontiguousarray(matrix).view(
-            np.dtype((np.void, matrix.shape[1]))
-        ).ravel()
-        unique_rows, inverse = np.unique(rows, return_inverse=True)
-        unique_cores = np.zeros(len(unique_rows), dtype=np.int64)
-        unique_slots = (
-            np.zeros(len(unique_rows), dtype=np.int64) if with_slots else None
-        )
-        missing: list[int] = []
-        cache = self._cores
-        slot_cache = self._slots
-        for u, row in enumerate(unique_rows):
-            cached = cache.get((port, row.tobytes()))
-            if cached is None:
-                missing.append(u)
-            else:
-                unique_cores[u] = cached
-                if unique_slots is not None:
-                    unique_slots[u] = slot_cache.get((port, row.tobytes()), 0)
-        if missing:
-            missing_rows = unique_rows[missing].view(np.uint8).reshape(
-                len(missing), matrix.shape[1]
-            )
-            hashes = config.hash_rows(missing_rows)
-            steered = config.table.steer_batch(hashes)
-            hash_slots = np.asarray(hashes, dtype=np.int64) & (
-                config.table.size - 1
-            )
-            for u, core, slot in zip(missing, steered, hash_slots):
-                unique_cores[u] = core
-                row_bytes = unique_rows[u].tobytes()
-                cache[(port, row_bytes)] = int(core)
-                slot_cache[(port, row_bytes)] = int(slot)
-                if unique_slots is not None:
-                    unique_slots[u] = slot
-        counts = np.bincount(inverse, minlength=len(unique_rows))
-        miss_packets = int(counts[missing].sum()) if missing else 0
-        self.misses += len(missing)
-        self.hits += len(packets) - miss_packets
-        if obs.enabled():
-            obs.counter("fastpath.misses", len(missing), port=port)
-            obs.counter("fastpath.hits", len(packets) - miss_packets, port=port)
-        mask = None
-        if with_misses:
-            # Same gather trick as the core lookup below: a per-unique
-            # miss flag expanded through ``inverse`` is O(U + N), where
-            # np.isin would sort ``missing`` per call.
-            miss_unique = np.zeros(len(unique_rows), dtype=bool)
-            if missing:
-                miss_unique[missing] = True
-            mask = miss_unique[inverse]
-        slots_out = (
-            unique_slots[inverse] if unique_slots is not None else None
-        )
-        return unique_cores[inverse], mask, slots_out
 
 
 class _ResultsView(Sequence):
@@ -486,8 +276,6 @@ def _window_rows(
     before: list[tuple[int, int, int, int]],
     packets: Sequence[int],
     locked: frozenset,
-    hits: Sequence[int] | None = None,
-    misses: Sequence[int] | None = None,
 ) -> list[list[int]]:
     """Per-core telemetry rows for one window, from ctx snapshot deltas.
 
@@ -507,8 +295,6 @@ def _window_rows(
                 w1 - w0,
                 nf1 - nf0,
                 lw1 - lw0,
-                int(hits[core_id]) if hits is not None else 0,
-                int(misses[core_id]) if misses is not None else 0,
             ]
         )
     return rows
@@ -524,8 +310,7 @@ def _run_reference(
             run.add(*parallel.process(port, pkt))
         return run
     # Telemetry attached: same per-packet loop, with a window boundary
-    # every ``window_packets`` packets.  No steering cache on this path,
-    # so steer_hits/steer_misses stay zero.
+    # every ``window_packets`` packets.
     locked = parallel.lock_plan.locked
     n = len(trace)
     start = 0
@@ -586,29 +371,25 @@ def _execute_slice(
             results[i] = ctxs[core_ids[i]].run(port, pkt)
 
 
+def _steer(
+    parallel: ParallelNF, cols: TraceColumns
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-packet cores, plus table slots when the run is elastic.
+
+    The slots become ``ctx.current_bucket`` so created state is
+    bucket-tagged for live migration; static runs do not need them.
+    """
+    core_ids, slots = parallel.rss.steer_trace(cols.trace, cols)
+    return core_ids, (slots if parallel.elastic else None)
+
+
 def _run_fastpath(
-    parallel: ParallelNF,
-    trace: Trace,
-    run: FunctionalRun,
-    flow_cache: FlowSteeringCache | None,
+    parallel: ParallelNF, cols: TraceColumns, run: FunctionalRun
 ) -> FunctionalRun:
     """Batched steering + grouped execution, bit-identical to the oracle."""
-    cache = flow_cache if flow_cache is not None else FlowSteeringCache(parallel.rss)
     sink = obs.active_telemetry()
-    elastic = parallel.elastic
-    buckets: np.ndarray | None = None
-    if sink is None:
-        if elastic:
-            core_ids, buckets = cache.steer(trace, with_slots=True)
-        else:
-            core_ids = cache.steer(trace)
-        miss_mask = None
-    elif elastic:
-        core_ids, miss_mask, buckets = cache.steer(
-            trace, with_misses=True, with_slots=True
-        )
-    else:
-        core_ids, miss_mask = cache.steer(trace, with_misses=True)
+    trace = cols.trace
+    core_ids, buckets = _steer(parallel, cols)
     n = len(trace)
     results: list[PacketResult | None] = [None] * n
     stats_before = [_ctx_stat_snapshot(core.ctx) for core in parallel.cores]
@@ -627,7 +408,7 @@ def _run_fastpath(
             # one O(cores) snapshot delta per boundary.  Per-core order
             # is preserved across chunk boundaries, so the results stay
             # bit-identical to the plain fast path.  All O(n) work — the
-            # per-core partition and the per-window packet/miss counts —
+            # per-core partition and the per-window packet counts —
             # happens once up front; the chunk loop itself only slices
             # precomputed lists, keeping the telemetry surcharge to the
             # O(windows x cores) snapshots the design budgets for.
@@ -638,9 +419,6 @@ def _run_fastpath(
             flat = (np.arange(n) // sink.window_packets) * n_cores + core_ids
             pkt_counts = np.bincount(
                 flat, minlength=n_chunks * n_cores
-            ).reshape(n_chunks, n_cores)
-            miss_counts = np.bincount(
-                flat[miss_mask], minlength=n_chunks * n_cores
             ).reshape(n_chunks, n_cores)
             shared_nothing = parallel.strategy is Strategy.SHARED_NOTHING
             if shared_nothing:
@@ -685,12 +463,8 @@ def _run_fastpath(
                         parallel, trace, core_ids, results,
                         int(edges[k]), int(edges[k + 1]), buckets,
                     )
-                misses = miss_counts[k]
                 sink.record_window(
-                    _window_rows(
-                        parallel, before, pkt_counts[k], locked,
-                        hits=pkt_counts[k] - misses, misses=misses,
-                    )
+                    _window_rows(parallel, before, pkt_counts[k], locked)
                 )
     finally:
         if gc_was_enabled:
@@ -720,11 +494,7 @@ def _get_dispatcher(parallel: ParallelNF):
 
 
 def _run_compiled(
-    parallel: ParallelNF,
-    trace: Trace,
-    run: FunctionalRun,
-    flow_cache: FlowSteeringCache | None,
-    dispatcher,
+    parallel: ParallelNF, cols: TraceColumns, run: FunctionalRun, dispatcher
 ) -> FunctionalRun:
     """Fast path with compiled kernels: chunked classify/apply execution.
 
@@ -735,26 +505,10 @@ def _run_compiled(
     edges include every telemetry window boundary, so recorded windows
     stay bit-identical to the interpreter fast path.
     """
-    cache = flow_cache if flow_cache is not None else FlowSteeringCache(parallel.rss)
     sink = obs.active_telemetry()
-    elastic = parallel.elastic
-    buckets: np.ndarray | None = None
-    if sink is None:
-        if elastic:
-            core_ids, buckets = cache.steer(trace, with_slots=True)
-        else:
-            core_ids = cache.steer(trace)
-        miss_mask = None
-        wp = 0
-    else:
-        if elastic:
-            core_ids, miss_mask, buckets = cache.steer(
-                trace, with_misses=True, with_slots=True
-            )
-        else:
-            core_ids, miss_mask = cache.steer(trace, with_misses=True)
-        wp = sink.window_packets
-    n = len(trace)
+    core_ids, buckets = _steer(parallel, cols)
+    wp = sink.window_packets if sink is not None else 0
+    n = len(cols)
     results: list[PacketResult | None] = [None] * n
     stats_before = [_ctx_stat_snapshot(core.ctx) for core in parallel.cores]
     k0 = dispatcher.kernel_packets
@@ -763,7 +517,7 @@ def _run_compiled(
     if gc_was_enabled:
         gc.disable()
     try:
-        edges = dispatcher.start_run(trace, core_ids, wp, bucket_ids=buckets)
+        edges = dispatcher.start_run(cols, core_ids, wp, bucket_ids=buckets)
         if sink is None:
             for i in range(len(edges) - 1):
                 dispatcher.run_chunk(edges[i], edges[i + 1], results)
@@ -776,9 +530,6 @@ def _run_compiled(
             pkt_counts = np.bincount(
                 flat, minlength=n_windows * n_cores
             ).reshape(n_windows, n_cores)
-            miss_counts = np.bincount(
-                flat[miss_mask], minlength=n_windows * n_cores
-            ).reshape(n_windows, n_cores)
             k = 0
             before = [
                 core.ctx.stat_snapshot(locked) for core in parallel.cores
@@ -786,12 +537,8 @@ def _run_compiled(
             for i in range(len(edges) - 1):
                 dispatcher.run_chunk(edges[i], edges[i + 1], results)
                 if k < n_windows and edges[i + 1] == int(w_edges[k + 1]):
-                    misses = miss_counts[k]
                     sink.record_window(
-                        _window_rows(
-                            parallel, before, pkt_counts[k], locked,
-                            hits=pkt_counts[k] - misses, misses=misses,
-                        )
+                        _window_rows(parallel, before, pkt_counts[k], locked)
                     )
                     k += 1
                     if k < n_windows:
@@ -857,7 +604,6 @@ def run_functional(
     *,
     balance_tables_with: Trace | None = None,
     fastpath: bool = True,
-    flow_cache: FlowSteeringCache | None = None,
     sanitize: bool = False,
     kernels: bool = True,
 ) -> FunctionalRun:
@@ -867,10 +613,11 @@ def run_functional(
     using a sample trace before the measured run — the "balanced" series
     of Figures 5 and 14.
 
-    ``fastpath=False`` selects the packet-at-a-time reference path;
-    ``flow_cache`` carries a :class:`FlowSteeringCache` across runs so a
-    warm cache keeps paying off (it self-invalidates if the indirection
-    tables are rebalanced in between).
+    ``fastpath=False`` selects the packet-at-a-time reference path.
+    Otherwise the trace's header columns are extracted once and every
+    packet is hashed and steered in bulk from them; nothing about the
+    trace object is remembered between runs, so a list mutated in place
+    and run again is steered from its current packets.
 
     ``kernels=True`` (the default) additionally compiles the NF's
     execution tree into vectorized batch kernels
@@ -881,9 +628,9 @@ def run_functional(
     ``sanitize``.
 
     ``sanitize=True`` forces the reference path regardless of
-    ``fastpath``/``flow_cache``/``kernels``: the race sanitizer's event
-    log (:mod:`repro.analysis.race`) needs every packet processed one at
-    a time in global trace order, so the steering memo, the compiled
+    ``fastpath``/``kernels``: the race sanitizer's event log
+    (:mod:`repro.analysis.race`) needs every packet processed one at a
+    time in global trace order, so batched steering, the compiled
     kernels, and the per-core grouped execution are bypassed.  Results
     stay bit-identical — only the interleaving of the per-core batches
     changes.
@@ -900,13 +647,12 @@ def run_functional(
     ):
         if sanitize or not fastpath or not trace:
             return _run_reference(parallel, trace, run)
+        cols = TraceColumns(trace)
         if kernels:
             dispatcher = _get_dispatcher(parallel)
             if dispatcher is not None:
-                return _run_compiled(
-                    parallel, trace, run, flow_cache, dispatcher
-                )
-        return _run_fastpath(parallel, trace, run, flow_cache)
+                return _run_compiled(parallel, cols, run, dispatcher)
+        return _run_fastpath(parallel, cols, run)
 
 
 # ------------------------------------------------------------------ #

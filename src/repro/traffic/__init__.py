@@ -15,7 +15,7 @@ from repro.traffic.distributions import (
     top_share,
     zipf_weights,
 )
-from repro.traffic.generator import INTERNET_MIX, Trace, TrafficGenerator
+from repro.traffic.generator import INTERNET_MIX, Trace, TraceColumns, TrafficGenerator
 from repro.traffic.pcap import read_pcap, write_pcap
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "zipf_weights",
     "INTERNET_MIX",
     "Trace",
+    "TraceColumns",
     "TrafficGenerator",
     "read_pcap",
     "write_pcap",

@@ -7,6 +7,7 @@ bidirectional traffic (LAN packets plus their symmetric WAN replies).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,9 +16,51 @@ from repro.nf.flow import FiveTuple
 from repro.nf.packet import PROTO_UDP, Packet
 from repro.traffic.distributions import paper_zipf_weights
 
-__all__ = ["Trace", "TrafficGenerator", "INTERNET_MIX"]
+__all__ = ["Trace", "TraceColumns", "TrafficGenerator", "INTERNET_MIX"]
 
 Trace = list[tuple[int, Packet]]
+
+
+class TraceColumns:
+    """Header columns of one trace, each pulled out of the packets once.
+
+    The batched dataplane reads a trace column-wise: RSS steering hashes
+    the header fields, the compiled dispatcher classifies on them and
+    gates expiry on the timestamps.  One instance per run lets every
+    consumer share the same arrays, so each ``Packet`` attribute is
+    walked at most once however many layers read it.  The columns are a
+    snapshot of ``trace`` at construction time.
+    """
+
+    __slots__ = ("trace", "packets", "ports", "_fields")
+
+    def __init__(self, trace: Trace) -> None:
+        self.trace = trace
+        self.packets = [pkt for _, pkt in trace]
+        #: Ingress port of every packet.
+        self.ports = np.fromiter(
+            map(operator.itemgetter(0), trace), np.int64, count=len(trace)
+        )
+        self._fields: dict[str, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.packets)
+
+    def field(self, name: str) -> np.ndarray:
+        """Column of packet attribute ``name`` (e.g. ``"src_ip"``).
+
+        int64 for header fields and ``wire_size``; float64 for
+        ``timestamp``.
+        """
+        col = self._fields.get(name)
+        if col is None:
+            col = np.fromiter(
+                map(operator.attrgetter(name), self.packets),
+                np.float64 if name == "timestamp" else np.int64,
+                count=len(self.packets),
+            )
+            self._fields[name] = col
+        return col
 
 #: The classic Internet packet-size mix (IMIX): (size, weight).
 INTERNET_MIX: tuple[tuple[int, float], ...] = (

@@ -79,7 +79,7 @@ def _fastpath_with_certificate(seed, certificate):
     )
     _check_fastpath(
         report, make_nf, make_parallel, strategy, UNIFORM, trace,
-        result.tree, 4, None, certificate,
+        result.tree, None, certificate,
     )
     return report
 

@@ -35,8 +35,7 @@ def test_clean_pipeline_passes_all_strategies() -> None:
     assert report.ok, [f.to_dict() for f in report.failures]
     assert set(report.strategies) == {"shared-nothing", "locks", "tm"}
     assert report.checks > 0
-    assert report.cache_stats is not None
-    assert report.cache_stats["warm"]["hits"] >= report.cache_stats["cold"]["hits"]
+    assert "cache_stats" not in report.to_dict()
 
 
 def test_locks_verdict_skips_shared_nothing() -> None:
@@ -71,18 +70,8 @@ def test_forged_shared_nothing_verdict_is_refuted() -> None:
     )
 
 
-def test_stale_cache_fault_diverges_warm_path() -> None:
-    spec = random_spec(SN_SEED, shape="small")
-    report = run_oracle(
-        spec, [UNIFORM], n_cores=4, maestro_seed=7, fault="stale-cache"
-    )
-    warm = [f for f in report.failures if f.kind == "fastpath"]
-    assert warm
-    assert all("warm" in f.detail for f in warm)
-
-
 def test_clean_pipeline_reports_compiled_stats() -> None:
-    """The fourth oracle leg runs the compiled dataplane and attaches
+    """The third oracle leg runs the compiled dataplane and attaches
     its kernel-coverage accounting to the report."""
     spec = random_spec(SN_SEED, shape="small")
     report = run_oracle(spec, [UNIFORM], n_cores=4, maestro_seed=7)

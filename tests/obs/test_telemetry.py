@@ -292,8 +292,8 @@ class TestModelDrift:
 # ------------------------------------------------------------------ #
 def _sample_sink() -> TelemetrySink:
     sink = TelemetrySink(window_packets=4, label="cli")
-    sink.record_window([_row(3, reads=6, steer_misses=3), _row(1, reads=1, steer_hits=1)])
-    sink.record_window([_row(2, writes=2, steer_hits=2), _row(2, steer_hits=2)])
+    sink.record_window([_row(3, reads=6, lock_waits=3), _row(1, reads=1, lock_waits=1)])
+    sink.record_window([_row(2, writes=2, new_flows=2), _row(2, lock_waits=2)])
     return sink
 
 
@@ -320,7 +320,8 @@ class TestTelemetryFiles:
         assert '# TYPE repro_core_packets_total counter' in text
         assert 'repro_core_packets_total{core="0"} 5' in text
         assert 'repro_core_packets_total{core="1"} 3' in text
-        assert 'repro_core_steer_hits_total{core="1"} 3' in text
+        assert 'repro_core_lock_waits_total{core="1"} 3' in text
+        assert "steer" not in text
         assert "repro_telemetry_total_packets 8" in text
 
 
@@ -337,8 +338,7 @@ class TestTelemetryCli:
         assert "== telemetry [cli]: 2 window(s)" in out
         assert "core0" in out and "core1" in out
         assert "62.5%" in out  # core0's packet share 5/8
-        # steering hit rate: core0 2 hits / 5 steered packets
-        assert "40.0%" in out
+        assert "steer" not in out
 
     def test_timeline_renders_windows(self, series_file, capsys):
         assert obs_main(["timeline", series_file, "--metric", "reads"]) == 0
@@ -360,33 +360,24 @@ class TestTelemetryCli:
 
 
 class TestReportCli:
-    """The trace report satellites: --json and the fast-path section."""
+    """The trace report CLI: --json mode and the plain sections."""
 
-    def _trace_with_fastpath(self, tmp_path) -> tuple[str, obs.MemoryCollector]:
+    def test_report_json_is_collector_summary(self, tmp_path, capsys):
         path = str(tmp_path / "trace.jsonl")
         mem = obs.MemoryCollector()
         with obs.JsonlCollector(path) as jsonl:
             with obs.attached(jsonl), obs.attached(mem):
-                obs.counter("fastpath.hits", 75, port=0)
-                obs.counter("fastpath.misses", 25, port=0)
-        return path, mem
-
-    def test_report_json_is_collector_summary(self, tmp_path, capsys):
-        path, mem = self._trace_with_fastpath(tmp_path)
+                obs.counter("compiled.hits", 75, nf="fw")
+                obs.counter("compiled.fallbacks", 25, nf="fw")
         assert obs_main(["report", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == mem.summary()
 
-    def test_report_shows_fastpath_hit_rate(self, tmp_path, capsys):
-        path, _ = self._trace_with_fastpath(tmp_path)
-        assert obs_main(["report", path]) == 0
-        out = capsys.readouterr().out
-        assert "fast path" in out
-        assert "75.0%" in out
-
     def test_report_omits_fastpath_section_without_counters(
         self, tmp_path, capsys
     ):
+        """Steering keeps no cache, so the report has no fast-path
+        (hit-rate) section to render."""
         path = str(tmp_path / "trace.jsonl")
         with obs.JsonlCollector(path) as jsonl:
             with obs.attached(jsonl):

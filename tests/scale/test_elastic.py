@@ -15,6 +15,7 @@ from repro.nf.nfs import ALL_NFS
 from repro.scale import RescaleEvent, enable_elastic, run_elastic
 from repro.scale.migrate import rescale_parallel
 from repro.sim.equivalence import check_equivalence
+from repro.sim.functional import run_functional
 from repro.traffic.churn import churn_trace
 from repro.traffic.generator import TrafficGenerator
 
@@ -150,16 +151,16 @@ class TestTornHandoff:
 
 class TestSteeringInvalidation:
     def test_rescale_bumps_generation_and_flushes_cache(self, analyses):
-        from repro.sim.functional import FlowSteeringCache
-
+        """A rescale bumps the steering generation, which flushes the
+        compiled dispatcher's classification memo on its next use."""
         parallel = make_elastic(analyses, "fw")
-        cache = FlowSteeringCache(parallel.rss)
         trace = seeded_churn(n_packets=120)
-        cache.steer(trace)
-        assert cache._cores, "warm-up populated nothing"
+        run_functional(parallel, trace[:100])
+        dispatcher = parallel._compiled_dispatcher
+        assert dispatcher._memo, "warm-up populated nothing"
+        invalidations = dispatcher.memo_invalidations
         gen = parallel.rss.steering_generation
         rescale_parallel(parallel, 8)
         assert parallel.rss.steering_generation > gen
-        cache.steer(trace[:10])  # first use after rescale flushes
-        stats = cache.stats()
-        assert stats["invalidations"] >= 1
+        run_functional(parallel, trace[100:])  # first use after rescale flushes
+        assert dispatcher.memo_invalidations > invalidations

@@ -5,8 +5,8 @@ kernels (:mod:`repro.sim.compiled`): every compiled run must be
 bit-identical to the reference — results, core ids, per-core lifetime
 counters — across the corpus NFs, both execution strategies,
 adversarial workloads (collide / boundary / exhaust), warm and cold
-caches, and steering-table churn.  ``sanitize=True`` must bypass the
-kernels entirely, exactly as it bypasses the steering cache.
+classification memos, and steering-table churn.  ``sanitize=True`` must
+bypass the kernels entirely, exactly as it bypasses batched steering.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.fuzz.workloads import WorkloadSpec, materialize_workload
 from repro.nf.nfs import ALL_NFS
 from repro.nf.nfs.firewall import Firewall
 from repro.obs.collect import MemoryCollector
-from repro.sim.functional import FlowSteeringCache, run_functional
+from repro.sim.functional import run_functional
 
 CORPUS = sorted(ALL_NFS)
 
@@ -154,36 +154,37 @@ class TestAdversarialWorkloads:
 
 class TestCacheTemperature:
     def test_warm_cache_runs_identical(self, make_pair, generator):
-        """Three rounds over one trace with a shared steering cache: the
-        uid memo and the whole-trace steering memo are both hot from
-        round two on, and every round must still match a fresh oracle
-        round on the same state evolution."""
+        """Three rounds over one trace: the cross-run classification
+        memo is hot from round two on, and every round must still match
+        a fresh oracle round on the same state evolution."""
         trace, _ = generator.uniform_trace(
             700, 60, in_port=0, reply_port=1, reply_fraction=0.3
         )
         par_ref, par_comp = make_pair("fw")
-        cache = FlowSteeringCache(par_comp.rss)
         for round_no in range(3):
             run_ref = run_functional(par_ref, trace, fastpath=False)
-            run_comp = run_functional(par_comp, trace, flow_cache=cache)
+            run_comp = run_functional(par_comp, trace)
             assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
         # The memo did real work by round three.
         disp = par_comp._compiled_dispatcher
         assert disp.memo_hits > 0
 
     def test_cold_vs_warm_same_results(self, make_pair, generator):
+        """Same state, one dispatcher built cold and one whose memo a
+        compiled prefix warmed: identical results."""
         trace, _ = generator.uniform_trace(500, 40, in_port=0)
+        prefix, rest = trace[:250], trace[250:]
         par_cold, par_warm = make_pair("nat")
-        cache = FlowSteeringCache(par_warm.rss)
-        cache.steer(trace)  # pre-warm steering without touching state
-        run_cold = run_functional(par_cold, trace)
-        run_warm = run_functional(par_warm, trace, flow_cache=cache)
+        run_functional(par_cold, prefix, fastpath=False)
+        run_functional(par_warm, prefix)
+        run_cold = run_functional(par_cold, rest)
+        run_warm = run_functional(par_warm, rest)
         assert_runs_identical(run_cold, run_warm, par_cold, par_warm)
 
 
 class TestSteeringGenerationInvalidation:
     """Satellite: a steering_generation bump must invalidate memoized
-    path classifications, not just the flow->core cache."""
+    path classifications, which were computed against the old shards."""
 
     def test_rebalance_flushes_kernel_memo_and_stays_identical(
         self, make_pair
@@ -191,10 +192,9 @@ class TestSteeringGenerationInvalidation:
         spec = WorkloadSpec("churn", 31, n_packets=1200, n_flows=80)
         trace = materialize_workload(spec)
         par_ref, par_comp = make_pair("fw")
-        cache = FlowSteeringCache(par_comp.rss)
 
         run_functional(par_ref, trace, fastpath=False)
-        run_functional(par_comp, trace, flow_cache=cache)
+        run_functional(par_comp, trace)
         disp = par_comp._compiled_dispatcher
         assert disp is not None
         inv_before = disp.memo_invalidations
@@ -209,7 +209,7 @@ class TestSteeringGenerationInvalidation:
         )
 
         run_ref = run_functional(par_ref, trace, fastpath=False)
-        run_comp = run_functional(par_comp, trace, flow_cache=cache)
+        run_comp = run_functional(par_comp, trace)
         # The generation bump reached the dispatcher: memoized path
         # classifications were dropped, not replayed.
         assert disp.memo_invalidations > inv_before

@@ -1,22 +1,21 @@
 """Fast-path equivalence: batched steering must match the oracle exactly.
 
-``run_functional``'s fast path (vectorized hashing, flow steering cache,
-grouped execution) is only admissible because it is bit-identical to the
-seed packet-at-a-time reference path.  These tests pin that contract for
-both execution strategies, across flow churn, warm caches, and table
-rebalancing, plus the array-backed ``FunctionalRun`` storage itself.
+``run_functional``'s fast path (column extraction, vectorized hashing of
+every packet, grouped execution) is only admissible because it is
+bit-identical to the seed packet-at-a-time reference path.  These tests
+pin that contract for both execution strategies, across flow churn,
+re-runs, and table rebalancing, plus the array-backed ``FunctionalRun``
+storage itself.
 """
 
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core.codegen import Strategy
 from repro.nf.api import ActionKind
 from repro.nf.nfs import ALL_NFS
 from repro.nf.runtime import PacketResult
-from repro.obs.collect import MemoryCollector
-from repro.sim.functional import FlowSteeringCache, FunctionalRun, run_functional
+from repro.sim.functional import FunctionalRun, run_functional
 
 
 @pytest.fixture()
@@ -75,17 +74,14 @@ class TestEquivalence:
         assert_runs_identical(run_ref, run_fast, par_ref, par_fast)
 
     def test_churn_trace_every_packet_a_new_flow(self, make_fw, generator):
-        """All-unique flows: the steering cache never gets a hit."""
+        """All-unique flows: every packet allocates."""
         flows = generator.make_flows(500)
         trace = [(0, flow.packet()) for flow in flows]
         par_ref, par_fast = make_fw(), make_fw()
-        cache = FlowSteeringCache(par_fast.rss)
         run_ref = run_functional(par_ref, trace, fastpath=False)
-        run_fast = run_functional(par_fast, trace, flow_cache=cache)
+        run_fast = run_functional(par_fast, trace)
         assert_runs_identical(run_ref, run_fast, par_ref, par_fast)
         assert run_ref.write_fraction() > 0.9  # churn: every flow allocates
-        assert cache.misses == 500
-        assert cache.hits == 0
 
     def test_empty_trace(self, make_fw):
         run = run_functional(make_fw(), [])
@@ -104,90 +100,44 @@ class TestEquivalence:
         assert_runs_identical(run_ref, run_fast, par_ref, par_fast)
 
 
-class TestFlowSteeringCache:
-    def test_warm_cache_reuse_is_identical(self, make_fw, generator):
+class TestSteering:
+    def test_steer_trace_matches_scalar_lookup(self, make_fw, generator):
+        """Every packet is hashed: cores and slots equal the per-packet
+        scalar hash and table lookup, on both ingress ports."""
+        trace, _ = generator.uniform_trace(
+            300, 40, in_port=0, reply_port=1, reply_fraction=0.4
+        )
+        rss = make_fw().rss
+        cores, slots = rss.steer_trace(trace)
+        for i, (port, pkt) in enumerate(trace):
+            config = rss.port_config(port)
+            assert slots[i] == config.hash(pkt) & (config.table.size - 1)
+            assert cores[i] == rss.core_for(port, pkt)
+
+    def test_rerun_is_identical(self, make_fw, generator):
+        """Running a trace twice on one plan matches the oracle both times."""
         trace, _ = generator.uniform_trace(600, 50, in_port=0)
-        par_warm, par_ref = make_fw(), make_fw()
-        cache = FlowSteeringCache(par_warm.rss)
-        first = run_functional(par_warm, trace, flow_cache=cache)
-        misses_after_first = cache.misses
-        assert misses_after_first == 50  # one hash per unique flow
-        assert len(cache) == 50
-        second = run_functional(par_warm, trace, flow_cache=cache)
-        # Second pass over the same flows: pure cache hits, no new misses.
-        # (A packet counts as a hit only if its flow was cached before the
-        # batch started, so the first pass contributes none.)
-        assert cache.misses == misses_after_first
-        assert cache.hits == len(trace)
+        par_fast, par_ref = make_fw(), make_fw()
+        first = run_functional(par_fast, trace)
+        second = run_functional(par_fast, trace)
         assert np.array_equal(first.core_ids, second.core_ids)
-        # A warm cache changes nothing observable: both passes match the
-        # oracle run packet-for-packet on the same state evolution.
         ref1 = run_functional(par_ref, trace, fastpath=False)
         ref2 = run_functional(par_ref, trace, fastpath=False)
         assert list(first.results) == list(ref1.results)
         assert list(second.results) == list(ref2.results)
 
-    def test_rebalance_invalidates_cache(self, make_fw, generator):
+    def test_rebalance_resteers(self, make_fw, generator):
+        """Steering reads the tables afresh: a rebalance between runs
+        moves flows exactly as a plan balanced up front would."""
         trace, _ = generator.zipf_trace(800, 200, in_port=0)
         parallel = make_fw()
-        cache = FlowSteeringCache(parallel.rss)
-        run_functional(parallel, trace, flow_cache=cache)
-        n_unique = len(cache)  # Zipf: far fewer unique flows than packets
-        assert 0 < n_unique <= 200
+        run_functional(parallel, trace)
         generation = parallel.rss.steering_generation
         parallel.rss.balance_tables(trace)
         assert parallel.rss.steering_generation > generation
-        # The next steer must flush and re-steer against the new tables.
         fresh = run_functional(make_fw(), trace, balance_tables_with=trace)
-        stale = run_functional(parallel, trace, flow_cache=cache)
-        assert np.array_equal(stale.core_ids, fresh.core_ids)
-        assert cache.misses == 2 * n_unique  # every flow re-hashed once
-
-    def test_explicit_invalidate(self, make_fw, generator):
-        trace, _ = generator.uniform_trace(100, 10, in_port=0)
-        parallel = make_fw()
-        cache = FlowSteeringCache(parallel.rss)
-        cache.steer(trace)
-        assert len(cache) == 10
-        cache.invalidate()
-        assert len(cache) == 0
-
-    def test_stats_snapshot_tracks_invalidations(self, make_fw, generator):
-        """The fuzzer oracle reads cache accounting through stats()."""
-        trace, _ = generator.uniform_trace(100, 10, in_port=0)
-        parallel = make_fw()
-        cache = FlowSteeringCache(parallel.rss)
-        cache.steer(trace)
-        cache.steer(trace)  # hits only count flows cached before a batch
-        stats = cache.stats()
-        assert stats["misses"] == 10
-        assert stats["hits"] == 100
-        assert stats["entries"] == 10
-        assert stats["invalidations"] == 0
-        assert stats["generation"] == parallel.rss.steering_generation
-        cache.invalidate()
-        assert cache.stats()["invalidations"] == 1
-        assert cache.stats()["entries"] == 0
-        # A table rebalance bumps the generation; the next steer
-        # self-invalidates and the snapshot shows both effects.
-        parallel.rss.balance_tables(trace)
-        cache.steer(trace)
-        stats = cache.stats()
-        assert stats["invalidations"] == 2
-        assert stats["generation"] == parallel.rss.steering_generation
-
-    def test_hit_miss_counters_exported(self, make_fw, generator):
-        trace, _ = generator.uniform_trace(400, 40, in_port=0)
-        parallel = make_fw()
-        cache = FlowSteeringCache(parallel.rss)
-        mem = MemoryCollector()
-        with obs.attached(mem):
-            run_functional(parallel, trace, flow_cache=cache)
-            run_functional(parallel, trace, flow_cache=cache)
-        assert mem.counter_total("fastpath.misses") == 40
-        # First run: every packet belongs to a just-missed flow; second
-        # run: every packet is a cache hit.
-        assert mem.counter_total("fastpath.hits") == 400
+        rerun = run_functional(parallel, trace)
+        assert np.array_equal(rerun.core_ids, fresh.core_ids)
 
 
 class TestFunctionalRunStorage:
@@ -240,19 +190,19 @@ class TestSanitizeMode:
     """``sanitize=True`` must bypass the memo/grouping, not change results."""
 
     def test_sanitize_matches_warm_cache_run(self, make_fw, generator):
+        """A second batch over the state and kernels the first one
+        warmed matches a sanitized run of the same two batches."""
         trace, _ = generator.uniform_trace(
             900, 90, in_port=0, reply_port=1, reply_fraction=0.3
         )
+        first, second = trace[:450], trace[450:]
         par_fast, par_san = make_fw(), make_fw()
-        cache = FlowSteeringCache(par_fast.rss)
-        cache.steer(trace)  # warm every flow without touching state
-        run_fast = run_functional(par_fast, trace, flow_cache=cache)
-        hits_before = cache.hits
-        run_san = run_functional(
-            par_san, trace, sanitize=True, flow_cache=cache
-        )
-        # Bypass is real: the warm cache served nothing to the sanitize run.
-        assert cache.hits == hits_before
+        run_functional(par_fast, first)
+        run_functional(par_san, first, sanitize=True)
+        run_fast = run_functional(par_fast, second)
+        run_san = run_functional(par_san, second, sanitize=True)
+        # Bypass is real: the sanitized plan never built a dispatcher.
+        assert getattr(par_san, "_compiled_dispatcher", None) is None
         assert_runs_identical(run_fast, run_san, par_fast, par_san)
 
     def test_sanitize_overrides_fastpath_flag(self, make_fw, generator):
@@ -275,8 +225,7 @@ class TestSanitizeMode:
         warmed = analyses.maestro.parallelize(
             ALL_NFS["fw"](), n_cores=8, result=analyses["fw"]
         )
-        cache = FlowSteeringCache(warmed.rss)
-        run_functional(warmed, trace, flow_cache=cache)  # warm-cache run
+        run_functional(warmed, trace)  # warm state and kernels
         warm_report = sanitize_parallel(
             warmed, trace, tree=analyses["fw"].tree
         )

@@ -2,17 +2,17 @@
 
 The static ``balance_tables`` path is covered in ``test_compiled.py``;
 this suite pins the incremental RSS++ rebalancer (bounded entry moves on
-a live table): one call must bump ``steering_generation`` and thereby
-flush (a) the flow-steering cache and (b) the compiled dispatcher's
-classification memo — and results must stay bit-identical to a
-sequential oracle that saw the same re-steering.
+a live table): the next run must steer every packet by the new table,
+one call must bump ``steering_generation`` and thereby flush the compiled
+dispatcher's classification memo — and results must stay bit-identical
+to a sequential oracle that saw the same re-steering.
 """
 
 import numpy as np
 import pytest
 
 from repro.nf.nfs import ALL_NFS
-from repro.sim.functional import FlowSteeringCache, run_functional
+from repro.sim.functional import run_functional
 
 
 @pytest.fixture()
@@ -63,21 +63,17 @@ class TestGenerationBump:
         assert parallel.rss.steering_generation == gen
 
 
-class TestFlowCacheInvalidation:
-    def test_rebalance_flushes_flow_steering_cache(self, make_pair, generator):
+class TestSteeringAfterRebalance:
+    def test_rebalance_resteers_every_packet(self, make_pair, generator):
         _, parallel = make_pair("fw")
         trace, _ = generator.uniform_trace(400, 48, in_port=0)
-        cache = FlowSteeringCache(parallel.rss)
-        cache.steer(trace)
-        assert len(cache) > 0
-        inv_before = cache.stats()["invalidations"]
+        before = run_functional(parallel, trace, kernels=False).core_ids
         assert rebalance_all_ports(parallel) > 0
-        # The cache notices lazily, on its next use.
-        cores_after = cache.steer(trace)
-        assert cache.stats()["invalidations"] == inv_before + 1
-        assert cache.stats()["generation"] == parallel.rss.steering_generation
-        # And the refreshed decisions match the table's truth.
-        assert np.array_equal(cores_after, parallel.rss.steer_trace(trace))
+        after = run_functional(parallel, trace, kernels=False).core_ids
+        # Every decision follows the rebalanced table, packet by packet.
+        truth = [parallel.rss.core_for(port, pkt) for port, pkt in trace]
+        assert after.tolist() == truth
+        assert not np.array_equal(before, after)
 
 
 class TestCompiledMemoInvalidation:
@@ -88,10 +84,9 @@ class TestCompiledMemoInvalidation:
             1000, 64, in_port=0, reply_port=1, reply_fraction=0.3
         )
         par_ref, par_comp = make_pair("fw")
-        cache = FlowSteeringCache(par_comp.rss)
 
         run_functional(par_ref, trace, fastpath=False)
-        run_functional(par_comp, trace, flow_cache=cache)
+        run_functional(par_comp, trace)
         disp = par_comp._compiled_dispatcher
         assert disp is not None
         inv_before = disp.memo_invalidations
@@ -106,7 +101,7 @@ class TestCompiledMemoInvalidation:
         )
 
         run_ref = run_functional(par_ref, trace, fastpath=False)
-        run_comp = run_functional(par_comp, trace, flow_cache=cache)
+        run_comp = run_functional(par_comp, trace)
         assert disp.memo_invalidations > inv_before
         assert list(run_ref.results) == list(run_comp.results)
         assert np.array_equal(run_ref.core_ids, run_comp.core_ids)
