@@ -1,7 +1,7 @@
 """Fast-path performance gates (vectorized RSS + batched simulation).
 
 Three speedup floors, measured on the firewall (the flagship stateful
-NF):
+NF), plus one analysis-cost ceiling:
 
 * batched Toeplitz hashing must be >= 20x the scalar reference on a
   full trace's hash inputs (the byte-table gather path is ~2 orders of
@@ -14,7 +14,11 @@ NF):
   established flows over warm state and hot kernel memos, the regime a
   long-lived dataplane actually runs in — and its kernel coverage is
   gated too, so a path-classification regression fails even if
-  wall-clock noise hides it.
+  wall-clock noise hides it;
+* the RS3 stage of ``Maestro.analyze``, summed over every bundled NF,
+  must stay under ``RS3_CEILING_MS`` (``check_bench_regression.py``
+  gates the exported ``analysis.rs3_ms``), so a per-sample scalar
+  Toeplitz loop in the key acceptance test fails the smoke job.
 
 All gates use *best-of-rounds* minima — the standard noise-robust
 estimator for wall-clock micro-benchmarks — and all assert the fast
@@ -37,7 +41,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import Maestro
-from repro.nf.nfs import Firewall
+from repro.nf.nfs import ALL_NFS, Firewall
 from repro.rs3.toeplitz import (
     hash_input_matrix,
     toeplitz_hash,
@@ -61,6 +65,10 @@ E2E_SPEEDUP_FLOOR = 4.0 if QUICK else 5.0
 COMPILED_SPEEDUP_FLOOR = 12.0
 #: Fraction of packets a warm run must execute through kernels.
 COMPILED_COVERAGE_FLOOR = 0.95
+#: Summed ``rs3`` stage time over ALL_NFS.  The batched key search takes
+#: about 100 ms on a 2-core container; a per-sample scalar acceptance
+#: loop takes about 2.3 s.
+RS3_CEILING_MS = 500.0
 
 _RESULTS: dict[str, object] = {"quick": QUICK, "n_packets": N_PACKETS}
 
@@ -265,4 +273,31 @@ def test_compiled_steady_state_speedup(parallel_factory, trace):
         f"(ref {t_ref * 1e6 / len(trace):.2f}us/pkt, "
         f"compiled {t_comp * 1e6 / len(trace):.2f}us/pkt; "
         f"floor {COMPILED_SPEEDUP_FLOOR:.0f}x)"
+    )
+
+
+def test_analysis_rs3_cost():
+    """RS3 key search over every bundled NF, best-of-rounds.
+
+    Each round analyses every NF in sequence from one fresh
+    ``Maestro(seed=0)``, so every round does identical work.
+    """
+    rs3_s = float("inf")
+    for _ in range(ROUNDS):
+        maestro = Maestro(seed=0)
+        rs3_s = min(
+            rs3_s,
+            sum(
+                maestro.analyze(nf_class()).timings["rs3"]
+                for nf_class in ALL_NFS.values()
+            ),
+        )
+    _RESULTS["analysis"] = {
+        "rs3_ms": rs3_s * 1e3,
+        "rs3_ceiling_ms": RS3_CEILING_MS,
+        "n_nfs": len(ALL_NFS),
+    }
+    assert rs3_s * 1e3 <= RS3_CEILING_MS, (
+        f"RS3 over {len(ALL_NFS)} NFs took {rs3_s * 1e3:.0f} ms "
+        f"(ceiling {RS3_CEILING_MS:.0f} ms)"
     )

@@ -14,6 +14,12 @@ Partial-MaxSAT densification ("set as many key bits to 1 as possible ...
 seeded with random bits ... multiple parallel solvers until one is found
 with an acceptable workload distribution", §4) becomes randomized sampling
 of the nullspace with an identical acceptance loop.
+
+The acceptance test hashes each port's random inputs as one batch with
+:func:`toeplitz_hash_batch`, drawn so that the generator advances exactly
+as a per-sample ``rng.bytes`` loop would: seeded keys are byte-identical
+to that loop's (see ``RssKeySolver._distribution_ok``).  The scalar
+:func:`toeplitz_hash` stays the oracle in :meth:`RssKeySolver.verify`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from repro import obs
 from repro.errors import RssUnsatisfiableError
 from repro.rs3.fields import FieldSetOption, NicModel, RssField
 from repro.rs3.indirection import IndirectionTable
-from repro.rs3.toeplitz import toeplitz_hash
+from repro.rs3.toeplitz import toeplitz_hash, toeplitz_hash_batch
 from repro.solver import gf2
 
 __all__ = ["CancelField", "CancelBits", "MapFields", "KeySearchStats", "RssKeySolver"]
@@ -206,15 +212,12 @@ class RssKeySolver:
     # Key extraction and quality control
     # -------------------------------------------------------------- #
     def _keys_from_solution(self, solution: np.ndarray) -> dict[int, bytes]:
-        keys: dict[int, bytes] = {}
-        for port in self.ports:
-            base = self._var_base[port]
-            bits = solution[base : base + self.key_bits]
-            key_int = 0
-            for bit in bits:
-                key_int = (key_int << 1) | int(bit)
-            keys[port] = key_int.to_bytes(self.nic.key_bytes, "big")
-        return keys
+        return {
+            port: np.packbits(
+                solution[self._var_base[port] : self._var_base[port] + self.key_bits]
+            ).tobytes()
+            for port in self.ports
+        }
 
     def _window_nonzero(self, key: bytes, option: FieldSetOption) -> bool:
         """The key bits that can influence hashes must not all be zero."""
@@ -235,6 +238,16 @@ class RssKeySolver:
         sample random hash inputs, vary only non-cancelled bits, and
         require the most-loaded of ``n_queues`` queues to stay under
         ``quality_factor / n_queues`` of the traffic.
+
+        Each port's samples are one batch: a single ``(quality_samples,
+        len(active))`` uint32 draw, scattered into a hash-input matrix
+        and hashed with :func:`toeplitz_hash_batch`.  The draw is
+        stream-identical to drawing sample by sample with
+        ``rng.bytes(width)`` per field: each ``bytes`` call consumes one
+        uint32 and keeps its first ``width`` little-endian bytes, in the
+        same row-major order.  A rejection returns at the first bad port,
+        before drawing for the later ones, so seeded keys and every later
+        draw from ``rng`` are unchanged.
         """
         table = IndirectionTable(self.n_queues, size=self.nic.reta_size)
         for port in self.ports:
@@ -247,15 +260,20 @@ class RssKeySolver:
             active = [f for f in option.fields if f not in cancelled]
             if not active:
                 continue  # everything cancelled: nothing to balance
-            counts = np.zeros(self.n_queues, dtype=np.int64)
-            for _ in range(self.quality_samples):
-                data = bytearray(option.input_bytes)
-                for fld in active:
-                    start = option.offsets()[fld] // 8
-                    width_bytes = fld.width // 8
-                    data[start : start + width_bytes] = rng.bytes(width_bytes)
-                queue = table.lookup(toeplitz_hash(keys[port], bytes(data)))
-                counts[queue] += 1
+            words = rng.integers(
+                0, 1 << 32, size=(self.quality_samples, len(active)), dtype=np.uint32
+            )
+            word_bytes = words.astype("<u4").view(np.uint8).reshape(
+                self.quality_samples, len(active), 4
+            )
+            data = np.zeros((self.quality_samples, option.input_bytes), dtype=np.uint8)
+            offsets = option.offsets()
+            for i, fld in enumerate(active):
+                start = offsets[fld] // 8
+                width_bytes = fld.width // 8
+                data[:, start : start + width_bytes] = word_bytes[:, i, :width_bytes]
+            queues = table.steer_batch(toeplitz_hash_batch(keys[port], data))
+            counts = np.bincount(queues, minlength=self.n_queues)
             max_share = counts.max() / max(1, counts.sum())
             if max_share > self.quality_factor / self.n_queues:
                 return False

@@ -17,6 +17,10 @@ Two implementations live here:
   calls) turns hashing a whole trace into a NumPy bit-unpack plus an
   XOR-reduce.  ``benchmarks/bench_fastpath.py`` gates it at ≥20× the
   scalar loop on a 100k-packet trace, bit-identical to the oracle.
+  Its users are dataplane steering (``RssConfiguration.steer_trace``
+  hashes every packet of a run), RS3's key acceptance test
+  (``RssKeySolver._distribution_ok`` hashes one batch of random inputs
+  per port per attempt) and the skew analysis in ``repro.eval.skew``.
 """
 
 from __future__ import annotations

@@ -77,21 +77,21 @@ def nullspace(matrix: np.ndarray) -> np.ndarray:
     Returns an array of shape ``(dim, n_vars)`` whose rows form a basis of
     ``{x : matrix @ x == 0 (mod 2)}``.  An empty matrix (no constraints)
     yields the identity basis.
+
+    Row *i* sets free column ``free_cols[i]`` to 1; back-substitution
+    then sets each pivot variable to that free column's entry in the
+    pivot's row of the reduced form.  Both steps are single fancy-index
+    assignments over the whole basis.
     """
     m = _as_gf2(matrix)
     n_vars = m.shape[1]
     if m.shape[0] == 0:
         return np.eye(n_vars, dtype=np.uint8)
     reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_vars) if c not in pivot_set]
-    basis = np.zeros((len(free_cols), n_vars), dtype=np.uint8)
-    for i, free in enumerate(free_cols):
-        basis[i, free] = 1
-        # Back-substitute: each pivot row determines its pivot variable.
-        for row_idx, pivot_col in enumerate(pivots):
-            if reduced[row_idx, free]:
-                basis[i, pivot_col] = 1
+    free_cols = np.setdiff1d(np.arange(n_vars), pivots)
+    basis = np.zeros((free_cols.size, n_vars), dtype=np.uint8)
+    basis[np.arange(free_cols.size), free_cols] = 1
+    basis[:, pivots] = reduced[: len(pivots)][:, free_cols].T
     return basis
 
 

@@ -36,6 +36,8 @@ def _payload(
     per_entry_ceiling=200.0,
     rescale_ratio=1.0,
     ratio_floor=0.9,
+    rs3_ms=100.0,
+    rs3_ceiling_ms=500.0,
     quick=True,
 ) -> dict:
     return {
@@ -55,6 +57,7 @@ def _payload(
             "post_rescale_ratio": rescale_ratio,
             "ratio_floor": ratio_floor,
         },
+        "analysis": {"rs3_ms": rs3_ms, "rs3_ceiling_ms": rs3_ceiling_ms},
     }
 
 
@@ -115,6 +118,13 @@ def test_migration_cost_over_ceiling_fails(write, capsys):
     committed ceiling) must fail even when wall-clock numbers look fine."""
     assert _run(write, _payload(), _payload(per_entry=250.0)) == 1
     assert "rescale.per_entry_us" in capsys.readouterr().out
+
+
+def test_rs3_analysis_cost_over_ceiling_fails(write, capsys):
+    """A scalar per-sample key acceptance loop coming back (seconds of
+    RS3 over the bundled NFs) must fail the build."""
+    assert _run(write, _payload(), _payload(rs3_ms=2300.0)) == 1
+    assert "analysis.rs3_ms" in capsys.readouterr().out
 
 
 def test_post_rescale_ratio_under_floor_fails(write, capsys):
