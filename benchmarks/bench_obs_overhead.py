@@ -100,19 +100,20 @@ def test_analyze_overhead_under_5_percent():
 
 
 def test_telemetry_overhead_under_5_percent():
-    """Windowed per-core telemetry must ride the fast path for ~free.
+    """Windowed per-core telemetry must ride the batched path for ~free.
 
     One O(cores) snapshot per window boundary instead of any per-packet
     callback — the gate holds the telemetry-enabled ``run_functional``
-    to < 5% over the plain fast path on the flagship firewall trace.
+    to < 5% over the plain batched run on the flagship firewall trace.
 
-    Both legs pin ``kernels=False``: the < 5% promise belongs to the
-    interpreter fast path, whose window snapshots are pure O(cores)
-    additions.  The compiled dataplane aligns its chunk grid to the
-    window grid instead, so its telemetry cost is a granularity trade
-    (per-chunk classification amortizes over fewer packets) — it still
-    beats the telemetry-enabled fast path in absolute us/pkt, which is
-    what ``bench_fastpath``'s compiled gate enforces.
+    Both legs pin ``kernels=False``: the dispatcher with no programs.
+    Without a sink it runs the whole trace as one chunk; with one, the
+    dispatcher's window loop splits chunks at every window boundary and
+    takes the O(cores) snapshots there, so the gate prices exactly that
+    loop.  With kernels on, the window grid also shortens the kernel
+    chunks, so per-chunk classification amortizes over fewer packets —
+    a granularity trade that still beats the kernels-off run in absolute
+    us/pkt, which is what ``bench_fastpath``'s compiled gate enforces.
     """
     generator = TrafficGenerator(seed=3)
     flows = generator.make_flows(TELEMETRY_FLOWS)

@@ -684,8 +684,9 @@ def _certify(
             pp = _compile_port(nf, port, tree.paths_by_port[port], pid)
         except LowerError as exc:
             # The runtime refuses to build kernels for this port too
-            # (compile_parallel returns None): wholesale fallback to the
-            # interpreter is sound by construction, not a finding.
+            # (compile_parallel builds a dispatcher with no programs):
+            # wholesale fallback to the interpreter is sound by
+            # construction, not a finding.
             uncompiled[port] = str(exc)
             continue
         pid += len(pp.programs)

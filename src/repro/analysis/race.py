@@ -139,7 +139,7 @@ class RaceMonitor:
     """Event collector over one :class:`ParallelNF`'s core contexts.
 
     Use as a context manager around a strict-order replay
-    (``run_functional(..., sanitize=True)`` or a packet-at-a-time loop):
+    (``run_functional(..., fastpath=False)`` or a packet-at-a-time loop):
     probes install on entry, uninstall on exit, and the ordered per-packet
     logs are left in :attr:`packets` for :func:`analyze_monitor`.
     """
@@ -772,8 +772,8 @@ def sanitize_parallel(
 ) -> RaceReport:
     """Replay ``trace`` under the sanitizer and check it against the plan.
 
-    The replay always takes the strict-order path
-    (``run_functional(..., sanitize=True)``): the steering memo and
+    The replay always takes the strict-order reference path
+    (``run_functional(..., fastpath=False)``): batched steering and
     per-core grouped execution are bypassed so the event log carries the
     exact global access order.  Passing the analysis ``tree`` enables
     the MAE104 footprint cross-validation and the R5 excusals.
@@ -781,7 +781,7 @@ def sanitize_parallel(
     from repro.sim.functional import run_functional
 
     with RaceMonitor(parallel) as monitor:
-        run_functional(parallel, trace, sanitize=True)
+        run_functional(parallel, trace, fastpath=False)
     return analyze_monitor(monitor, tree=tree, source=source)
 
 

@@ -8,8 +8,8 @@ state is bucket-tagged — the precondition for live migration
 
 ``run_elastic`` is the batch-simulator entry point: it splits a trace at
 :class:`RescaleEvent` boundaries, runs each segment through the normal
-:func:`repro.sim.functional.run_functional` machinery (reference,
-fastpath, or compiled — all bit-identical), and applies the rescale
+:func:`repro.sim.functional.run_functional` machinery (reference or
+batched, kernels on or off — all bit-identical), and applies the rescale
 between segments.  Rescales therefore always land on chunk boundaries,
 exactly as the hardware would quiesce RX queues before reprogramming the
 RETA.
@@ -94,7 +94,6 @@ def run_elastic(
     *,
     fastpath: bool = True,
     kernels: bool = True,
-    sanitize: bool = False,
 ) -> ElasticRun:
     """Execute ``trace`` with mid-trace rescales at the event boundaries.
 
@@ -139,7 +138,6 @@ def run_elastic(
                     segment,
                     fastpath=fastpath,
                     kernels=kernels,
-                    sanitize=sanitize,
                 )
                 combined._bulk_install(
                     seg_run.core_ids, list(seg_run._packet_results)
@@ -153,7 +151,6 @@ def run_elastic(
                 tail,
                 fastpath=fastpath,
                 kernels=kernels,
-                sanitize=sanitize,
             )
             combined._bulk_install(
                 seg_run.core_ids, list(seg_run._packet_results)

@@ -525,7 +525,7 @@ def rescale_parallel(
         # refresh so freshly revived cores are dispatchable.  The memo
         # itself self-invalidates via the steering generation.
         dispatcher = getattr(parallel, "_compiled_dispatcher", None)
-        if dispatcher is not None and hasattr(dispatcher, "_ctxs"):
+        if dispatcher is not None:
             dispatcher._ctxs = [core.ctx for core in parallel.cores]
 
     stats.quiesce_us = (

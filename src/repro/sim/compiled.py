@@ -491,9 +491,9 @@ def _compile_port(nf, port, paths, pid_start):
 def compile_parallel(parallel: ParallelNF, tree=None):
     """Compile a parallel NF's execution tree into a dispatcher.
 
-    Returns ``None`` when nothing useful can be compiled (no supported
-    path anywhere, or expiry shapes the scheduler cannot hoist) — the
-    caller then stays on the interpreter fast path.
+    When nothing useful can be compiled (no supported path anywhere, or
+    expiry shapes the scheduler cannot hoist) the dispatcher holds no
+    programs and runs every lane on the interpreter.
     """
     nf = parallel.nf
     if tree is None:
@@ -508,9 +508,9 @@ def compile_parallel(parallel: ParallelNF, tree=None):
             pid += len(pp.programs)
             ports[port] = pp
     except LowerError:
-        return None
+        ports = {}
     if not any(pp.any_supported for pp in ports.values()):
-        return None
+        return CompiledDispatcher(parallel, {}, 0)
     return CompiledDispatcher(parallel, ports, pid)
 
 
@@ -789,7 +789,6 @@ class CompiledDispatcher:
         #: kernel vector scatters re-tag the rows they overwrite.
         self._bucket_ids = bucket_ids
         self._ports_arr = cols.ports
-        self._ts = cols.field("timestamp")
         self._plans = {}
         self._epochs = {}
         self._core_ids = core_ids
@@ -797,7 +796,10 @@ class CompiledDispatcher:
         self._check_generation()
         self._triggers = self._plan_triggers()
         edges = {0, n}
-        edges.update(range(self.chunk, n, self.chunk))
+        if self.ports:
+            # The chunk bound is the hazard-analysis horizon; without
+            # programs there is no hazard analysis to bound.
+            edges.update(range(self.chunk, n, self.chunk))
         if window_packets:
             edges.update(range(window_packets, n, window_packets))
         edges.update(self._triggers)
@@ -826,12 +828,13 @@ class CompiledDispatcher:
         eports = np.fromiter(self.expire_ports, np.int64,
                              count=len(self.expire_ports))
         pmask = np.isin(self._ports_arr, eports)
+        ts = self._cols.field("timestamp")
         for ci, ctx in enumerate(self._ctxs):
             idxs = np.flatnonzero(pmask & (self._core_ids == ci))
             m = idxs.size
             if not m:
                 continue
-            tsub = self._ts[idxs]
+            tsub = ts[idxs]
             sorted_ts = bool(m < 2 or np.all(np.diff(tsub) >= 0))
             last = ctx._last_expiry
             j = 0
@@ -865,7 +868,7 @@ class CompiledDispatcher:
         if ci is not None:
             ctx = self._ctxs[ci]
             port = int(self._ports_arr[start])
-            ctx._now = float(self._ts[start])
+            ctx._now = float(self._cols.field("timestamp")[start])
             ctx._trace_on = ctx._tracer.enabled()
             ctx._ops = []
             for map_name, chain_name in self.expire_ports[port]:
@@ -892,13 +895,19 @@ class CompiledDispatcher:
         store = self._store_for(cid)
         groups = []
         board = _DirtBoard()
-        for port in np.unique(ports_l):
+        covered = 0
+        for port, pp in sorted(self.ports.items()):
             g_lanes = lanes[ports_l == port]
-            pp = self.ports.get(int(port))
-            if pp is None:
-                board.wild_all = True
-                continue
-            groups.append(self._classify(pp, g_lanes, cid, store))
+            if g_lanes.size:
+                covered += g_lanes.size
+                groups.append(self._classify(pp, g_lanes, cid, store))
+        if not groups:
+            self._run_fallback(lanes, results, cid)
+            self.fallback_packets += lanes.size
+            return
+        # Lanes of a port with no program run interpreted with an
+        # unknown footprint: no kernel lane may trust its reads.
+        board.wild_all = covered < lanes.size
         self._seed_board(groups, board)
         self._multi_touch(groups)
         self._fixpoint(groups, board)
@@ -941,14 +950,12 @@ class CompiledDispatcher:
                     port, pkt = trace[i]
                     results[i] = ctx.run(port, pkt)
         else:
+            # Shared state: strict trace order.  Elastic runs are
+            # shared-nothing, so there are no buckets to install here.
             ctxs = self._ctxs
-            core_ids = self._core_ids
-            for i in idx:
+            for i, c in zip(idx, self._core_ids[f_lanes].tolist()):
                 port, pkt = trace[i]
-                ctx = ctxs[core_ids[i]]
-                if buckets is not None:
-                    ctx.current_bucket = int(buckets[i])
-                results[i] = ctx.run(port, pkt)
+                results[i] = ctxs[c].run(port, pkt)
 
     # -------------------------------------------------------------- #
     # Stage 1: classification (with memoized fast path)
@@ -1124,7 +1131,7 @@ class CompiledDispatcher:
             name: Column(self._field_col(name)[g_lanes]) for name in pp.fields
         }
         if pp.need_time:
-            base_env["time"] = Column(self._ts[g_lanes])
+            base_env["time"] = Column(self._cols.field("timestamp")[g_lanes])
         shared = pp.shared_ok
         env = dict(base_env)
         cache: dict = {}
@@ -1593,7 +1600,7 @@ class CompiledDispatcher:
     def _flush_ts(self, store):
         if not self._ts_pending:
             return
-        ts = self._ts
+        ts = self._cols.field("timestamp")
         for obj, parts in self._ts_pending.items():
             if len(parts) == 1:
                 lanes, cells = parts[0]

@@ -8,18 +8,20 @@ semantic-equivalence checking and for measuring per-core load under skew.
 
 Two execution paths produce bit-identical results:
 
-* the **fast path** (default) reads the trace column-wise: one pass per
-  needed header field (:class:`~repro.traffic.TraceColumns`), then
+* the **batched path** (default) reads the trace column-wise: one pass
+  per needed header field (:class:`~repro.traffic.TraceColumns`), then
   :meth:`~repro.rs3.config.RssConfiguration.steer_trace` hashes *every*
   packet with the batched Toeplitz path and reads each port's
   indirection table, exactly as the NIC does — no flow cache, no memo,
   so steering is a pure function of the header bits and the current
-  tables.  The per-packet NF code then runs grouped by core where state
-  shards are independent, or through the compiled kernels
-  (:mod:`repro.sim.compiled`), which read the same columns;
+  tables.  One :class:`~repro.sim.compiled.CompiledDispatcher` then
+  executes the trace chunk by chunk: lanes on compiled paths run as
+  vectorized kernels, every other lane on the per-packet interpreter,
+  grouped by core where state shards are independent.  ``kernels=False``
+  is the same executor with a dispatcher that holds no programs;
 * the **reference path** (``fastpath=False``) is the original
   packet-at-a-time loop through :meth:`ParallelNF.process`, kept as the
-  oracle the fast path is benchmarked and property-tested against
+  oracle the batched path is benchmarked and property-tested against
   (``benchmarks/bench_fastpath.py``, ``tests/sim/test_fastpath.py``).
 """
 
@@ -27,16 +29,15 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from itertools import starmap
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.codegen import ParallelNF, Strategy
+from repro.core.codegen import ParallelNF
 from repro.nf.api import ActionKind
 from repro.nf.runtime import PacketResult
-from repro.sim.compiled import compile_parallel
+from repro.sim.compiled import CompiledDispatcher, compile_parallel
 from repro.traffic.generator import Trace, TraceColumns
 
 __all__ = [
@@ -158,7 +159,7 @@ class FunctionalRun:
     def _bulk_install(
         self, core_ids: np.ndarray, results: list[PacketResult]
     ) -> None:
-        """Fast-path fill: all packets of a trace at once.
+        """Batched-path fill: all packets of a trace at once.
 
         Action codes are *not* materialized here — ``_fill_codes`` does it
         lazily on the first metric access, keeping the per-result enum
@@ -327,192 +328,45 @@ def _run_reference(
     return run
 
 
-def _execute_slice(
-    parallel: ParallelNF,
-    trace: Trace,
-    core_ids: np.ndarray,
-    results: list,
-    start: int,
-    end: int,
-    buckets: np.ndarray | None = None,
-) -> None:
-    """Run ``trace[start:end]`` on pre-steered cores, filling ``results``.
-
-    ``buckets`` (elastic runs) carries the per-packet indirection-table
-    slot; it is installed as ``ctx.current_bucket`` before each packet so
-    created state gets bucket-tagged for live migration.
-    """
-    if parallel.strategy is Strategy.SHARED_NOTHING:
-        # State shards are per-core and traces are timestamp-ordered,
-        # so each core's packets can run as one tight batch: same
-        # per-core arrival order, identical per-packet results,
-        # better locality.  starmap keeps the dispatch loop in C.
-        chunk = core_ids[start:end]
-        for core_id, core in enumerate(parallel.cores):
-            idx = (np.flatnonzero(chunk == core_id) + start).tolist()
-            if not idx:
-                continue
-            if buckets is None:
-                outs = starmap(core.ctx.run, [trace[i] for i in idx])
-                for i, result in zip(idx, outs):
-                    results[i] = result
-            else:
-                ctx = core.ctx
-                for i in idx:
-                    ctx.current_bucket = int(buckets[i])
-                    port, pkt = trace[i]
-                    results[i] = ctx.run(port, pkt)
-    else:
-        # Shared state store: cross-core interleaving is observable,
-        # keep strict trace order.
-        ctxs = [core.ctx for core in parallel.cores]
-        for i in range(start, end):
-            port, pkt = trace[i]
-            results[i] = ctxs[core_ids[i]].run(port, pkt)
-
-
-def _steer(
-    parallel: ParallelNF, cols: TraceColumns
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-packet cores, plus table slots when the run is elastic.
-
-    The slots become ``ctx.current_bucket`` so created state is
-    bucket-tagged for live migration; static runs do not need them.
-    """
-    core_ids, slots = parallel.rss.steer_trace(cols.trace, cols)
-    return core_ids, (slots if parallel.elastic else None)
-
-
-def _run_fastpath(
-    parallel: ParallelNF, cols: TraceColumns, run: FunctionalRun
-) -> FunctionalRun:
-    """Batched steering + grouped execution, bit-identical to the oracle."""
-    sink = obs.active_telemetry()
-    trace = cols.trace
-    core_ids, buckets = _steer(parallel, cols)
-    n = len(trace)
-    results: list[PacketResult | None] = [None] * n
-    stats_before = [_ctx_stat_snapshot(core.ctx) for core in parallel.cores]
-    # Pause the cyclic GC for the batch: the loop allocates one result
-    # (plus its mods/ops containers) per packet and frees nothing, so
-    # generational collections triggered mid-batch only re-scan live
-    # objects — worth ~15% of the whole per-packet budget at trace scale.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        if sink is None:
-            _execute_slice(parallel, trace, core_ids, results, 0, n, buckets)
-        elif n:
-            # Telemetry attached: execute in window-sized chunks, with
-            # one O(cores) snapshot delta per boundary.  Per-core order
-            # is preserved across chunk boundaries, so the results stay
-            # bit-identical to the plain fast path.  All O(n) work — the
-            # per-core partition and the per-window packet counts —
-            # happens once up front; the chunk loop itself only slices
-            # precomputed lists, keeping the telemetry surcharge to the
-            # O(windows x cores) snapshots the design budgets for.
-            locked = parallel.lock_plan.locked
-            n_cores = parallel.n_cores
-            edges = np.append(np.arange(0, n, sink.window_packets), n)
-            n_chunks = len(edges) - 1
-            flat = (np.arange(n) // sink.window_packets) * n_cores + core_ids
-            pkt_counts = np.bincount(
-                flat, minlength=n_chunks * n_cores
-            ).reshape(n_chunks, n_cores)
-            shared_nothing = parallel.strategy is Strategy.SHARED_NOTHING
-            if shared_nothing:
-                # One partition pass per core (exactly what the plain
-                # fast path does), then searchsorted window boundaries
-                # into each core's private order.
-                idx_by_core: list[list[int]] = []
-                pkts_by_core: list[list] = []
-                bounds_by_core: list[np.ndarray] = []
-                for core_id in range(n_cores):
-                    order = np.flatnonzero(core_ids == core_id)
-                    idx = order.tolist()
-                    idx_by_core.append(idx)
-                    pkts_by_core.append([trace[i] for i in idx])
-                    bounds_by_core.append(np.searchsorted(order, edges))
-            for k in range(n_chunks):
-                before = [
-                    core.ctx.stat_snapshot(locked) for core in parallel.cores
-                ]
-                if shared_nothing:
-                    for core_id, core in enumerate(parallel.cores):
-                        bounds = bounds_by_core[core_id]
-                        lo, hi = int(bounds[k]), int(bounds[k + 1])
-                        if lo == hi:
-                            continue
-                        if buckets is None:
-                            outs = starmap(
-                                core.ctx.run, pkts_by_core[core_id][lo:hi]
-                            )
-                            for i, result in zip(
-                                idx_by_core[core_id][lo:hi], outs
-                            ):
-                                results[i] = result
-                        else:
-                            ctx = core.ctx
-                            for i in idx_by_core[core_id][lo:hi]:
-                                ctx.current_bucket = int(buckets[i])
-                                port, pkt = trace[i]
-                                results[i] = ctx.run(port, pkt)
-                else:
-                    _execute_slice(
-                        parallel, trace, core_ids, results,
-                        int(edges[k]), int(edges[k + 1]), buckets,
-                    )
-                sink.record_window(
-                    _window_rows(parallel, before, pkt_counts[k], locked)
-                )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    _reconcile_core_stats(parallel, core_ids, stats_before)
-    run._bulk_install(core_ids, results)
-    return run
-
-
-#: Cached-compile sentinel: ``compile_parallel`` returned None once, so
-#: don't retry it on every run of the same ParallelNF.
-_COMPILE_FAILED = object()
-
-
-def _get_dispatcher(parallel: ParallelNF):
+def _get_dispatcher(parallel: ParallelNF) -> CompiledDispatcher:
     """Compile (once) and cache the kernel dispatcher on the ParallelNF."""
-    cached = getattr(parallel, "_compiled_dispatcher", None)
-    if cached is _COMPILE_FAILED:
-        return None
-    if cached is not None:
-        return cached
-    dispatcher = compile_parallel(parallel)
-    parallel._compiled_dispatcher = (
-        dispatcher if dispatcher is not None else _COMPILE_FAILED
-    )
+    dispatcher = getattr(parallel, "_compiled_dispatcher", None)
+    if dispatcher is None:
+        dispatcher = compile_parallel(parallel)
+        parallel._compiled_dispatcher = dispatcher
     return dispatcher
 
 
-def _run_compiled(
-    parallel: ParallelNF, cols: TraceColumns, run: FunctionalRun, dispatcher
+def _run_batched(
+    parallel: ParallelNF,
+    cols: TraceColumns,
+    run: FunctionalRun,
+    dispatcher: CompiledDispatcher,
 ) -> FunctionalRun:
-    """Fast path with compiled kernels: chunked classify/apply execution.
+    """Batched steering, then chunked execution through ``dispatcher``.
 
-    Mirrors :func:`_run_fastpath` exactly (steering, telemetry windows,
-    stat reconciliation) but hands each chunk to the
-    :class:`repro.sim.compiled.CompiledDispatcher`, which runs kernel
-    lanes vectorized and falls back to the interpreter per lane.  Chunk
-    edges include every telemetry window boundary, so recorded windows
-    stay bit-identical to the interpreter fast path.
+    The :class:`repro.sim.compiled.CompiledDispatcher` runs kernel lanes
+    vectorized and every other lane on the interpreter, grouped by core
+    under shared-nothing and in trace order otherwise; a dispatcher with
+    no programs is the plain batched interpreter.  Chunk edges include
+    every telemetry window boundary, so recorded windows stay
+    bit-identical to the reference path.
     """
     sink = obs.active_telemetry()
-    core_ids, buckets = _steer(parallel, cols)
+    core_ids, slots = parallel.rss.steer_trace(cols.trace, cols)
+    # Elastic runs install the table slots as ``ctx.current_bucket`` so
+    # created state is bucket-tagged for live migration.
+    buckets = slots if parallel.elastic else None
     wp = sink.window_packets if sink is not None else 0
     n = len(cols)
     results: list[PacketResult | None] = [None] * n
     stats_before = [_ctx_stat_snapshot(core.ctx) for core in parallel.cores]
     k0 = dispatcher.kernel_packets
     f0 = dispatcher.fallback_packets
+    # Pause the cyclic GC for the batch: the loop allocates one result
+    # (plus its mods/ops containers) per packet and frees nothing, so
+    # generational collections triggered mid-batch only re-scan live
+    # objects — worth ~15% of the whole per-packet budget at trace scale.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
@@ -582,7 +436,7 @@ def _reconcile_core_stats(
 ) -> None:
     """Bring CoreInstance counters to exactly the reference path's state.
 
-    The fast path bypasses :meth:`CoreInstance.run`, so the per-core
+    The batched path bypasses :meth:`CoreInstance.run`, so the per-core
     packet/read/write/new-flow totals are reconciled from the contexts'
     lifetime counters (``op_totals``/``new_flow_total``) instead: one
     snapshot delta per core — O(cores * state objects) — rather than a
@@ -604,7 +458,6 @@ def run_functional(
     *,
     balance_tables_with: Trace | None = None,
     fastpath: bool = True,
-    sanitize: bool = False,
     kernels: bool = True,
 ) -> FunctionalRun:
     """Execute ``trace`` on the parallel NF.
@@ -613,27 +466,22 @@ def run_functional(
     using a sample trace before the measured run — the "balanced" series
     of Figures 5 and 14.
 
-    ``fastpath=False`` selects the packet-at-a-time reference path.
+    ``fastpath=False`` selects the packet-at-a-time reference path, the
+    one the race sanitizer (:mod:`repro.analysis.race`) replays under,
+    since its event log needs every packet in global trace order.
     Otherwise the trace's header columns are extracted once and every
     packet is hashed and steered in bulk from them; nothing about the
     trace object is remembered between runs, so a list mutated in place
     and run again is steered from its current packets.
 
-    ``kernels=True`` (the default) additionally compiles the NF's
-    execution tree into vectorized batch kernels
-    (:mod:`repro.sim.compiled`) and runs whole chunks through them,
-    falling back to the interpreter per lane; results stay bit-identical.
-    Attached collectors see the same counter totals either way (kernel
-    lanes emit ``nf.state_op`` in bulk); kernels are skipped under
-    ``sanitize``.
-
-    ``sanitize=True`` forces the reference path regardless of
-    ``fastpath``/``kernels``: the race sanitizer's event log
-    (:mod:`repro.analysis.race`) needs every packet processed one at a
-    time in global trace order, so batched steering, the compiled
-    kernels, and the per-core grouped execution are bypassed.  Results
-    stay bit-identical — only the interleaving of the per-core batches
-    changes.
+    The batched run hands chunks to a
+    :class:`~repro.sim.compiled.CompiledDispatcher`.  ``kernels=True``
+    (the default) uses the NF's execution tree compiled into vectorized
+    batch kernels, falling back to the interpreter per lane;
+    ``kernels=False`` uses a dispatcher with no programs, so every lane
+    runs on the interpreter.  Results stay bit-identical either way, and
+    attached collectors see the same counter totals (kernel lanes emit
+    ``nf.state_op`` in bulk).
     """
     if balance_tables_with is not None:
         parallel.rss.balance_tables(balance_tables_with)
@@ -642,17 +490,15 @@ def run_functional(
         "sim.run_functional",
         nf=parallel.nf.name,
         n_packets=len(trace),
-        fastpath=fastpath and not sanitize,
-        sanitize=sanitize,
+        fastpath=fastpath,
     ):
-        if sanitize or not fastpath or not trace:
+        if not fastpath or not trace:
             return _run_reference(parallel, trace, run)
-        cols = TraceColumns(trace)
-        if kernels:
-            dispatcher = _get_dispatcher(parallel)
-            if dispatcher is not None:
-                return _run_compiled(parallel, cols, run, dispatcher)
-        return _run_fastpath(parallel, cols, run)
+        dispatcher = (
+            _get_dispatcher(parallel) if kernels
+            else CompiledDispatcher(parallel, {}, 0)
+        )
+        return _run_batched(parallel, TraceColumns(trace), run, dispatcher)
 
 
 # ------------------------------------------------------------------ #

@@ -109,6 +109,27 @@ def test_truthful_certificate_passes_the_same_run() -> None:
     ]
 
 
+def test_empty_dispatcher_for_certified_nf_is_a_finding(monkeypatch) -> None:
+    """A certificate with lowered paths whose compile yields a dispatcher
+    with no supported path must trip the certify-compile cross-check."""
+    import repro.sim.functional as functional
+    from repro.sim.compiled import CompiledDispatcher
+
+    monkeypatch.setattr(
+        functional,
+        "compile_parallel",
+        lambda parallel, tree=None: CompiledDispatcher(parallel, {}, 0),
+    )
+    seed = 2
+    certificate = certify_nf(build_nf(random_spec(seed, shape="small")))
+    assert certificate.supported_pids and not certificate.uncompiled
+    report = _fastpath_with_certificate(seed, certificate)
+    assert any(
+        f.kind == "certify" and "certify-compile" in f.codes
+        for f in report.failures
+    ), [f.to_dict() for f in report.failures]
+
+
 def test_certifier_crash_does_not_mask_the_oracle(monkeypatch) -> None:
     """A crashing certifier surfaces as a crash finding instead of
     silently skipping the cross-check."""

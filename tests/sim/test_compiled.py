@@ -5,9 +5,12 @@ kernels (:mod:`repro.sim.compiled`): every compiled run must be
 bit-identical to the reference — results, core ids, per-core lifetime
 counters — across the corpus NFs, both execution strategies,
 adversarial workloads (collide / boundary / exhaust), warm and cold
-classification memos, and steering-table churn.  ``sanitize=True`` must
-bypass the kernels entirely, exactly as it bypasses batched steering.
+classification memos, and steering-table churn.  ``fastpath=False``
+(the path the race sanitizer replays under) must bypass the kernels
+entirely, exactly as it bypasses batched steering.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repro import obs
 from repro.core.codegen import Strategy
 from repro.core.pipeline import Maestro
 from repro.fuzz.workloads import WorkloadSpec, materialize_workload
+from repro.nf.api import ActionKind
 from repro.nf.nfs import ALL_NFS
 from repro.nf.nfs.firewall import Firewall
 from repro.obs.collect import MemoryCollector
@@ -218,16 +222,14 @@ class TestSteeringGenerationInvalidation:
 
 class TestSanitizeBypass:
     def test_sanitize_bypasses_kernels(self, make_pair, generator):
-        """sanitize=True must not build, consult, or warm the compiled
+        """fastpath=False must not build, consult, or warm the compiled
         dispatcher — the checkers need the raw packet-at-a-time path."""
         trace, _ = generator.uniform_trace(400, 30, in_port=0)
         par_ref, par_san = make_pair("fw")
         run_ref = run_functional(par_ref, trace, fastpath=False)
-        run_san = run_functional(
-            par_san, trace, fastpath=True, kernels=True, sanitize=True
-        )
+        run_san = run_functional(par_san, trace, fastpath=False, kernels=True)
         assert_runs_identical(run_ref, run_san, par_ref, par_san)
-        # No kernel accounting on a sanitize run, and no dispatcher was
+        # No kernel accounting on a reference run, and no dispatcher was
         # ever instantiated for it.
         assert not hasattr(run_san, "compiled")
         assert getattr(par_san, "_compiled_dispatcher", None) is None
@@ -241,18 +243,54 @@ class TestSanitizeBypass:
         disp = par._compiled_dispatcher
         kernel_before = disp.kernel_packets
         fallback_before = disp.fallback_packets
-        run_san = run_functional(par, trace, sanitize=True)
+        run_san = run_functional(par, trace, fastpath=False)
         assert not hasattr(run_san, "compiled")
         assert disp.kernel_packets == kernel_before
         assert disp.fallback_packets == fallback_before
 
-    def test_kernels_false_uses_plain_fastpath(self, make_pair, generator):
+    def test_kernels_false_runs_no_kernels(self, make_pair, generator):
+        """kernels=False is the batched executor with no programs: every
+        lane runs on the interpreter and nothing is compiled or cached."""
         trace, _ = generator.uniform_trace(300, 25, in_port=0)
         par_ref, par_fast = make_pair("fw")
         run_ref = run_functional(par_ref, trace, fastpath=False)
         run_fast = run_functional(par_fast, trace, kernels=False)
         assert_runs_identical(run_ref, run_fast, par_ref, par_fast)
-        assert not hasattr(run_fast, "compiled")
+        assert run_fast.compiled["kernel_packets"] == 0
+        assert run_fast.compiled["fallback_packets"] == len(trace)
+        assert run_fast.compiled["supported_paths"] == 0
+        assert getattr(par_fast, "_compiled_dispatcher", None) is None
+
+
+class TestRefusedNF:
+    def test_uncompilable_nf_runs_on_empty_dispatcher(self, generator):
+        """dns_guard's expiry cannot be hoisted to chunk boundaries, so
+        compile_parallel builds no programs; the default kernels=True run
+        must still match the reference lane for lane."""
+        from repro.analysis.__main__ import _example_nfs
+
+        cls = _example_nfs()["dns_guard"]
+        maestro = Maestro(seed=0)
+        result = maestro.analyze(cls())
+        trace, _ = generator.uniform_trace(
+            1200, 8, in_port=0, reply_port=1, reply_fraction=0.6
+        )
+        # Replies become DNS responses, so the stateful budget path runs.
+        trace = [
+            (port, replace(pkt, src_port=53) if port == 1 else pkt)
+            for port, pkt in trace
+        ]
+        par_ref, par_dp = (
+            maestro.parallelize(cls(), n_cores=4, result=result)
+            for _ in range(2)
+        )
+        run_ref = run_functional(par_ref, trace, fastpath=False)
+        run_dp = run_functional(par_dp, trace)
+        assert_runs_identical(run_ref, run_dp, par_ref, par_dp)
+        assert ActionKind.DROP in run_dp.action_counts()
+        assert run_dp.compiled["supported_paths"] == 0
+        assert run_dp.compiled["kernel_packets"] == 0
+        assert par_dp._compiled_dispatcher.supported_paths == 0
 
 
 class TestObservability:

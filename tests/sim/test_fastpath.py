@@ -187,7 +187,8 @@ class TestFunctionalRunStorage:
 
 
 class TestSanitizeMode:
-    """``sanitize=True`` must bypass the memo/grouping, not change results."""
+    """The reference path the sanitizer replays under (``fastpath=False``)
+    must bypass the memo/grouping, not change results."""
 
     def test_sanitize_matches_warm_cache_run(self, make_fw, generator):
         """A second batch over the state and kernels the first one
@@ -198,20 +199,12 @@ class TestSanitizeMode:
         first, second = trace[:450], trace[450:]
         par_fast, par_san = make_fw(), make_fw()
         run_functional(par_fast, first)
-        run_functional(par_san, first, sanitize=True)
+        run_functional(par_san, first, fastpath=False)
         run_fast = run_functional(par_fast, second)
-        run_san = run_functional(par_san, second, sanitize=True)
+        run_san = run_functional(par_san, second, fastpath=False)
         # Bypass is real: the sanitized plan never built a dispatcher.
         assert getattr(par_san, "_compiled_dispatcher", None) is None
         assert_runs_identical(run_fast, run_san, par_fast, par_san)
-
-    def test_sanitize_overrides_fastpath_flag(self, make_fw, generator):
-        """sanitize=True wins even with fastpath explicitly requested."""
-        trace, _ = generator.uniform_trace(300, 40, in_port=0)
-        par_ref, par_san = make_fw(), make_fw()
-        run_ref = run_functional(par_ref, trace, fastpath=False)
-        run_san = run_functional(par_san, trace, fastpath=True, sanitize=True)
-        assert_runs_identical(run_ref, run_san, par_ref, par_san)
 
     def test_warm_cache_and_sanitize_agree_on_race_verdicts(self, analyses, generator):
         """Satellite regression: sanitizing after a warm-cache run reaches

@@ -52,9 +52,17 @@ def assert_conservation(sink, parallel):
         assert sink.core_totals("new_flows")[core_id] == core.new_flows
 
 
+#: run_functional modes: batched with kernels, reference, batched without.
+MODES = [
+    pytest.param({"fastpath": True}, id="True"),
+    pytest.param({"fastpath": False}, id="False"),
+    pytest.param({"kernels": False}, id="kernels_off"),
+]
+
+
 class TestConservation:
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_shared_nothing_fw(self, make_fw, generator, fastpath):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shared_nothing_fw(self, make_fw, generator, mode):
         trace, _ = generator.uniform_trace(
             1500, 120, in_port=0, reply_port=1, reply_fraction=0.4
         )
@@ -62,21 +70,21 @@ class TestConservation:
         assert parallel.strategy is Strategy.SHARED_NOTHING
         sink = obs.TelemetrySink(window_packets=WINDOW)
         with obs.telemetry(sink):
-            run_functional(parallel, trace, fastpath=fastpath)
+            run_functional(parallel, trace, **mode)
         assert sink.total_packets == len(trace)
         assert sink.windows_recorded == math.ceil(len(trace) / WINDOW)
         assert_conservation(sink, parallel)
         # shared-nothing guards nothing, so no lock waits anywhere
         assert sink.total("lock_waits") == 0
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_locks_strategy_dbridge(self, make_dbridge, generator, fastpath):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_locks_strategy_dbridge(self, make_dbridge, generator, mode):
         trace, _ = generator.uniform_trace(900, 80, in_port=0)
         parallel = make_dbridge()
         assert parallel.strategy is Strategy.LOCKS
         sink = obs.TelemetrySink(window_packets=WINDOW)
         with obs.telemetry(sink):
-            run_functional(parallel, trace, fastpath=fastpath)
+            run_functional(parallel, trace, **mode)
         assert_conservation(sink, parallel)
         # the learning bridge writes through lock-guarded tables
         assert sink.total("lock_waits") > 0
