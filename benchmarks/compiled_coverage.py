@@ -8,11 +8,13 @@ For every bundled NF it runs one cold pass and one warm pass (new
 packets of the same flows, later in time, over the established flow
 state) through ``run_functional`` with kernels enabled, and records how
 many packets executed in compiled kernels vs the interpreter fallback.
-The JSON artifact is the per-NF coverage ledger; the gate **fails (exit 1) when
-any NF hits 100% interpreter fallback in both passes** — that means the
-compiler lost every path of that NF (a lowering or classification
-regression), which wall-clock benchmarks on the flagship firewall would
-never notice.
+The JSON artifact is the per-NF coverage ledger.  It also records each
+NF's warm-pass ``warm_memo_hit_frac`` (lanes the classification memo
+served over lanes it looked up), which no gate reads.  The gate **fails
+(exit 1) when any NF hits 100% interpreter fallback in both passes** —
+that means the compiler lost every path of that NF (a lowering or
+classification regression), which wall-clock benchmarks on the flagship
+firewall would never notice.
 
 Cold coverage is allowed to be low (allocation paths are interpreter-
 only by design), so only total blackout fails.  Exit codes: 0 ok,
@@ -45,7 +47,12 @@ def measure_nf(name: str, n_packets: int, n_flows: int, n_cores: int) -> dict:
         for port, pkt in trace
     ]
     cold = run_functional(parallel, trace)
+    dispatcher = parallel._compiled_dispatcher
+    before = dispatcher.stats()["memo"]
     warm = run_functional(parallel, fresh)
+    after = dispatcher.stats()["memo"]
+    hits = after["hits"] - before["hits"]
+    looked_up = hits + after["misses"] - before["misses"]
     return {
         "strategy": parallel.strategy.value,
         "paths": cold.compiled["paths"],
@@ -54,6 +61,7 @@ def measure_nf(name: str, n_packets: int, n_flows: int, n_cores: int) -> dict:
         "cold_fallback_rate": cold.compiled["fallback_rate"],
         "warm_coverage": warm.compiled["coverage"],
         "warm_fallback_rate": warm.compiled["fallback_rate"],
+        "warm_memo_hit_frac": hits / looked_up if looked_up else 0.0,
     }
 
 
@@ -85,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{name:10s} strategy={entry['strategy']:<14s} "
             f"cold={entry['cold_coverage']:.3f} "
             f"warm={entry['warm_coverage']:.3f} "
+            f"memo={entry['warm_memo_hit_frac']:.3f} "
             f"{'BLACKOUT' if dark else 'ok'}"
         )
     report["blackouts"] = blackouts

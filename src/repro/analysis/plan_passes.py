@@ -39,7 +39,8 @@ Checks, one stable code each (all error severity):
     map version, vector reads → vector version, chain flag reads and
     timestamp writes → alloc version) and must all appear in the port's
     version guard set; time-consuming programs must defeat memoization;
-    consumed packet fields must be part of the uid key.
+    consumed packet fields must be part of the memo key (the verified
+    hash of the port's field rows).
 ``MAE304``
     Plan/verdict consistency.  Kernel scatter writes must stay inside
     the source path's write footprint; under LOCKS/TM every vector
@@ -558,7 +559,7 @@ def _certify_memo(pp, findings: list[_Finding]) -> None:
             findings.append(_Finding(
                 "MAE303",
                 f"program consumes packet field(s) {', '.join(missing)} "
-                "absent from the port's uid key — two packets differing "
+                "absent from the port's memo key — two packets differing "
                 "only there would share a memo entry",
                 path_id=pid,
             ))

@@ -32,17 +32,17 @@ sweeps are hoisted to chunk boundaries: the exact positions where
 gate is a pure function of the trace timestamps) and chunks are split
 there, so no sweep ever mutates state mid-chunk.
 
-Classifications are memoized per (shard, port, flow) — keyed on the
-packet fields a port's programs consume and guarded by state version
-counters — and the whole memo is flushed whenever
-``rss.steering_generation`` bumps, because re-steering moves flows
-between shards and a cached classification is only valid against the
-shard whose state it was computed from.
+Classifications are memoized per (shard, port, flow) — keyed on a
+verified hash of the packet fields a port's programs consume and
+guarded by state version counters — and the whole memo is flushed
+whenever ``rss.steering_generation`` bumps, because re-steering moves
+flows between shards and a cached classification is only valid against
+the shard whose state it was computed from.
 """
 
 from __future__ import annotations
 
-from itertools import starmap
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -82,8 +82,10 @@ LOWERED_OPS = (
     "dchain_rejuvenate",
     "vector_put",
 )
-#: Per-(shard, port) memo entries before the bucket is dropped wholesale.
+#: Per-(shard, port) memo slots before the memo is dropped wholesale.
 _MEMO_MAX = 65536
+#: Slots a fresh (shard, port) memo starts with; it grows by doubling.
+_MEMO_CAP0 = 64
 #: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
 _FIXPOINT_MAX = 64
 
@@ -570,7 +572,7 @@ class _ProgState:
 
     __slots__ = (
         "prog", "match", "force_f", "kmask", "bailed", "arts",
-        "dirt_vals", "port_vals", "mod_vals", "result_uids",
+        "dirt_vals", "port_vals", "mod_vals", "memo_results",
     )
 
     def __init__(self, prog):
@@ -583,108 +585,128 @@ class _ProgState:
         self.dirt_vals = []
         self.port_vals = None
         self.mod_vals = None
-        self.result_uids = None
+        self.memo_results = None
 
 
 class _Group:
     """One (domain, port) lane group and its classification state."""
 
-    __slots__ = ("pp", "g_lanes", "progs", "assign", "from_memo")
+    __slots__ = ("pp", "g_lanes", "progs", "assign")
 
     def __init__(self, pp, g_lanes):
         self.pp = pp
         self.g_lanes = g_lanes
         self.progs = [_ProgState(p) for p in pp.programs]
         self.assign = None
-        self.from_memo = False
 
 
-class _PortPlan:
-    """Run-level flow table of one port: every packet of the port mapped
-    to a dense *uid* (unique field-row id) in one vectorized pass, so
-    per-chunk classification is a gather instead of a hash probe."""
+def _field_hash(cols, n):
+    """Vectorized uint64 key of each of ``n`` rows of 8-byte columns.
 
-    __slots__ = ("uid", "row_bytes")
-
-    def __init__(self, uid, row_bytes):
-        self.uid = uid
-        self.row_bytes = row_bytes
-
-
-class _UidGather:
-    """Lazy per-lane view over a per-uid column (built only if indexed:
-    map-key demotion checks and vector-store scatters touch a handful of
-    lanes, so materializing the whole group column would be waste)."""
-
-    __slots__ = ("by_uid", "uids")
-
-    def __init__(self, by_uid, uids):
-        self.by_uid = by_uid
-        self.uids = uids
-
-    def __getitem__(self, p):
-        return self.by_uid[self.uids[p]]
+    Mixes every column's bit pattern into a running hash.  Equal rows
+    always get equal keys; a memo probe verifies the row itself, so two
+    rows that collide only cost a miss.
+    """
+    h = np.full(n, 0x9E3779B97F4A7C15, np.uint64)
+    for col in cols:
+        h ^= col
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(29)
+    return h
 
 
-class _Epoch:
-    """Uid-indexed classification cache of one (shard, port) at one
-    state-version vector.
+def _grown(arr, cap):
+    """``arr`` copied into zeroed storage of ``cap`` rows."""
+    out = np.zeros((cap,) + arr.shape[1:], arr.dtype)
+    out[: arr.shape[0]] = arr
+    return out
 
-    The persistent memo bucket is keyed by row *bytes* so it survives
-    across runs; an epoch re-indexes it by this run's uids so the hot
-    path never hashes rows.  ``assign[uid] >= 0`` means the uid's det is
-    loaded: per-step scalar columns live in ``arts`` and the finished
-    (shared) :class:`PacketResult` in ``results``.
+
+class _Memo:
+    """Classification memo of one (shard, port) at one state-version vector.
+
+    ``index`` maps a packet's field-row hash to a *slot*, and ``rows``
+    keeps each slot's exact field row, so every probe is verified: a
+    hash collision is a miss, never a wrong hit.  Per slot the memo
+    holds the program index (``assign``), that program's per-step scalar
+    columns (``arts``) and the finished, shared :class:`PacketResult`
+    (``results``); a hit is a gather at its slots.  Columns grow by
+    doubling and persist across runs for as long as the versions hold.
     """
 
-    __slots__ = ("pp", "versions", "U", "bucket", "assign", "arts", "results")
+    __slots__ = ("pp", "versions", "index", "n", "rows", "assign", "arts",
+                 "results", "pending")
 
-    def __init__(self, pp, versions, n_uids, bucket):
+    def __init__(self, pp, versions):
         self.pp = pp
         self.versions = versions
-        self.U = n_uids
-        self.bucket = bucket
-        self.assign = np.full(n_uids, -1, np.int64)
+        self.index = {}
+        self.n = 0
+        self.rows = np.zeros((_MEMO_CAP0, len(pp.fields)), np.uint64)
+        self.assign = np.zeros(_MEMO_CAP0, np.int64)
+        self.results = np.empty(_MEMO_CAP0, object)
         self.arts = [None] * len(pp.programs)
-        self.results = [None] * n_uids
+        #: The last evaluated group's misses, awaiting insertion.
+        self.pending = None
 
-    def insert(self, u, det):
-        pidx, step_scalars, action = det
-        prog = self.pp.programs[pidx]
-        arts = self.arts[pidx]
-        if arts is None:
-            arts = []
-            for step in prog.steps:
+    def lookup(self, keys, rows):
+        """Slot of each lane's field row; -1 where it is not memoized."""
+        if not self.index:
+            return np.full(keys.size, -1, np.int64)
+        if not self.pp.fields:  # one empty row: one probe serves all
+            return np.full(keys.size, self.index.get(int(keys[0]), -1))
+        slots = np.fromiter(
+            map(self.index.get, keys.tolist(), repeat(-1)),
+            np.int64, count=keys.size,
+        )
+        found = np.flatnonzero(slots >= 0)
+        if found.size:
+            wrong = (self.rows[slots[found]] != rows[found]).any(axis=1)
+            slots[found[wrong]] = -1
+        return slots
+
+    def reserve(self, k):
+        """``k`` fresh slot numbers; past ``_MEMO_MAX`` the memo starts over."""
+        if self.n + k > _MEMO_MAX:
+            self.index.clear()
+            self.n = 0
+        start = self.n
+        self.n += k
+        cap = self.assign.size
+        if self.n > cap:
+            while cap < self.n:
+                cap *= 2
+            self.rows = _grown(self.rows, cap)
+            self.assign = _grown(self.assign, cap)
+            self.results = _grown(self.results, cap)
+            self.arts = [
+                None if cols is None
+                else [tuple(_grown(a, cap) for a in col) for col in cols]
+                for cols in self.arts
+            ]
+        return np.arange(start, self.n)
+
+    def columns(self, pidx):
+        """Per-step slot columns of program ``pidx``, allocated on first use."""
+        cols = self.arts[pidx]
+        if cols is None:
+            cap = self.assign.size
+            cols = []
+            for step in self.pp.programs[pidx].steps:
                 if isinstance(step, _MapGet):
-                    arts.append(([None] * self.U,))
+                    cols.append((np.empty(cap, object),))
                 elif isinstance(step, _VecPut):
-                    arts.append(
-                        (np.zeros(self.U, np.int64), [None] * self.U)
+                    cols.append(
+                        (np.zeros(cap, np.int64), np.empty(cap, object))
                     )
                 elif isinstance(step, _VecBorrow):
-                    arts.append((np.zeros(self.U, np.int64),))
+                    cols.append((np.zeros(cap, np.int64),))
                 else:  # _IsAlloc / _Rejuv
-                    arts.append(
-                        (np.zeros(self.U, np.int64),
-                         np.zeros(self.U, dtype=bool))
+                    cols.append(
+                        (np.zeros(cap, np.int64), np.zeros(cap, dtype=bool))
                     )
-            self.arts[pidx] = arts
-        for step, cols, sc in zip(prog.steps, arts, step_scalars):
-            if isinstance(step, _MapGet):
-                cols[0][u] = sc
-            elif isinstance(step, _VecBorrow):
-                cols[0][u] = sc[0]
-            else:  # _VecPut / _IsAlloc / _Rejuv
-                cols[0][u] = sc[0]
-                cols[1][u] = sc[1]
-        if prog.const_result is not None:
-            self.results[u] = prog.const_result
-        else:
-            port, mods = action
-            self.results[u] = PacketResult(
-                prog.kind, port, dict(mods), prog.ops_list, False
-            )
-        self.assign[u] = pidx
+            self.arts[pidx] = cols
+        return cols
 
 
 def _ivals(col, g):
@@ -693,6 +715,30 @@ def _ivals(col, g):
     if arr.ndim == 0:
         arr = np.broadcast_to(arr, (g,))
     return arr
+
+
+def _expiry_triggers(ts, last):
+    """Positions in ``ts`` where the once-per-second expiry gate fires.
+
+    Replays the interpreter's gate exactly (it skips while
+    ``t - last < 1.0``), for sorted and unsorted timestamps alike: the
+    predicate is evaluated as an array over a window that doubles while
+    nothing fires, and the scan jumps to the first position where it
+    does.
+    """
+    out = []
+    j, w, m = 0, 256, ts.size
+    while j < m:
+        due = np.flatnonzero(~(ts[j:j + w] - last < 1.0))
+        if not due.size:
+            j += w
+            w *= 2
+            continue
+        j += int(due[0])
+        out.append(j)
+        last = float(ts[j])
+        j += 1
+    return out
 
 
 def _bump(ctx, bump_ops, n):
@@ -750,8 +796,8 @@ class CompiledDispatcher:
         self._cols = None
         self._triggers = {}
         self._ts_pending = {}
-        self._plans = {}
-        self._epochs = {}
+        #: Per-run field-row keys, by the field tuple they cover.
+        self._keys = {}
 
     # -------------------------------------------------------------- #
     # Memo/generation plumbing
@@ -762,7 +808,6 @@ class CompiledDispatcher:
             # Re-steering moves flows between shards: every cached
             # classification was computed against the wrong shard.
             self._memo.clear()
-            self._epochs.clear()
             self._generation = gen
             self.memo_invalidations += 1
 
@@ -777,9 +822,9 @@ class CompiledDispatcher:
     def start_run(self, cols, core_ids, window_packets, bucket_ids=None):
         """Bind one run's :class:`~repro.traffic.TraceColumns`; return chunk edges.
 
-        Every per-run table — header columns, uid plans, epochs — is
+        Every per-run table — header columns, field-row keys — is
         derived from ``cols`` afresh, so nothing carries over from an
-        earlier run but the byte-keyed cross-run memo.
+        earlier run but the (shard, port) classification memos.
         """
         n = len(cols)
         self._cols = cols
@@ -789,8 +834,7 @@ class CompiledDispatcher:
         #: kernel vector scatters re-tag the rows they overwrite.
         self._bucket_ids = bucket_ids
         self._ports_arr = cols.ports
-        self._plans = {}
-        self._epochs = {}
+        self._keys = {}
         self._core_ids = core_ids
         self.path_ids = np.full(n, -1, dtype=np.int32)
         self._check_generation()
@@ -807,6 +851,7 @@ class CompiledDispatcher:
 
     def end_run(self):
         self._cols = None
+        self._keys = {}
         self._triggers = {}
         self._bucket_ids = None
 
@@ -831,30 +876,10 @@ class CompiledDispatcher:
         ts = self._cols.field("timestamp")
         for ci, ctx in enumerate(self._ctxs):
             idxs = np.flatnonzero(pmask & (self._core_ids == ci))
-            m = idxs.size
-            if not m:
+            if not idxs.size:
                 continue
-            tsub = ts[idxs]
-            sorted_ts = bool(m < 2 or np.all(np.diff(tsub) >= 0))
-            last = ctx._last_expiry
-            j = 0
-            while j < m:
-                if tsub[j] - last >= 1.0:
-                    triggers[int(idxs[j])] = ci
-                    last = float(tsub[j])
-                    if sorted_ts:
-                        k = int(np.searchsorted(tsub, last + 1.0, side="left"))
-                        if k <= j:
-                            k = j + 1
-                        while k > j + 1 and tsub[k - 1] - last >= 1.0:
-                            k -= 1
-                        while k < m and tsub[k] - last < 1.0:
-                            k += 1
-                        j = k
-                    else:
-                        j += 1
-                else:
-                    j += 1
+            for j in _expiry_triggers(ts[idxs], ctx._last_expiry):
+                triggers[int(idxs[j])] = ci
         return triggers
 
     # -------------------------------------------------------------- #
@@ -962,79 +987,66 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     def _classify(self, pp, g_lanes, cid, store):
         group = _Group(pp, g_lanes)
-        plan = ep = uids = None
-        if self.memo_enabled and pp.memoizable and pp.any_supported:
-            plan = self._plan_for(pp)
-            ep = self._epoch_for(pp, plan, cid, store)
-            uids = plan.uid[g_lanes]
-            assign = ep.assign[uids]
-            if (assign >= 0).all():
-                self._reconstruct(group, ep, uids, assign)
-                self.memo_hits += g_lanes.size
-                group.from_memo = True
-                return group
-            self.memo_misses += int((assign < 0).sum())
+        if not (self.memo_enabled and pp.memoizable and pp.any_supported):
+            self._eval_group(group, store)
+            return group
+        memo = self._memo_for(pp, cid, store)
+        keys, rows = self._keys_for(pp)
+        keys = keys[g_lanes]
+        rows = rows[g_lanes]
+        slots = memo.lookup(keys, rows)
+        miss = slots < 0
+        n_miss = int(np.count_nonzero(miss))
+        self.memo_hits += g_lanes.size - n_miss
+        self.memo_misses += n_miss
+        if not n_miss:
+            self._reconstruct(group, memo, slots)
+            return group
+        # One miss evaluates the whole group: kernel cost is mostly
+        # per-call overhead, so serving the hit lanes apart saves little.
         self._eval_group(group, store)
-        if ep is not None:
-            self._memo_insert(group, plan, ep, uids)
+        # Inserted at this memo's next use, and only if the chunk left
+        # the versions as they were: under churn, fallback allocations
+        # move them every chunk and the rows would be dropped unused.
+        memo.pending = (group, miss, keys, rows)
         return group
 
-    def _plan_for(self, pp):
-        """Uid-number every packet of one port, once per run."""
-        plan = self._plans.get(pp.port)
-        if plan is None:
-            idx = np.flatnonzero(self._ports_arr == pp.port)
-            if pp.fields:
-                mat = np.ascontiguousarray(
-                    np.stack(
-                        [self._field_col(f)[idx] for f in pp.fields], axis=1
-                    )
-                )
-                rows = mat.view(np.dtype((np.void, mat.shape[1] * 8))).ravel()
-                uniq, inverse = np.unique(rows, return_inverse=True)
-                row_bytes = [u.tobytes() for u in uniq]
-            else:
-                row_bytes = [b""]
-                inverse = np.zeros(idx.size, np.int64)
-            uid = np.full(self._ports_arr.size, -1, np.int64)
-            uid[idx] = inverse
-            plan = _PortPlan(uid, row_bytes)
-            self._plans[pp.port] = plan
-        return plan
+    def _keys_for(self, pp):
+        """Hash keys and exact field rows of every packet, once per run."""
+        entry = self._keys.get(pp.fields)
+        if entry is None:
+            n = self._ports_arr.size
+            cols = [self._field_col(f).view(np.uint64) for f in pp.fields]
+            rows = (
+                np.stack(cols, axis=1) if cols
+                else np.zeros((n, 0), np.uint64)
+            )
+            entry = (_field_hash(cols, n), rows)
+            self._keys[pp.fields] = entry
+        return entry
 
-    def _epoch_for(self, pp, plan, cid, store):
-        """The (shard, port) epoch for the *current* state versions."""
+    def _memo_for(self, pp, cid, store):
+        """The (shard, port) memo for the *current* state versions."""
         versions = tuple(
             store[obj].alloc_version if kind == "chain"
             else store[obj].version
             for obj, kind in pp.read_objs
         )
         key = (cid if cid is not None else -1, pp.port)
-        ep = self._epochs.get(key)
-        if ep is not None and ep.versions == versions:
-            return ep
-        bucket_entry = self._memo.get(key)
-        if bucket_entry is None or bucket_entry[0] != versions:
-            bucket_entry = [versions, {}]
-            self._memo[key] = bucket_entry
-        bucket = bucket_entry[1]
-        if len(bucket) > _MEMO_MAX:
-            bucket.clear()
-        ep = _Epoch(pp, versions, len(plan.row_bytes), bucket)
-        if bucket:
-            # Re-index the persistent (cross-run) bucket by this run's
-            # uids so chunk classification is a pure array gather.
-            get = bucket.get
-            for u, rb in enumerate(plan.row_bytes):
-                det = get(rb)
-                if det is not None:
-                    ep.insert(u, det)
-        self._epochs[key] = ep
-        return ep
+        memo = self._memo.get(key)
+        if memo is None or memo.versions != versions:
+            memo = _Memo(pp, versions)
+            self._memo[key] = memo
+        elif memo.pending is not None:
+            self._memo_insert(memo, *memo.pending)
+            memo.pending = None
+        return memo
 
-    def _reconstruct(self, group, ep, uids, assign):
-        """Rebuild per-program artifacts by gathering epoch columns."""
+    def _reconstruct(self, group, memo, slots):
+        """Rebuild per-program artifacts by gathering memo slot columns."""
+        assign = memo.assign[slots]
         group.assign = assign
+        results = memo.results[slots]
         for pidx, ps in enumerate(group.progs):
             mask = assign == pidx
             ps.match = mask
@@ -1042,70 +1054,85 @@ class CompiledDispatcher:
             if not mask.any():
                 continue
             arts = ps.arts
-            for step, cols in zip(ps.prog.steps, ep.arts[pidx]):
+            for step, cols in zip(ps.prog.steps, memo.arts[pidx]):
                 if isinstance(step, _MapGet):
-                    arts.append(
-                        {"keys": _UidGather(cols[0], uids), "oob": None}
-                    )
+                    arts.append({"keys": cols[0][slots], "oob": None})
                 elif isinstance(step, _VecPut):
                     arts.append({
-                        "cells": cols[0][uids],
+                        "cells": cols[0][slots],
                         "oob": None,
-                        "stored_rows": _UidGather(cols[1], uids),
+                        "stored_rows": cols[1][slots],
                     })
                 elif isinstance(step, _VecBorrow):
-                    arts.append({"cells": cols[0][uids], "oob": None})
+                    arts.append({"cells": cols[0][slots], "oob": None})
                 else:  # _IsAlloc / _Rejuv
                     arts.append({
-                        "cells": cols[0][uids],
-                        "flags": cols[1][uids],
+                        "cells": cols[0][slots],
+                        "flags": cols[1][slots],
                         "oob": None,
                     })
-            ps.result_uids = (ep.results, uids)
+            ps.memo_results = results
 
-    def _memo_insert(self, group, plan, ep, uids):
-        """Cache classifications for flows that resolved supported-clean."""
+    def _memo_insert(self, memo, group, miss, keys, rows):
+        """Memoize the missed rows whose lanes classified supported-clean.
+
+        ``assign >= 0`` already means a supported, unbailed program
+        claimed the lane without forcing it to the interpreter.  One slot
+        per new key; a row whose key is already indexed for a different
+        row collided, and stays a miss.
+        """
         assign = group.assign
-        if assign is None:
+        cand = np.flatnonzero(miss & (assign >= 0))
+        if not cand.size:
             return
-        uu, first = np.unique(uids, return_index=True)
-        row_bytes = plan.row_bytes
-        for u, pos in zip(uu.tolist(), first.tolist()):
-            if ep.assign[u] >= 0:
-                continue
-            pidx = int(assign[pos])
-            if pidx < 0:
-                continue
-            ps = group.progs[pidx]
-            prog = ps.prog
-            if ps.bailed or not prog.supported or ps.force_f[pos]:
-                continue
-            det_steps = []
-            for step, art in zip(prog.steps, ps.arts):
-                if isinstance(step, _MapGet):
-                    det_steps.append(art["keys"][pos])
-                elif isinstance(step, _VecPut):
-                    det_steps.append(
-                        (int(art["cells"][pos]), self._stored_row(art, pos))
-                    )
-                elif isinstance(step, _VecBorrow):
-                    det_steps.append((int(art["cells"][pos]),))
-                else:  # _IsAlloc / _Rejuv
-                    det_steps.append(
-                        (int(art["cells"][pos]), bool(art["flags"][pos]))
-                    )
-            action = None
-            if prog.const_result is None:
-                port = prog.port_const
-                if ps.port_vals is not None:
-                    port = int(ps.port_vals[pos])
-                mods = tuple(
-                    (name, int(vals[pos])) for name, vals in ps.mod_vals
-                )
-                action = (port, mods)
-            det = (pidx, tuple(det_steps), action)
-            ep.bucket[row_bytes[u]] = det
-            ep.insert(u, det)
+        index = memo.index
+        fresh = dict(zip(keys[cand].tolist(), cand.tolist()))
+        if index:
+            fresh = {k: p for k, p in fresh.items() if k not in index}
+            if not fresh:
+                return
+        pos = np.fromiter(fresh.values(), np.int64, count=len(fresh))
+        slots = memo.reserve(pos.size)
+        memo.index.update(zip(fresh, slots.tolist()))
+        memo.rows[slots] = rows[pos]
+        owner = assign[pos]
+        memo.assign[slots] = owner
+        for pidx in set(owner.tolist()):
+            sel = owner == pidx
+            self._memo_fill(
+                memo, pidx, group.progs[pidx], pos[sel], slots[sel]
+            )
+
+    def _memo_fill(self, memo, pidx, ps, pos, slots):
+        """Write one program's lanes ``pos`` into memo ``slots``."""
+        prog = ps.prog
+        pos_l = pos.tolist()
+        slots_l = slots.tolist()
+        for step, cols, art in zip(prog.steps, memo.columns(pidx), ps.arts):
+            if isinstance(step, _MapGet):
+                keys = art["keys"]
+                col = cols[0]
+                for s, p in zip(slots_l, pos_l):
+                    col[s] = keys[p]
+            else:
+                cols[0][slots] = art["cells"][pos]
+                if isinstance(step, _VecPut):
+                    col = cols[1]
+                    for s, p in zip(slots_l, pos_l):
+                        col[s] = self._stored_row(art, p)
+                elif not isinstance(step, _VecBorrow):  # _IsAlloc / _Rejuv
+                    cols[1][slots] = art["flags"][pos]
+        results = memo.results
+        if prog.const_result is not None:
+            results[slots] = prog.const_result
+            return
+        kind = prog.kind
+        ops = prog.ops_list
+        port_vals = ps.port_vals
+        for s, p in zip(slots_l, pos_l):
+            port = prog.port_const if port_vals is None else int(port_vals[p])
+            mods = {name: int(vals[p]) for name, vals in ps.mod_vals}
+            results[s] = PacketResult(kind, port, mods, ops, False)
 
     @staticmethod
     def _stored_row(art, pos):
@@ -1528,10 +1555,9 @@ class CompiledDispatcher:
                 r = prog.const_result
                 for i in lanes_l:
                     results[i] = r
-            elif ps.result_uids is not None:
-                by_uid, uids = ps.result_uids
-                for u, i in zip(uids[kidx].tolist(), lanes_l):
-                    results[i] = by_uid[u]
+            elif ps.memo_results is not None:
+                for r, i in zip(ps.memo_results[kidx].tolist(), lanes_l):
+                    results[i] = r
             else:
                 kind = prog.kind
                 ops = prog.ops_list
