@@ -43,12 +43,13 @@ import pytest
 from repro.core.pipeline import Maestro
 from repro.nf.nfs import ALL_NFS, Firewall
 from repro.rs3.toeplitz import (
-    hash_input_matrix,
+    hash_input_rows,
+    hash_packet,
     toeplitz_hash,
     toeplitz_hash_batch,
 )
 from repro.sim.functional import run_functional
-from repro.traffic import Trace, TrafficGenerator
+from repro.traffic import Trace, TraceColumns, TrafficGenerator
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -128,13 +129,18 @@ def fresh_rounds(trace: Trace, n: int) -> list[Trace]:
 def test_batch_hash_speedup_and_exactness(parallel_factory, trace):
     parallel = parallel_factory()
     config = parallel.rss.ports[0]
-    packets = [pkt for _, pkt in trace]
-    matrix = hash_input_matrix(packets, config.option)
+    cols = TraceColumns(trace)
+    packets = cols.packets
+    matrix = hash_input_rows(
+        [cols.field(f.packet_field) for f in config.option.fields],
+        config.option,
+        len(cols),
+    )
 
     batch = toeplitz_hash_batch(config.key, matrix)
     sample = min(SCALAR_SAMPLE, len(packets))
     scalar = np.array(
-        [toeplitz_hash(config.key, matrix[i].tobytes()) for i in range(sample)],
+        [hash_packet(config.key, pkt, config.option) for pkt in packets[:sample]],
         dtype=np.uint32,
     )
     assert np.array_equal(batch[:sample], scalar), (

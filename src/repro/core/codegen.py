@@ -30,6 +30,7 @@ from repro.nf.api import NF
 from repro.nf.packet import Packet
 from repro.nf.runtime import ConcreteContext, PacketResult, StateStore
 from repro.rs3.config import RssConfiguration
+from repro.traffic.generator import TraceColumns
 
 __all__ = ["Strategy", "LockPlan", "CoreInstance", "ParallelNF"]
 
@@ -216,19 +217,15 @@ class ParallelNF:
 
     def process(self, port: int, pkt: Packet) -> tuple[int, PacketResult]:
         """Steer one packet through RSS and process it on its core."""
+        config = self.rss.port_config(port)
+        slot = config.hash(pkt) & (config.table.size - 1)
+        core_id = int(config.table.entries[slot])
+        core = self.cores[core_id]
         if self.elastic:
-            # Resolve the table slot explicitly (not just the queue) so
-            # the core's context can bucket-tag the state this packet
-            # creates — the bookkeeping live migration depends on.
-            config = self.rss.port_config(port)
-            table = config.table
-            slot = config.hash(pkt) & (table.size - 1)
-            core_id = int(table.entries[slot])
-            core = self.cores[core_id]
+            # The table slot is the bucket the packet's new state is
+            # tagged with — the bookkeeping live migration depends on.
             core.ctx.current_bucket = slot
-            return core_id, core.run(port, pkt)
-        core_id = self.core_for(port, pkt)
-        return core_id, self.cores[core_id].run(port, pkt)
+        return core_id, core.run(port, pkt)
 
     def process_trace(
         self, trace: list[tuple[int, Packet]]
@@ -240,9 +237,8 @@ class ParallelNF:
     # -------------------------------------------------------------- #
     def core_shares(self, trace: list[tuple[int, Packet]]) -> np.ndarray:
         """Fraction of ``trace`` RSS steers to each core (no processing)."""
-        counts = np.zeros(self.n_cores, dtype=np.float64)
-        for port, pkt in trace:
-            counts[self.core_for(port, pkt)] += 1.0
+        cores, _ = self.rss.steer_trace(TraceColumns(trace))
+        counts = np.bincount(cores, minlength=self.n_cores).astype(np.float64)
         total = counts.sum()
         return counts / total if total else counts
 

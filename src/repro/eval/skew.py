@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nf.flow import FiveTuple
+from repro.rs3.config import RssConfiguration
 from repro.rs3.fields import FieldSetOption
-from repro.rs3.indirection import IndirectionTable
-from repro.rs3.toeplitz import hash_packets_batch
+from repro.traffic.generator import TraceColumns
 
 __all__ = ["flow_core_shares"]
 
@@ -35,14 +35,12 @@ def flow_core_shares(
     """
     if weights is None:
         weights = np.full(len(flows), 1.0 / len(flows))
-    entry_loads = np.zeros(reta_size, dtype=np.float64)
-    if flows:
-        # One batched Toeplitz pass over every flow's representative
-        # packet, scattered onto table entries by popularity weight.
-        hashes = hash_packets_batch(key, [flow.packet() for flow in flows], option)
-        slots = hashes.astype(np.int64) & (reta_size - 1)
-        np.add.at(entry_loads, slots, np.asarray(weights, dtype=np.float64))
-    table = IndirectionTable(n_cores, size=reta_size)
+    # One batched steering pass over every flow's representative packet,
+    # its table slot weighted by the flow's popularity.
+    rss = RssConfiguration.build({0: key}, {0: option}, n_cores, reta_size)
+    _, slots = rss.steer_trace(TraceColumns([(0, flow.packet()) for flow in flows]))
+    entry_loads = np.bincount(slots, weights=weights, minlength=reta_size)
+    table = rss.ports[0].table
     if balanced:
         table.balance(entry_loads)
     shares = table.queue_loads(entry_loads)

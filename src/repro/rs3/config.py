@@ -7,8 +7,7 @@ functional simulator uses to steer every packet to a core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +15,7 @@ from repro.errors import SimulationError
 from repro.nf.packet import Packet
 from repro.rs3.fields import FieldSetOption
 from repro.rs3.indirection import IndirectionTable
-from repro.rs3.toeplitz import (
-    hash_input_matrix,
-    hash_input_rows,
-    hash_packet,
-    toeplitz_hash_batch,
-)
+from repro.rs3.toeplitz import hash_input_rows, hash_packet, toeplitz_hash_batch
 from repro.traffic.generator import TraceColumns
 
 __all__ = ["PortRssConfig", "RssConfiguration"]
@@ -39,22 +33,9 @@ class PortRssConfig:
     def hash(self, pkt: Packet) -> int:
         return hash_packet(self.key, pkt, self.option)
 
-    def hash_batch(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Vectorized RSS hashes of many packets arriving on this port."""
-        return toeplitz_hash_batch(
-            self.key, hash_input_matrix(packets, self.option)
-        )
-
     def hash_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized hashes of pre-extracted ``(n, input_bytes)`` rows."""
         return toeplitz_hash_batch(self.key, rows)
-
-    def queue_for(self, pkt: Packet) -> int:
-        return self.table.lookup(self.hash(pkt))
-
-    def steer_batch(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Cores for many packets: batch hash, then batch table lookup."""
-        return self.table.steer_batch(self.hash_batch(packets))
 
     def key_hex(self) -> str:
         return self.key.hex(":")
@@ -94,7 +75,8 @@ class RssConfiguration:
 
     def core_for(self, port: int, pkt: Packet) -> int:
         """The core that will process ``pkt`` arriving on ``port``."""
-        return self.port_config(port).queue_for(pkt)
+        config = self.port_config(port)
+        return config.table.lookup(config.hash(pkt))
 
     def port_config(self, port: int) -> PortRssConfig:
         try:
@@ -102,24 +84,19 @@ class RssConfiguration:
         except KeyError:
             raise SimulationError(f"no RSS configuration for port {port}") from None
 
-    def steer_trace(
-        self,
-        trace: Sequence[tuple[int, Packet]],
-        columns: TraceColumns | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(cores, slots)`` of every ``(port, packet)`` in ``trace``.
+    def steer_trace(self, cols: TraceColumns) -> tuple[np.ndarray, np.ndarray]:
+        """``(cores, slots)`` of every packet of a trace, from its columns.
 
-        What the NIC does, for a whole trace at once: every packet's
-        hash input is hashed with its ingress port's Toeplitz key, and
-        the low hash bits pick an indirection-table slot whose entry is
-        the core.  There is no flow cache: steering is a pure function
-        of the header bits and the current tables.  ``slots`` is the
-        per-packet table index (``hash & (size - 1)``), the bucket
-        elastic re-sharding migrates by.  ``columns`` (built from
-        ``trace`` when omitted) supplies the header fields, so a run
-        that already extracted them does not walk the packets again.
+        The one batched steering entry point, and what the NIC does for
+        a whole trace at once: every packet's hash input is hashed with
+        its ingress port's Toeplitz key, and the low hash bits pick an
+        indirection-table slot whose entry is the core.  There is no
+        flow cache: steering is a pure function of the header bits and
+        the current tables, bit-identical to :meth:`core_for` per
+        packet.  ``slots`` is the per-packet table index
+        (``hash & (size - 1)``), the bucket elastic re-sharding migrates
+        by and the load unit :meth:`balance_tables` balances.
         """
-        cols = columns if columns is not None else TraceColumns(trace)
         n = len(cols)
         cores = np.zeros(n, dtype=np.int64)
         slots = np.zeros(n, dtype=np.int64)
@@ -156,16 +133,18 @@ class RssConfiguration:
         """
         return sum(config.table.generation for config in self.ports.values())
 
-    def balance_tables(
-        self, sample: list[tuple[int, Packet]]
-    ) -> None:
-        """Statically rebalance every port's indirection table from a
-        traffic sample (the RSS++ mechanism used in Figures 5/14)."""
-        for port, config in self.ports.items():
-            packets = [pkt for in_port, pkt in sample if in_port == port]
-            loads = np.zeros(config.table.size, dtype=np.float64)
-            if packets:
-                hashes = config.hash_batch(packets)
-                slots = hashes.astype(np.int64) & (config.table.size - 1)
-                np.add.at(loads, slots, 1.0)
+    def balance_tables(self, sample: list[tuple[int, Packet]]) -> None:
+        """Statically rebalance the indirection tables from a traffic
+        sample (the RSS++ mechanism used in Figures 5/14).
+
+        Slot loads are summed over every port and each port's table is
+        balanced with the same loads.  :meth:`IndirectionTable.balance`
+        is deterministic in its loads, so the tables stay in lockstep and
+        a flow's two directions, which the keys hash to the same slot on
+        their two ports, keep landing on one core.
+        """
+        size = next(iter(self.ports.values())).table.size
+        _, slots = self.steer_trace(TraceColumns(sample))
+        loads = np.bincount(slots, minlength=size).astype(np.float64)
+        for config in self.ports.values():
             config.table.balance(loads)

@@ -42,9 +42,6 @@ class IndirectionTable:
         """Queue id for a 32-bit RSS hash."""
         return int(self.entries[hash_value & (self.size - 1)])
 
-    def lookup_many(self, hashes: np.ndarray) -> np.ndarray:
-        return self.entries[np.asarray(hashes) & (self.size - 1)]
-
     def steer_batch(self, hashes: np.ndarray) -> np.ndarray:
         """Vectorized hashes -> table slots -> queues for a whole trace.
 

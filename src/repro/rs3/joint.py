@@ -35,6 +35,7 @@ from repro.rs3.solver import (
     MapFields,
     RssKeySolver,
 )
+from repro.traffic.generator import TraceColumns
 
 __all__ = [
     "JointCompilation",
@@ -160,8 +161,8 @@ def verify_joint_steering(
     For every lifted pair map, generate random packets on ``port_a``
     and their mapped counterparts on ``port_b`` (mapped fields copied,
     everything else independently random — the joint key must have
-    cancelled it), steer both batches through the concrete keys and
-    indirection tables, and require identical cores.  This is the
+    cancelled it), steer them as one two-port trace through the concrete
+    keys and indirection tables, and require identical cores.  This is the
     steering-level complement of ``RssKeySolver.verify``: it exercises
     the exact table lookups the functional simulator uses.
     """
@@ -176,9 +177,10 @@ def verify_joint_steering(
                 for name_a, name_b in pair.field_map
             }
             partners.append(replace(partner, **mapped))
-        cores_a = rss.port_config(pair.port_a).steer_batch(originals)
-        cores_b = rss.port_config(pair.port_b).steer_batch(partners)
-        bad = int(np.count_nonzero(cores_a != cores_b))
+        trace = [(pair.port_a, pkt) for pkt in originals]
+        trace += [(pair.port_b, pkt) for pkt in partners]
+        cores, _ = rss.steer_trace(TraceColumns(trace))
+        bad = int(np.count_nonzero(cores[:samples] != cores[samples:]))
         if bad:
             raise RssUnsatisfiableError(
                 f"joint steering violated: {bad}/{samples} mapped packet "

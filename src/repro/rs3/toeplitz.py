@@ -9,29 +9,29 @@ form Equation (1) encodes and our key solver exploits.
 
 Two implementations live here:
 
-* :func:`toeplitz_hash` — the scalar per-bit reference, bit-exact with
-  the Microsoft RSS verification suite (``tests/rs3/test_toeplitz.py``).
-  It is the oracle every batched result is checked against.
-* :func:`toeplitz_hash_batch` — the vectorized fast path: a per-key
-  *window table* (one uint32 per input-bit position, cached across
-  calls) turns hashing a whole trace into a NumPy bit-unpack plus an
-  XOR-reduce.  ``benchmarks/bench_fastpath.py`` gates it at ≥20× the
-  scalar loop on a 100k-packet trace, bit-identical to the oracle.
-  Its users are dataplane steering (``RssConfiguration.steer_trace``
-  hashes every packet of a run), RS3's key acceptance test
-  (``RssKeySolver._distribution_ok`` hashes one batch of random inputs
-  per port per attempt) and the skew analysis in ``repro.eval.skew``.
+* the scalar oracle — :func:`hash_packet` (:func:`hash_input` then
+  :func:`toeplitz_hash`, the per-bit reference), bit-exact with the
+  Microsoft RSS verification suite (``tests/rs3/test_toeplitz.py``).
+  Every batched result is checked against it.
+* the batched path — :func:`hash_input_rows` turns per-field value
+  columns into one ``(n, bytes)`` input matrix and
+  :func:`toeplitz_hash_batch` hashes it with per-key byte tables
+  (cached across calls).  ``benchmarks/bench_fastpath.py`` gates it at
+  ≥20× the scalar loop on a 100k-packet trace, bit-identical to the
+  oracle.  Packets reach it only as columns: the one batched steering
+  entry point, ``RssConfiguration.steer_trace``, reads them from a
+  :class:`~repro.traffic.TraceColumns`, and RS3's key acceptance test
+  (``RssKeySolver._distribution_ok``) hashes random input rows.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.nf.packet import PACKET_FIELDS, Packet
+from repro.nf.packet import Packet
 from repro.rs3.fields import FieldSetOption
 
 __all__ = [
@@ -39,10 +39,8 @@ __all__ = [
     "toeplitz_hash_batch",
     "key_window_table",
     "hash_input",
-    "hash_input_matrix",
     "hash_input_rows",
     "hash_packet",
-    "hash_packets_batch",
     "key_bit",
     "MICROSOFT_TEST_KEY",
 ]
@@ -169,32 +167,6 @@ def hash_input(pkt: Packet, option: FieldSetOption) -> bytes:
     return bytes(out)
 
 
-def hash_input_matrix(
-    packets: Sequence[Packet] | Iterable[Packet], option: FieldSetOption
-) -> np.ndarray:
-    """Stack the hash inputs of ``packets`` into one ``(n, bytes)`` matrix.
-
-    Row *i* equals ``hash_input(packets[i], option)``: each field column
-    is pulled out of the packets once, converted to big-endian bytes in
-    bulk, and concatenated in the option's layout order.
-    """
-    packets = list(packets)
-    n = len(packets)
-    columns: list[np.ndarray] = []
-    for fld in option.fields:
-        name = fld.packet_field
-        if name not in PACKET_FIELDS:
-            raise KeyError(f"unknown packet field {name!r}")
-        # attrgetter + map keeps the per-packet extraction in C; this is
-        # the bulk-column equivalent of Packet.field(name).
-        columns.append(
-            np.fromiter(
-                map(operator.attrgetter(name), packets), dtype=np.int64, count=n
-            )
-        )
-    return hash_input_rows(columns, option, n)
-
-
 def hash_input_rows(
     columns: Sequence[np.ndarray], option: FieldSetOption, n: int
 ) -> np.ndarray:
@@ -220,9 +192,3 @@ def hash_packet(key: bytes, pkt: Packet, option: FieldSetOption) -> int:
     """RSS hash of a packet: extract fields, then Toeplitz."""
     return toeplitz_hash(key, hash_input(pkt, option))
 
-
-def hash_packets_batch(
-    key: bytes, packets: Sequence[Packet], option: FieldSetOption
-) -> np.ndarray:
-    """RSS hashes of many packets through the vectorized fast path."""
-    return toeplitz_hash_batch(key, hash_input_matrix(packets, option))

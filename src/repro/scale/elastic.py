@@ -48,8 +48,8 @@ def enable_elastic(parallel: ParallelNF) -> ParallelNF:
     the per-port indirection tables are in lockstep (identical entries) —
     elastic mode keys bucket identity on the table *slot*, which is only
     port-independent while every port's table is reprogrammed
-    identically.  Incompatible with :meth:`RssConfiguration.balance_tables`
-    / per-table ``rebalance``, which drift the tables apart.
+    identically.  :meth:`RssConfiguration.balance_tables` keeps the tables
+    in lockstep; a per-table ``rebalance`` drifts them apart.
     """
     if parallel.strategy is not Strategy.SHARED_NOTHING:
         raise SimulationError(
@@ -65,8 +65,8 @@ def enable_elastic(parallel: ParallelNF) -> ParallelNF:
         ):
             raise SimulationError(
                 "elastic mode needs lockstep port tables: every port must "
-                "map each bucket to the same core (did balance_tables or "
-                "a per-table rebalance run first?)"
+                "map each bucket to the same core (was one port's table "
+                "rebalanced or reprogrammed on its own?)"
             )
     for core in parallel.cores:
         if core.ctx.bucket_index is None:

@@ -468,7 +468,8 @@ def rescale_parallel(
         if not np.array_equal(other.entries, reference.entries):
             raise SimulationError(
                 "elastic rescale needs lockstep port tables — a port "
-                "drifted (was balance_tables applied after enable_elastic?)"
+                "drifted (was one port's table rebalanced or reprogrammed "
+                "on its own after enable_elastic?)"
             )
     current = reference.n_queues
     stats = MigrationStats(

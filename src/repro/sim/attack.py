@@ -26,6 +26,7 @@ from repro.core.codegen import ParallelNF
 from repro.nf.flow import FiveTuple
 from repro.nf.packet import PROTO_UDP
 from repro.rs3.config import PortRssConfig
+from repro.traffic.generator import TraceColumns
 
 __all__ = ["AttackSet", "find_colliding_flows", "evaluate_attack"]
 
@@ -108,18 +109,13 @@ def evaluate_attack(
     key (same sharding constraints), the set disperses — the paper's
     mitigation argument.
     """
-    config = parallel.rss.ports[attack.port]
-    mask = config.table.size - 1
-    cores = np.zeros(parallel.n_cores, dtype=np.int64)
-    entries: set[int] = set()
-    for flow in attack.flows:
-        hashed = config.hash(flow.packet())
-        entries.add(hashed & mask)
-        cores[config.table.lookup(hashed)] += 1
-    total = max(1, cores.sum())
+    trace = [(attack.port, flow.packet()) for flow in attack.flows]
+    cores, slots = parallel.rss.steer_trace(TraceColumns(trace))
+    counts = np.bincount(cores, minlength=parallel.n_cores)
+    total = max(1, counts.sum())
     return AttackOutcome(
         n_flows=len(attack.flows),
-        max_core_share=float(cores.max() / total),
-        cores_hit=int((cores > 0).sum()),
-        entries_hit=len(entries),
+        max_core_share=float(counts.max() / total),
+        cores_hit=int((counts > 0).sum()),
+        entries_hit=len(np.unique(slots)),
     )

@@ -353,7 +353,7 @@ def _run_batched(
     bit-identical to the reference path.
     """
     sink = obs.active_telemetry()
-    core_ids, slots = parallel.rss.steer_trace(cols.trace, cols)
+    core_ids, slots = parallel.rss.steer_trace(cols)
     # Elastic runs install the table slots as ``ctx.current_bucket`` so
     # created state is bucket-tagged for live migration.
     buckets = slots if parallel.elastic else None

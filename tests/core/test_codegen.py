@@ -1,11 +1,13 @@
 """Code Generator: parallel NF construction and C emission (§3.6)."""
 
+import numpy as np
 import pytest
 
 from repro.core import Strategy, Verdict, emit_c
 from repro.errors import SimulationError
 from repro.nf.nfs import ALL_NFS, Firewall
 from repro.nf.packet import Packet
+from repro.traffic import TrafficGenerator
 
 
 def make_parallel(analyses, name, n_cores=4, strategy=None):
@@ -80,6 +82,20 @@ class TestProcessing:
         shares = parallel.core_shares(trace)
         assert abs(shares.sum() - 1.0) < 1e-9
         assert len(shares) == 8
+
+    def test_core_shares_match_scalar_steering(self, analyses):
+        parallel = make_parallel(analyses, "fw", n_cores=8)
+        trace, _ = TrafficGenerator(seed=3).zipf_trace(
+            800, 120, reply_port=1, reply_fraction=0.4
+        )
+        assert {port for port, _ in trace} == {0, 1}
+        counts = np.bincount(
+            [parallel.rss.core_for(port, pkt) for port, pkt in trace],
+            minlength=8,
+        )
+        np.testing.assert_array_equal(
+            parallel.core_shares(trace), counts / counts.sum()
+        )
 
 
 class TestEmitC:

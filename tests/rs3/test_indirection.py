@@ -16,10 +16,10 @@ class TestLookup:
         table = IndirectionTable(n_queues=4, size=8)
         assert table.lookup(0x12345678) == table.lookup(0x12345678 & 7)
 
-    def test_lookup_many_matches_scalar(self):
+    def test_steer_batch_matches_scalar(self):
         table = IndirectionTable(n_queues=5, size=16)
         hashes = np.arange(100, dtype=np.int64) * 7919
-        vector = table.lookup_many(hashes)
+        vector = table.steer_batch(hashes)
         assert all(vector[i] == table.lookup(int(h)) for i, h in enumerate(hashes))
 
     def test_invalid_sizes_rejected(self):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import Maestro
 from repro.nf.nfs import Firewall
-from repro.sim.attack import evaluate_attack, find_colliding_flows
+from repro.sim.attack import AttackSet, evaluate_attack, find_colliding_flows
+from repro.traffic import TrafficGenerator
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,35 @@ class TestAttack:
         store = parallel.cores[victim].ctx.store
         # 8 entries per shard, 16 colliding flows: the shard is full.
         assert store["fw_chain"].allocated_count() == store["fw_chain"].capacity
+
+
+    @pytest.mark.parametrize("port", [0, 1])
+    def test_outcome_matches_scalar_recount(self, deployment, port):
+        """The batched outcome equals a per-flow scalar hash and lookup,
+        for a colliding set and for random flows spread over the table."""
+        _, _, parallel = deployment
+        config = parallel.rss.ports[port]
+        mask = config.table.size - 1
+        colliding = find_colliding_flows(
+            config, 12, rng=np.random.default_rng(7)
+        )
+        spread = AttackSet(
+            port=port,
+            target_entry=0,
+            flows=TrafficGenerator(seed=8).make_flows(300),
+            probes=300,
+        )
+        for attack in (colliding, spread):
+            hashes = [config.hash(flow.packet()) for flow in attack.flows]
+            counts = np.bincount(
+                [config.table.lookup(h) for h in hashes],
+                minlength=parallel.n_cores,
+            )
+            outcome = evaluate_attack(parallel, attack)
+            assert outcome.n_flows == len(attack.flows)
+            assert outcome.entries_hit == len({h & mask for h in hashes})
+            assert outcome.cores_hit == int((counts > 0).sum())
+            assert outcome.max_core_share == counts.max() / counts.sum()
 
 
 class TestDefense:

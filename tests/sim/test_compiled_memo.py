@@ -243,7 +243,7 @@ class TestExpiryTriggers:
         par_ref, par_comp = make_pair("fw")
         disp = compiled.compile_parallel(par_comp)
         cols = TraceColumns(trace)
-        core_ids, _ = par_comp.rss.steer_trace(trace, cols)
+        core_ids, _ = par_comp.rss.steer_trace(cols)
         edges = disp.start_run(cols, core_ids, 0)
         try:
             ts = cols.field("timestamp")

@@ -7,6 +7,7 @@ a wrong key would steer a reply to a core without the flow's state and
 show up as a divergence here.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import Strategy
@@ -106,6 +107,27 @@ class TestSharedNothingEquivalence:
             assert back.kind is ActionKind.FORWARD, f"flow {i} broke"
             assert back.mods["dst_ip"] == client.src_ip
             assert back.mods["dst_port"] == client.src_port
+
+
+class TestBalancedTables:
+    @pytest.mark.parametrize("name", ["fw", "cl"])
+    def test_balancing_keeps_both_directions_on_one_core(self, name):
+        """Static RSS++ balancing must keep the port tables in lockstep:
+        balancing each port from its own loads alone sent replies on
+        port 1 to a core without their session's state."""
+        from repro.core import Maestro
+
+        parallel = Maestro(seed=1).parallelize(ALL_NFS[name](), n_cores=4)
+        trace, _ = TrafficGenerator(seed=5).zipf_trace(
+            6000, 300, reply_port=1, reply_fraction=0.4
+        )
+        parallel.rss.balance_tables(trace)
+        tables = [config.table for config in parallel.rss.ports.values()]
+        assert all(
+            np.array_equal(table.entries, tables[0].entries) for table in tables
+        )
+        report = check_equivalence(ALL_NFS[name], parallel, trace)
+        assert report.equivalent, report.describe()
 
 
 class TestLockBasedEquivalence:

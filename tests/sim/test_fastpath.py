@@ -16,6 +16,7 @@ from repro.nf.api import ActionKind
 from repro.nf.nfs import ALL_NFS
 from repro.nf.runtime import PacketResult
 from repro.sim.functional import FunctionalRun, run_functional
+from repro.traffic import TraceColumns
 
 
 @pytest.fixture()
@@ -108,7 +109,7 @@ class TestSteering:
             300, 40, in_port=0, reply_port=1, reply_fraction=0.4
         )
         rss = make_fw().rss
-        cores, slots = rss.steer_trace(trace)
+        cores, slots = rss.steer_trace(TraceColumns(trace))
         for i, (port, pkt) in enumerate(trace):
             config = rss.port_config(port)
             assert slots[i] == config.hash(pkt) & (config.table.size - 1)
