@@ -10,15 +10,19 @@ state) through ``run_functional`` with kernels enabled, and records how
 many packets executed in compiled kernels vs the interpreter fallback.
 The JSON artifact is the per-NF coverage ledger.  It also records each
 NF's warm-pass ``warm_memo_hit_frac`` (lanes the classification memo
-served over lanes it looked up), which no gate reads.  The gate **fails
-(exit 1) when any NF hits 100% interpreter fallback in both passes** —
-that means the compiler lost every path of that NF (a lowering or
-classification regression), which wall-clock benchmarks on the flagship
-firewall would never notice.
+served over lanes it looked up), which no gate reads.  Two gates
+**fail (exit 1)**:
 
-Cold coverage is allowed to be low (allocation paths are interpreter-
-only by design), so only total blackout fails.  Exit codes: 0 ok,
-1 coverage blackout, 2 usage/internal errors.
+* any NF hitting 100% interpreter fallback in both passes — the
+  compiler lost every path of that NF (a lowering or classification
+  regression), which wall-clock benchmarks on the flagship firewall
+  would never notice;
+* any NF whose warm coverage drops below its floor in ``WARM_FLOORS``.
+
+Cold coverage is allowed to be low (allocations on a chain with a free
+index run on the interpreter by design), so it has no floor.  Exit
+codes: 0 ok, 1 coverage blackout or floor breach, 2 usage/internal
+errors.
 """
 
 from __future__ import annotations
@@ -32,6 +36,22 @@ from repro.core.pipeline import Maestro
 from repro.nf.nfs import ALL_NFS
 from repro.sim.functional import run_functional
 from repro.traffic import TrafficGenerator
+
+#: Per-NF warm-coverage floors: the lower of the ``--quick`` and full
+#: measurements (8 cores) minus a 0.05 margin, rounded down.  Only
+#: ``policer`` stays below 1.0 (0.76 quick, 0.82 full): lanes that write a
+#: token bucket another lane of the chunk also writes fall back.
+WARM_FLOORS = {
+    "cl": 0.95,
+    "dbridge": 0.95,
+    "fw": 0.95,
+    "lb": 0.95,
+    "nat": 0.95,
+    "nop": 0.95,
+    "policer": 0.70,
+    "psd": 0.95,
+    "sbridge": 0.95,
+}
 
 
 def measure_nf(name: str, n_packets: int, n_flows: int, n_cores: int) -> dict:
@@ -83,20 +103,26 @@ def main(argv: list[str] | None = None) -> int:
         "nfs": {},
     }
     blackouts: list[str] = []
+    below: list[str] = []
     for name in sorted(ALL_NFS):
         entry = measure_nf(name, n_packets, n_flows, args.cores)
         report["nfs"][name] = entry  # type: ignore[index]
         dark = entry["cold_coverage"] == 0.0 and entry["warm_coverage"] == 0.0
         if dark:
             blackouts.append(name)
+        floor = WARM_FLOORS.get(name, 0.0)
+        low = entry["warm_coverage"] < floor
+        if low:
+            below.append(name)
         print(
             f"{name:10s} strategy={entry['strategy']:<14s} "
             f"cold={entry['cold_coverage']:.3f} "
-            f"warm={entry['warm_coverage']:.3f} "
+            f"warm={entry['warm_coverage']:.3f} (floor {floor:.2f}) "
             f"memo={entry['warm_memo_hit_frac']:.3f} "
-            f"{'BLACKOUT' if dark else 'ok'}"
+            f"{'BLACKOUT' if dark else 'BELOW FLOOR' if low else 'ok'}"
         )
     report["blackouts"] = blackouts
+    report["below_floor"] = below
 
     if args.out:
         with open(args.out, "w") as fh:
@@ -107,8 +133,15 @@ def main(argv: list[str] | None = None) -> int:
             f"{', '.join(blackouts)}",
             file=sys.stderr,
         )
+    if below:
+        print(
+            f"compiled coverage gate: warm coverage below its floor on "
+            f"{', '.join(below)}",
+            file=sys.stderr,
+        )
+    if blackouts or below:
         return 1
-    print("compiled coverage gate: every NF runs kernels")
+    print("compiled coverage gate: every NF runs kernels at its floor")
     return 0
 
 

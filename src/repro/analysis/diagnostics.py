@@ -161,8 +161,10 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "MAE301": (
         Severity.ERROR,
         "plan certifier: fallback-set unsoundness — a path uses an op "
-        "outside LOWERED_OPS but was not demoted, or its unlowered "
-        "suffix's writes are missing from the dirt descriptors",
+        "outside LOWERED_OPS but was not demoted, its unlowered suffix's "
+        "writes (or those past a lowered allocation) are missing from "
+        "the dirt descriptors, or allocation dirt is narrowed for an NF "
+        "that may free a dchain index mid-chunk",
     ),
     "MAE302": (
         Severity.ERROR,

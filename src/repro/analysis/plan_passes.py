@@ -24,23 +24,28 @@ Checks, one stable code each (all error severity):
     Fallback-set soundness.  A supported program must use only
     ``LOWERED_OPS``; a demoted program's unlowered suffix must publish
     every write aspect it can perform into the dirt descriptors, or the
-    frozen-prefix hazard analysis would never see those writes.
+    frozen-prefix hazard analysis would never see those writes.  Every
+    lowered ``dchain_allocate`` must carry the footprint of the path
+    from it on (its lanes publish that when the chain has a free
+    index), and an NF with a path op that may free a dchain index
+    inside a chunk must not narrow allocation dirt to reaches at all.
 ``MAE302``
     Hazard-demotion completeness.  For every kernel step kind, a
     read/write interference lattice derived here (independently of the
     runtime) names the dirt aspects that must demote the step's lane;
     the *actual* ``_demote_mask`` is probed with a synthetic one-lane
-    chunk per (step, aspect) pair — wildcard and keyed — and must demote
-    it.  Programs whose own bail must poison state are checked against
-    their published wildcard set.
+    chunk per (step, aspect) pair — wildcard and keyed (allocation
+    dirt keyed by a reach too) — and must demote it.  Programs whose
+    own bail must poison state are checked against their published
+    wildcard set.
 ``MAE303``
     Memo-guard completeness.  The mutable dependencies of a memoized
     classification are re-derived from the step semantics (map reads →
-    map version, vector reads → vector version, chain flag reads and
-    timestamp writes → alloc version) and must all appear in the port's
-    version guard set; time-consuming programs must defeat memoization;
-    consumed packet fields must be part of the memo key (the verified
-    hash of the port's field rows).
+    map version, vector reads → vector version, chain flag reads,
+    timestamp writes and allocations → alloc version) and must all
+    appear in the port's version guard set; time-consuming programs
+    must defeat memoization; consumed packet fields must be part of the
+    memo key (the verified hash of the port's field rows).
 ``MAE304``
     Plan/verdict consistency.  Kernel scatter writes must stay inside
     the source path's write footprint; under LOCKS/TM every vector
@@ -74,6 +79,7 @@ from repro.nf.api import NF
 from repro.sim.compiled import (
     LOWERED_OPS,
     CompiledDispatcher,
+    _alloc_exact,
     _compile_port,
     _DirtBoard,
     _ProgState,
@@ -111,33 +117,43 @@ __all__ = [
 #: timestamp scatters conflict with interpreter timestamp writes and
 #: with allocation (a slot allocated mid-chunk invalidates the frozen
 #: flag the lane classified on); flag reads conflict with allocation.
+#: A kernel ``dchain_allocate`` runs only on a chain that is full at
+#: chunk start.  Only expiry frees an index and it runs at chunk
+#: boundaries, so the chain stays full and every lane's ``(False, 0)``
+#: holds whatever other lanes do: no dirt demotes it.
 _INTERFERENCE: dict[str, tuple[str, ...]] = {
     "map_get": ("map_w",),
     "vector_borrow": ("vec_w",),
     "vector_put": ("vec_w", "vec_r"),
     "dchain_rejuvenate": ("ts_w", "alloc"),
     "dchain_is_allocated": ("alloc",),
+    "dchain_allocate": (),
 }
 
 #: Dirt a step's own lanes publish when the program bails (wildcard
 #: direction of the same lattice: what the step *writes*, plus vector
-#: reads, which later kernel writers must not be reordered across).
+#: reads, which later kernel writers must not be reordered across).  A
+#: bailed lane may reach an allocation whose chain has a free index.
 _PUBLISH_ASPECT: dict[str, str] = {
     "dchain_rejuvenate": "ts_w",
     "vector_put": "vec_w",
     "vector_borrow": "vec_r",
+    "dchain_allocate": "alloc",
 }
 
 #: Version guard a memoized classification needs per read-step kind:
 #: ``Map.version`` for probes, ``Vector.version`` for row reads,
-#: ``DChain.alloc_version`` for flag reads *and* timestamp scatters
+#: ``DChain.alloc_version`` for flag reads, timestamp scatters
 #: (rejuvenation deliberately does not bump a version, so the scatter
-#: must be guarded by the allocation epoch of the slots it touches).
+#: must be guarded by the allocation epoch of the slots it touches) and
+#: allocations (a memoized ``(False, 0)`` holds only while the chain
+#: stays full).
 _MEMO_GUARD_KIND: dict[str, str] = {
     "map_get": "map",
     "vector_borrow": "vec",
     "dchain_is_allocated": "chain",
     "dchain_rejuvenate": "chain",
+    "dchain_allocate": "chain",
 }
 
 #: Write aspects an *unlowered* trace op can perform — what a demoted
@@ -226,7 +242,43 @@ def _expected_binds(entry) -> tuple[str, ...]:
         return tuple(sym.name for _, sym in entry.results)
     if op == "dchain_is_allocated":
         return (entry.result("allocated").name,)
+    if op == "dchain_allocate":
+        return (entry.result("ok").name, entry.result("index").name)
     return ()
+
+
+def _check_write_cover(what, entries, descs, pid, findings) -> bool:
+    """Every write aspect of ``entries`` must appear among ``descs``."""
+    covered = {(a, o) for a, o, *_ in descs}
+    ok = True
+    for e in entries:
+        aspects = _OP_WRITE_ASPECTS.get(e.op, _ALL_ASPECTS)
+        if aspects is None:
+            continue
+        for aspect in aspects:
+            if (aspect, e.obj) not in covered:
+                findings.append(_Finding(
+                    "MAE301",
+                    f"{what} unlowered {e.op}({e.obj!r}) is missing its "
+                    f"{aspect!r} dirt descriptor — the frozen-prefix "
+                    "hazard analysis would never see this write",
+                    obj=e.obj, op=e.op, path_id=pid,
+                ))
+                ok = False
+    return ok
+
+
+def _check_alloc_suffixes(prog, entries, findings) -> bool:
+    """Each lowered allocation carries the dirt of the path from it on."""
+    ok = True
+    for i, step in enumerate(prog.steps):
+        if step.sig[0] == "dchain_allocate":
+            ok &= _check_write_cover(
+                f"allocation step {i}'s path from there on:",
+                entries[i:], getattr(step, "suffix", ()), _pid(prog),
+                findings,
+            )
+    return ok
 
 
 def _certify_program(prog, findings: list[_Finding], seed: int) -> bool:
@@ -258,24 +310,11 @@ def _certify_program(prog, findings: list[_Finding], seed: int) -> bool:
         # ... and the unlowered suffix's writes must all be published to
         # the hazard board, else the fallback set is unsound (MAE301).
         stop = prog.stop if prog.stop is not None else len(prog.steps)
-        covered = {(a, o) for a, o, _ in prog.dirt_descs}
-        covered.update(prog.wild)
-        for e in entries[stop:]:
-            aspects = _OP_WRITE_ASPECTS.get(e.op, _ALL_ASPECTS)
-            if aspects is None:
-                continue
-            for aspect in aspects:
-                if (aspect, e.obj) not in covered:
-                    findings.append(_Finding(
-                        "MAE301",
-                        f"demoted path's unlowered {e.op}({e.obj!r}) is "
-                        f"missing its {aspect!r} dirt descriptor — the "
-                        "frozen-prefix hazard analysis would never see "
-                        "this write",
-                        obj=e.obj, op=e.op, path_id=pid,
-                    ))
-                    ok = False
-        return ok
+        ok &= _check_write_cover(
+            "demoted path's", entries[stop:],
+            list(prog.dirt_descs) + list(prog.wild), pid, findings,
+        )
+        return _check_alloc_suffixes(prog, entries, findings) and ok
 
     rogue = sorted({e.op for e in entries if e.op not in LOWERED_OPS})
     if rogue:
@@ -296,7 +335,41 @@ def _certify_program(prog, findings: list[_Finding], seed: int) -> bool:
         ))
         return False
 
-    return _check_equivalence(prog, outcome, path, entries, findings, seed)
+    ok = _check_alloc_suffixes(prog, entries, findings)
+    return _check_equivalence(
+        prog, outcome, path, entries, findings, seed
+    ) and ok
+
+
+def _certify_narrowing(tree, pps, findings: list[_Finding]) -> None:
+    """MAE301: reach-keyed allocation dirt and full-chain allocation
+    lowering assume no index is freed inside a chunk, so an NF with a
+    path op that may free one must use neither.
+
+    The ops ``_OP_WRITE_ASPECTS`` models are the ``NfContext`` state
+    API, and none of them frees an index; expiry does, but only at
+    chunk boundaries.  Any other op could free a cell mid-chunk and
+    push it above the reach.
+    """
+    frees = sorted({
+        e.op for path in tree.paths() for e in path.trace
+        if e.op != "expire" and e.op not in _OP_WRITE_ASPECTS
+    })
+    if not frees:
+        return
+    for pp in pps:
+        for prog in pp.programs:
+            if any(s.sig[0] == "dchain_allocate" for s in prog.steps) or any(
+                isinstance(key, str) for _, _, key in prog.dirt_descs
+            ):
+                findings.append(_Finding(
+                    "MAE301",
+                    f"path op(s) {', '.join(frees)} may free a dchain "
+                    "index inside a chunk, but this program still narrows "
+                    "allocation (reach-keyed dirt or a lowered "
+                    "dchain_allocate)",
+                    path_id=_pid(prog),
+                ))
 
 
 def _check_equivalence(
@@ -456,13 +529,11 @@ def _probe_state(prog) -> _ProgState:
 
 def _dirt_boards(aspect: str, obj: str) -> list[tuple[str, _DirtBoard]]:
     """Wildcard and keyed boards carrying one conflicting dirt record."""
-    wild = _DirtBoard()
-    wild.add(aspect, obj, None)
-    boards = [("wildcard", wild)]
-    if aspect != "alloc":  # alloc dirt is inherently wildcard
-        keyed = _DirtBoard()
-        keyed.add(aspect, obj, [0])
-        boards.append(("keyed", keyed))
+    boards = []
+    for flavor, values in (("wildcard", None), ("keyed", [0])):
+        board = _DirtBoard()
+        board.add(aspect, obj, values)
+        boards.append((flavor, board))
     return boards
 
 
@@ -680,9 +751,13 @@ def _certify(
     n_supported = n_proved = 0
     supported_pids: list[int] = []
     pid = 0
+    pps = []
+    exact = _alloc_exact(tree.paths())
     for port in tree.ports:
         try:
-            pp = _compile_port(nf, port, tree.paths_by_port[port], pid)
+            pp = _compile_port(
+                nf, port, tree.paths_by_port[port], pid, exact
+            )
         except LowerError as exc:
             # The runtime refuses to build kernels for this port too
             # (compile_parallel builds a dispatcher with no programs):
@@ -691,6 +766,7 @@ def _certify(
             uncompiled[port] = str(exc)
             continue
         pid += len(pp.programs)
+        pps.append(pp)
         for prog in pp.programs:
             proved = _certify_program(prog, findings, seed)
             if prog.supported:
@@ -701,6 +777,7 @@ def _certify(
         _certify_demotion(pp, findings)
         _certify_memo(pp, findings)
         _certify_plan(pp, solution, lock_plan, strategy, findings)
+    _certify_narrowing(tree, pps, findings)
     stats = {
         "paths": n_paths,
         "supported": n_supported,

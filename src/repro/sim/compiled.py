@@ -15,9 +15,9 @@ once:
   action (port/mods expressions) and applies the paths' state writes as
   scatters (dchain timestamp refreshes, vector slot stores).
 
-Lanes on paths the lowerer cannot express (allocations, sketch paths,
-hash functions) fall back to the packet-at-a-time interpreter, which
-remains the oracle: kernel output is bit-identical to
+Lanes on paths the lowerer cannot express (successful allocations,
+sketch paths, hash functions) fall back to the packet-at-a-time
+interpreter, which remains the oracle: kernel output is bit-identical to
 :meth:`repro.nf.runtime.ConcreteContext.run`.
 
 Correctness hinges on the *frozen-prefix* discipline.  Classification
@@ -30,7 +30,10 @@ and each demotion publishes that lane's own writes as new dirt.  Expiry
 sweeps are hoisted to chunk boundaries: the exact positions where
 ``expire_flows`` fires are precomputed (the once-per-simulated-second
 gate is a pure function of the trace timestamps) and chunks are split
-there, so no sweep ever mutates state mid-chunk.
+there, so no sweep ever mutates state mid-chunk.  No other op frees a
+dchain index, so the cells a chunk can allocate are the top of each
+chain's free stack at chunk start (its *reach*), and a chain that is
+full at chunk start stays full for the whole chunk.
 
 Classifications are memoized per (shard, port, flow) — keyed on a
 verified hash of the packet fields a port's programs consume and
@@ -42,6 +45,7 @@ the shard whose state it was computed from.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat, starmap
 
 import numpy as np
@@ -72,22 +76,38 @@ __all__ = [
 #: Lanes per kernel chunk (also the hazard-analysis horizon).
 DEFAULT_CHUNK = 2048
 #: Stateful ops the lowerer can express as column kernels; any path
-#: containing another op kind (allocation, sketch, hash, ...) runs on
-#: the interpreter.  DESIGN.md §13 documents each rule — kept in sync
-#: by the doc tests.
+#: containing another op kind (sketch, hash, ...) runs on the
+#: interpreter.  ``dchain_allocate`` runs on kernels only while its
+#: chain is full at chunk start (``ok = 0, index = 0``); otherwise every
+#: program crossing it stops there.  DESIGN.md §13 documents each rule —
+#: kept in sync by the doc tests.
 LOWERED_OPS = (
     "map_get",
     "vector_borrow",
     "dchain_is_allocated",
     "dchain_rejuvenate",
     "vector_put",
+    "dchain_allocate",
 )
+#: Op kinds known never to free a dchain index.  Expiry (hoisted to
+#: chunk boundaries) is the only freeing op; a path carrying any op
+#: outside this set withdraws the allocation narrowing for its NF.
+_NON_FREEING_OPS = frozenset({
+    "map_get", "map_put", "map_erase", "vector_borrow", "vector_put",
+    "vector_fill", "dchain_allocate", "dchain_is_allocated",
+    "dchain_rejuvenate", "sketch_fetch", "sketch_touch",
+})
 #: Per-(shard, port) memo slots before the memo is dropped wholesale.
 _MEMO_MAX = 65536
 #: Slots a fresh (shard, port) memo starts with; it grows by doubling.
 _MEMO_CAP0 = 64
 #: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
 _FIXPOINT_MAX = 64
+
+#: ``_Alloc`` step artifacts: the chain is full (the step is lowered)
+#: or has a free index (every program crossing the step stops there).
+_FULL = {"oob": None}
+_FREE = {"oob": None}
 
 #: The symbol bindings available before any stateful op runs.
 _BASE_SYMS = frozenset(
@@ -148,9 +168,37 @@ class _VecPut:
         self.sig = ("vector_put", obj, index, stored)
 
 
-def _lower_entry(entry, known, used):
-    """Lower one trace entry into a step, binding its result symbols."""
+class _Alloc:
+    """``dchain_allocate`` on a chain that is full at chunk start.
+
+    ``suffix`` holds the dirt descriptors of the path from this
+    allocation on, collected with the symbols known *before* it: when
+    the chain has a free index, the program stops here and its lanes
+    publish that footprint.
+    """
+
+    __slots__ = ("obj", "ok", "index", "suffix", "sig")
+
+    def __init__(self, obj, ok, index, suffix):
+        self.obj = obj
+        self.ok = ok
+        self.index = index
+        self.suffix = suffix
+        self.sig = ("dchain_allocate", obj, ok, index)
+
+
+def _lower_entry(entry, known, used, suffix=None):
+    """Lower one trace entry into a step, binding its result symbols.
+
+    ``dchain_allocate`` lowers only with its path ``suffix`` dirt.
+    """
     op = entry.op
+    if op == "dchain_allocate" and suffix is not None:
+        step = _Alloc(entry.obj, entry.result("ok").name,
+                      entry.result("index").name, suffix)
+        known.add(step.ok)
+        known.add(step.index)
+        return step
     if op == "map_get":
         for k in entry.key:
             check_expr(k, known, used)
@@ -181,7 +229,8 @@ def _lower_entry(entry, known, used):
     raise LowerError(f"cannot lower stateful op {op!r} on {entry.obj!r}")
 
 
-#: Write/read aspects a step contributes when its lane runs interpreted.
+#: Write/read aspects a kernel lane's step contributes when the lane
+#: runs interpreted.  A lowered ``_Alloc`` has none: its chain is full.
 def _step_dirt_aspect(step):
     if isinstance(step, _Rejuv):
         return "ts_w"
@@ -230,14 +279,21 @@ class _PathProgram:
         self.stop = None
 
 
-def _collect_dirt(entries, known, descs, wild):
+def _collect_dirt(entries, known, chains, exact):
     """Describe the state footprint of unlowered trace entries.
 
-    Keyed where the key/index expressions are themselves lowerable
-    against ``known`` (exact demotion), wildcard otherwise.  Result
-    symbols of unlowered ops are *not* bound, so downstream expressions
-    depending on them correctly degrade to wildcards.
+    Returns ``(aspect, obj, key)`` descriptors.  ``key`` is ``None`` for
+    a wildcard, a chain name for the *reach* of that chain (the cells
+    its allocations can return this chunk), or a tuple of expressions
+    lowerable against ``known`` (exact demotion).  With ``exact``,
+    allocation dirt and cell dirt at an index an allocation bound
+    (``chains`` maps earlier allocations' index symbols to their chain)
+    are reach-keyed; without it they are wildcards.  Result symbols of
+    unlowered ops are *not* bound, so downstream expressions depending
+    on them correctly degrade to wildcards.
     """
+    chains = dict(chains)
+    descs = []
 
     def _keyed(exprs):
         for expr in exprs:
@@ -247,47 +303,51 @@ def _collect_dirt(entries, known, descs, wild):
                 return None
         return tuple(exprs)
 
+    def _cell(e):
+        if not e.key:
+            return None
+        idx = e.key[0]
+        if isinstance(idx, E.Sym) and idx.name in chains:
+            return chains[idx.name]
+        return _keyed(e.key)
+
     for e in entries:
         op = e.op
         if op == "expire":
             continue
         if op in ("map_put", "map_erase"):
-            keys = _keyed(e.key) if e.key else None
-            descs.append(("map_w", e.obj, keys))
-            if keys is None:
-                wild.append(("map_w", e.obj))
+            descs.append(("map_w", e.obj, _keyed(e.key) if e.key else None))
         elif op in ("vector_put", "vector_fill"):
-            idx = _keyed(e.key) if e.key else None
-            descs.append(("vec_w", e.obj, idx))
-            if idx is None:
-                wild.append(("vec_w", e.obj))
+            descs.append(("vec_w", e.obj, _cell(e)))
         elif op == "vector_borrow":
-            idx = _keyed(e.key) if e.key else None
-            descs.append(("vec_r", e.obj, idx))
-            if idx is None:
-                wild.append(("vec_r", e.obj))
+            descs.append(("vec_r", e.obj, _cell(e)))
         elif op == "dchain_allocate":
-            descs.append(("alloc", e.obj, None))
-            wild.append(("alloc", e.obj))
+            descs.append(("alloc", e.obj, e.obj if exact else None))
+            if exact:
+                chains[e.result("index").name] = e.obj
         elif op == "dchain_rejuvenate":
-            idx = _keyed(e.key) if e.key else None
-            descs.append(("ts_w", e.obj, idx))
-            if idx is None:
-                wild.append(("ts_w", e.obj))
+            descs.append(("ts_w", e.obj, _cell(e)))
         elif op in ("map_get", "dchain_is_allocated", "sketch_fetch",
                     "sketch_touch"):
             # Reads of state kernels never write (maps, flags, sketches)
             # and sketch writes kernels never read: hazard-free.
             pass
         else:  # unknown op: poison every aspect of the object
-            for aspect in ("map_w", "vec_w", "vec_r", "ts_w"):
+            for aspect in ("map_w", "vec_w", "vec_r", "ts_w", "alloc"):
                 descs.append((aspect, e.obj, None))
-                wild.append((aspect, e.obj))
-            descs.append(("alloc", e.obj, None))
-            wild.append(("alloc", e.obj))
+    return descs
 
 
-def _compile_path(path, pid):
+def _alloc_exact(paths):
+    """Whether allocation dirt may be narrowed to reaches for these paths:
+    no op but hoisted expiry frees a dchain index."""
+    return all(
+        e.op in _NON_FREEING_OPS or e.op == "expire"
+        for path in paths for e in path.trace
+    )
+
+
+def _compile_path(path, pid, exact_alloc):
     """Lower one path to a :class:`_PathProgram` (never raises)."""
     prog = _PathProgram(pid, path.port)
     prog.source_path = path
@@ -309,6 +369,8 @@ def _compile_path(path, pid):
     used = prog.used
     items = prog.items
     constraints = path.constraints
+    # Index symbol -> chain, for every lowered allocation so far.
+    chains = {}
     ci = 0
     stop = len(entries)
     supported = True
@@ -326,12 +388,17 @@ def _compile_path(path, pid):
             ci += 1
         if not supported:
             break
+        suffix = None
+        if e.op == "dchain_allocate" and exact_alloc:
+            suffix = _collect_dirt(entries[idx:], known, chains, True)
         try:
-            step = _lower_entry(e, known, used)
+            step = _lower_entry(e, known, used, suffix)
         except LowerError:
             supported = False
             stop = idx
             break
+        if suffix is not None:
+            chains[step.index] = step.obj
         items.append(("op", step))
         prog.steps.append(step)
     if supported:
@@ -378,10 +445,17 @@ def _compile_path(path, pid):
                 False,
             )
     else:
-        _collect_dirt(entries[stop:], known, prog.dirt_descs, prog.wild)
-    # Aspects this program's *lowered* write/read steps poison when the
-    # program bails at run time (lanes unknown -> wildcard everything).
+        prog.dirt_descs = _collect_dirt(
+            entries[stop:], known, chains, exact_alloc
+        )
+        prog.wild = [(a, o) for a, o, key in prog.dirt_descs if key is None]
+    # Aspects this program's *lowered* steps poison when the program
+    # bails at run time (lanes unknown -> wildcard everything),
+    # including the footprint past every allocation it crosses.
     for step in prog.steps:
+        if isinstance(step, _Alloc):
+            prog.wild.extend((a, o) for a, o, _ in step.suffix)
+            continue
         aspect = _step_dirt_aspect(step)
         if aspect is not None:
             prog.wild.append((aspect, step.obj))
@@ -393,13 +467,21 @@ class _PortProgram:
 
     __slots__ = (
         "port", "programs", "pairs", "fields", "need_time", "memoizable",
-        "shared_ok", "read_objs", "any_supported",
+        "shared_ok", "read_objs", "any_supported", "alloc_max",
     )
 
     def __init__(self, port, programs, pairs):
         self.port = port
         self.programs = programs
         self.pairs = pairs
+        # Most allocations one lane of this port makes per chain: with
+        # the lane count it bounds a chunk's reach into the free stack.
+        self.alloc_max = Counter()
+        for prog in programs:
+            self.alloc_max |= Counter(
+                e.obj for e in prog.source_path.trace
+                if e.op == "dchain_allocate"
+            )
         used = set()
         for prog in programs:
             used |= prog.used
@@ -426,6 +508,8 @@ class _PortProgram:
                     bound = tuple((n, step.sig) for _, n in step.fields)
                 elif isinstance(step, _IsAlloc):
                     bound = ((step.res, step.sig),)
+                elif isinstance(step, _Alloc):
+                    bound = ((step.ok, step.sig), (step.index, step.sig))
                 else:
                     bound = ()
                 for name, sig in bound:
@@ -444,7 +528,7 @@ class _PortProgram:
                     key = (step.obj, "map")
                 elif isinstance(step, _VecBorrow):
                     key = (step.obj, "vec")
-                elif isinstance(step, (_IsAlloc, _Rejuv)):
+                elif isinstance(step, (_IsAlloc, _Rejuv, _Alloc)):
                     key = (step.obj, "chain")
                 else:
                     continue
@@ -453,9 +537,13 @@ class _PortProgram:
                     self.read_objs.append(key)
 
 
-def _compile_port(nf, port, paths, pid_start):
+def _compile_port(nf, port, paths, pid_start, exact_alloc):
     """Compile one port's paths; raises LowerError on expiry shapes the
-    chunk scheduler cannot hoist (non-prefix ``expire_flows`` calls)."""
+    chunk scheduler cannot hoist (non-prefix ``expire_flows`` calls).
+
+    ``exact_alloc`` (see :func:`_alloc_exact`) enables reach-keyed
+    allocation dirt and the full-chain ``dchain_allocate`` lowering.
+    """
     lead = []
     for e in paths[0].trace:
         if e.op == "expire":
@@ -485,7 +573,8 @@ def _compile_port(nf, port, paths, pid_start):
     if nf.expiration_time is None:
         pairs = []
     programs = [
-        _compile_path(path, pid_start + i) for i, path in enumerate(paths)
+        _compile_path(path, pid_start + i, exact_alloc)
+        for i, path in enumerate(paths)
     ]
     return _PortProgram(port, programs, pairs)
 
@@ -504,9 +593,12 @@ def compile_parallel(parallel: ParallelNF, tree=None):
         tree = explore_nf(nf)
     ports = {}
     pid = 0
+    exact = _alloc_exact(tree.paths())
     try:
         for port in tree.ports:
-            pp = _compile_port(nf, port, tree.paths_by_port[port], pid)
+            pp = _compile_port(
+                nf, port, tree.paths_by_port[port], pid, exact
+            )
             pid += len(pp.programs)
             ports[port] = pp
     except LowerError:
@@ -523,8 +615,8 @@ class _DirtBoard:
     """Chunk-local record of state touched by interpreter-bound lanes.
 
     Per aspect and object: ``None`` is a wildcard (everything dirty), a
-    set holds the exact keys/cells.  ``alloc`` is inherently wildcard
-    (allocation picks its index internally).
+    set holds the exact keys/cells.  ``alloc`` cells are the chain's
+    reach: the free cells an allocation this chunk can hand out.
     """
 
     __slots__ = ("maps", "vec_w", "vec_r", "ts_w", "alloc", "wild_all")
@@ -534,7 +626,7 @@ class _DirtBoard:
         self.vec_w = {}
         self.vec_r = {}
         self.ts_w = {}
-        self.alloc = set()
+        self.alloc = {}
         self.wild_all = False
 
     def _table(self, aspect):
@@ -544,12 +636,11 @@ class _DirtBoard:
             return self.vec_w
         if aspect == "vec_r":
             return self.vec_r
+        if aspect == "alloc":
+            return self.alloc
         return self.ts_w
 
     def add(self, aspect, obj, values):
-        if aspect == "alloc":
-            self.alloc.add(obj)
-            return
         table = self._table(aspect)
         if values is None:
             table[obj] = None
@@ -571,7 +662,7 @@ class _ProgState:
     """Per-chunk evaluation state of one program over one port group."""
 
     __slots__ = (
-        "prog", "match", "force_f", "kmask", "bailed", "arts",
+        "prog", "match", "force_f", "kmask", "bailed", "stopped", "arts",
         "dirt_vals", "port_vals", "mod_vals", "memo_results",
     )
 
@@ -581,6 +672,10 @@ class _ProgState:
         self.force_f = None
         self.kmask = None
         self.bailed = False
+        #: Stopped at an allocation whose chain has a free index: the
+        #: program runs like an unsupported one, ``match`` being the
+        #: lanes that reach the allocation.
+        self.stopped = False
         self.arts = []
         self.dirt_vals = []
         self.port_vals = None
@@ -701,6 +796,8 @@ class _Memo:
                     )
                 elif isinstance(step, _VecBorrow):
                     cols.append((np.zeros(cap, np.int64),))
+                elif isinstance(step, _Alloc):
+                    cols.append(())
                 else:  # _IsAlloc / _Rejuv
                     cols.append(
                         (np.zeros(cap, np.int64), np.zeros(cap, dtype=bool))
@@ -798,6 +895,9 @@ class CompiledDispatcher:
         self._ts_pending = {}
         #: Per-run field-row keys, by the field tuple they cover.
         self._keys = {}
+        #: The running domain's store and groups, and its reaches.
+        self._domain = None
+        self._reaches = {}
 
     # -------------------------------------------------------------- #
     # Memo/generation plumbing
@@ -933,6 +1033,8 @@ class CompiledDispatcher:
         # Lanes of a port with no program run interpreted with an
         # unknown footprint: no kernel lane may trust its reads.
         board.wild_all = covered < lanes.size
+        self._domain = (store, groups)
+        self._reaches = {}
         self._seed_board(groups, board)
         self._multi_touch(groups)
         self._fixpoint(groups, board)
@@ -1065,6 +1167,8 @@ class CompiledDispatcher:
                     })
                 elif isinstance(step, _VecBorrow):
                     arts.append({"cells": cols[0][slots], "oob": None})
+                elif isinstance(step, _Alloc):
+                    arts.append(_FULL)
                 else:  # _IsAlloc / _Rejuv
                     arts.append({
                         "cells": cols[0][slots],
@@ -1114,7 +1218,7 @@ class CompiledDispatcher:
                 col = cols[0]
                 for s, p in zip(slots_l, pos_l):
                     col[s] = keys[p]
-            else:
+            elif not isinstance(step, _Alloc):
                 cols[0][slots] = art["cells"][pos]
                 if isinstance(step, _VecPut):
                     col = cols[1]
@@ -1179,7 +1283,7 @@ class CompiledDispatcher:
                 ps.match = None
                 self.bails += 1
                 continue
-            if prog.supported:
+            if prog.supported and not ps.stopped:
                 m = ps.match & ~ps.force_f & ~claimed
                 ps.kmask = m
                 claimed |= m
@@ -1188,6 +1292,7 @@ class CompiledDispatcher:
     def _eval_program(self, prog, ps, env, cache, step_cache, g, store):
         alive = np.ones(g, dtype=bool)
         force_f = np.zeros(g, dtype=bool)
+        descs = prog.dirt_descs
         for tag, x in prog.items:
             if tag == "c":
                 alive = np.logical_and(alive, as_bool(eval_expr(x, env, cache)))
@@ -1196,15 +1301,21 @@ class CompiledDispatcher:
                 if art is None:
                     art = self._exec_step(x, env, cache, g, store)
                     step_cache[x.sig] = art
+                if art is _FREE:
+                    # The chain has a free index: stop, and publish the
+                    # footprint of the path from the allocation on.
+                    ps.stopped = True
+                    descs = x.suffix
+                    break
                 ps.arts.append(art)
                 oob = art.get("oob")
                 if oob is not None:
                     force_f = force_f | oob
         ps.match = alive
         ps.force_f = force_f
-        for aspect, obj, exprs in prog.dirt_descs:
-            if exprs is None:
-                ps.dirt_vals.append((aspect, obj, None))
+        for aspect, obj, exprs in descs:
+            if exprs is None or isinstance(exprs, str):
+                ps.dirt_vals.append((aspect, obj, exprs))
                 continue
             try:
                 if aspect == "map_w":
@@ -1222,7 +1333,7 @@ class CompiledDispatcher:
                     ps.dirt_vals.append((aspect, obj, cells))
             except (KernelBail, OverflowError):
                 ps.dirt_vals.append((aspect, obj, None))
-        if prog.supported and prog.const_result is None:
+        if prog.supported and not ps.stopped and prog.const_result is None:
             if prog.port_expr is not None:
                 ps.port_vals = _ivals(eval_expr(prog.port_expr, env, cache), g)
             ps.mod_vals = [
@@ -1231,6 +1342,14 @@ class CompiledDispatcher:
             ]
 
     def _exec_step(self, step, env, cache, g, store):
+        if isinstance(step, _Alloc):
+            if store[step.obj]._free:
+                return _FREE
+            # Full at chunk start, so full all chunk: every lane gets
+            # the interpreter's ``(False, 0)``.
+            env[step.ok] = Column(np.zeros(g, dtype=bool), 1.0)
+            env[step.index] = Column(np.zeros(g, np.int64), 0.0)
+            return _FULL
         if isinstance(step, _MapGet):
             data = store[step.obj]._data
             arrs = [
@@ -1335,7 +1454,7 @@ class CompiledDispatcher:
                     board.add_wild(prog.wild)
                     for aspect, obj, _ in prog.dirt_descs:
                         board.add(aspect, obj, None)
-                elif not prog.supported:
+                elif not prog.supported or ps.stopped:
                     if ps.match is not None and ps.match.any():
                         self._publish_dirt(board, ps, ps.match)
                 else:
@@ -1358,6 +1477,8 @@ class CompiledDispatcher:
         for aspect, obj, vals in ps.dirt_vals:
             if vals is None:
                 board.add(aspect, obj, None)
+            elif isinstance(vals, str):
+                board.add(aspect, obj, self._reach(vals))
             elif aspect == "map_w":
                 board.add(
                     aspect, obj,
@@ -1365,6 +1486,23 @@ class CompiledDispatcher:
                 )
             else:
                 board.add(aspect, obj, vals[mask].tolist())
+
+    def _reach(self, chain):
+        """Cells the running domain's allocations on ``chain`` can return.
+
+        Nothing frees an index inside a chunk, so at most ``k`` pops (the
+        domain's lanes times their paths' allocations on ``chain``) take
+        the top ``k`` cells of the free stack; past its end they fail
+        with index 0.
+        """
+        cells = self._reaches.get(chain)
+        if cells is None:
+            store, groups = self._domain
+            k = sum(g.g_lanes.size * g.pp.alloc_max[chain] for g in groups)
+            free = store[chain]._free
+            cells = free[len(free) - k:] if k <= len(free) else free + [0]
+            self._reaches[chain] = cells
+        return cells
 
     def _multi_touch(self, groups):
         """Serialize same-cell vector writes: only one kernel lane may
@@ -1464,19 +1602,20 @@ class CompiledDispatcher:
                 dem = self._cell_demote(
                     dem, kmask, art["cells"], board.vec_r.get(step.obj, ())
                 )
-            elif isinstance(step, _Rejuv):
-                dem = self._cell_demote(
-                    dem, kmask, art["cells"], board.ts_w.get(step.obj, ())
-                )
-                if step.obj in board.alloc:
-                    stale = kmask & ~art["flags"]
-                    if stale.any():
-                        dem = stale if dem is None else (dem | stale)
-            else:  # _IsAlloc
-                if step.obj in board.alloc:
-                    stale = kmask & ~art["flags"]
-                    if stale.any():
-                        dem = stale if dem is None else (dem | stale)
+            elif isinstance(step, (_Rejuv, _IsAlloc)):
+                if isinstance(step, _Rejuv):
+                    dem = self._cell_demote(
+                        dem, kmask, art["cells"], board.ts_w.get(step.obj, ())
+                    )
+                # Allocation only flips free -> allocated, and only for
+                # cells in the reach: a lane that read a free flag there
+                # read a stale one.
+                dirty = board.alloc.get(step.obj, ())
+                if dirty is None or dirty:
+                    dem = self._cell_demote(
+                        dem, kmask & ~art["flags"], art["cells"], dirty
+                    )
+            # _Alloc: a full chain stays full all chunk; nothing demotes.
             if dem is not None and not (kmask & ~dem).any():
                 break
         return dem

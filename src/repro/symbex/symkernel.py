@@ -59,7 +59,7 @@ def base_symbols() -> frozenset:
 #: Ops a lowered step may carry, with the shape of its ``sig`` tail.
 #: Anything else is an unknown kernel and is rejected conservatively.
 _READ_OPS = ("map_get", "vector_borrow", "dchain_is_allocated")
-_WRITE_OPS = ("dchain_rejuvenate", "vector_put")
+_WRITE_OPS = ("dchain_rejuvenate", "vector_put", "dchain_allocate")
 
 
 class SymKernelError(Exception):
@@ -200,6 +200,12 @@ def _interpret_step(step, bound: set) -> SymStep:
         _, obj, index = sig
         _check_bound(index, bound, f"dchain_rejuvenate({obj!r}) index")
         return SymStep(op, obj, (strip_zext(index),), (), (), True)
+    if op == "dchain_allocate":
+        # Key-less; binds the allocator's ``ok`` and ``index`` results.
+        _, obj, ok, index = sig
+        bound.add(ok)
+        bound.add(index)
+        return SymStep(op, obj, (), (ok, index), (), True)
     if op == "vector_put":
         _, obj, index, stored = sig
         _check_bound(index, bound, f"vector_put({obj!r}) index")

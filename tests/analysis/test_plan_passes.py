@@ -17,6 +17,7 @@ from repro.analysis import certify_nf, collect_waivers, lint_nf
 from repro.analysis.plan_passes import (
     _certify_demotion,
     _certify_memo,
+    _certify_narrowing,
     _certify_program,
     _locate,
     prove_equiv,
@@ -25,16 +26,19 @@ from repro.analysis.source import gather_sources
 from repro.errors import WaiverError
 from repro.nf.api import NF, NfContext, StateDecl, StateKind
 from repro.nf.nfs import ALL_NFS
-from repro.sim.compiled import _compile_port
+from repro.sim.compiled import _alloc_exact, _compile_port, _DirtBoard
 from repro.symbex import expr as E
 from repro.symbex.engine import explore_nf
+from repro.symbex.tree import ExecutionTree
 
 LAN, WAN = 0, 1
 
 
 def _compile_nf(nf, port=0):
     tree = explore_nf(nf)
-    return _compile_port(nf, port, tree.paths_by_port[port], 0)
+    return _compile_port(
+        nf, port, tree.paths_by_port[port], 0, _alloc_exact(tree.paths())
+    )
 
 
 def _supported_program(pp):
@@ -159,6 +163,120 @@ def test_unpublished_bail_dirt_is_flagged_mae302() -> None:
     _certify_demotion(pp, findings)
     assert any(
         f.code == "MAE302" and "publish" in f.message for f in findings
+    )
+
+
+# ------------------------------------------------------------------ #
+# Seeded faults: allocation narrowing (MAE300-MAE303)
+# ------------------------------------------------------------------ #
+def _alloc_program(pp, supported=True):
+    """A program of ``pp`` crossing a lowered allocation, and that step."""
+    for prog in pp.programs:
+        if prog.supported is not supported:
+            continue
+        for step in prog.steps:
+            if step.sig[0] == "dchain_allocate":
+                return prog, step
+    raise AssertionError("fixture port must lower an allocation")
+
+
+def test_swapped_alloc_binds_are_flagged_mae300() -> None:
+    pp = _compile_nf(ALL_NFS["nat"]())
+    prog, step = _alloc_program(pp)
+    op, obj, ok, index = step.sig
+    step.sig = (op, obj, index, ok)
+    findings: list = []
+    assert _certify_program(prog, findings, 0) is False
+    assert any(
+        f.code == "MAE300" and "binds" in f.message for f in findings
+    )
+
+
+@pytest.mark.parametrize(
+    "supported, aspect", [(True, "alloc"), (False, "vec_w")]
+)
+def test_dropped_alloc_suffix_is_flagged_mae301(supported, aspect) -> None:
+    """A lowered allocation whose chain has a free index stops its
+    program there; without the suffix footprint those lanes would run
+    interpreted with writes the hazard board never sees."""
+    pp = _compile_nf(ALL_NFS["nat"]())
+    prog, step = _alloc_program(pp, supported)
+    step.suffix = [d for d in step.suffix if d[0] != aspect]
+    findings: list = []
+    assert _certify_program(prog, findings, 0) is False
+    assert any(
+        f.code == "MAE301" and "allocation step" in f.message
+        and repr(aspect) in f.message for f in findings
+    )
+
+
+def test_unwithdrawn_narrowing_is_flagged_mae301() -> None:
+    """A path op that may free a dchain index inside a chunk breaks the
+    reach argument: the NF must fall back to wildcard allocation dirt."""
+    nf = ALL_NFS["nat"]()
+    tree = explore_nf(nf)
+    paths = dict(tree.paths_by_port)
+    path = paths[1][0]
+    free = dataclasses.replace(path.trace[-1], op="dchain_free")
+    paths[1] = [dataclasses.replace(path, trace=path.trace + (free,))] + \
+        list(paths[1][1:])
+    tree = ExecutionTree(tree.nf_name, paths)
+
+    def certify(exact):
+        pps = [
+            _compile_port(nf, port, tree.paths_by_port[port], 0, exact)
+            for port in tree.ports
+        ]
+        findings: list = []
+        _certify_narrowing(tree, pps, findings)
+        return findings
+
+    assert _alloc_exact(tree.paths()) is False
+    assert certify(False) == []
+    flagged = certify(True)
+    assert flagged and {f.code for f in flagged} == {"MAE301"}
+    assert all("dchain_free" in f.message for f in flagged)
+
+
+def test_dropped_alloc_reach_is_flagged_mae302(monkeypatch) -> None:
+    """A board that loses the reach of allocation dirt leaves lanes that
+    read a soon-allocated cell's free flag on kernels."""
+    add = _DirtBoard.add
+
+    def lossy(self, aspect, obj, values):
+        if aspect == "alloc" and values is not None:
+            return
+        add(self, aspect, obj, values)
+
+    monkeypatch.setattr(_DirtBoard, "add", lossy)
+    pp = _compile_nf(ALL_NFS["nat"](), port=1)
+    findings: list = []
+    _certify_demotion(pp, findings)
+    assert findings and {f.code for f in findings} == {"MAE302"}
+    assert any("keyed 'alloc'" in f.message for f in findings)
+
+
+def test_unpublished_alloc_bail_dirt_is_flagged_mae302() -> None:
+    pp = _compile_nf(ALL_NFS["nat"]())
+    prog, step = _alloc_program(pp)
+    prog.wild = [w for w in prog.wild if w != ("alloc", step.obj)]
+    findings: list = []
+    _certify_demotion(pp, findings)
+    assert any(
+        f.code == "MAE302" and "'alloc'" in f.message
+        and "publish" in f.message for f in findings
+    )
+
+
+def test_dropped_alloc_memo_guard_is_flagged_mae303() -> None:
+    pp = _compile_nf(ALL_NFS["nat"]())
+    _, step = _alloc_program(pp)
+    pp.read_objs = [g for g in pp.read_objs if g != (step.obj, "chain")]
+    findings: list = []
+    _certify_memo(pp, findings)
+    assert any(
+        f.code == "MAE303" and "dchain_allocate" in f.message
+        for f in findings
     )
 
 

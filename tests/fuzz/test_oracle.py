@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.pipeline import Maestro
 from repro.fuzz.generator import build_nf, random_spec
 from repro.fuzz.oracle import run_oracle
-from repro.fuzz.workloads import WorkloadSpec
+from repro.fuzz.workloads import WorkloadSpec, materialize_workload
+from repro.sim import compiled
 
 UNIFORM = WorkloadSpec("uniform", 11, n_packets=64, n_flows=16)
 
@@ -117,3 +120,65 @@ def test_signature_is_stable_and_workload_free() -> None:
     sigs_a = {f.signature for f in a.failures if f.kind == "race"}
     sigs_b = {f.signature for f in b.failures if f.kind == "race"}
     assert sigs_a and sigs_a == sigs_b
+
+
+#: A small-shape seed with a flow group whose allocation lowers.
+EXPIRY_SEED = 8
+
+
+def _expiring_exhaust():
+    """``exhaust`` traffic against 16-entry flow tables with expiry on.
+
+    Packets 0.25 s apart span two 60 s expiry horizons, so sweeps free
+    cells of full chains at chunk boundaries and the tables refill.
+    """
+    spec = random_spec(EXPIRY_SEED, shape="small")
+    groups = tuple(
+        replace(g, capacity=16) if g.kind == "flow" else g
+        for g in spec.groups
+    )
+    spec = replace(spec, expire=True, groups=groups)
+    workload = WorkloadSpec("exhaust", EXPIRY_SEED, n_packets=512, n_flows=64)
+    trace = [
+        (port, replace(pkt, timestamp=i * 0.25))
+        for i, (port, pkt) in enumerate(
+            materialize_workload(workload, min_capacity=16)
+        )
+    ]
+    return spec, [(workload, trace)]
+
+
+def test_exhaust_with_expiry_cycles_full_chains(monkeypatch) -> None:
+    """Chains go full and free again across chunk boundaries: the
+    full-chain allocation lowering and its stop rule both run, and all
+    three oracle legs stay green."""
+    seen = {"full": 0, "free": 0}
+    exec_step = compiled.CompiledDispatcher._exec_step
+
+    def spy(self, step, *args):
+        art = exec_step(self, step, *args)
+        if isinstance(step, compiled._Alloc):
+            seen["full" if art is compiled._FULL else "free"] += 1
+        return art
+
+    monkeypatch.setattr(compiled.CompiledDispatcher, "_exec_step", spy)
+    spec, traces = _expiring_exhaust()
+    report = run_oracle(
+        spec, [w for w, _ in traces], n_cores=4, maestro_seed=7,
+        traces=traces,
+    )
+    assert report.ok, [f.to_dict() for f in report.failures]
+    assert report.compiled_stats["kernel_packets"] > 0
+    assert seen["full"] > 0 and seen["free"] > 0
+
+
+def test_skew_kernel_fault_caught_on_expiring_exhaust() -> None:
+    spec, traces = _expiring_exhaust()
+    report = run_oracle(
+        spec, [w for w, _ in traces], n_cores=4, maestro_seed=7,
+        traces=traces, fault="skew-kernel",
+    )
+    assert any(
+        f.kind == "fastpath" and "fastpath-compiled" in f.codes
+        for f in report.failures
+    ), [f.to_dict() for f in report.failures]

@@ -138,9 +138,10 @@ class TestAdversarialWorkloads:
         assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
 
     def test_exhaust_workload_tiny_capacity(self):
-        """Capacity exhaustion: allocation failures are interpreter-only
-        paths, so the run mixes kernels and fallbacks heavily — the seam
-        between the two is where scatter bugs hide."""
+        """Capacity exhaustion: allocations on a chain with a free index
+        run interpreted and allocation failures on a full chain run on
+        kernels, so the run mixes kernels and fallbacks heavily — the
+        seam between the two is where scatter bugs hide."""
 
         def build():
             return Maestro(seed=7).parallelize(
