@@ -18,7 +18,12 @@ NF), plus one analysis-cost ceiling:
 * the RS3 stage of ``Maestro.analyze``, summed over every bundled NF,
   must stay under ``RS3_CEILING_MS`` (``check_bench_regression.py``
   gates the exported ``analysis.rs3_ms``), so a per-sample scalar
-  Toeplitz loop in the key acceptance test fails the smoke job.
+  Toeplitz loop in the key acceptance test fails the smoke job;
+* one flow-expiry sweep must cost per *expired* entry (Vigor's Table 1
+  contract): the per-entry cost at 2k and 131k live flows, 5% of them
+  stale, is gated by a ceiling and the 131k/2k ratio by another, so
+  per-erase work that grows with the shard (a whole-index scan in
+  ``StateStore.note_erase``) fails the smoke job.
 
 All gates use *best-of-rounds* minima — the standard noise-robust
 estimator for wall-clock micro-benchmarks — and all assert the fast
@@ -32,6 +37,7 @@ Set ``REPRO_BENCH_JSON=path`` to export the measured numbers as JSON.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -42,6 +48,7 @@ import pytest
 
 from repro.core.pipeline import Maestro
 from repro.nf.nfs import ALL_NFS, Firewall
+from repro.nf.runtime import ConcreteContext, StateStore
 from repro.rs3.toeplitz import (
     hash_input_rows,
     hash_packet,
@@ -70,6 +77,19 @@ COMPILED_COVERAGE_FLOOR = 0.95
 #: about 100 ms on a 2-core container; a per-sample scalar acceptance
 #: loop takes about 2.3 s.
 RS3_CEILING_MS = 500.0
+#: Live flows per expiry sweep, and the share of them each sweep frees.
+EXPIRY_FLOWS = (2_048, 131_072)
+EXPIRY_STALE = 0.05
+#: Per-expired-entry cost of one sweep, at either size.  A 2-core
+#: container measures 1.5-4 us; the per-slot Python scans the columnar
+#: dchain and two-way map index replaced cost 70-116 us at 2k flows
+#: and about 6,900 us at 131k.
+EXPIRY_CEILING_US = 10.0
+#: 131k-flow over 2k-flow per-entry cost.  Work proportional to the
+#: expired entries keeps it near 1 (measured 0.6-1.0); work per erased
+#: entry that grows with the shard, like a scan of the whole reverse
+#: index per erased key, multiplies it by up to the 64x size step.
+EXPIRY_RATIO_CEILING = 2.0
 
 _RESULTS: dict[str, object] = {"quick": QUICK, "n_packets": N_PACKETS}
 
@@ -306,4 +326,70 @@ def test_analysis_rs3_cost():
     assert rs3_s * 1e3 <= RS3_CEILING_MS, (
         f"RS3 over {len(ALL_NFS)} NFs took {rs3_s * 1e3:.0f} ms "
         f"(ceiling {RS3_CEILING_MS:.0f} ms)"
+    )
+
+
+def _stale_firewall(n_flows: int, seed: int) -> tuple[ConcreteContext, int]:
+    """A firewall shard holding ``n_flows`` live flows, of which a
+    seeded ``EXPIRY_STALE`` share, scattered over the chain, is past the
+    expiry horizon; returns the context and the stale count."""
+    nf = Firewall(capacity=n_flows)
+    store = StateStore(nf.state())
+    ctx = ConcreteContext(nf, store)
+    stale = np.random.default_rng(seed).random(n_flows) < EXPIRY_STALE
+    flows, chain, ports = store["fw_flows"], store["fw_chain"], store["fw_ports"]
+    for i, old in enumerate(stale.tolist()):
+        _, index = chain.allocate(0.0 if old else 1.0)
+        key = (0x0A000000 + i, 1024 + i % 60_000, 0x08080808, 53)
+        flows.put(key, index)
+        store.note_put("fw_flows", key, index)
+        ports.put(index, {"in_port": 0})
+    # The packet clock a sweep reads: flows touched at 0.0 are stale,
+    # flows touched at 1.0 are not.
+    ctx._now = nf.expiration_time + 0.5
+    return ctx, int(stale.sum())
+
+
+def test_expiry_cost_per_expired_entry():
+    """One ``expire_flows`` sweep at 2k and 131k live flows, best-of-rounds."""
+    per_entry: dict[str, float] = {}
+    for n_flows in EXPIRY_FLOWS:
+        best = float("inf")
+        for seed in range(ROUNDS):
+            ctx, n_stale = _stale_firewall(n_flows, seed)
+            # A cyclic collection over the freshly built shard would
+            # land in whichever sweep trips it; keep it out, as timeit
+            # does.
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                ctx.expire_flows("fw_flows", "fw_chain")
+                elapsed = time.perf_counter() - start
+            finally:
+                gc.enable()
+            assert len(ctx.store["fw_flows"]) == n_flows - n_stale
+            assert ctx.store["fw_chain"].allocated_count() == n_flows - n_stale
+            best = min(best, elapsed * 1e6 / n_stale)
+        per_entry[str(n_flows)] = best
+    small, large = (per_entry[str(n)] for n in EXPIRY_FLOWS)
+    worst = max(small, large)
+    ratio = large / small
+    _RESULTS["expiry"] = {
+        "flows": list(EXPIRY_FLOWS),
+        "stale_frac": EXPIRY_STALE,
+        "per_entry_us_by_flows": per_entry,
+        "per_entry_us": worst,
+        "per_entry_ceiling_us": EXPIRY_CEILING_US,
+        "scaling_ratio": ratio,
+        "ratio_ceiling": EXPIRY_RATIO_CEILING,
+    }
+    assert worst <= EXPIRY_CEILING_US, (
+        f"expiry costs {worst:.1f} us per expired entry "
+        f"(ceiling {EXPIRY_CEILING_US} us)"
+    )
+    assert ratio <= EXPIRY_RATIO_CEILING, (
+        f"per-entry expiry cost grows {ratio:.2f}x from "
+        f"{EXPIRY_FLOWS[0]} to {EXPIRY_FLOWS[1]} live flows "
+        f"(ceiling {EXPIRY_RATIO_CEILING}x) — does an erase scan the whole shard?"
     )

@@ -4,6 +4,7 @@ Not a figure, but the substrate every result rests on: map/vector/dchain/
 sketch operation throughput in the concrete runtime.
 """
 
+import numpy as np
 import pytest
 
 from repro.nf.state import DChain, Map, Sketch, Vector
@@ -33,6 +34,12 @@ def test_vector_borrow_put(benchmark):
     benchmark(cycle)
 
 
+def test_vector_borrow_template(benchmark):
+    """A never-written row: the sparse vector reads the template."""
+    v = Vector(4096, initial={"a": 0, "b": 0})
+    benchmark(lambda: v.borrow(100))
+
+
 def test_dchain_allocate_free(benchmark):
     chain = DChain(4096)
 
@@ -48,6 +55,22 @@ def test_dchain_rejuvenate(benchmark):
     chain = DChain(4096)
     _, index = chain.allocate(0.0)
     benchmark(lambda: chain.rejuvenate(index, 1.0))
+
+
+def test_dchain_expire_8k(benchmark):
+    """One sweep over a full 8k shard whose stale 5% is scattered."""
+    stale = np.random.default_rng(0).random(8192) < 0.05
+
+    def full_chain():
+        chain = DChain(8192)
+        for old in stale.tolist():
+            chain.allocate(0.0 if old else 1.0)
+        return (chain,), {}
+
+    expired = benchmark.pedantic(
+        lambda chain: chain.expire(0.5), setup=full_chain, rounds=50
+    )
+    assert len(expired) == int(stale.sum())
 
 
 def test_sketch_touch(benchmark):

@@ -56,6 +56,11 @@ ABSOLUTE = (
     # full-shard scan creeping into extraction blows the per-entry cost
     # past the committed ceiling long before wall-clock gates notice.
     ("rescale", "per_entry_us", "per_entry_ceiling_us"),
+    # Flow expiry must cost per expired entry (Vigor's Table 1
+    # contract): a per-live-flow Python scan in a sweep blows the
+    # per-entry cost, and the 131k/2k-flow ratio, past their ceilings.
+    ("expiry", "per_entry_us", "per_entry_ceiling_us"),
+    ("expiry", "scaling_ratio", "ratio_ceiling"),
     # RS3 key search over every bundled NF (ms): a per-sample scalar
     # Toeplitz loop in the acceptance test costs several times the
     # ceiling.

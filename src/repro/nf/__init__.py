@@ -18,7 +18,7 @@ from repro.nf.runtime import (
     SequentialRunner,
     StateStore,
 )
-from repro.nf.state import DChain, Map, Sketch, Vector, expire_flows
+from repro.nf.state import DChain, Map, Sketch, Vector
 
 __all__ = [
     "NF",
@@ -42,5 +42,4 @@ __all__ = [
     "Map",
     "Sketch",
     "Vector",
-    "expire_flows",
 ]

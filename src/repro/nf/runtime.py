@@ -121,10 +121,13 @@ class StateStore:
                 self.objects[decl.name] = Sketch(capacity, depth=decl.sketch_depth)
             else:  # pragma: no cover - enum is closed
                 raise StateModelError(f"unknown state kind {decl.kind}")
-        # Reverse value->key indices for the map+dchain expiry idiom.
-        self._reverse: dict[str, dict[int, Any]] = {
-            decl.name: {} for decl in decls if decl.kind is StateKind.MAP
-        }
+        # Two-way value<->key index per map (the map+dchain expiry idiom):
+        # ``_reverse[v]`` is the live key last put with value ``v``, and
+        # ``_forward[key]`` lists exactly the values mapped to ``key``, so
+        # erasing a key visits only its own values.  Keys are never None.
+        maps = [decl.name for decl in decls if decl.kind is StateKind.MAP]
+        self._reverse: dict[str, dict[int, Any]] = {name: {} for name in maps}
+        self._forward: dict[str, dict[Any, list[int]]] = {name: {} for name in maps}
 
     def __getitem__(self, name: str) -> Any:
         try:
@@ -140,14 +143,25 @@ class StateStore:
 
     def note_put(self, name: str, key: Any, value: int) -> None:
         reverse = self._reverse.get(name)
-        if reverse is not None:
-            reverse[int(value)] = key
+        if reverse is None:
+            return
+        value = int(value)
+        forward = self._forward[name]
+        old = reverse.get(value)
+        if old is not None and old != key:
+            forward[old].remove(value)
+            if not forward[old]:
+                del forward[old]
+        reverse[value] = key
+        values = forward.setdefault(key, [])
+        if value not in values:
+            values.append(value)
 
     def note_erase(self, name: str, key: Any) -> None:
-        reverse = self._reverse.get(name)
-        if reverse is not None:
-            stale = [v for v, k in reverse.items() if k == key]
-            for v in stale:
+        forward = self._forward.get(name)
+        if forward is not None:
+            reverse = self._reverse[name]
+            for v in forward.pop(key, ()):
                 del reverse[v]
 
     def key_for_value(self, name: str, value: int) -> Any | None:

@@ -21,12 +21,14 @@ generator can divide it across cores (§4, *State sharding*).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Hashable, Iterator
+from array import array
+from typing import Hashable, Iterator
+
+import numpy as np
 
 from repro.errors import StateModelError
 
-__all__ = ["Map", "Vector", "DChain", "Sketch", "expire_flows"]
+__all__ = ["Map", "Vector", "DChain", "Sketch"]
 
 
 class Map:
@@ -81,18 +83,18 @@ class Vector:
     Records are plain ``dict``s whose layout is declared by the owning NF
     (see :class:`repro.nf.api.StateDecl`); the declared layout is what lets
     the R5 analysis track value provenance through writes and reads.
+
+    Storage is sparse: only written rows are held, and every other index
+    (never written, or :meth:`reset`) reads as the template.
     """
 
     def __init__(self, capacity: int, initial: dict[str, int] | None = None):
         if capacity <= 0:
             raise StateModelError(f"vector capacity must be positive: {capacity}")
         self.capacity = capacity
-        #: Pristine record layout; :meth:`reset` restores a slot to it when
-        #: the elastic migrator vacates a row on the donor core.
+        #: Pristine record layout, read by every never-written index.
         self._template: dict[str, int] = dict(initial or {})
-        self._slots: list[dict[str, int]] = [
-            dict(self._template) for _ in range(capacity)
-        ]
+        self._rows: dict[int, dict[str, int]] = {}
         #: bumped on every slot overwrite (compiled-memo validity guard).
         self.version = 0
 
@@ -107,13 +109,18 @@ class Vector:
             )
         return index
 
+    def row(self, index: int) -> dict[str, int]:
+        """The record at an in-range ``index``, *not* copied: batch
+        readers use it to gather fields and must not mutate it."""
+        return self._rows.get(index, self._template)
+
     def borrow(self, index: int) -> dict[str, int]:
         """Read the record at ``index`` (a copy; write back with ``put``)."""
-        return dict(self._slots[self._check(index)])
+        return dict(self._rows.get(self._check(index), self._template))
 
     def put(self, index: int, record: dict[str, int]) -> None:
         """Overwrite the record at ``index``."""
-        self._slots[self._check(index)] = dict(record)
+        self._rows[self._check(index)] = dict(record)
         self.version += 1
 
     def reset(self, index: int) -> None:
@@ -123,14 +130,8 @@ class Vector:
         receiving core's shard, the donor's slot goes back to its pristine
         state so a later (re)allocation of that index starts clean.
         """
-        self._slots[self._check(index)] = dict(self._template)
+        self._rows.pop(self._check(index), None)
         self.version += 1
-
-
-@dataclass
-class _ChainEntry:
-    allocated: bool = False
-    last_touched: float = 0.0
 
 
 class DChain:
@@ -141,13 +142,19 @@ class DChain:
     :meth:`expire` consults to free stale indices.  This is the structure
     whose aging data the lock-based code generator replicates per core
     (§4, *Lock-based rejuvenation*).
+
+    State is columnar: a flag byte and a ``float64`` timestamp per index
+    in flat buffers, plus the free stack (allocation pops its end).
+    Batch methods wrap the buffers in NumPy views per call and never
+    store them, so no copied chain can hold another chain's view.
     """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise StateModelError(f"dchain capacity must be positive: {capacity}")
         self.capacity = capacity
-        self._entries = [_ChainEntry() for _ in range(capacity)]
+        self._allocated = bytearray(capacity)
+        self._touched = array("d", bytes(8 * capacity))
         self._free: list[int] = list(range(capacity - 1, -1, -1))
         #: bumped when the allocated set changes (not on rejuvenation);
         #: the compiled-memo validity guard for flag/frozen-alloc reads.
@@ -161,44 +168,61 @@ class DChain:
         if not self._free:
             return False, 0
         index = self._free.pop()
-        entry = self._entries[index]
-        entry.allocated = True
-        entry.last_touched = now
+        self._allocated[index] = 1
+        self._touched[index] = now
         self.alloc_version += 1
         return True, index
 
+    def reach(self, k: int) -> list[int]:
+        """Every index the next ``k`` allocations can return when nothing
+        is freed between them: the top ``k`` cells of the free stack,
+        plus 0 (a failed allocation's index) when fewer are free."""
+        free = self._free
+        return free[len(free) - k:] if k <= len(free) else free + [0]
+
     def is_allocated(self, index: int) -> bool:
-        if not 0 <= index < self.capacity:
-            return False
-        return self._entries[index].allocated
+        return 0 <= index < self.capacity and self._allocated[index] == 1
+
+    def flags(self, cells: np.ndarray) -> np.ndarray:
+        """:meth:`is_allocated` of every cell, as a new bool array."""
+        inside = (cells >= 0) & (cells < self.capacity)
+        flags = np.frombuffer(self._allocated, dtype=np.bool_)
+        return flags[np.where(inside, cells, 0)] & inside
 
     def rejuvenate(self, index: int, now: float) -> bool:
         """Refresh the timestamp of an allocated index."""
-        if not self.is_allocated(index):
-            return False
-        self._entries[index].last_touched = now
-        return True
+        if 0 <= index < self.capacity and self._allocated[index]:
+            self._touched[index] = now
+            return True
+        return False
+
+    def stamp(self, cells: np.ndarray, times: np.ndarray) -> None:
+        """Set the timestamp of each of the distinct, in-range ``cells``
+        to the matching ``times`` entry (a batch of rejuvenations whose
+        allocation checks the caller already made)."""
+        np.frombuffer(self._touched, dtype=np.float64)[cells] = times
 
     def last_touched(self, index: int) -> float:
-        return self._entries[index].last_touched
+        return self._touched[index]
 
     def free_index(self, index: int) -> bool:
-        if not self.is_allocated(index):
-            return False
-        self._entries[index].allocated = False
-        self._free.append(index)
-        self.alloc_version += 1
-        return True
+        if 0 <= index < self.capacity and self._allocated[index]:
+            self._allocated[index] = 0
+            self._free.append(index)
+            self.alloc_version += 1
+            return True
+        return False
 
     def expire(self, threshold: float) -> list[int]:
-        """Free every index last touched strictly before ``threshold``."""
-        expired = [
-            i
-            for i, entry in enumerate(self._entries)
-            if entry.allocated and entry.last_touched < threshold
-        ]
-        for index in expired:
-            self.free_index(index)
+        """Free every index last touched strictly before ``threshold``;
+        returns them ascending, the order they go on the free stack."""
+        flags = np.frombuffer(self._allocated, dtype=np.bool_)
+        touched = np.frombuffer(self._touched, dtype=np.float64)
+        stale = np.flatnonzero(flags & (touched < threshold))
+        flags[stale] = False
+        expired = stale.tolist()
+        self._free.extend(expired)
+        self.alloc_version += len(expired)
         return expired
 
 
@@ -245,25 +269,3 @@ class Sketch:
         for row in self._rows:
             for i in range(len(row)):
                 row[i] = 0
-
-
-def expire_flows(
-    flow_map: Map,
-    chain: DChain,
-    vector: Vector,
-    index_to_key: dict[int, Hashable],
-    threshold: float,
-) -> int:
-    """Expire stale flows across the map+dchain+vector triad.
-
-    This is the Vigor ``expire_items_single_map`` idiom: the dchain decides
-    *which* indices are stale, and the paired map entries are erased so the
-    sequential NF semantics (drop state for idle flows) hold.  Returns the
-    number of expired flows.
-    """
-    expired = chain.expire(threshold)
-    for index in expired:
-        key = index_to_key.pop(index, None)
-        if key is not None:
-            flow_map.erase(key)
-    return len(expired)

@@ -1343,7 +1343,8 @@ class CompiledDispatcher:
 
     def _exec_step(self, step, env, cache, g, store):
         if isinstance(step, _Alloc):
-            if store[step.obj]._free:
+            chain = store[step.obj]
+            if chain.allocated_count() < chain.capacity:
                 return _FREE
             # Full at chunk start, so full all chunk: every lane gets
             # the interpreter's ``(False, 0)``.
@@ -1375,9 +1376,9 @@ class CompiledDispatcher:
             has_oob = bool(oob.any())
             safe = np.where(oob, 0, cells) if has_oob else cells
             uniq, inv = np.unique(safe, return_inverse=True)
-            slots = vec._slots
+            row = vec.row
             try:
-                recs = [slots[int(u)] for u in uniq]
+                recs = [row(u) for u in uniq.tolist()]
                 for fname, sym in step.fields:
                     vals = [r[fname] for r in recs]
                     env[sym] = self._value_column(vals, inv)
@@ -1387,13 +1388,7 @@ class CompiledDispatcher:
         if isinstance(step, (_IsAlloc, _Rejuv)):
             chain = store[step.obj]
             cells = _ivals(eval_expr(step.index, env, cache), g)
-            ents = chain._entries
-            cap = chain.capacity
-            flags = np.fromiter(
-                (0 <= c < cap and ents[c].allocated for c in cells.tolist()),
-                bool,
-                count=g,
-            )
+            flags = chain.flags(cells)
             if isinstance(step, _IsAlloc):
                 env[step.res] = Column(flags, 1.0)
             return {"cells": cells, "flags": flags, "oob": None}
@@ -1499,8 +1494,7 @@ class CompiledDispatcher:
         if cells is None:
             store, groups = self._domain
             k = sum(g.g_lanes.size * g.pp.alloc_max[chain] for g in groups)
-            free = store[chain]._free
-            cells = free[len(free) - k:] if k <= len(free) else free + [0]
+            cells = store[chain].reach(k)
             self._reaches[chain] = cells
         return cells
 
@@ -1781,10 +1775,7 @@ class CompiledDispatcher:
             cells_s = cells[order]
             uniq, first_rev = np.unique(cells_s[::-1], return_index=True)
             last_pos = cells_s.size - 1 - first_rev
-            vals = ts[lanes[order[last_pos]]]
-            ents = store[obj]._entries
-            for c, t in zip(uniq.tolist(), vals.tolist()):
-                ents[c].last_touched = t
+            store[obj].stamp(uniq, ts[lanes[order[last_pos]]])
         self._ts_pending = {}
 
     # -------------------------------------------------------------- #

@@ -38,6 +38,8 @@ def _payload(
     ratio_floor=0.9,
     rs3_ms=100.0,
     rs3_ceiling_ms=500.0,
+    expiry_per_entry=3.0,
+    expiry_ratio=1.0,
     quick=True,
 ) -> dict:
     return {
@@ -58,6 +60,12 @@ def _payload(
             "ratio_floor": ratio_floor,
         },
         "analysis": {"rs3_ms": rs3_ms, "rs3_ceiling_ms": rs3_ceiling_ms},
+        "expiry": {
+            "per_entry_us": expiry_per_entry,
+            "per_entry_ceiling_us": 15.0,
+            "scaling_ratio": expiry_ratio,
+            "ratio_ceiling": 2.0,
+        },
     }
 
 
@@ -125,6 +133,22 @@ def test_rs3_analysis_cost_over_ceiling_fails(write, capsys):
     RS3 over the bundled NFs) must fail the build."""
     assert _run(write, _payload(), _payload(rs3_ms=2300.0)) == 1
     assert "analysis.rs3_ms" in capsys.readouterr().out
+
+
+def test_expiry_cost_over_ceiling_fails(write, capsys):
+    """A sweep costing per live flow rather than per expired entry
+    fails on either the per-entry ceiling or the scaling ratio."""
+    assert _run(write, _payload(), _payload(expiry_per_entry=100.0)) == 1
+    assert "expiry.per_entry_us" in capsys.readouterr().out
+    assert _run(write, _payload(), _payload(expiry_ratio=60.0)) == 1
+    assert "expiry.scaling_ratio" in capsys.readouterr().out
+
+
+def test_missing_expiry_section_is_a_usage_error(write, capsys):
+    fresh = _payload()
+    del fresh["expiry"]
+    assert _run(write, _payload(), fresh) == 2
+    assert "expiry." in capsys.readouterr().err
 
 
 def test_post_rescale_ratio_under_floor_fails(write, capsys):
