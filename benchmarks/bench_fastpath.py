@@ -11,8 +11,8 @@ NF), plus one analysis-cost ceiling:
   the seed packet-at-a-time path from a cold start;
 * the compiled dataplane (``kernels=True``, the default) must beat the
   reference by a much larger factor in *steady state* — new packets of
-  established flows over warm state and hot kernel memos, the regime a
-  long-lived dataplane actually runs in — and its kernel coverage is
+  established flows over warm state, the regime a long-lived dataplane
+  actually runs in — and its kernel coverage is
   gated too, so a path-classification regression fails even if
   wall-clock noise hides it;
 * the RS3 stage of ``Maestro.analyze``, summed over every bundled NF,
@@ -246,9 +246,8 @@ def test_run_functional_speedup_and_exactness(parallel_factory, trace):
 def test_compiled_steady_state_speedup(parallel_factory, trace):
     """Compiled kernels vs the reference, in steady state.
 
-    A long-lived dataplane runs warm: every flow's state is established
-    and the kernel memo has classified every (flow, path) pair, but
-    each batch is new packets.  Each leg keeps one ParallelNF across
+    A long-lived dataplane runs warm: every flow's state is established,
+    but each batch is new packets, classified afresh.  Each leg keeps one ParallelNF across
     rounds — one untimed warm-up round on ``trace``, then timed rounds
     on fresh copies (:func:`fresh_rounds`, built before any timing),
     best-of-rounds.  Both legs see the same packets in the same order,

@@ -125,8 +125,8 @@ def test_post_rescale_throughput(trace):
     run_functional(static, trace[:warm], fastpath=False)
 
     steady = trace[warm:]
-    # Untimed warmup so one-time costs (classification memos, steering
-    # cache fill after the generation bump) hit neither side's timings.
+    # Untimed warmup so one-time costs (the first compiled run builds
+    # the dispatcher) hit neither side's timings.
     run_functional(rescaled, steady)
     run_functional(static, steady)
 

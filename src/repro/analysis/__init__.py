@@ -20,8 +20,8 @@ lock-order, shard-ownership, and footprint cross-validation
 The compiled dataplane is certified statically: the **plan certifier**
 (:mod:`repro.analysis.plan_passes`) re-executes every lowered path
 program symbolically and proves it equivalent to its source symbex path
-(translation validation), then audits hazard demotion, memo guards, and
-plan/verdict consistency (``MAE300``–``MAE304``), via
+(translation validation), then audits hazard demotion and plan/verdict
+consistency (``MAE300``–``MAE304``; ``MAE303`` is retired), via
 ``python -m repro.analysis certify``.
 
 Chains compose: :mod:`repro.analysis.chain_passes` analyzes whole NF

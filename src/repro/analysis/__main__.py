@@ -6,7 +6,7 @@ trace replayed under the lockset/ownership checkers; ``chain`` runs the
 whole-chain analysis (composed footprints, joint RSS key search,
 MAE2xx diagnostics, differential validation) over ``.chain`` files;
 ``certify`` runs the plan certifier — translation validation of every
-lowered path program plus hazard/memo/plan audits (MAE3xx).
+lowered path program plus hazard/plan audits (MAE3xx).
 
 Every subcommand accepts ``--json`` (machine-readable report on
 stdout), ``--out PATH`` (also write the JSON payload to a CI artifact),
@@ -375,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     certify = sub.add_parser(
         "certify",
         help="certify the compiled dataplane: translation validation of "
-        "lowered path programs + hazard/memo/plan audits (MAE3xx)",
+        "lowered path programs + hazard/plan audits (MAE3xx)",
     )
     _add_selection_args(
         certify,

@@ -156,7 +156,8 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "MAE300": (
         Severity.ERROR,
         "plan certifier: a lowered path program is not equivalent to its "
-        "source symbex path (predicates, steps, writes, or action differ)",
+        "source symbex path (predicates, steps, writes, or action differ), "
+        "or consumes a packet field or the clock its port does not bind",
     ),
     "MAE301": (
         Severity.ERROR,
@@ -174,9 +175,8 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     ),
     "MAE303": (
         Severity.ERROR,
-        "plan certifier: memo-guard incompleteness — a mutable dependency "
-        "of a memoized classification is absent from its state-version / "
-        "steering_generation guard set",
+        "retired: plan certifier memo-guard check (the classification "
+        "memo it guarded is gone); never reused",
     ),
     "MAE304": (
         Severity.ERROR,

@@ -3,7 +3,7 @@
 The compiled dataplane (DESIGN §13) lowers every execution-tree path to
 a column program and runs whole chunks through NumPy kernels, with the
 interpreter as per-lane fallback.  Everything downstream — hazard
-demotion, memoization, scatter grouping — assumes the lowering preserved
+demotion, scatter grouping — assumes the lowering preserved
 the path's meaning.  This module is the static soundness net behind that
 assumption (DESIGN §14): before anything executes, it re-derives what
 each lowered program *should* compute from its source symbex path and
@@ -19,7 +19,8 @@ Checks, one stable code each (all error severity):
     proved equivalent to the source path's — structurally after
     zero-extension normalization, else via :mod:`repro.solver.eqsmt`
     under the path condition (counterexample search, then UNSAT proof;
-    *unknown* is conservatively reported).
+    *unknown* is conservatively reported).  Every symbol a program
+    consumes from the packet or the clock must be one its port binds.
 ``MAE301``
     Fallback-set soundness.  A supported program must use only
     ``LOWERED_OPS``; a demoted program's unlowered suffix must publish
@@ -39,13 +40,8 @@ Checks, one stable code each (all error severity):
     own bail must poison state are checked against their published
     wildcard set.
 ``MAE303``
-    Memo-guard completeness.  The mutable dependencies of a memoized
-    classification are re-derived from the step semantics (map reads →
-    map version, vector reads → vector version, chain flag reads,
-    timestamp writes and allocations → alloc version) and must all
-    appear in the port's version guard set; time-consuming programs
-    must defeat memoization; consumed packet fields must be part of the
-    memo key (the verified hash of the port's field rows).
+    Retired (it certified the classification memo, which is gone); the
+    code is never reused.
 ``MAE304``
     Plan/verdict consistency.  Kernel scatter writes must stay inside
     the source path's write footprint; under LOCKS/TM every vector
@@ -83,6 +79,7 @@ from repro.sim.compiled import (
     _compile_port,
     _DirtBoard,
     _ProgState,
+    _qualify,
 )
 from repro.solver import eqsmt
 from repro.symbex import expr as E
@@ -139,21 +136,6 @@ _PUBLISH_ASPECT: dict[str, str] = {
     "vector_put": "vec_w",
     "vector_borrow": "vec_r",
     "dchain_allocate": "alloc",
-}
-
-#: Version guard a memoized classification needs per read-step kind:
-#: ``Map.version`` for probes, ``Vector.version`` for row reads,
-#: ``DChain.alloc_version`` for flag reads, timestamp scatters
-#: (rejuvenation deliberately does not bump a version, so the scatter
-#: must be guarded by the allocation epoch of the slots it touches) and
-#: allocations (a memoized ``(False, 0)`` holds only while the chain
-#: stays full).
-_MEMO_GUARD_KIND: dict[str, str] = {
-    "map_get": "map",
-    "vector_borrow": "vec",
-    "dchain_is_allocated": "chain",
-    "dchain_rejuvenate": "chain",
-    "dchain_allocate": "chain",
 }
 
 #: Write aspects an *unlowered* trace op can perform — what a demoted
@@ -506,20 +488,27 @@ def _check_equivalence(
 # ------------------------------------------------------------------ #
 # MAE302: hazard-demotion completeness (probes the real runtime)
 # ------------------------------------------------------------------ #
+#: The probe lane's map key (every probe lane sits on shard 0).
+_PROBE_KEY = (0,)
+
+
 def _probe_state(prog) -> _ProgState:
     """A synthetic one-lane chunk state sitting on ``prog``.
 
-    Artifacts cover every field ``_demote_mask`` can read: key 0 /
-    cell 0 per step, and a *stale* allocation flag (allocation only
+    Artifacts cover every field ``_demote_mask`` can read: key ``(0,)``
+    and cell 0 on shard 0 per step, and a *stale* allocation flag (allocation only
     flips free→allocated, so a lane that classified on a free slot is
     exactly the lane an allocation invalidates).
     """
-    ps = _ProgState(prog)
+    shards = np.zeros(1, dtype=np.int64)
+    ps = _ProgState(prog, shards)
     ps.kmask = np.ones(1, dtype=bool)
+    cells = np.zeros(1, dtype=np.int64)
     ps.arts = [
         {
-            "keys": [0],
-            "cells": np.zeros(1, dtype=np.int64),
+            "keys": [_PROBE_KEY],
+            "cells": cells,
+            "q": _qualify(cells, shards, 1),
             "flags": np.zeros(1, dtype=bool),
         }
         for _ in prog.steps
@@ -528,13 +517,13 @@ def _probe_state(prog) -> _ProgState:
 
 
 def _dirt_boards(aspect: str, obj: str) -> list[tuple[str, _DirtBoard]]:
-    """Wildcard and keyed boards carrying one conflicting dirt record."""
-    boards = []
-    for flavor, values in (("wildcard", None), ("keyed", [0])):
-        board = _DirtBoard()
-        board.add(aspect, obj, values)
-        boards.append((flavor, board))
-    return boards
+    """Wildcard and keyed boards carrying one dirt record that conflicts
+    with the probe lane: its shard, and its shard-qualified key or cell."""
+    wild = _DirtBoard()
+    wild.add_wild(aspect, obj, [0])
+    keyed = _DirtBoard()
+    keyed.add(aspect, obj, [(0, _PROBE_KEY)] if aspect == "map_w" else [0])
+    return [("wildcard", wild), ("keyed", keyed)]
 
 
 def _certify_demotion(pp, findings: list[_Finding]) -> None:
@@ -546,7 +535,7 @@ def _certify_demotion(pp, findings: list[_Finding]) -> None:
         if prog.steps:
             # A fully-poisoned board must always demote.
             board = _DirtBoard()
-            board.wild_all = True
+            board.wild_all.add(0)
             dem = disp._demote_mask(_probe_state(prog), board)
             if dem is None or not bool(np.asarray(dem).all()):
                 findings.append(_Finding(
@@ -591,64 +580,30 @@ def _certify_demotion(pp, findings: list[_Finding]) -> None:
 
 
 # ------------------------------------------------------------------ #
-# MAE303: memo-guard completeness
+# MAE300: port bindings
 # ------------------------------------------------------------------ #
-def _certify_memo(pp, findings: list[_Finding]) -> None:
-    guards = set(pp.read_objs)
-    fields = set(pp.fields)
-    time_used = False
+def _certify_bindings(pp, findings: list[_Finding]) -> None:
+    """Every packet field and the clock a program consumes must be bound
+    by its port, or the classifier would evaluate it unbound."""
     for prog in pp.programs:
-        if not prog.supported:
-            continue
-        pid = _pid(prog)
-        for step in prog.steps:
-            op = step.sig[0]
-            kind = _MEMO_GUARD_KIND.get(op)
-            if kind is None:
-                if op != "vector_put":
-                    findings.append(_Finding(
-                        "MAE303",
-                        f"kernel step {op!r} has no derived memo-guard "
-                        "model; its state dependencies cannot be "
-                        "certified",
-                        obj=step.obj, op=op, path_id=pid,
-                    ))
-                continue
-            if (step.obj, kind) not in guards:
-                findings.append(_Finding(
-                    "MAE303",
-                    f"memoized classification depends on {op}"
-                    f"({step.obj!r}) but the {kind!r} version of "
-                    f"{step.obj!r} is not in the memo guard set",
-                    obj=step.obj, op=op, path_id=pid,
-                ))
-        if "time" in prog.used:
-            time_used = True
-        pkt_syms = {n for n in prog.used if n.startswith("pkt.")}
-        missing = sorted(pkt_syms - fields)
+        missing = sorted(
+            n for n in prog.used
+            if n.startswith("pkt.") and n not in pp.fields
+        )
         if missing:
             findings.append(_Finding(
-                "MAE303",
+                "MAE300",
                 f"program consumes packet field(s) {', '.join(missing)} "
-                "absent from the port's memo key — two packets differing "
-                "only there would share a memo entry",
-                path_id=pid,
+                "but the port does not bind them",
+                path_id=_pid(prog),
             ))
-    if time_used and pp.memoizable:
-        findings.append(_Finding(
-            "MAE303",
-            f"port {pp.port}: a supported program consumes virtual time "
-            "but the port is marked memoizable — cached classifications "
-            "would go stale between packets",
-        ))
-    if "time" in {
-        n for prog in pp.programs for n in prog.used
-    } and not pp.need_time:
-        findings.append(_Finding(
-            "MAE303",
-            f"port {pp.port}: a program consumes virtual time but the "
-            "port does not bind it",
-        ))
+        if "time" in prog.used and not pp.need_time:
+            findings.append(_Finding(
+                "MAE300",
+                "program consumes virtual time but the port does not "
+                "bind it",
+                path_id=_pid(prog),
+            ))
 
 
 # ------------------------------------------------------------------ #
@@ -775,7 +730,7 @@ def _certify(
                 if proved:
                     n_proved += 1
         _certify_demotion(pp, findings)
-        _certify_memo(pp, findings)
+        _certify_bindings(pp, findings)
         _certify_plan(pp, solution, lock_plan, strategy, findings)
     _certify_narrowing(tree, pps, findings)
     stats = {

@@ -45,9 +45,6 @@ class Map:
             raise StateModelError(f"map capacity must be positive: {capacity}")
         self.capacity = capacity
         self._data: dict[Hashable, int] = {}
-        #: bumped on every successful mutation; the compiled dataplane's
-        #: classification memo keys its validity on this.
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -63,15 +60,11 @@ class Map:
         if key not in self._data and len(self._data) >= self.capacity:
             return False
         self._data[key] = int(value)
-        self.version += 1
         return True
 
     def erase(self, key: Hashable) -> bool:
         """Remove ``key``; returns whether it was present."""
-        present = self._data.pop(key, None) is not None
-        if present:
-            self.version += 1
-        return present
+        return self._data.pop(key, None) is not None
 
     def keys(self) -> Iterator[Hashable]:
         return iter(list(self._data.keys()))
@@ -95,8 +88,6 @@ class Vector:
         #: Pristine record layout, read by every never-written index.
         self._template: dict[str, int] = dict(initial or {})
         self._rows: dict[int, dict[str, int]] = {}
-        #: bumped on every slot overwrite (compiled-memo validity guard).
-        self.version = 0
 
     def __len__(self) -> int:
         return self.capacity
@@ -121,7 +112,6 @@ class Vector:
     def put(self, index: int, record: dict[str, int]) -> None:
         """Overwrite the record at ``index``."""
         self._rows[self._check(index)] = dict(record)
-        self.version += 1
 
     def reset(self, index: int) -> None:
         """Restore the record at ``index`` to the initial template.
@@ -131,7 +121,6 @@ class Vector:
         state so a later (re)allocation of that index starts clean.
         """
         self._rows.pop(self._check(index), None)
-        self.version += 1
 
 
 class DChain:
@@ -156,9 +145,6 @@ class DChain:
         self._allocated = bytearray(capacity)
         self._touched = array("d", bytes(8 * capacity))
         self._free: list[int] = list(range(capacity - 1, -1, -1))
-        #: bumped when the allocated set changes (not on rejuvenation);
-        #: the compiled-memo validity guard for flag/frozen-alloc reads.
-        self.alloc_version = 0
 
     def allocated_count(self) -> int:
         return self.capacity - len(self._free)
@@ -170,7 +156,6 @@ class DChain:
         index = self._free.pop()
         self._allocated[index] = 1
         self._touched[index] = now
-        self.alloc_version += 1
         return True, index
 
     def reach(self, k: int) -> list[int]:
@@ -209,7 +194,6 @@ class DChain:
         if 0 <= index < self.capacity and self._allocated[index]:
             self._allocated[index] = 0
             self._free.append(index)
-            self.alloc_version += 1
             return True
         return False
 
@@ -222,7 +206,6 @@ class DChain:
         flags[stale] = False
         expired = stale.tolist()
         self._free.extend(expired)
-        self.alloc_version += len(expired)
         return expired
 
 

@@ -125,11 +125,11 @@ class RssConfiguration:
         """Monotonic counter over every table mutation.
 
         Steering itself reads the tables afresh on every call, so it is
-        never stale; the compiled dispatcher
-        (:class:`repro.sim.compiled.CompiledDispatcher`) snapshots this
-        value and flushes its classification memo whenever it moves —
-        rebalancing an indirection table remaps flows to other cores, so
-        a classification computed against one shard no longer applies.
+        never stale, and the compiled dispatcher
+        (:class:`repro.sim.compiled.CompiledDispatcher`) caches nothing
+        across runs, so a bump needs no flush: the next run reads the
+        shards its new core ids name.  Elastic rescaling reports the
+        value before and after each rescale.
         """
         return sum(config.table.generation for config in self.ports.values())
 

@@ -22,8 +22,9 @@ state-as-transferable-delta framing):
    index may be taken), and the paired map values / vector rows are
    rewritten through the old->new index remap;
 4. **commit** — the table entry flips to the receiver and the steering
-   generation bumps, invalidating compiled classification memos (steering
-   itself reads the table afresh for every packet).
+   generation bumps (steering reads the table afresh for every packet,
+   and the compiled dataplane caches nothing across runs, so nothing
+   needs invalidating).
 
 Every handoff is reported to an installed :class:`RaceMonitor` so the
 MAE103 ownership checker transfers ownership atomically at the commit
@@ -445,8 +446,7 @@ def rescale_parallel(
     receiving cores, migrate each moving bucket's state (two-phase, each
     handoff reported to the race monitor when one is installed), then
     commit every port's table with exactly **one** reprogram — so the
-    steering generation bumps once per rescale and compiled memos
-    invalidate themselves.
+    steering generation bumps once per rescale.
 
     ``torn_hook(slot, src, dst)`` is a fault-injection point between
     extract and install (the unowned epoch); tests use it to prove the
@@ -523,8 +523,7 @@ def rescale_parallel(
             table.retarget(n_new)
 
         # Compiled dispatchers cache per-core contexts at construction;
-        # refresh so freshly revived cores are dispatchable.  The memo
-        # itself self-invalidates via the steering generation.
+        # refresh so freshly revived cores are dispatchable.
         dispatcher = getattr(parallel, "_compiled_dispatcher", None)
         if dispatcher is not None:
             dispatcher._ctxs = [core.ctx for core in parallel.cores]

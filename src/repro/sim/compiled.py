@@ -35,12 +35,11 @@ dchain index, so the cells a chunk can allocate are the top of each
 chain's free stack at chunk start (its *reach*), and a chain that is
 full at chunk start stays full for the whole chunk.
 
-Classifications are memoized per (shard, port, flow) — keyed on a
-verified hash of the packet fields a port's programs consume and
-guarded by state version counters — and the whole memo is flushed
-whenever ``rss.steering_generation`` bumps, because re-steering moves
-flows between shards and a cached classification is only valid against
-the shard whose state it was computed from.
+The shard is a per-lane column: each chunk is classified once per
+port over every core's lanes, each state read picks the lane's own
+shard store, and hazard keys and cells carry the shard.  Nothing is
+cached across chunks, so a ``rss.steering_generation`` bump needs no
+flush: the next run simply reads the shards its new core ids name.
 """
 
 from __future__ import annotations
@@ -97,17 +96,14 @@ _NON_FREEING_OPS = frozenset({
     "vector_fill", "dchain_allocate", "dchain_is_allocated",
     "dchain_rejuvenate", "sketch_fetch", "sketch_touch",
 })
-#: Per-(shard, port) memo slots before the memo is dropped wholesale.
-_MEMO_MAX = 65536
-#: Slots a fresh (shard, port) memo starts with; it grows by doubling.
-_MEMO_CAP0 = 64
 #: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
 _FIXPOINT_MAX = 64
 
-#: ``_Alloc`` step artifacts: the chain is full (the step is lowered)
-#: or has a free index (every program crossing the step stops there).
+#: ``_Alloc`` step artifact when the chain is full on every shard of
+#: the group.  Otherwise the artifact's ``free`` mask marks the lanes
+#: whose shard has a free index: every program crossing the step stops
+#: there for them.
 _FULL = {"oob": None}
-_FREE = {"oob": None}
 
 #: The symbol bindings available before any stateful op runs.
 _BASE_SYMS = frozenset(
@@ -466,8 +462,8 @@ class _PortProgram:
     """All programs for one ingress port, plus shared-evaluation facts."""
 
     __slots__ = (
-        "port", "programs", "pairs", "fields", "need_time", "memoizable",
-        "shared_ok", "read_objs", "any_supported", "alloc_max",
+        "port", "programs", "pairs", "fields", "need_time", "shared_ok",
+        "any_supported", "alloc_max",
     )
 
     def __init__(self, port, programs, pairs):
@@ -488,12 +484,6 @@ class _PortProgram:
         self.fields = tuple(sorted(n for n in used if n.startswith("pkt.")))
         self.need_time = "time" in used
         self.any_supported = any(p.supported for p in programs)
-        # A cached classification must be a pure function of (fields,
-        # state): any supported program consuming ``time`` makes the
-        # same flow classify differently across packets.
-        self.memoizable = not any(
-            "time" in p.used for p in programs if p.supported
-        )
         # Can sibling programs share one env/cache?  Only if every
         # result symbol name is defined by the same step signature in
         # every program that binds it (the engine's per-path op counter
@@ -516,25 +506,6 @@ class _PortProgram:
                     prev = sigs.setdefault(name, sig)
                     if prev != sig:
                         self.shared_ok = False
-        # Ordered read-object versions guarding the memo: one (obj,
-        # kind) per distinct read the supported programs perform.
-        seen = set()
-        self.read_objs = []
-        for prog in programs:
-            if not prog.supported:
-                continue
-            for step in prog.steps:
-                if isinstance(step, _MapGet):
-                    key = (step.obj, "map")
-                elif isinstance(step, _VecBorrow):
-                    key = (step.obj, "vec")
-                elif isinstance(step, (_IsAlloc, _Rejuv, _Alloc)):
-                    key = (step.obj, "chain")
-                else:
-                    continue
-                if key not in seen:
-                    seen.add(key)
-                    self.read_objs.append(key)
 
 
 def _compile_port(nf, port, paths, pid_start, exact_alloc):
@@ -611,199 +582,119 @@ def compile_parallel(parallel: ParallelNF, tree=None):
 # ------------------------------------------------------------------ #
 # Run-time: hazard board, per-chunk group state.
 # ------------------------------------------------------------------ #
+def _qualify(cells, shards, n_shards):
+    """Shard-qualified cells: ``cell * n_shards + shard``.
+
+    A cell no store can hold (negative, or too large to encode) becomes
+    -1.  Kernel lanes keep it, so it matches no dirt; dirt drops it,
+    because an operation at such a cell touches no state.
+    """
+    ok = (cells >= 0) & (cells <= INT_SAFE // n_shards)
+    return np.where(ok, cells * n_shards + shards, -1)
+
+
+def _by_shard(shards, n_shards):
+    """``(shard, lane positions)`` per shard present, in shard order;
+    the positions are None when one shard holds every lane."""
+    if n_shards == 1:
+        return [(0, None)]
+    counts = np.bincount(shards, minlength=n_shards)
+    present = np.flatnonzero(counts).tolist()
+    if len(present) == 1:
+        return [(present[0], None)]
+    order = np.argsort(shards, kind="stable")
+    ends = np.cumsum(counts[present]).tolist()
+    return [
+        (s, order[e - int(counts[s]):e]) for s, e in zip(present, ends)
+    ]
+
+
+def _on_shards(shards, wild):
+    """Lanes whose shard is in the set ``wild``."""
+    return np.isin(shards, np.fromiter(wild, np.int64, count=len(wild)))
+
+
 class _DirtBoard:
     """Chunk-local record of state touched by interpreter-bound lanes.
 
-    Per aspect and object: ``None`` is a wildcard (everything dirty), a
-    set holds the exact keys/cells.  ``alloc`` cells are the chain's
-    reach: the free cells an allocation this chunk can hand out.
+    Per aspect and object, an entry holds the shards dirtied wholesale
+    (wildcards) and the exact keys or cells, each qualified by its
+    shard: ``(shard, key)`` for map keys, :func:`_qualify` for cells.
+    ``alloc`` cells are a chain's reach: the free cells an allocation
+    this chunk can hand out.  ``wild_all`` holds the shards where a
+    lane of a port with no program runs interpreted.
     """
 
-    __slots__ = ("maps", "vec_w", "vec_r", "ts_w", "alloc", "wild_all")
+    __slots__ = ("tables", "wild_all")
 
     def __init__(self):
-        self.maps = {}
-        self.vec_w = {}
-        self.vec_r = {}
-        self.ts_w = {}
-        self.alloc = {}
-        self.wild_all = False
+        self.tables = {
+            aspect: {} for aspect in ("map_w", "vec_w", "vec_r", "ts_w",
+                                      "alloc")
+        }
+        self.wild_all = set()
 
-    def _table(self, aspect):
-        if aspect == "map_w":
-            return self.maps
-        if aspect == "vec_w":
-            return self.vec_w
-        if aspect == "vec_r":
-            return self.vec_r
-        if aspect == "alloc":
-            return self.alloc
-        return self.ts_w
+    def get(self, aspect, obj):
+        """``(wildcard shards, qualified keys)`` of ``obj``, or None."""
+        return self.tables[aspect].get(obj)
+
+    def _entry(self, aspect, obj):
+        table = self.tables[aspect]
+        entry = table.get(obj)
+        if entry is None:
+            entry = table[obj] = (set(), set())
+        return entry
 
     def add(self, aspect, obj, values):
-        table = self._table(aspect)
-        if values is None:
-            table[obj] = None
-            return
-        cur = table.get(obj, ())
-        if cur is None:
-            return
-        if cur == ():
-            cur = set()
-            table[obj] = cur
-        cur.update(values)
+        """Mark shard-qualified keys or cells of ``obj`` dirty."""
+        self._entry(aspect, obj)[1].update(values)
 
-    def add_wild(self, pairs):
-        for aspect, obj in pairs:
-            self.add(aspect, obj, None)
+    def add_wild(self, aspect, obj, shards):
+        """Mark all of ``obj`` dirty on each of ``shards``."""
+        self._entry(aspect, obj)[0].update(shards)
 
 
 class _ProgState:
     """Per-chunk evaluation state of one program over one port group."""
 
     __slots__ = (
-        "prog", "match", "force_f", "kmask", "bailed", "stopped", "arts",
-        "dirt_vals", "port_vals", "mod_vals", "memo_results",
+        "prog", "shards", "match", "force_f", "kmask", "bailed", "arts",
+        "dirt_vals", "stops", "stopped", "port_vals", "mod_vals",
     )
 
-    def __init__(self, prog):
+    def __init__(self, prog, shards):
         self.prog = prog
+        #: The shard of each lane of the group.
+        self.shards = shards
         self.match = None
         self.force_f = None
         self.kmask = None
         self.bailed = False
-        #: Stopped at an allocation whose chain has a free index: the
-        #: program runs like an unsupported one, ``match`` being the
-        #: lanes that reach the allocation.
-        self.stopped = False
         self.arts = []
         self.dirt_vals = []
+        #: Lanes stopped at an allocation whose chain has a free index
+        #: on their shard, per allocation: ``(steps run before it, lane
+        #: mask, footprint of the path from it on)``.  ``stopped`` is
+        #: the union of the masks (None while empty); these lanes run
+        #: interpreted, and ``match`` excludes them.
+        self.stops = []
+        self.stopped = None
         self.port_vals = None
         self.mod_vals = None
-        self.memo_results = None
 
 
 class _Group:
-    """One (domain, port) lane group and its classification state."""
+    """One port's lanes of a chunk, over every shard, and their
+    classification state."""
 
-    __slots__ = ("pp", "g_lanes", "progs", "assign")
+    __slots__ = ("pp", "g_lanes", "shards", "by_shard", "progs")
 
-    def __init__(self, pp, g_lanes):
+    def __init__(self, pp, g_lanes, shards, n_shards):
         self.pp = pp
         self.g_lanes = g_lanes
-        self.progs = [_ProgState(p) for p in pp.programs]
-        self.assign = None
-
-
-def _field_hash(cols, n):
-    """Vectorized uint64 key of each of ``n`` rows of 8-byte columns.
-
-    Mixes every column's bit pattern into a running hash.  Equal rows
-    always get equal keys; a memo probe verifies the row itself, so two
-    rows that collide only cost a miss.
-    """
-    h = np.full(n, 0x9E3779B97F4A7C15, np.uint64)
-    for col in cols:
-        h ^= col
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(29)
-    return h
-
-
-def _grown(arr, cap):
-    """``arr`` copied into zeroed storage of ``cap`` rows."""
-    out = np.zeros((cap,) + arr.shape[1:], arr.dtype)
-    out[: arr.shape[0]] = arr
-    return out
-
-
-class _Memo:
-    """Classification memo of one (shard, port) at one state-version vector.
-
-    ``index`` maps a packet's field-row hash to a *slot*, and ``rows``
-    keeps each slot's exact field row, so every probe is verified: a
-    hash collision is a miss, never a wrong hit.  Per slot the memo
-    holds the program index (``assign``), that program's per-step scalar
-    columns (``arts``) and the finished, shared :class:`PacketResult`
-    (``results``); a hit is a gather at its slots.  Columns grow by
-    doubling and persist across runs for as long as the versions hold.
-    """
-
-    __slots__ = ("pp", "versions", "index", "n", "rows", "assign", "arts",
-                 "results", "pending")
-
-    def __init__(self, pp, versions):
-        self.pp = pp
-        self.versions = versions
-        self.index = {}
-        self.n = 0
-        self.rows = np.zeros((_MEMO_CAP0, len(pp.fields)), np.uint64)
-        self.assign = np.zeros(_MEMO_CAP0, np.int64)
-        self.results = np.empty(_MEMO_CAP0, object)
-        self.arts = [None] * len(pp.programs)
-        #: The last evaluated group's misses, awaiting insertion.
-        self.pending = None
-
-    def lookup(self, keys, rows):
-        """Slot of each lane's field row; -1 where it is not memoized."""
-        if not self.index:
-            return np.full(keys.size, -1, np.int64)
-        if not self.pp.fields:  # one empty row: one probe serves all
-            return np.full(keys.size, self.index.get(int(keys[0]), -1))
-        slots = np.fromiter(
-            map(self.index.get, keys.tolist(), repeat(-1)),
-            np.int64, count=keys.size,
-        )
-        found = np.flatnonzero(slots >= 0)
-        if found.size:
-            wrong = (self.rows[slots[found]] != rows[found]).any(axis=1)
-            slots[found[wrong]] = -1
-        return slots
-
-    def reserve(self, k):
-        """``k`` fresh slot numbers; past ``_MEMO_MAX`` the memo starts over."""
-        if self.n + k > _MEMO_MAX:
-            self.index.clear()
-            self.n = 0
-        start = self.n
-        self.n += k
-        cap = self.assign.size
-        if self.n > cap:
-            while cap < self.n:
-                cap *= 2
-            self.rows = _grown(self.rows, cap)
-            self.assign = _grown(self.assign, cap)
-            self.results = _grown(self.results, cap)
-            self.arts = [
-                None if cols is None
-                else [tuple(_grown(a, cap) for a in col) for col in cols]
-                for cols in self.arts
-            ]
-        return np.arange(start, self.n)
-
-    def columns(self, pidx):
-        """Per-step slot columns of program ``pidx``, allocated on first use."""
-        cols = self.arts[pidx]
-        if cols is None:
-            cap = self.assign.size
-            cols = []
-            for step in self.pp.programs[pidx].steps:
-                if isinstance(step, _MapGet):
-                    cols.append((np.empty(cap, object),))
-                elif isinstance(step, _VecPut):
-                    cols.append(
-                        (np.zeros(cap, np.int64), np.empty(cap, object))
-                    )
-                elif isinstance(step, _VecBorrow):
-                    cols.append((np.zeros(cap, np.int64),))
-                elif isinstance(step, _Alloc):
-                    cols.append(())
-                else:  # _IsAlloc / _Rejuv
-                    cols.append(
-                        (np.zeros(cap, np.int64), np.zeros(cap, dtype=bool))
-                    )
-            self.arts[pidx] = cols
-        return cols
+        self.shards = shards
+        self.by_shard = _by_shard(shards, n_shards)
+        self.progs = [_ProgState(p, shards) for p in pp.programs]
 
 
 def _ivals(col, g):
@@ -860,6 +751,27 @@ def _bump(ctx, bump_ops, n):
             )
 
 
+def _stored_values(col, kidx):
+    """Python values a ``vector_put`` stores from column ``col`` at
+    lanes ``kidx``: floats where the lane holds a float, else ints."""
+    arr = col.arr[kidx]
+    if not col.is_float:
+        return arr.astype(np.int64).tolist()
+    if col.fmask is None:
+        return arr.tolist()
+    return [
+        v if is_f else int(v)
+        for v, is_f in zip(arr.tolist(), col.fmask[kidx].tolist())
+    ]
+
+
+def _hit_or(dem, hit):
+    """``dem | hit``, where None is an empty mask."""
+    if hit is None or not hit.any():
+        return dem
+    return hit if dem is None else dem | hit
+
+
 class CompiledDispatcher:
     """Executes traces through compiled kernels with interpreter fallback."""
 
@@ -869,9 +781,6 @@ class CompiledDispatcher:
         self.chunk = DEFAULT_CHUNK
         self.fault = None
         self._fault_fired = False
-        self._generation = parallel.rss.steering_generation
-        self._memo = {}
-        self.memo_enabled = True
         self.total_paths = total_paths
         self.supported_paths = sum(
             1 for pp in ports.values() for p in pp.programs if p.supported
@@ -880,9 +789,6 @@ class CompiledDispatcher:
         self.fallback_packets = 0
         self.chunks = 0
         self.bails = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_invalidations = 0
         self.expire_ports = {
             port: pp.pairs for port, pp in ports.items() if pp.pairs
         }
@@ -893,28 +799,14 @@ class CompiledDispatcher:
         self._cols = None
         self._triggers = {}
         self._ts_pending = {}
-        #: Per-run field-row keys, by the field tuple they cover.
-        self._keys = {}
-        #: The running domain's store and groups, and its reaches.
-        self._domain = None
+        #: Per run: the stores kernels read (one per core under
+        #: shared-nothing, else the one shared store) and each packet's
+        #: shard, its index in ``_stores``.
+        self._stores = []
+        self._shards = None
+        #: The running chunk's groups, and its reaches per (shard, chain).
+        self._groups = []
         self._reaches = {}
-
-    # -------------------------------------------------------------- #
-    # Memo/generation plumbing
-    # -------------------------------------------------------------- #
-    def _check_generation(self):
-        gen = self.parallel.rss.steering_generation
-        if gen != self._generation:
-            # Re-steering moves flows between shards: every cached
-            # classification was computed against the wrong shard.
-            self._memo.clear()
-            self._generation = gen
-            self.memo_invalidations += 1
-
-    def _store_for(self, cid):
-        if cid is None:
-            return self._ctxs[0].store
-        return self._ctxs[cid].store
 
     # -------------------------------------------------------------- #
     # Run setup
@@ -922,9 +814,9 @@ class CompiledDispatcher:
     def start_run(self, cols, core_ids, window_packets, bucket_ids=None):
         """Bind one run's :class:`~repro.traffic.TraceColumns`; return chunk edges.
 
-        Every per-run table — header columns, field-row keys — is
-        derived from ``cols`` afresh, so nothing carries over from an
-        earlier run but the (shard, port) classification memos.
+        Every per-run table is derived from ``cols`` and ``core_ids``
+        afresh, so nothing carries over from an earlier run: a re-steered
+        trace reads the shards its new core ids name.
         """
         n = len(cols)
         self._cols = cols
@@ -934,10 +826,14 @@ class CompiledDispatcher:
         #: kernel vector scatters re-tag the rows they overwrite.
         self._bucket_ids = bucket_ids
         self._ports_arr = cols.ports
-        self._keys = {}
         self._core_ids = core_ids
+        if self._sn:
+            self._stores = [ctx.store for ctx in self._ctxs]
+            self._shards = core_ids
+        else:
+            self._stores = [self._ctxs[0].store]
+            self._shards = np.zeros(n, np.int64)
         self.path_ids = np.full(n, -1, dtype=np.int32)
-        self._check_generation()
         self._triggers = self._plan_triggers()
         edges = {0, n}
         if self.ports:
@@ -951,9 +847,11 @@ class CompiledDispatcher:
 
     def end_run(self):
         self._cols = None
-        self._keys = {}
         self._triggers = {}
         self._bucket_ids = None
+        self._stores = []
+        self._shards = None
+        self._groups = []
 
     def _field_col(self, name):
         """Column of symbol ``pkt.<field>``, shared with steering."""
@@ -987,7 +885,6 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     def run_chunk(self, start, end, results):
         self.chunks += 1
-        self._check_generation()
         captured = None
         ci = self._triggers.get(start)
         if ci is not None:
@@ -1000,14 +897,7 @@ class CompiledDispatcher:
                 ctx.expire_flows(map_name, chain_name)
             captured = ctx._ops
             ctx._ops = []
-        if self._sn:
-            chunk_cores = self._core_ids[start:end]
-            for cid in range(self.parallel.n_cores):
-                lanes = np.flatnonzero(chunk_cores == cid) + start
-                if lanes.size:
-                    self._run_domain(lanes, results, cid)
-        else:
-            self._run_domain(np.arange(start, end), results, None)
+        self._run_lanes(start, end, results)
         if captured:
             r = results[start]
             results[start] = PacketResult(
@@ -1015,25 +905,33 @@ class CompiledDispatcher:
                 r.new_flow,
             )
 
-    def _run_domain(self, lanes, results, cid):
-        ports_l = self._ports_arr[lanes]
-        store = self._store_for(cid)
+    def _run_lanes(self, start, end, results):
+        """Classify each port group of the chunk once, over every shard,
+        then run the fallback lanes and apply the kernel lanes."""
+        lanes = np.arange(start, end)
+        ports_l = self._ports_arr[start:end]
+        shards = self._shards[start:end]
+        n_shards = len(self._stores)
         groups = []
-        board = _DirtBoard()
-        covered = 0
+        uncovered = np.ones(lanes.size, dtype=bool)
         for port, pp in sorted(self.ports.items()):
-            g_lanes = lanes[ports_l == port]
-            if g_lanes.size:
-                covered += g_lanes.size
-                groups.append(self._classify(pp, g_lanes, cid, store))
+            pos = np.flatnonzero(ports_l == port)
+            if pos.size:
+                uncovered[pos] = False
+                group = _Group(pp, lanes[pos], shards[pos], n_shards)
+                self._eval_group(group)
+                groups.append(group)
         if not groups:
-            self._run_fallback(lanes, results, cid)
+            self._run_fallback(lanes, results)
             self.fallback_packets += lanes.size
             return
+        board = _DirtBoard()
         # Lanes of a port with no program run interpreted with an
-        # unknown footprint: no kernel lane may trust its reads.
-        board.wild_all = covered < lanes.size
-        self._domain = (store, groups)
+        # unknown footprint: no kernel lane of their shard may trust
+        # its reads.
+        if uncovered.any():
+            board.wild_all.update(np.unique(shards[uncovered]).tolist())
+        self._groups = groups
         self._reaches = {}
         self._seed_board(groups, board)
         self._multi_touch(groups)
@@ -1041,32 +939,42 @@ class CompiledDispatcher:
         victim = self._inject_fault(groups)
         k_flag = np.zeros(lanes.size, dtype=bool)
         for g in groups:
-            pos = np.searchsorted(lanes, g.g_lanes)
+            pos = g.g_lanes - start
             for ps in g.progs:
                 if ps.kmask is not None and ps.kmask.any():
                     k_flag[pos[ps.kmask]] = True
         if victim is not None:
-            k_flag[np.searchsorted(lanes, victim[0])] = True
+            k_flag[victim[0] - start] = True
         f_lanes = lanes[~k_flag]
-        self._run_fallback(f_lanes, results, cid)
+        self._run_fallback(f_lanes, results)
         kept = 0
         for g in groups:
-            kept += self._apply_group(g, results, cid, store)
-        self._flush_ts(store)
+            kept += self._apply_group(g, results)
+        self._flush_ts()
         if victim is not None:
             self._apply_fault(victim, results)
             kept += 1
         self.kernel_packets += kept
         self.fallback_packets += f_lanes.size
 
-    def _run_fallback(self, f_lanes, results, cid):
+    def _run_fallback(self, f_lanes, results):
         if not f_lanes.size:
             return
         trace = self._cols.trace
-        idx = f_lanes.tolist()
+        ctxs = self._ctxs
+        cores = self._core_ids[f_lanes]
+        if not self._sn:
+            # Shared state: strict trace order.  Elastic runs are
+            # shared-nothing, so there are no buckets to install here.
+            for i, c in zip(f_lanes.tolist(), cores.tolist()):
+                results[i] = ctxs[c].run(*trace[i])
+            return
+        # Shared-nothing: cores touch disjoint state, so each core's
+        # lanes run together, in trace order.
         buckets = self._bucket_ids
-        if cid is not None:
-            ctx = self._ctxs[cid]
+        for c in np.unique(cores).tolist():
+            idx = f_lanes[cores == c].tolist()
+            ctx = ctxs[c]
             if buckets is None:
                 outs = starmap(ctx.run, [trace[i] for i in idx])
                 for i, result in zip(idx, outs):
@@ -1074,187 +982,12 @@ class CompiledDispatcher:
             else:
                 for i in idx:
                     ctx.current_bucket = int(buckets[i])
-                    port, pkt = trace[i]
-                    results[i] = ctx.run(port, pkt)
-        else:
-            # Shared state: strict trace order.  Elastic runs are
-            # shared-nothing, so there are no buckets to install here.
-            ctxs = self._ctxs
-            for i, c in zip(idx, self._core_ids[f_lanes].tolist()):
-                port, pkt = trace[i]
-                results[i] = ctxs[c].run(port, pkt)
+                    results[i] = ctx.run(*trace[i])
 
     # -------------------------------------------------------------- #
-    # Stage 1: classification (with memoized fast path)
+    # Stage 1: classification
     # -------------------------------------------------------------- #
-    def _classify(self, pp, g_lanes, cid, store):
-        group = _Group(pp, g_lanes)
-        if not (self.memo_enabled and pp.memoizable and pp.any_supported):
-            self._eval_group(group, store)
-            return group
-        memo = self._memo_for(pp, cid, store)
-        keys, rows = self._keys_for(pp)
-        keys = keys[g_lanes]
-        rows = rows[g_lanes]
-        slots = memo.lookup(keys, rows)
-        miss = slots < 0
-        n_miss = int(np.count_nonzero(miss))
-        self.memo_hits += g_lanes.size - n_miss
-        self.memo_misses += n_miss
-        if not n_miss:
-            self._reconstruct(group, memo, slots)
-            return group
-        # One miss evaluates the whole group: kernel cost is mostly
-        # per-call overhead, so serving the hit lanes apart saves little.
-        self._eval_group(group, store)
-        # Inserted at this memo's next use, and only if the chunk left
-        # the versions as they were: under churn, fallback allocations
-        # move them every chunk and the rows would be dropped unused.
-        memo.pending = (group, miss, keys, rows)
-        return group
-
-    def _keys_for(self, pp):
-        """Hash keys and exact field rows of every packet, once per run."""
-        entry = self._keys.get(pp.fields)
-        if entry is None:
-            n = self._ports_arr.size
-            cols = [self._field_col(f).view(np.uint64) for f in pp.fields]
-            rows = (
-                np.stack(cols, axis=1) if cols
-                else np.zeros((n, 0), np.uint64)
-            )
-            entry = (_field_hash(cols, n), rows)
-            self._keys[pp.fields] = entry
-        return entry
-
-    def _memo_for(self, pp, cid, store):
-        """The (shard, port) memo for the *current* state versions."""
-        versions = tuple(
-            store[obj].alloc_version if kind == "chain"
-            else store[obj].version
-            for obj, kind in pp.read_objs
-        )
-        key = (cid if cid is not None else -1, pp.port)
-        memo = self._memo.get(key)
-        if memo is None or memo.versions != versions:
-            memo = _Memo(pp, versions)
-            self._memo[key] = memo
-        elif memo.pending is not None:
-            self._memo_insert(memo, *memo.pending)
-            memo.pending = None
-        return memo
-
-    def _reconstruct(self, group, memo, slots):
-        """Rebuild per-program artifacts by gathering memo slot columns."""
-        assign = memo.assign[slots]
-        group.assign = assign
-        results = memo.results[slots]
-        for pidx, ps in enumerate(group.progs):
-            mask = assign == pidx
-            ps.match = mask
-            ps.kmask = mask.copy()
-            if not mask.any():
-                continue
-            arts = ps.arts
-            for step, cols in zip(ps.prog.steps, memo.arts[pidx]):
-                if isinstance(step, _MapGet):
-                    arts.append({"keys": cols[0][slots], "oob": None})
-                elif isinstance(step, _VecPut):
-                    arts.append({
-                        "cells": cols[0][slots],
-                        "oob": None,
-                        "stored_rows": cols[1][slots],
-                    })
-                elif isinstance(step, _VecBorrow):
-                    arts.append({"cells": cols[0][slots], "oob": None})
-                elif isinstance(step, _Alloc):
-                    arts.append(_FULL)
-                else:  # _IsAlloc / _Rejuv
-                    arts.append({
-                        "cells": cols[0][slots],
-                        "flags": cols[1][slots],
-                        "oob": None,
-                    })
-            ps.memo_results = results
-
-    def _memo_insert(self, memo, group, miss, keys, rows):
-        """Memoize the missed rows whose lanes classified supported-clean.
-
-        ``assign >= 0`` already means a supported, unbailed program
-        claimed the lane without forcing it to the interpreter.  One slot
-        per new key; a row whose key is already indexed for a different
-        row collided, and stays a miss.
-        """
-        assign = group.assign
-        cand = np.flatnonzero(miss & (assign >= 0))
-        if not cand.size:
-            return
-        index = memo.index
-        fresh = dict(zip(keys[cand].tolist(), cand.tolist()))
-        if index:
-            fresh = {k: p for k, p in fresh.items() if k not in index}
-            if not fresh:
-                return
-        pos = np.fromiter(fresh.values(), np.int64, count=len(fresh))
-        slots = memo.reserve(pos.size)
-        memo.index.update(zip(fresh, slots.tolist()))
-        memo.rows[slots] = rows[pos]
-        owner = assign[pos]
-        memo.assign[slots] = owner
-        for pidx in set(owner.tolist()):
-            sel = owner == pidx
-            self._memo_fill(
-                memo, pidx, group.progs[pidx], pos[sel], slots[sel]
-            )
-
-    def _memo_fill(self, memo, pidx, ps, pos, slots):
-        """Write one program's lanes ``pos`` into memo ``slots``."""
-        prog = ps.prog
-        pos_l = pos.tolist()
-        slots_l = slots.tolist()
-        for step, cols, art in zip(prog.steps, memo.columns(pidx), ps.arts):
-            if isinstance(step, _MapGet):
-                keys = art["keys"]
-                col = cols[0]
-                for s, p in zip(slots_l, pos_l):
-                    col[s] = keys[p]
-            elif not isinstance(step, _Alloc):
-                cols[0][slots] = art["cells"][pos]
-                if isinstance(step, _VecPut):
-                    col = cols[1]
-                    for s, p in zip(slots_l, pos_l):
-                        col[s] = self._stored_row(art, p)
-                elif not isinstance(step, _VecBorrow):  # _IsAlloc / _Rejuv
-                    cols[1][slots] = art["flags"][pos]
-        results = memo.results
-        if prog.const_result is not None:
-            results[slots] = prog.const_result
-            return
-        kind = prog.kind
-        ops = prog.ops_list
-        port_vals = ps.port_vals
-        for s, p in zip(slots_l, pos_l):
-            port = prog.port_const if port_vals is None else int(port_vals[p])
-            mods = {name: int(vals[p]) for name, vals in ps.mod_vals}
-            results[s] = PacketResult(kind, port, mods, ops, False)
-
-    @staticmethod
-    def _stored_row(art, pos):
-        rows = art.get("stored_rows")
-        if rows is not None:
-            return rows[pos]
-        out = []
-        for fname, col in art["stored"]:
-            arr = col.arr
-            v = arr[pos] if arr.ndim else arr[()]
-            if col.is_float:
-                is_f = True if col.fmask is None else bool(col.fmask[pos])
-                out.append((fname, float(v) if is_f else int(v)))
-            else:
-                out.append((fname, int(v)))
-        return tuple(out)
-
-    def _eval_group(self, group, store):
+    def _eval_group(self, group):
         pp = group.pp
         g_lanes = group.g_lanes
         g = g_lanes.size
@@ -1267,135 +1000,184 @@ class CompiledDispatcher:
         env = dict(base_env)
         cache: dict = {}
         step_cache: dict = {}
-        assign = np.full(g, -1, np.int64)
         claimed = np.zeros(g, dtype=bool)
-        group.assign = assign
-        for pidx, prog in enumerate(pp.programs):
+        for prog, ps in zip(pp.programs, group.progs):
             if not shared:
                 env = dict(base_env)
                 cache = {}
                 step_cache = {}
-            ps = group.progs[pidx]
             try:
-                self._eval_program(prog, ps, env, cache, step_cache, g, store)
+                self._eval_program(prog, ps, env, cache, step_cache, group)
             except (KernelBail, OverflowError):
                 ps.bailed = True
                 ps.match = None
                 self.bails += 1
                 continue
-            if prog.supported and not ps.stopped:
+            if prog.supported:
                 m = ps.match & ~ps.force_f & ~claimed
                 ps.kmask = m
                 claimed |= m
-                assign[m] = pidx
 
-    def _eval_program(self, prog, ps, env, cache, step_cache, g, store):
+    def _eval_program(self, prog, ps, env, cache, step_cache, group):
+        g = group.g_lanes.size
         alive = np.ones(g, dtype=bool)
         force_f = np.zeros(g, dtype=bool)
-        descs = prog.dirt_descs
         for tag, x in prog.items:
             if tag == "c":
                 alive = np.logical_and(alive, as_bool(eval_expr(x, env, cache)))
-            else:
-                art = step_cache.get(x.sig)
-                if art is None:
-                    art = self._exec_step(x, env, cache, g, store)
-                    step_cache[x.sig] = art
-                if art is _FREE:
-                    # The chain has a free index: stop, and publish the
-                    # footprint of the path from the allocation on.
-                    ps.stopped = True
-                    descs = x.suffix
+                continue
+            art = step_cache.get(x.sig)
+            if art is None:
+                art = self._exec_step(x, env, cache, group)
+                step_cache[x.sig] = art
+            free = art.get("free")
+            if free is not None:
+                # The chain has a free index on these lanes' shards: they
+                # stop here and publish the footprint of the path from
+                # the allocation on.
+                stop = alive & free
+                if stop.any():
+                    ps.stops.append((
+                        len(ps.arts), stop,
+                        self._eval_dirt(x.suffix, env, cache, g),
+                    ))
+                    ps.stopped = stop if ps.stopped is None \
+                        else ps.stopped | stop
+                alive = alive & ~free
+                if not alive.any():
                     break
-                ps.arts.append(art)
-                oob = art.get("oob")
-                if oob is not None:
-                    force_f = force_f | oob
+            ps.arts.append(art)
+            oob = art.get("oob")
+            if oob is not None:
+                force_f = force_f | oob
+        else:
+            ps.dirt_vals = self._eval_dirt(prog.dirt_descs, env, cache, g)
+            if prog.supported and prog.const_result is None:
+                if prog.port_expr is not None:
+                    ps.port_vals = _ivals(
+                        eval_expr(prog.port_expr, env, cache), g
+                    )
+                ps.mod_vals = [
+                    (name, _ivals(eval_expr(expr, env, cache), g))
+                    for name, expr in prog.mods
+                ]
         ps.match = alive
         ps.force_f = force_f
-        for aspect, obj, exprs in descs:
-            if exprs is None or isinstance(exprs, str):
-                ps.dirt_vals.append((aspect, obj, exprs))
-                continue
-            try:
-                if aspect == "map_w":
-                    arrs = [
-                        _ivals(eval_expr(k, env, cache), g).tolist()
-                        for k in exprs
-                    ]
-                    keys = (
-                        [(v,) for v in arrs[0]] if len(arrs) == 1
-                        else list(zip(*arrs))
-                    )
-                    ps.dirt_vals.append((aspect, obj, keys))
-                else:
-                    cells = _ivals(eval_expr(exprs[0], env, cache), g)
-                    ps.dirt_vals.append((aspect, obj, cells))
-            except (KernelBail, OverflowError):
-                ps.dirt_vals.append((aspect, obj, None))
-        if prog.supported and not ps.stopped and prog.const_result is None:
-            if prog.port_expr is not None:
-                ps.port_vals = _ivals(eval_expr(prog.port_expr, env, cache), g)
-            ps.mod_vals = [
-                (name, _ivals(eval_expr(expr, env, cache), g))
-                for name, expr in prog.mods
-            ]
 
-    def _exec_step(self, step, env, cache, g, store):
+    @staticmethod
+    def _eval_dirt(descs, env, cache, g):
+        """Per-lane values of dirt descriptors: a list of key columns for
+        ``map_w``, a cell column otherwise; None (wildcard) or a chain
+        name (its reach) pass through."""
+        out = []
+        for aspect, obj, exprs in descs:
+            if exprs is not None and not isinstance(exprs, str):
+                try:
+                    if aspect == "map_w":
+                        exprs = [
+                            _ivals(eval_expr(k, env, cache), g) for k in exprs
+                        ]
+                    else:
+                        exprs = _ivals(eval_expr(exprs[0], env, cache), g)
+                except (KernelBail, OverflowError):
+                    exprs = None
+            out.append((aspect, obj, exprs))
+        return out
+
+    def _exec_step(self, step, env, cache, group):
+        g = group.g_lanes.size
+        stores = self._stores
+        n_shards = len(stores)
+        by_shard = group.by_shard
         if isinstance(step, _Alloc):
-            chain = store[step.obj]
-            if chain.allocated_count() < chain.capacity:
-                return _FREE
-            # Full at chunk start, so full all chunk: every lane gets
-            # the interpreter's ``(False, 0)``.
+            free = [
+                s for s, _ in by_shard
+                if stores[s][step.obj].allocated_count()
+                < stores[s][step.obj].capacity
+            ]
+            # A chain full at chunk start stays full all chunk: its
+            # lanes get the interpreter's ``(False, 0)``.
             env[step.ok] = Column(np.zeros(g, dtype=bool), 1.0)
             env[step.index] = Column(np.zeros(g, np.int64), 0.0)
-            return _FULL
+            if not free:
+                return _FULL
+            mask = np.zeros(g, dtype=bool)
+            if len(free) == len(by_shard):
+                mask[:] = True
+            else:
+                for s, pos in by_shard:
+                    if s in free:
+                        mask[pos] = True
+            return {"oob": None, "free": mask}
         if isinstance(step, _MapGet):
-            data = store[step.obj]._data
-            arrs = [
+            keys = list(zip(*[
                 _ivals(eval_expr(k, env, cache), g).tolist()
                 for k in step.keys
-            ]
-            keys = (
-                [(v,) for v in arrs[0]] if len(arrs) == 1
-                else list(zip(*arrs))
-            )
-            vals = [data.get(k) for k in keys]
-            found = np.fromiter((v is not None for v in vals), bool, count=g)
-            value = np.fromiter(
-                (0 if v is None else v for v in vals), np.int64, count=g
-            )
-            env[step.found] = Column(found, 1.0)
-            env[step.value] = Column(value)
+            ]))
+            if len(by_shard) == 1:
+                data = stores[by_shard[0][0]][step.obj]._data
+                found = map(data.__contains__, keys)
+                value = map(data.get, keys, repeat(0))
+            else:
+                # Each lane probes its own shard's map, in one pass.
+                datas = [store[step.obj]._data for store in stores]
+                lane_data = list(map(datas.__getitem__, group.shards.tolist()))
+                found = map(dict.__contains__, lane_data, keys)
+                value = map(dict.get, lane_data, keys, repeat(0))
+            env[step.found] = Column(np.fromiter(found, bool, count=g), 1.0)
+            env[step.value] = Column(np.fromiter(value, np.int64, count=g))
             return {"keys": keys, "oob": None}
         if isinstance(step, _VecBorrow):
-            vec = store[step.obj]
             cells = _ivals(eval_expr(step.index, env, cache), g)
-            oob = (cells < 0) | (cells >= vec.capacity)
+            # Every shard of a structure has the same capacity.
+            oob = (cells < 0) | (cells >= stores[0][step.obj].capacity)
             has_oob = bool(oob.any())
             safe = np.where(oob, 0, cells) if has_oob else cells
-            uniq, inv = np.unique(safe, return_inverse=True)
-            row = vec.row
+            # One row read per distinct (shard, cell).
+            q = safe * n_shards + group.shards
+            uniq, inv = np.unique(q, return_inverse=True)
             try:
-                recs = [row(u) for u in uniq.tolist()]
+                if n_shards == 1:
+                    recs = list(map(stores[0][step.obj].row, uniq.tolist()))
+                else:
+                    rows = [store[step.obj].row for store in stores]
+                    recs = [
+                        rows[s](c) for c, s in zip(
+                            (uniq // n_shards).tolist(),
+                            (uniq % n_shards).tolist(),
+                        )
+                    ]
                 for fname, sym in step.fields:
-                    vals = [r[fname] for r in recs]
-                    env[sym] = self._value_column(vals, inv)
+                    env[sym] = self._value_column(
+                        [r[fname] for r in recs], inv
+                    )
             except KeyError:
                 raise KernelBail("missing vector field") from None
-            return {"cells": cells, "oob": oob if has_oob else None}
+            return {
+                "cells": cells,
+                "q": np.where(oob, -1, q) if has_oob else q,
+                "oob": oob if has_oob else None,
+            }
         if isinstance(step, (_IsAlloc, _Rejuv)):
-            chain = store[step.obj]
             cells = _ivals(eval_expr(step.index, env, cache), g)
-            flags = chain.flags(cells)
+            flags = np.empty(g, dtype=bool)
+            for s, pos in by_shard:
+                chain = stores[s][step.obj]
+                if pos is None:
+                    flags = chain.flags(cells)
+                else:
+                    flags[pos] = chain.flags(cells[pos])
             if isinstance(step, _IsAlloc):
                 env[step.res] = Column(flags, 1.0)
-            return {"cells": cells, "flags": flags, "oob": None}
+            return {
+                "cells": cells,
+                "q": _qualify(cells, group.shards, n_shards),
+                "flags": flags,
+                "oob": None,
+            }
         # _VecPut
-        vec = store[step.obj]
         cells = _ivals(eval_expr(step.index, env, cache), g)
-        oob = (cells < 0) | (cells >= vec.capacity)
+        oob = (cells < 0) | (cells >= stores[0][step.obj].capacity)
         stored = []
         for fname, expr in step.stored:
             col = eval_expr(expr, env, cache)
@@ -1409,6 +1191,7 @@ class CompiledDispatcher:
             stored.append((fname, col))
         return {
             "cells": cells,
+            "q": _qualify(cells, group.shards, n_shards),
             "oob": oob if bool(oob.any()) else None,
             "stored": stored,
         }
@@ -1445,105 +1228,134 @@ class CompiledDispatcher:
                 prog = ps.prog
                 if ps.bailed:
                     # No artifacts survived: wildcard every aspect this
-                    # program could touch, including keyed suffix descs.
-                    board.add_wild(prog.wild)
+                    # program could touch on the group's shards,
+                    # including keyed suffix descs.
+                    shards = [s for s, _ in g.by_shard]
+                    for aspect, obj in prog.wild:
+                        board.add_wild(aspect, obj, shards)
                     for aspect, obj, _ in prog.dirt_descs:
-                        board.add(aspect, obj, None)
-                elif not prog.supported or ps.stopped:
-                    if ps.match is not None and ps.match.any():
-                        self._publish_dirt(board, ps, ps.match)
-                else:
-                    excl = ps.match & ~ps.kmask
-                    if excl.any():
-                        self._publish_dirt(board, ps, excl)
+                        board.add_wild(aspect, obj, shards)
+                    continue
+                fall = ps.match & ~ps.kmask if prog.supported else ps.match
+                if ps.stopped is not None:
+                    fall = fall | ps.stopped
+                if fall.any():
+                    self._publish_dirt(board, ps, fall)
 
     def _publish_dirt(self, board, ps, mask):
         """Publish the state footprint of ``mask`` lanes of one program."""
-        prog = ps.prog
-        for step, art in zip(prog.steps, ps.arts):
+        for n_steps, stop, vals in ps.stops:
+            sel = mask & stop
+            if sel.any():
+                self._publish(board, ps, sel, n_steps, vals)
+        if ps.stopped is not None:
+            mask = mask & ~ps.stopped
+            if not mask.any():
+                return
+        self._publish(board, ps, mask, len(ps.arts), ps.dirt_vals)
+
+    def _publish(self, board, ps, mask, n_steps, dirt_vals):
+        """Publish the first ``n_steps`` steps' cells and ``dirt_vals``
+        of ``mask`` lanes."""
+        for step, art in zip(ps.prog.steps[:n_steps], ps.arts):
             aspect = _step_dirt_aspect(step)
             if aspect is None:
                 continue
-            cells = art["cells"][mask]
-            if aspect == "ts_w":
-                cells = cells[art["flags"][mask]]
-            if cells.size:
-                board.add(aspect, step.obj, cells.tolist())
-        for aspect, obj, vals in ps.dirt_vals:
-            if vals is None:
-                board.add(aspect, obj, None)
-            elif isinstance(vals, str):
-                board.add(aspect, obj, self._reach(vals))
+            sel = mask & art["flags"] if aspect == "ts_w" else mask
+            q = art["q"][sel]
+            if q.size:
+                board.add(aspect, step.obj, q[q >= 0].tolist())
+        shards = ps.shards[mask]
+        present = None
+        for aspect, obj, vals in dirt_vals:
+            if vals is None or isinstance(vals, str):
+                if present is None:
+                    present = np.unique(shards).tolist()
+                if vals is None:
+                    board.add_wild(aspect, obj, present)
+                else:
+                    for s in present:
+                        board.add(aspect, obj, self._reach(s, vals))
             elif aspect == "map_w":
-                board.add(
-                    aspect, obj,
-                    [vals[i] for i in np.flatnonzero(mask).tolist()],
-                )
+                board.add(aspect, obj, zip(
+                    shards.tolist(), zip(*[a[mask].tolist() for a in vals])
+                ))
             else:
-                board.add(aspect, obj, vals[mask].tolist())
+                q = _qualify(vals[mask], shards, len(self._stores))
+                board.add(aspect, obj, q[q >= 0].tolist())
 
-    def _reach(self, chain):
-        """Cells the running domain's allocations on ``chain`` can return.
+    def _reach(self, shard, chain):
+        """Qualified cells allocations on ``chain`` can return on
+        ``shard`` this chunk.
 
         Nothing frees an index inside a chunk, so at most ``k`` pops (the
-        domain's lanes times their paths' allocations on ``chain``) take
-        the top ``k`` cells of the free stack; past its end they fail
+        shard's lanes times their paths' allocations on ``chain``) take
+        the top ``k`` cells of its free stack; past its end they fail
         with index 0.
         """
-        cells = self._reaches.get(chain)
+        cells = self._reaches.get((shard, chain))
         if cells is None:
-            store, groups = self._domain
-            k = sum(g.g_lanes.size * g.pp.alloc_max[chain] for g in groups)
-            cells = store[chain].reach(k)
-            self._reaches[chain] = cells
+            k = sum(
+                int(np.count_nonzero(g.shards == shard))
+                * g.pp.alloc_max[chain]
+                for g in self._groups if g.pp.alloc_max[chain]
+            )
+            n_shards = len(self._stores)
+            cells = [
+                c * n_shards + shard
+                for c in self._stores[shard][chain].reach(k)
+            ]
+            self._reaches[(shard, chain)] = cells
         return cells
 
     def _multi_touch(self, groups):
         """Serialize same-cell vector writes: only one kernel lane may
-        write a cell, and no other kernel lane may read it."""
-        writer_entries = {}
-        reader_entries = {}
+        write a cell, and no other kernel lane may read it.
+
+        Objects go in order of first use; each sees the kernel lanes the
+        objects before it left.
+        """
+        writers = {}
+        readers = {}
         for g in groups:
             for ps in g.progs:
                 if ps.kmask is None or not ps.kmask.any():
                     continue
                 for si, step in enumerate(ps.prog.steps):
                     if isinstance(step, _VecPut):
-                        writer_entries.setdefault(step.obj, []).append(
-                            (g, ps, si)
-                        )
+                        writers.setdefault(step.obj, []).append((g, ps, si))
                     elif isinstance(step, _VecBorrow):
-                        reader_entries.setdefault(step.obj, []).append(
-                            (g, ps, si)
-                        )
-        for obj, writers in writer_entries.items():
-            owner = {}
-            for g, ps, si in writers:
-                lanes = g.g_lanes
-                cells = ps.arts[si]["cells"]
-                for p in np.flatnonzero(ps.kmask).tolist():
-                    cell = int(cells[p])
-                    lane = int(lanes[p])
-                    prev = owner.get(cell)
-                    if prev is None:
-                        owner[cell] = lane
-                    elif prev != lane:
-                        owner[cell] = -2
-            multi = {c for c, l in owner.items() if l == -2}
-            for g, ps, si in writers:
-                lanes = g.g_lanes
-                cells = ps.arts[si]["cells"]
-                for p in np.flatnonzero(ps.kmask).tolist():
-                    if int(cells[p]) in multi:
-                        ps.kmask[p] = False
-            for g, ps, si in reader_entries.get(obj, ()):
-                lanes = g.g_lanes
-                cells = ps.arts[si]["cells"]
-                for p in np.flatnonzero(ps.kmask).tolist():
-                    cell = int(cells[p])
-                    own = owner.get(cell)
-                    if own is not None and own != int(lanes[p]):
-                        ps.kmask[p] = False
+                        readers.setdefault(step.obj, []).append((g, ps, si))
+        for obj, entries in writers.items():
+            kidxs = [np.flatnonzero(ps.kmask) for _, ps, _ in entries]
+            cells = np.concatenate([
+                ps.arts[si]["q"][k] for (_, ps, si), k in zip(entries, kidxs)
+            ])
+            lanes = np.concatenate([
+                g.g_lanes[k] for (g, _, _), k in zip(entries, kidxs)
+            ])
+            # Distinct (cell, lane) pairs, by cell: a cell two lanes
+            # write has no single owner.
+            order = np.lexsort((lanes, cells))
+            cells = cells[order]
+            lanes = lanes[order]
+            new = np.ones(cells.size, dtype=bool)
+            new[1:] = (cells[1:] != cells[:-1]) | (lanes[1:] != lanes[:-1])
+            uniq, first, counts = np.unique(
+                cells[new], return_index=True, return_counts=True
+            )
+            owner = lanes[new][first]
+            owner[counts > 1] = -1
+            multi = uniq[counts > 1]
+            if multi.size:
+                for (_, ps, si), k in zip(entries, kidxs):
+                    ps.kmask[k[np.isin(ps.arts[si]["q"][k], multi)]] = False
+            for g, ps, si in readers.get(obj, ()):
+                k = np.flatnonzero(ps.kmask)
+                q = ps.arts[si]["q"][k]
+                at = np.minimum(np.searchsorted(uniq, q), uniq.size - 1)
+                written = uniq[at] == q
+                ps.kmask[k[written & (owner[at] != g.g_lanes[k])]] = False
 
     def _fixpoint(self, groups, board):
         for _ in range(_FIXPOINT_MAX):
@@ -1569,69 +1381,73 @@ class CompiledDispatcher:
 
     def _demote_mask(self, ps, board):
         kmask = ps.kmask
-        if board.wild_all:
-            return kmask.copy()
+        shards = ps.shards
         dem = None
+        if board.wild_all:
+            dem = _hit_or(None, kmask & _on_shards(shards, board.wild_all))
         for step, art in zip(ps.prog.steps, ps.arts):
             if isinstance(step, _MapGet):
-                d = board.maps.get(step.obj, ())
-                if d is None:
-                    return kmask.copy()
-                if d:
-                    keys = art["keys"]
-                    hit = [
-                        p for p in np.flatnonzero(kmask).tolist()
-                        if keys[p] in d
-                    ]
-                    if hit:
-                        dem = self._mark(dem, kmask, hit)
+                dem = _hit_or(dem, self._key_hit(
+                    kmask, shards, art["keys"], board.get("map_w", step.obj)
+                ))
             elif isinstance(step, _VecBorrow):
-                dem = self._cell_demote(
-                    dem, kmask, art["cells"], board.vec_w.get(step.obj, ())
-                )
+                dem = _hit_or(dem, self._cell_hit(
+                    kmask, shards, art["q"], board.get("vec_w", step.obj)
+                ))
             elif isinstance(step, _VecPut):
-                dem = self._cell_demote(
-                    dem, kmask, art["cells"], board.vec_w.get(step.obj, ())
-                )
-                dem = self._cell_demote(
-                    dem, kmask, art["cells"], board.vec_r.get(step.obj, ())
-                )
+                for aspect in ("vec_w", "vec_r"):
+                    dem = _hit_or(dem, self._cell_hit(
+                        kmask, shards, art["q"], board.get(aspect, step.obj)
+                    ))
             elif isinstance(step, (_Rejuv, _IsAlloc)):
                 if isinstance(step, _Rejuv):
-                    dem = self._cell_demote(
-                        dem, kmask, art["cells"], board.ts_w.get(step.obj, ())
-                    )
+                    dem = _hit_or(dem, self._cell_hit(
+                        kmask, shards, art["q"], board.get("ts_w", step.obj)
+                    ))
                 # Allocation only flips free -> allocated, and only for
                 # cells in the reach: a lane that read a free flag there
                 # read a stale one.
-                dirty = board.alloc.get(step.obj, ())
-                if dirty is None or dirty:
-                    dem = self._cell_demote(
-                        dem, kmask & ~art["flags"], art["cells"], dirty
-                    )
+                dem = _hit_or(dem, self._cell_hit(
+                    kmask & ~art["flags"], shards, art["q"],
+                    board.get("alloc", step.obj),
+                ))
             # _Alloc: a full chain stays full all chunk; nothing demotes.
             if dem is not None and not (kmask & ~dem).any():
                 break
         return dem
 
     @staticmethod
-    def _mark(dem, kmask, positions):
-        if dem is None:
-            dem = np.zeros(kmask.shape, dtype=bool)
-        dem[positions] = True
-        return dem
+    def _cell_hit(kmask, shards, q, entry):
+        """Lanes of ``kmask`` whose qualified cell ``entry`` dirties."""
+        if entry is None:
+            return None
+        wild, cells = entry
+        hit = kmask & _on_shards(shards, wild) if wild else None
+        if cells:
+            h = kmask & np.isin(
+                q, np.fromiter(cells, np.int64, count=len(cells))
+            )
+            hit = h if hit is None else hit | h
+        return hit
 
-    def _cell_demote(self, dem, kmask, cells, dirty):
-        if dirty is None:
-            return kmask.copy() if dem is None else (dem | kmask)
-        if not dirty:
-            return dem
-        hit = kmask & np.isin(
-            cells, np.fromiter(dirty, np.int64, count=len(dirty))
-        )
-        if hit.any():
-            return hit if dem is None else (dem | hit)
-        return dem
+    @staticmethod
+    def _key_hit(kmask, shards, keys, entry):
+        """Lanes of ``kmask`` whose map key ``entry`` dirties."""
+        if entry is None:
+            return None
+        wild, dirty = entry
+        hit = kmask & _on_shards(shards, wild) if wild else None
+        if dirty:
+            kidx = np.flatnonzero(kmask)
+            pos = [
+                p for p, s in zip(kidx.tolist(), shards[kidx].tolist())
+                if (s, keys[p]) in dirty
+            ]
+            if pos:
+                if hit is None:
+                    hit = np.zeros(kmask.shape, dtype=bool)
+                hit[pos] = True
+        return hit
 
     # -------------------------------------------------------------- #
     # Fault injection (the fuzz oracle's `skew-kernel` leg)
@@ -1661,9 +1477,11 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     # Stage 2: results, op accounting, scatters
     # -------------------------------------------------------------- #
-    def _apply_group(self, group, results, cid, store):
+    def _apply_group(self, group, results):
         kept = 0
         g_lanes = group.g_lanes
+        stores = self._stores
+        ctxs = self._ctxs
         for ps in group.progs:
             if ps.kmask is None or not ps.kmask.any():
                 continue
@@ -1671,37 +1489,33 @@ class CompiledDispatcher:
             kidx = np.flatnonzero(ps.kmask)
             lanes = g_lanes[kidx]
             lanes_l = lanes.tolist()
-            n_k = kidx.size
-            kept += n_k
+            kept += kidx.size
             self.path_ids[lanes] = prog.pid
             # Lifetime op-count accounting, batched per context.
-            if cid is not None:
-                _bump(self._ctxs[cid], prog.bump_ops, n_k)
-            else:
-                counts = np.bincount(
-                    self._core_ids[lanes], minlength=len(self._ctxs)
-                )
-                for c in np.flatnonzero(counts).tolist():
-                    _bump(self._ctxs[c], prog.bump_ops, int(counts[c]))
+            counts = np.bincount(self._core_ids[lanes], minlength=len(ctxs))
+            for c in np.flatnonzero(counts).tolist():
+                _bump(ctxs[c], prog.bump_ops, int(counts[c]))
             # Results.
             if prog.const_result is not None:
                 r = prog.const_result
                 for i in lanes_l:
                     results[i] = r
-            elif ps.memo_results is not None:
-                for r, i in zip(ps.memo_results[kidx].tolist(), lanes_l):
-                    results[i] = r
             else:
-                kind = prog.kind
-                ops = prog.ops_list
-                port_vals = ps.port_vals
-                port_const = prog.port_const
-                mod_vals = ps.mod_vals
-                for p, i in zip(kidx.tolist(), lanes_l):
-                    port = port_const if port_vals is None \
-                        else int(port_vals[p])
-                    mods = {name: int(vals[p]) for name, vals in mod_vals}
-                    results[i] = PacketResult(kind, port, mods, ops, False)
+                ports = (
+                    repeat(prog.port_const) if ps.port_vals is None
+                    else ps.port_vals[kidx].tolist()
+                )
+                names = [name for name, _ in ps.mod_vals]
+                rows = zip(*[vals[kidx].tolist() for _, vals in ps.mod_vals])
+                mods = (
+                    [dict(zip(names, row)) for row in rows] if names
+                    else [{} for _ in lanes_l]
+                )
+                for i, r in zip(lanes_l, map(
+                    PacketResult, repeat(prog.kind), ports, mods,
+                    repeat(prog.ops_list), repeat(False),
+                )):
+                    results[i] = r
             # Scatters: dchain timestamp refreshes and vector stores.
             # Hazard demotion guarantees cell-disjointness with every
             # interpreter lane and every other kernel lane, so apply
@@ -1713,69 +1527,53 @@ class CompiledDispatcher:
                     # last-touched matches the interpreter's trace order.
                     pend = self._ts_pending.setdefault(step.obj, [])
                     live = kidx[art["flags"][kidx]]
-                    pend.append((g_lanes[live], art["cells"][live]))
+                    pend.append((g_lanes[live], art["q"][live]))
                 elif isinstance(step, _VecPut):
-                    vec = store[step.obj]
-                    cells = art["cells"]
+                    vecs = [store[step.obj] for store in stores]
+                    cells = art["cells"][kidx].tolist()
+                    shards = ps.shards[kidx].tolist()
                     # Elastic runs re-tag overwritten rows with the
                     # writing packet's bucket (same bucket for every
                     # packet of a flow, so re-tagging is idempotent).
-                    bindex = (
-                        self._ctxs[cid].bucket_index
-                        if cid is not None and self._bucket_ids is not None
-                        else None
-                    )
-                    if bindex is not None:
-                        bucket_ids = self._bucket_ids
-                        for p in kidx.tolist():
-                            bindex.note_index(
-                                step.obj,
-                                int(cells[p]),
-                                int(bucket_ids[g_lanes[p]]),
-                            )
-                    rows = art.get("stored_rows")
-                    if rows is not None:
-                        for p in kidx.tolist():
-                            vec.put(int(cells[p]), dict(rows[p]))
-                    else:
-                        stored = art["stored"]
-                        for p in kidx.tolist():
-                            rec = {}
-                            for fname, col in stored:
-                                v = col.arr[p]
-                                if col.is_float:
-                                    is_f = (
-                                        True if col.fmask is None
-                                        else bool(col.fmask[p])
-                                    )
-                                    rec[fname] = (
-                                        float(v) if is_f else int(v)
-                                    )
-                                else:
-                                    rec[fname] = int(v)
-                            vec.put(int(cells[p]), rec)
+                    bucket_ids = self._bucket_ids
+                    if bucket_ids is not None:
+                        for c, s, i in zip(cells, shards, lanes_l):
+                            bindex = ctxs[s].bucket_index
+                            if bindex is not None:
+                                bindex.note_index(
+                                    step.obj, c, int(bucket_ids[i])
+                                )
+                    fnames = [fname for fname, _ in art["stored"]]
+                    cols = [_stored_values(col, kidx) for _, col in art["stored"]]
+                    for c, s, row in zip(cells, shards, zip(*cols)):
+                        vecs[s].put(c, dict(zip(fnames, row)))
         return kept
 
-    def _flush_ts(self, store):
+    def _flush_ts(self):
         if not self._ts_pending:
             return
         ts = self._cols.field("timestamp")
+        n_shards = len(self._stores)
         for obj, parts in self._ts_pending.items():
             if len(parts) == 1:
-                lanes, cells = parts[0]
+                lanes, q = parts[0]
             else:
                 lanes = np.concatenate([p[0] for p in parts])
-                cells = np.concatenate([p[1] for p in parts])
+                q = np.concatenate([p[1] for p in parts])
             if not lanes.size:
                 continue
             # Lane order is the interpreter's apply order; only the
-            # last write per cell is observable before the next chunk
-            # boundary, so collapse to one store per touched cell.
+            # last write per (shard, cell) is observable before the next
+            # chunk boundary, so collapse to one store per touched cell.
             order = np.argsort(lanes, kind="stable")
-            cells_s = cells[order]
-            uniq, first_rev = np.unique(cells_s[::-1], return_index=True)
-            last_pos = cells_s.size - 1 - first_rev
-            store[obj].stamp(uniq, ts[lanes[order[last_pos]]])
+            q_s = q[order]
+            uniq, first_rev = np.unique(q_s[::-1], return_index=True)
+            times = ts[lanes[order[q_s.size - 1 - first_rev]]]
+            shard = uniq % n_shards
+            cells = uniq // n_shards
+            for s in np.unique(shard).tolist():
+                on = shard == s
+                self._stores[s][obj].stamp(cells[on], times[on])
         self._ts_pending = {}
 
     # -------------------------------------------------------------- #
@@ -1792,12 +1590,9 @@ class CompiledDispatcher:
             "fallback_rate": self.fallback_packets / total if total else 0.0,
             "chunks": self.chunks,
             "bails": self.bails,
-            "memo": {
-                "hits": self.memo_hits,
-                "misses": self.memo_misses,
-                "invalidations": self.memo_invalidations,
-            },
-            "generation": self._generation,
+            # Always zero: nothing is memoized.  Kept only because the
+            # perfbench harness reads it (ROADMAP item 3).
+            "memo": {"hits": 0, "misses": 0},
         }
 
     def run_stats(self, kernel_before, fallback_before):

@@ -1,10 +1,10 @@
 """The plan certifier: corpus is green, seeded faults are caught.
 
-Two seeded-fault fixtures mirror the ISSUE's acceptance criteria: a path
-program whose lowered predicate was negated after compilation (MAE300)
-and a port whose memo guard set lost a state version (MAE303).  Both
-tamper with *compiled artifacts* — the certifier must catch the damage
-without re-running the lowering that produced it.
+Seeded-fault fixtures tamper with *compiled artifacts* — a path program
+whose lowered predicate was negated after compilation (MAE300), a
+program whose bail would not publish its dirt (MAE302), and more — and
+the certifier must catch the damage without re-running the lowering
+that produced it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from repro.analysis import certify_nf, collect_waivers, lint_nf
 from repro.analysis.plan_passes import (
     _certify_demotion,
-    _certify_memo,
     _certify_narrowing,
     _certify_program,
     _locate,
@@ -136,20 +135,6 @@ def test_rogue_trace_op_is_flagged_mae301() -> None:
     assert any("LOWERED_OPS" in f.message for f in findings)
 
 
-# ------------------------------------------------------------------ #
-# Seeded fault: dropped memo guard (MAE303)
-# ------------------------------------------------------------------ #
-def test_dropped_memo_guard_is_flagged_mae303() -> None:
-    pp = _compile_nf(ALL_NFS["fw"]())
-    assert pp.read_objs, "fixture port must guard at least one object"
-    pp.read_objs = type(pp.read_objs)()
-    findings: list = []
-    _certify_memo(pp, findings)
-    assert findings
-    assert {f.code for f in findings} == {"MAE303"}
-    assert any("memo guard set" in f.message for f in findings)
-
-
 def test_unpublished_bail_dirt_is_flagged_mae302() -> None:
     """A program that would bail without poisoning the aspects its own
     steps write: sibling kernel lanes could keep stale reads."""
@@ -167,7 +152,7 @@ def test_unpublished_bail_dirt_is_flagged_mae302() -> None:
 
 
 # ------------------------------------------------------------------ #
-# Seeded faults: allocation narrowing (MAE300-MAE303)
+# Seeded faults: allocation narrowing (MAE300-MAE302)
 # ------------------------------------------------------------------ #
 def _alloc_program(pp, supported=True):
     """A program of ``pp`` crossing a lowered allocation, and that step."""
@@ -268,18 +253,6 @@ def test_unpublished_alloc_bail_dirt_is_flagged_mae302() -> None:
     )
 
 
-def test_dropped_alloc_memo_guard_is_flagged_mae303() -> None:
-    pp = _compile_nf(ALL_NFS["nat"]())
-    _, step = _alloc_program(pp)
-    pp.read_objs = [g for g in pp.read_objs if g != (step.obj, "chain")]
-    findings: list = []
-    _certify_memo(pp, findings)
-    assert any(
-        f.code == "MAE303" and "dchain_allocate" in f.message
-        for f in findings
-    )
-
-
 # ------------------------------------------------------------------ #
 # Equivalence engine
 # ------------------------------------------------------------------ #
@@ -303,28 +276,29 @@ def test_prove_equiv_uses_path_condition() -> None:
 # ------------------------------------------------------------------ #
 # Waivers
 # ------------------------------------------------------------------ #
-class _WaivedGuardNF(NF):
-    """Control NF whose single map probe carries an MAE303 waiver."""
+class _WaivedHazardNF(NF):
+    """Control NF whose single vector write carries an MAE302 waiver."""
 
-    name = "waived_guard"
+    name = "waived_hazard"
     ports = {"lan": LAN, "wan": WAN}
 
     def state(self) -> list[StateDecl]:
-        return [StateDecl("wg_counts", StateKind.MAP, 64)]
+        return [StateDecl(
+            "wh_counts", StateKind.VECTOR, 64, value_layout=(("n", 32),)
+        )]
 
     def process(self, ctx: NfContext, port: int, pkt) -> None:
-        found, _ = ctx.map_get("wg_counts", (pkt.src_ip,))  # maestro: waive[MAE303]
-        if ctx.cond(found):
-            ctx.drop()
+        ctx.vector_put("wh_counts", 0, {"n": 1})  # maestro: waive[MAE302]
         ctx.forward(self.other_port(port))
 
 
 def test_mae3xx_waiver_suppresses_located_finding() -> None:
-    nf = _WaivedGuardNF()
+    nf = _WaivedHazardNF()
     pp = _compile_nf(nf)
-    pp.read_objs = type(pp.read_objs)()
+    prog = _supported_program(pp)
+    prog.wild = type(prog.wild)()
     findings: list = []
-    _certify_memo(pp, findings)
+    _certify_demotion(pp, findings)
     assert findings
     source = gather_sources(nf)
     diagnostics = _locate(findings, nf.name, source)

@@ -100,10 +100,8 @@ class TestVector:
     def test_reset_restores_template_and_bumps_version(self):
         v = Vector(4, initial={"x": 0})
         v.put(2, {"x": 7})
-        version = v.version
         v.reset(2)
         assert v.borrow(2) == {"x": 0}
-        assert v.version == version + 1
         v.reset(3)  # resetting a never-written row is harmless
         assert v.borrow(3) == {"x": 0}
 
@@ -202,14 +200,12 @@ class _SlotChain:
     def __init__(self, capacity: int):
         self.cells = [[False, 0.0] for _ in range(capacity)]
         self.free = list(range(capacity - 1, -1, -1))
-        self.alloc_version = 0
 
     def allocate(self, now):
         if not self.free:
             return False, 0
         index = self.free.pop()
         self.cells[index] = [True, now]
-        self.alloc_version += 1
         return True, index
 
     def is_allocated(self, index):
@@ -226,7 +222,6 @@ class _SlotChain:
             return False
         self.cells[index][0] = False
         self.free.append(index)
-        self.alloc_version += 1
         return True
 
     def expire(self, threshold):
@@ -268,7 +263,6 @@ class TestDChainModel:
                 assert chain.free_index(*args) == model.free_index(*args)
             else:
                 assert chain.expire(*args) == model.expire(*args)
-            assert chain.alloc_version == model.alloc_version
         cells = np.arange(-2, 10)
         assert chain.flags(cells).tolist() == [
             model.is_allocated(int(c)) for c in cells
@@ -280,7 +274,6 @@ class TestDChainModel:
         # the same index sequence.
         order = [chain.allocate(99.0) for _ in range(9)]
         assert order == [model.allocate(99.0) for _ in range(9)]
-        assert chain.alloc_version == model.alloc_version
 
 
 class _FullScanIndex:

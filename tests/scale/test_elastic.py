@@ -151,16 +151,13 @@ class TestTornHandoff:
 
 class TestSteeringInvalidation:
     def test_rescale_bumps_generation_and_flushes_cache(self, analyses):
-        """A rescale bumps the steering generation, which flushes the
-        compiled dispatcher's classification memo on its next use."""
+        """A rescale bumps the steering generation; the compiled
+        dispatcher caches nothing, so its next run simply reads the new
+        shards."""
         parallel = make_elastic(analyses, "fw")
         trace = seeded_churn(n_packets=120)
         run_functional(parallel, trace[:100])
-        dispatcher = parallel._compiled_dispatcher
-        assert dispatcher._memo, "warm-up populated nothing"
-        invalidations = dispatcher.memo_invalidations
         gen = parallel.rss.steering_generation
         rescale_parallel(parallel, 8)
         assert parallel.rss.steering_generation > gen
-        run_functional(parallel, trace[100:])  # first use after rescale flushes
-        assert dispatcher.memo_invalidations > invalidations
+        run_functional(parallel, trace[100:])

@@ -3,9 +3,8 @@
 The static ``balance_tables`` path is covered in ``test_compiled.py``;
 this suite pins the incremental RSS++ rebalancer (bounded entry moves on
 a live table): the next run must steer every packet by the new table,
-one call must bump ``steering_generation`` and thereby flush the compiled
-dispatcher's classification memo — and results must stay bit-identical
-to a sequential oracle that saw the same re-steering.
+one call must bump ``steering_generation`` — and compiled results must
+stay bit-identical to a sequential oracle that saw the same re-steering.
 """
 
 import numpy as np
@@ -87,9 +86,7 @@ class TestCompiledMemoInvalidation:
 
         run_functional(par_ref, trace, fastpath=False)
         run_functional(par_comp, trace)
-        disp = par_comp._compiled_dispatcher
-        assert disp is not None
-        inv_before = disp.memo_invalidations
+        assert par_comp._compiled_dispatcher is not None
 
         # Same dynamic rebalance on both sides (deterministic given the
         # same loads), so oracle and compiled steer identically after.
@@ -102,6 +99,5 @@ class TestCompiledMemoInvalidation:
 
         run_ref = run_functional(par_ref, trace, fastpath=False)
         run_comp = run_functional(par_comp, trace)
-        assert disp.memo_invalidations > inv_before
         assert list(run_ref.results) == list(run_comp.results)
         assert np.array_equal(run_ref.core_ids, run_comp.core_ids)
