@@ -203,17 +203,7 @@ def test_run_functional_speedup_and_exactness(parallel_factory, trace):
     assert run_ref.action_counts() == run_fast.action_counts()
     assert run_ref.write_fraction() == run_fast.write_fraction()
     for ref_core, fast_core in zip(par_ref.cores, par_fast.cores):
-        assert (
-            ref_core.packets,
-            ref_core.reads,
-            ref_core.writes,
-            ref_core.new_flows,
-        ) == (
-            fast_core.packets,
-            fast_core.reads,
-            fast_core.writes,
-            fast_core.new_flows,
-        )
+        assert ref_core.ctx.stat_snapshot() == fast_core.ctx.stat_snapshot()
 
     # Then the wall-clock gate, interleaved rounds, best-of-rounds.
     t_ref = float("inf")

@@ -202,7 +202,7 @@ class ParallelChain:
             core = self.joint_rss.core_for(chain_port, pkt)
 
             def run_hop(alias: str, port: int, cur: Packet):
-                return core, self.hops[alias].cores[core].run(port, cur)
+                return core, self.hops[alias].cores[core].ctx.run(port, cur)
 
             return _walk(self.chain, chain_port, pkt, run_hop)
 
@@ -239,8 +239,6 @@ class ParallelChain:
 
     def reset_stats(self) -> None:
         self.handoffs = self.hop_transitions = 0
-        for parallel in self.hops.values():
-            parallel.reset_stats()
 
 
 def benchmark_chain_trace(

@@ -104,27 +104,14 @@ class LockPlan:
 
 @dataclass
 class CoreInstance:
-    """One worker core: its context and counters."""
+    """One worker core and its context.
+
+    The context owns the core's lifetime counters
+    (:meth:`~repro.nf.runtime.ConcreteContext.stat_snapshot`).
+    """
 
     core_id: int
     ctx: ConcreteContext
-    packets: int = 0
-    reads: int = 0
-    writes: int = 0
-    new_flows: int = 0
-
-    def run(self, port: int, pkt: Packet) -> PacketResult:
-        result = self.ctx.run(port, pkt)
-        self.packets += 1
-        # One pass over the ops instead of the two the reads/writes
-        # properties would make — this is the per-packet hot path.
-        writes = 0
-        for op in result.ops:
-            writes += op.write
-        self.writes += writes
-        self.reads += len(result.ops) - writes
-        self.new_flows += int(result.new_flow)
-        return result
 
 
 @dataclass
@@ -225,12 +212,7 @@ class ParallelNF:
             # The table slot is the bucket the packet's new state is
             # tagged with — the bookkeeping live migration depends on.
             core.ctx.current_bucket = slot
-        return core_id, core.run(port, pkt)
-
-    def process_trace(
-        self, trace: list[tuple[int, Packet]]
-    ) -> list[tuple[int, PacketResult]]:
-        return [self.process(port, pkt) for port, pkt in trace]
+        return core_id, core.ctx.run(port, pkt)
 
     # -------------------------------------------------------------- #
     # Introspection used by the performance model
@@ -241,15 +223,3 @@ class ParallelNF:
         counts = np.bincount(cores, minlength=self.n_cores).astype(np.float64)
         total = counts.sum()
         return counts / total if total else counts
-
-    def write_fraction(self) -> float:
-        """Observed fraction of packets that performed a state write."""
-        packets = sum(core.packets for core in self.cores)
-        if not packets:
-            return 0.0
-        writers = sum(core.new_flows for core in self.cores)
-        return writers / packets
-
-    def reset_stats(self) -> None:
-        for core in self.cores:
-            core.packets = core.reads = core.writes = core.new_flows = 0

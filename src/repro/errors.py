@@ -65,7 +65,3 @@ class WaiverError(ReproError):
     diagnostic code — a typo'd waiver would otherwise silently fail to
     suppress anything (or worse, suggest a finding was reviewed when it
     never fired)."""
-
-
-class EquivalenceViolation(ReproError):
-    """Raised when a parallel NF diverges from its sequential counterpart."""

@@ -146,11 +146,6 @@ def _crash_detail(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}{where}"
 
 
-def _observable(core: int, result) -> tuple:
-    mods = tuple(sorted((result.mods or {}).items()))
-    return (core, result.kind, result.port, mods)
-
-
 def _guard_values(spec: NfSpec) -> tuple[int, ...]:
     return tuple(
         guard.value for group in spec.groups for guard in group.guards
@@ -492,9 +487,11 @@ def _check_fastpath(
     produce a dispatcher.
     """
     try:
-        reference = run_functional(make_parallel(strategy), trace, fastpath=False)
+        ref_parallel = make_parallel(strategy)
+        reference = run_functional(ref_parallel, trace, fastpath=False)
+        bat_parallel = make_parallel(strategy)
         batched = run_functional(
-            make_parallel(strategy), trace, fastpath=True, kernels=False
+            bat_parallel, trace, fastpath=True, kernels=False
         )
         comp_parallel = make_parallel(strategy)
         # The analysis already explored this NF; reuse its tree so the
@@ -563,24 +560,44 @@ def _check_fastpath(
                     codes=("certify-compile",),
                 )
             )
-    for label, run in (("batched", batched), ("compiled", compiled)):
+    ref_stats = [core.ctx.stat_snapshot() for core in ref_parallel.cores]
+    for label, run, parallel in (
+        ("batched", batched, bat_parallel),
+        ("compiled", compiled, comp_parallel),
+    ):
+        detail = None
         for i, ((ref_core, ref_res), (run_core, run_res)) in enumerate(
             zip(reference.results, run.results)
         ):
-            if _observable(ref_core, ref_res) != _observable(run_core, run_res):
-                report.failures.append(
-                    FuzzFailure(
-                        kind="fastpath",
-                        detail=(
-                            f"{label} fast path diverges from reference at "
-                            f"packet #{i}: "
-                            f"{_observable(ref_core, ref_res)} != "
-                            f"{_observable(run_core, run_res)}"
-                        ),
-                        strategy=strategy.value,
-                        workload=workload.to_dict() if workload else None,
-                        fault=fault,
-                        codes=(f"fastpath-{label}",),
-                    )
+            want = (ref_core, *ref_res.observable())
+            got = (run_core, *run_res.observable())
+            if want != got:
+                detail = (
+                    f"{label} fast path diverges from reference at "
+                    f"packet #{i}: {want} != {got}"
                 )
                 break
+        else:
+            # Same packets, so the per-core lifetime counters (reads,
+            # writes, new flows, locked writes) must agree as well.
+            stats = [core.ctx.stat_snapshot() for core in parallel.cores]
+            core = next(
+                (c for c, (a, b) in enumerate(zip(ref_stats, stats)) if a != b),
+                None,
+            )
+            if core is not None:
+                detail = (
+                    f"{label} fast path's core {core} counters diverge from "
+                    f"reference: {ref_stats[core]} != {stats[core]}"
+                )
+        if detail is not None:
+            report.failures.append(
+                FuzzFailure(
+                    kind="fastpath",
+                    detail=detail,
+                    strategy=strategy.value,
+                    workload=workload.to_dict() if workload else None,
+                    fault=fault,
+                    codes=(f"fastpath-{label}",),
+                )
+            )

@@ -65,8 +65,5 @@ class NumaTopology:
             reason=reason,
         )
 
-    def remote_access_extra_cycles(self) -> float:
-        return params.NUMA_REMOTE_EXTRA_CYCLES
-
 
 DEFAULT_TOPOLOGY = NumaTopology()

@@ -43,7 +43,3 @@ class FiveTuple:
             wire_size=wire_size,
             timestamp=timestamp,
         )
-
-    @classmethod
-    def from_packet(cls, pkt: Packet) -> "FiveTuple":
-        return cls(pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto)

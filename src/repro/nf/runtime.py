@@ -180,9 +180,9 @@ class ConcreteContext(NfContext):
         self._new_flow = False
         self._last_expiry: float = float("-inf")
         #: Lifetime count of packets that created a flow (at most one per
-        #: packet, matching ``PacketResult.new_flow``); the batched
-        #: simulator reconciles per-core new-flow counters from deltas of
-        #: this instead of re-walking every packet result.
+        #: packet, matching ``PacketResult.new_flow``); telemetry windows
+        #: read it through :meth:`stat_snapshot` instead of re-walking
+        #: every packet result.
         self.new_flow_total: int = 0
         # Hot-path plumbing: op records are immutable and drawn from a
         # tiny set of (obj, op) pairs, so intern them instead of

@@ -86,15 +86,6 @@ class MemoryCollector:
                 total += value
         return total
 
-    def histogram_values(self, name: str, **match: Any) -> list[float]:
-        out: list[float] = []
-        for stream_name, attrs, values in self.histograms():
-            if stream_name != name:
-                continue
-            if all(attrs.get(k) == v for k, v in match.items()):
-                out.extend(values)
-        return out
-
     def __len__(self) -> int:
         return len(self.spans) + len(self._counters) + len(self._histograms)
 

@@ -1,7 +1,7 @@
 """Detectors over telemetry: skew/hotspot finding and model-drift scoring.
 
-These are the sensing APIs the future elastic-scaling controller
-(ROADMAP item 2) will poll: pure functions from a
+These are the sensing APIs of elastic scaling (DESIGN §15; the
+controller polls :func:`detect_skew`): pure functions from a
 :class:`~repro.obs.telemetry.TelemetrySink` (plus, for drift, the perf
 model's predictions) to small verdict dataclasses.
 

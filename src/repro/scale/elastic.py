@@ -121,7 +121,7 @@ def run_elastic(
             )
         seen.add(event.at_packet)
 
-    combined = FunctionalRun(parallel=parallel, capacity=len(trace))
+    segments: list[FunctionalRun] = []
     stats: list[MigrationStats] = []
     cursor = 0
     with obs.span(
@@ -130,29 +130,24 @@ def run_elastic(
         n_packets=len(trace),
         n_events=len(ordered),
     ):
-        for event in ordered:
-            segment = trace[cursor : event.at_packet]
+        # The trace end closes the last segment, with no rescale after it.
+        bounds = [(e.at_packet, e.n_cores) for e in ordered]
+        for at_packet, n_cores in bounds + [(len(trace), None)]:
+            segment = trace[cursor:at_packet]
             if segment:
-                seg_run = run_functional(
-                    parallel,
-                    segment,
-                    fastpath=fastpath,
-                    kernels=kernels,
+                segments.append(
+                    run_functional(
+                        parallel, segment, fastpath=fastpath, kernels=kernels
+                    )
                 )
-                combined._bulk_install(
-                    seg_run.core_ids, list(seg_run._packet_results)
-                )
-            stats.append(rescale_parallel(parallel, event.n_cores))
-            cursor = event.at_packet
-        tail = trace[cursor:]
-        if tail:
-            seg_run = run_functional(
-                parallel,
-                tail,
-                fastpath=fastpath,
-                kernels=kernels,
-            )
-            combined._bulk_install(
-                seg_run.core_ids, list(seg_run._packet_results)
-            )
+            if n_cores is not None:
+                stats.append(rescale_parallel(parallel, n_cores))
+            cursor = at_packet
+    combined = FunctionalRun(
+        parallel,
+        np.concatenate(
+            [np.zeros(0, np.int64)] + [seg.core_ids for seg in segments]
+        ),
+        [result for seg in segments for result in seg.packet_results],
+    )
     return ElasticRun(run=combined, rescales=stats)

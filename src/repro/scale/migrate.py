@@ -116,9 +116,6 @@ class BucketIndex:
     def bucket_of_key(self, obj: str, key: Any) -> int | None:
         return self._keys.get(obj, {}).get(key)
 
-    def bucket_of_index(self, obj: str, index: int) -> int | None:
-        return self._indices.get(obj, {}).get(int(index))
-
     def entry_count(self) -> int:
         return sum(len(d) for d in self._keys.values()) + sum(
             len(d) for d in self._indices.values()

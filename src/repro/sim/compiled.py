@@ -1580,14 +1580,8 @@ class CompiledDispatcher:
     # Accounting
     # -------------------------------------------------------------- #
     def stats(self):
-        total = self.kernel_packets + self.fallback_packets
         return {
-            "paths": self.total_paths,
-            "supported_paths": self.supported_paths,
-            "kernel_packets": self.kernel_packets,
-            "fallback_packets": self.fallback_packets,
-            "coverage": self.kernel_packets / total if total else 0.0,
-            "fallback_rate": self.fallback_packets / total if total else 0.0,
+            **self.run_stats(0, 0),
             "chunks": self.chunks,
             "bails": self.bails,
             # Always zero: nothing is memoized.  Kept only because the

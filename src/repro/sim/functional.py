@@ -23,13 +23,24 @@ Two execution paths produce bit-identical results:
   packet-at-a-time loop through :meth:`ParallelNF.process`, kept as the
   oracle the batched path is benchmarked and property-tested against
   (``benchmarks/bench_fastpath.py``, ``tests/sim/test_fastpath.py``).
+
+Each piece of run accounting has one owner.  Both paths hand
+:func:`_run_windows` a function that runs a packet range and returns its
+core ids; it splits the trace at telemetry window edges (one range when
+no sink is attached) and records each window from context snapshot
+deltas.  Each path then builds its :class:`FunctionalRun` once, from the
+finished core-id array and result list.  Per-core read, write and
+new-flow counts live only in each core's
+:class:`~repro.nf.runtime.ConcreteContext` (``stat_snapshot``).
 """
 
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,20 +90,18 @@ class _ResultsView(Sequence):
         if isinstance(index, slice):
             indices = range(*index.indices(run.n_packets))
             return [
-                (int(run._core_ids[i]), run._packet_results[i])
+                (int(run.core_ids[i]), run.packet_results[i])
                 for i in indices
             ]
         if index < 0:
             index += run.n_packets
         if not 0 <= index < run.n_packets:
             raise IndexError("results index out of range")
-        return (int(run._core_ids[index]), run._packet_results[index])
+        return (int(run.core_ids[index]), run.packet_results[index])
 
     def __iter__(self) -> Iterator[tuple[int, PacketResult]]:
         run = self._run
-        core_ids = run._core_ids
-        for i, result in enumerate(run._packet_results):
-            yield (int(core_ids[i]), result)
+        return zip(map(int, run.core_ids), run.packet_results)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (_ResultsView, list, tuple)):
@@ -101,123 +110,60 @@ class _ResultsView(Sequence):
             )
         return NotImplemented
 
-    def append(self, item: tuple[int, PacketResult]) -> None:
-        """List-compatible append: record one ``(core_id, result)``."""
-        core_id, result = item
-        self._run.add(core_id, result)
 
-
-@dataclass
+@dataclass(frozen=True)
 class FunctionalRun:
     """Results of pushing one trace through a parallel NF.
 
-    Storage is array-backed: core ids and action codes live in
-    preallocated NumPy arrays (grown geometrically when a run outlives
-    its initial capacity) and the per-packet :class:`PacketResult`
-    objects in a flat list.  ``results`` exposes the familiar
-    ``[(core_id, result), ...]`` sequence as a zero-copy view, and the
-    aggregate metrics are vectorized (``np.bincount``) and cached rather
-    than re-looping over the results on every property access.
+    Built once, from a finished run: ``core_ids`` (read-only, trace
+    order) and the per-packet :class:`PacketResult` list.  ``results``
+    exposes the familiar ``[(core_id, result), ...]`` sequence as a
+    zero-copy view.  The aggregate metrics are vectorized
+    (``np.bincount``) and each is computed once, on first use.
+    ``compiled`` (the dispatcher's per-run accounting) and
+    ``compiled_path_ids`` (the kernel path per packet, -1 on the
+    interpreter) are ``None`` on reference runs.
     """
 
     parallel: ParallelNF
-    capacity: int = 0
+    core_ids: np.ndarray
+    packet_results: list[PacketResult]
+    compiled: dict | None = None
+    compiled_path_ids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        capacity = max(int(self.capacity), 0)
-        self._core_ids = np.zeros(capacity, dtype=np.int64)
-        self._action_codes = np.zeros(capacity, dtype=np.int8)
-        #: Prefix of ``_action_codes`` filled so far; bulk installs defer
-        #: the per-result enum lookup until a metric actually needs it.
-        self._codes_filled = 0
-        self._packet_results: list[PacketResult] = []
-        self._n = 0
-        self._cache: dict[str, object] = {}
-
-    # -------------------------------------------------------------- #
-    # Storage
-    # -------------------------------------------------------------- #
-    def _ensure_capacity(self, n: int) -> None:
-        if n <= len(self._core_ids):
-            return
-        new_size = max(n, 2 * len(self._core_ids), 1024)
-        self._core_ids = np.resize(self._core_ids, new_size)
-        self._action_codes = np.resize(self._action_codes, new_size)
-
-    def add(self, core_id: int, result: PacketResult) -> None:
-        """Record one processed packet."""
-        i = self._n
-        self._ensure_capacity(i + 1)
-        self._core_ids[i] = core_id
-        self._action_codes[i] = ACTION_CODES[result.kind]
-        if self._codes_filled == i:
-            self._codes_filled = i + 1
-        self._packet_results.append(result)
-        self._n = i + 1
-        self._cache.clear()
-
-    def _bulk_install(
-        self, core_ids: np.ndarray, results: list[PacketResult]
-    ) -> None:
-        """Batched-path fill: all packets of a trace at once.
-
-        Action codes are *not* materialized here — ``_fill_codes`` does it
-        lazily on the first metric access, keeping the per-result enum
-        lookup out of the simulation's timed path.
-        """
-        n = len(results)
-        self._ensure_capacity(self._n + n)
-        start = self._n
-        self._core_ids[start : start + n] = core_ids
-        self._packet_results.extend(results)
-        self._n = start + n
-        self._cache.clear()
-
-    def _fill_codes(self) -> None:
-        if self._codes_filled < self._n:
-            start = self._codes_filled
-            codes = ACTION_CODES
-            self._action_codes[start : self._n] = np.fromiter(
-                (codes[r.kind] for r in self._packet_results[start : self._n]),
-                dtype=np.int8,
-                count=self._n - start,
-            )
-            self._codes_filled = self._n
+        self.core_ids.flags.writeable = False
 
     @property
     def results(self) -> _ResultsView:
         return _ResultsView(self)
 
     @property
-    def core_ids(self) -> np.ndarray:
-        """Core of each packet, in trace order (read-only array view)."""
-        view = self._core_ids[: self._n]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def action_codes(self) -> np.ndarray:
-        """Per-packet :data:`ACTION_CODES` value (read-only array view)."""
-        self._fill_codes()
-        view = self._action_codes[: self._n]
-        view.flags.writeable = False
-        return view
-
-    @property
     def n_packets(self) -> int:
-        return self._n
+        return len(self.packet_results)
+
+    @cached_property
+    def action_codes(self) -> np.ndarray:
+        """Per-packet :data:`ACTION_CODES` value (read-only array)."""
+        codes = np.fromiter(
+            (ACTION_CODES[r.kind] for r in self.packet_results),
+            dtype=np.int8,
+            count=self.n_packets,
+        )
+        codes.flags.writeable = False
+        return codes
 
     # -------------------------------------------------------------- #
-    # Metrics (vectorized, cached until the next add)
+    # Metrics (vectorized, computed once)
     # -------------------------------------------------------------- #
+    @cached_property
+    def _core_counts(self) -> np.ndarray:
+        return np.bincount(
+            self.core_ids, minlength=self.parallel.n_cores
+        ).astype(np.int64)
+
     def core_counts(self) -> np.ndarray:
-        cached = self._cache.get("core_counts")
-        if cached is None:
-            cached = np.bincount(
-                self._core_ids[: self._n], minlength=self.parallel.n_cores
-            ).astype(np.int64)
-            self._cache["core_counts"] = cached
-        return cached.copy()
+        return self._core_counts.copy()
 
     def core_shares(self) -> np.ndarray:
         counts = self.core_counts().astype(np.float64)
@@ -229,47 +175,31 @@ class FunctionalRun:
         shares = self.core_shares()
         return float(shares.max() * self.parallel.n_cores)
 
+    @cached_property
+    def _action_counts(self) -> dict[ActionKind, int]:
+        counts = np.bincount(self.action_codes, minlength=len(_KIND_FOR_CODE))
+        return {
+            _KIND_FOR_CODE[code]: int(count)
+            for code, count in enumerate(counts)
+            if count
+        }
+
     def action_counts(self) -> dict[ActionKind, int]:
-        cached = self._cache.get("action_counts")
-        if cached is None:
-            self._fill_codes()
-            counts = np.bincount(
-                self._action_codes[: self._n], minlength=len(_KIND_FOR_CODE)
-            )
-            cached = {
-                _KIND_FOR_CODE[code]: int(count)
-                for code, count in enumerate(counts)
-                if count
-            }
-            self._cache["action_counts"] = cached
-        return dict(cached)
+        return dict(self._action_counts)
 
-    def hard_write_flags(self) -> np.ndarray:
-        """Per-packet flag: performed a hard (non-aging) state write.
-
-        Computed once per run state (single pass over the op records) and
-        cached; ``write_fraction`` is a vectorized mean over it.
-        """
-        cached = self._cache.get("hard_writes")
-        if cached is None:
-            soft = _SOFT_WRITE_OPS
-            cached = np.fromiter(
-                (
-                    any(op.write and op.op not in soft for op in result.ops)
-                    for result in self._packet_results
-                ),
-                dtype=bool,
-                count=self._n,
-            )
-            cached.flags.writeable = False
-            self._cache["hard_writes"] = cached
-        return cached
+    @cached_property
+    def _hard_writes(self) -> int:
+        soft = _SOFT_WRITE_OPS
+        return sum(
+            any(op.write and op.op not in soft for op in result.ops)
+            for result in self.packet_results
+        )
 
     def write_fraction(self) -> float:
         """Fraction of packets performing a hard (non-aging) state write."""
-        if not self._n:
+        if not self.n_packets:
             return 0.0
-        return float(self.hard_write_flags().sum()) / self._n
+        return self._hard_writes / self.n_packets
 
 
 def _window_rows(
@@ -301,31 +231,44 @@ def _window_rows(
     return rows
 
 
-def _run_reference(
-    parallel: ParallelNF, trace: Trace, run: FunctionalRun
-) -> FunctionalRun:
-    """The seed packet-at-a-time path: scalar RSS per packet (the oracle)."""
+def _run_windows(
+    parallel: ParallelNF, n: int, run_range: Callable[[int, int], Sequence[int]]
+) -> None:
+    """Run packets ``[0, n)`` through ``run_range``, one telemetry window
+    at a time.
+
+    ``run_range(start, end)`` processes packets ``[start, end)`` and
+    returns their core ids.  With a telemetry sink attached, every
+    ``window_packets`` packets become one range whose per-core rows are
+    recorded from context snapshot deltas; without one, ``[0, n)`` is a
+    single range.
+    """
     sink = obs.active_telemetry()
     if sink is None:
-        for port, pkt in trace:
-            run.add(*parallel.process(port, pkt))
-        return run
-    # Telemetry attached: same per-packet loop, with a window boundary
-    # every ``window_packets`` packets.
+        run_range(0, n)
+        return
     locked = parallel.lock_plan.locked
-    n = len(trace)
-    start = 0
-    while start < n:
+    for start in range(0, n, sink.window_packets):
         end = min(start + sink.window_packets, n)
         before = [core.ctx.stat_snapshot(locked) for core in parallel.cores]
-        packets = [0] * parallel.n_cores
-        for i in range(start, end):
-            core_id, result = parallel.process(*trace[i])
-            run.add(core_id, result)
-            packets[core_id] += 1
+        packets = np.bincount(run_range(start, end), minlength=parallel.n_cores)
         sink.record_window(_window_rows(parallel, before, packets, locked))
-        start = end
-    return run
+
+
+def _run_reference(parallel: ParallelNF, trace: Trace) -> FunctionalRun:
+    """The seed packet-at-a-time path: scalar RSS per packet (the oracle)."""
+    core_ids: list[int] = []
+    results: list[PacketResult] = []
+
+    def run_range(start: int, end: int) -> list[int]:
+        for port, pkt in trace[start:end]:
+            core_id, result = parallel.process(port, pkt)
+            core_ids.append(core_id)
+            results.append(result)
+        return core_ids[start:end]
+
+    _run_windows(parallel, len(trace), run_range)
+    return FunctionalRun(parallel, np.array(core_ids, dtype=np.int64), results)
 
 
 def _get_dispatcher(parallel: ParallelNF) -> CompiledDispatcher:
@@ -338,10 +281,7 @@ def _get_dispatcher(parallel: ParallelNF) -> CompiledDispatcher:
 
 
 def _run_batched(
-    parallel: ParallelNF,
-    cols: TraceColumns,
-    run: FunctionalRun,
-    dispatcher: CompiledDispatcher,
+    parallel: ParallelNF, cols: TraceColumns, dispatcher: CompiledDispatcher
 ) -> FunctionalRun:
     """Batched steering, then chunked execution through ``dispatcher``.
 
@@ -358,9 +298,7 @@ def _run_batched(
     # created state is bucket-tagged for live migration.
     buckets = slots if parallel.elastic else None
     wp = sink.window_packets if sink is not None else 0
-    n = len(cols)
-    results: list[PacketResult | None] = [None] * n
-    stats_before = [_ctx_stat_snapshot(core.ctx) for core in parallel.cores]
+    results: list[PacketResult | None] = [None] * len(cols)
     k0 = dispatcher.kernel_packets
     f0 = dispatcher.fallback_packets
     # Pause the cyclic GC for the batch: the loop allocates one result
@@ -372,42 +310,26 @@ def _run_batched(
         gc.disable()
     try:
         edges = dispatcher.start_run(cols, core_ids, wp, bucket_ids=buckets)
-        if sink is None:
-            for i in range(len(edges) - 1):
+
+        def run_range(start: int, end: int) -> np.ndarray:
+            i = bisect_left(edges, start)
+            while edges[i] < end:
                 dispatcher.run_chunk(edges[i], edges[i + 1], results)
-        elif n:
-            locked = parallel.lock_plan.locked
-            n_cores = parallel.n_cores
-            w_edges = np.append(np.arange(0, n, wp), n)
-            n_windows = len(w_edges) - 1
-            flat = (np.arange(n) // wp) * n_cores + core_ids
-            pkt_counts = np.bincount(
-                flat, minlength=n_windows * n_cores
-            ).reshape(n_windows, n_cores)
-            k = 0
-            before = [
-                core.ctx.stat_snapshot(locked) for core in parallel.cores
-            ]
-            for i in range(len(edges) - 1):
-                dispatcher.run_chunk(edges[i], edges[i + 1], results)
-                if k < n_windows and edges[i + 1] == int(w_edges[k + 1]):
-                    sink.record_window(
-                        _window_rows(parallel, before, pkt_counts[k], locked)
-                    )
-                    k += 1
-                    if k < n_windows:
-                        before = [
-                            core.ctx.stat_snapshot(locked)
-                            for core in parallel.cores
-                        ]
+                i += 1
+            return core_ids[start:end]
+
+        _run_windows(parallel, len(cols), run_range)
     finally:
         dispatcher.end_run()
         if gc_was_enabled:
             gc.enable()
-    _reconcile_core_stats(parallel, core_ids, stats_before)
-    run._bulk_install(core_ids, results)
-    run.compiled = dispatcher.run_stats(k0, f0)
-    run.compiled_path_ids = dispatcher.path_ids
+    run = FunctionalRun(
+        parallel,
+        core_ids,
+        results,
+        compiled=dispatcher.run_stats(k0, f0),
+        compiled_path_ids=dispatcher.path_ids,
+    )
     if obs.enabled():
         obs.counter(
             "compiled.paths", dispatcher.supported_paths, nf=parallel.nf.name
@@ -421,35 +343,6 @@ def _run_batched(
             nf=parallel.nf.name,
         )
     return run
-
-
-def _ctx_stat_snapshot(ctx) -> tuple[int, int, int]:
-    """``(reads, writes, new_flow_packets)`` lifetime totals of one ctx."""
-    reads, writes, new_flows, _ = ctx.stat_snapshot()
-    return reads, writes, new_flows
-
-
-def _reconcile_core_stats(
-    parallel: ParallelNF,
-    core_ids: np.ndarray,
-    stats_before: list[tuple[int, int, int]],
-) -> None:
-    """Bring CoreInstance counters to exactly the reference path's state.
-
-    The batched path bypasses :meth:`CoreInstance.run`, so the per-core
-    packet/read/write/new-flow totals are reconciled from the contexts'
-    lifetime counters (``op_totals``/``new_flow_total``) instead: one
-    snapshot delta per core — O(cores * state objects) — rather than a
-    Python loop over every packet's op records.
-    """
-    per_core_packets = np.bincount(core_ids, minlength=parallel.n_cores)
-    for core_id, core in enumerate(parallel.cores):
-        reads0, writes0, new0 = stats_before[core_id]
-        reads1, writes1, new1 = _ctx_stat_snapshot(core.ctx)
-        core.packets += int(per_core_packets[core_id])
-        core.reads += reads1 - reads0
-        core.writes += writes1 - writes0
-        core.new_flows += new1 - new0
 
 
 def run_functional(
@@ -485,7 +378,6 @@ def run_functional(
     """
     if balance_tables_with is not None:
         parallel.rss.balance_tables(balance_tables_with)
-    run = FunctionalRun(parallel=parallel, capacity=len(trace))
     with obs.span(
         "sim.run_functional",
         nf=parallel.nf.name,
@@ -493,12 +385,12 @@ def run_functional(
         fastpath=fastpath,
     ):
         if not fastpath or not trace:
-            return _run_reference(parallel, trace, run)
+            return _run_reference(parallel, trace)
         dispatcher = (
             _get_dispatcher(parallel) if kernels
             else CompiledDispatcher(parallel, {}, 0)
         )
-        return _run_batched(parallel, TraceColumns(trace), run, dispatcher)
+        return _run_batched(parallel, TraceColumns(trace), dispatcher)
 
 
 # ------------------------------------------------------------------ #

@@ -298,8 +298,8 @@ class PerformanceModel:
         seeing the run — is scored against what actually happened
         (:func:`repro.obs.detect.model_drift`).  A skewed workload the
         model priced as uniform drifts hard; a uniform one scores near
-        zero.  This is the sensing API the elastic-scaling controller
-        (ROADMAP item 2) polls to decide when the plan needs revisiting.
+        zero.  This is a sensing API for the elastic-scaling controller
+        (DESIGN §15) to decide when the plan needs revisiting.
         """
         profile = profile_for(parallel.nf)
         predicted = self.throughput(

@@ -61,12 +61,6 @@ class Expr:
     def ne(self, other: "Expr | int") -> "Ne":
         return Ne(_coerce(other, self.width), self)
 
-    def ult(self, other: "Expr | int") -> "Ult":
-        return Ult(self, _coerce(other, self.width))
-
-    def ugt(self, other: "Expr | int") -> "Ugt":
-        return Ugt(self, _coerce(other, self.width))
-
     def add(self, other: "Expr | int") -> "Add":
         return Add(self, _coerce(other, self.width))
 

@@ -69,12 +69,14 @@ class TestProcessing:
 
     def test_stats_accumulate(self, analyses):
         parallel = make_parallel(analyses, "fw")
-        for i in range(10):
-            parallel.process(0, Packet(i, 2, 3, 4))
-        assert sum(core.packets for core in parallel.cores) == 10
-        assert parallel.write_fraction() == 1.0  # all new flows
-        parallel.reset_stats()
-        assert sum(core.packets for core in parallel.cores) == 0
+        before = [core.ctx.stat_snapshot() for core in parallel.cores]
+        steered = [parallel.process(0, Packet(i, 2, 3, 4))[0] for i in range(10)]
+        new_flows = [
+            core.ctx.stat_snapshot()[2] - snap[2]
+            for core, snap in zip(parallel.cores, before)
+        ]
+        # every packet is a new flow, counted on the core it was steered to
+        assert new_flows == np.bincount(steered, minlength=parallel.n_cores).tolist()
 
     def test_core_shares_sum_to_one(self, analyses):
         parallel = make_parallel(analyses, "fw", n_cores=8)

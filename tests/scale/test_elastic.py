@@ -7,6 +7,7 @@ to the sequential reference, and the race sanitizer reports zero MAE103
 deliberately torn handoff *does* raise MAE105.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.race import RaceMonitor, analyze_monitor
@@ -78,9 +79,17 @@ class TestBatchParity:
                 parallel, trace, GROW_SHRINK,
                 fastpath=fastpath, kernels=kernels,
             )
-            runs.append(list(out.results))
-        assert runs[0] == runs[1], "fastpath diverged across rescale"
-        assert runs[0] == runs[2], "compiled kernels diverged across rescale"
+            assert out.run.n_packets == len(trace)
+            runs.append(out.run)
+        ref = runs[0]
+        for run, leg in zip(runs[1:], ("fastpath", "compiled kernels")):
+            assert list(ref.results) == list(run.results), (
+                f"{leg} diverged across rescale"
+            )
+            assert np.array_equal(ref.core_ids, run.core_ids)
+            assert np.array_equal(ref.action_codes, run.action_codes)
+            assert np.array_equal(ref.core_counts(), run.core_counts())
+            assert ref.write_fraction() == run.write_fraction()
 
     def test_rescale_stats_reported_per_event(self, analyses):
         parallel = make_elastic(analyses, "fw")

@@ -53,10 +53,7 @@ def assert_runs_identical(run_ref, run_comp, par_ref, par_comp):
     assert np.array_equal(run_ref.action_codes, run_comp.action_codes)
     assert run_ref.action_counts() == run_comp.action_counts()
     for ref_core, comp_core in zip(par_ref.cores, par_comp.cores):
-        assert ref_core.packets == comp_core.packets
-        assert ref_core.reads == comp_core.reads
-        assert ref_core.writes == comp_core.writes
-        assert ref_core.new_flows == comp_core.new_flows
+        assert ref_core.ctx.stat_snapshot() == comp_core.ctx.stat_snapshot()
 
 
 class TestPerPathIdentity:
@@ -223,7 +220,7 @@ class TestSanitizeBypass:
         assert_runs_identical(run_ref, run_san, par_ref, par_san)
         # No kernel accounting on a reference run, and no dispatcher was
         # ever instantiated for it.
-        assert not hasattr(run_san, "compiled")
+        assert run_san.compiled is None
         assert getattr(par_san, "_compiled_dispatcher", None) is None
 
     def test_sanitize_after_warm_kernels_leaves_counters_alone(
@@ -236,7 +233,7 @@ class TestSanitizeBypass:
         kernel_before = disp.kernel_packets
         fallback_before = disp.fallback_packets
         run_san = run_functional(par, trace, fastpath=False)
-        assert not hasattr(run_san, "compiled")
+        assert run_san.compiled is None
         assert disp.kernel_packets == kernel_before
         assert disp.fallback_packets == fallback_before
 
@@ -295,7 +292,7 @@ class TestObservability:
         mem = MemoryCollector()
         with obs.attached(mem):
             run = run_functional(par, trace)
-        assert hasattr(run, "compiled")
+        assert run.compiled is not None
         assert mem.counter_total("compiled.paths") == run.compiled[
             "supported_paths"
         ]

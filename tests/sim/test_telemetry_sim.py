@@ -43,13 +43,29 @@ def make_dbridge(analyses):
     return build
 
 
-def assert_conservation(sink, parallel):
-    """Window sums must equal the run's lifetime per-core aggregates."""
-    for core_id, core in enumerate(parallel.cores):
-        assert sink.core_totals("packets")[core_id] == core.packets
-        assert sink.core_totals("reads")[core_id] == core.reads
-        assert sink.core_totals("writes")[core_id] == core.writes
-        assert sink.core_totals("new_flows")[core_id] == core.new_flows
+def snapshots(parallel):
+    """Each context's lifetime ``stat_snapshot`` under the plan's locks."""
+    locked = parallel.lock_plan.locked
+    return [core.ctx.stat_snapshot(locked) for core in parallel.cores]
+
+
+def assert_conservation(sink, run, before):
+    """Window sums must equal the run's per-core aggregates.
+
+    ``before`` is :func:`snapshots` taken just before the run.  Packets,
+    reads, writes and new flows are also counted from the packet results,
+    independently of the context counters the windows are built from.
+    """
+    parallel = run.parallel
+    counted = np.zeros((parallel.n_cores, 4), dtype=np.int64)
+    for core_id, result in run.results:
+        counted[core_id] += (1, result.reads, result.writes, result.new_flow)
+    after = snapshots(parallel)
+    for core_id in range(parallel.n_cores):
+        totals = [sink.core_totals(m)[core_id] for m in obs.METRICS]
+        deltas = [a - b for a, b in zip(after[core_id], before[core_id])]
+        assert totals == [int(run.core_counts()[core_id]), *deltas]
+        assert totals[:4] == counted[core_id].tolist()
 
 
 #: run_functional modes: batched with kernels, reference, batched without.
@@ -69,11 +85,12 @@ class TestConservation:
         parallel = make_fw()
         assert parallel.strategy is Strategy.SHARED_NOTHING
         sink = obs.TelemetrySink(window_packets=WINDOW)
+        before = snapshots(parallel)
         with obs.telemetry(sink):
-            run_functional(parallel, trace, **mode)
+            run = run_functional(parallel, trace, **mode)
         assert sink.total_packets == len(trace)
         assert sink.windows_recorded == math.ceil(len(trace) / WINDOW)
-        assert_conservation(sink, parallel)
+        assert_conservation(sink, run, before)
         # shared-nothing guards nothing, so no lock waits anywhere
         assert sink.total("lock_waits") == 0
 
@@ -83,9 +100,10 @@ class TestConservation:
         parallel = make_dbridge()
         assert parallel.strategy is Strategy.LOCKS
         sink = obs.TelemetrySink(window_packets=WINDOW)
+        before = snapshots(parallel)
         with obs.telemetry(sink):
-            run_functional(parallel, trace, **mode)
-        assert_conservation(sink, parallel)
+            run = run_functional(parallel, trace, **mode)
+        assert_conservation(sink, run, before)
         # the learning bridge writes through lock-guarded tables
         assert sink.total("lock_waits") > 0
 
@@ -105,11 +123,12 @@ class TestConservation:
         trace, _ = generator.uniform_trace(1500, 120, in_port=0)
         parallel = make_fw()
         sink = obs.TelemetrySink(window_packets=64, max_windows=4)
+        before = snapshots(parallel)
         with obs.telemetry(sink):
-            run_functional(parallel, trace)
+            run = run_functional(parallel, trace)
         assert len(sink) == 4
         assert sink.windows_recorded == math.ceil(len(trace) / 64)
-        assert_conservation(sink, parallel)
+        assert_conservation(sink, run, before)
 
 
 class TestBitIdentity:
@@ -152,11 +171,12 @@ class TestSteeringAttribution:
         for mode in ({"fastpath": False}, {"kernels": False}, {}):
             parallel = make_fw()
             sink = obs.TelemetrySink(window_packets=WINDOW)
+            before = snapshots(parallel)
             with obs.telemetry(sink):
-                run_functional(parallel, trace, **mode)
+                run = run_functional(parallel, trace, **mode)
             assert all(
                 len(row) == len(obs.METRICS)
                 for window in sink.windows
                 for row in window.cores
             )
-            assert_conservation(sink, parallel)
+            assert_conservation(sink, run, before)
