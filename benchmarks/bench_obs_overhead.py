@@ -33,7 +33,10 @@ from repro.traffic import TrafficGenerator
 
 #: Enough rounds for min() to converge to the noise floor: single runs of
 #: analyze(Firewall) spread ±8% on a busy machine, but the floor is stable.
-ROUNDS = 12
+#: Rounds are adaptive past the minimum, like the telemetry gate's below:
+#: a slow stretch can hold one side's min up for all of the first rounds.
+ANALYZE_MIN_ROUNDS = 12
+ANALYZE_MAX_ROUNDS = 36
 MAX_OVERHEAD = 0.05
 
 #: Telemetry-enabled simulation: each run is ~100ms, so rounds are
@@ -89,10 +92,16 @@ def test_analyze_overhead_under_5_percent():
     _analyze_once(True)
     baseline = float("inf")
     traced = float("inf")
-    for _ in range(ROUNDS):
+    # Interleaved rounds until the min-based estimate passes or the cap
+    # is hit.  Each min converges to its floor from above, so extra
+    # rounds only sharpen the estimate; a real regression stays over
+    # the ceiling however many rounds are drawn.
+    for rounds in range(1, ANALYZE_MAX_ROUNDS + 1):
         baseline = min(baseline, _analyze_once(False))
         traced = min(traced, _analyze_once(True))
-    overhead = traced / baseline - 1.0
+        overhead = traced / baseline - 1.0
+        if rounds >= ANALYZE_MIN_ROUNDS and overhead < MAX_OVERHEAD:
+            break
     assert overhead < MAX_OVERHEAD, (
         f"tracing overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%} "
         f"(baseline {baseline * 1e3:.1f}ms, traced {traced * 1e3:.1f}ms)"

@@ -30,9 +30,10 @@ every flow on one core end-to-end:
    configuration passes the batch-hash steering check.  Otherwise the
    chain falls back to per-hop steering and the handoff cost is priced
    by :mod:`repro.sim.perf`.
-5. **Differential validation** — every analyzed chain is replayed
-   against the sequential reference (``check_chain_equivalence``) with
-   the race sanitizer installed on every hop's generated ParallelNF.
+5. **Differential validation** — every analyzed chain runs a benchmark
+   trace through both the parallel chain and the sequential reference
+   (``check_chain_equivalence``) with the race sanitizer installed on
+   every hop's generated ParallelNF.
 
 Diagnostics use the same text/JSON/waiver/exit-code machinery as the
 per-NF MAE0xx codes; ``# maestro: waive[...]`` comments in the
@@ -69,6 +70,7 @@ from repro.rs3.fields import E810, NicModel
 from repro.rs3.joint import compile_joint, solve_joint, verify_joint_steering
 from repro.rs3.solver import KeySearchStats
 from repro.sim.equivalence import EquivalenceReport, check_chain_equivalence
+from repro.sim.functional import run_chain
 from repro.sim.perf import chain_handoff_cost, chain_handoff_slowdown
 
 __all__ = ["HopAnalysis", "ChainReport", "analyze_chain"]
@@ -636,10 +638,10 @@ def analyze_chain(
 ) -> ChainReport:
     """Run the whole-chain analysis and (optionally) validate the result.
 
-    ``validate=True`` replays a benchmark trace through the generated
-    parallel chain against the sequential reference with the race
-    sanitizer installed on every hop; equivalence violations and active
-    sanitizer findings land in the report's diagnostics.
+    ``validate=True`` runs a benchmark trace through the generated
+    parallel chain and the sequential reference with the race sanitizer
+    installed on every hop; equivalence violations and active sanitizer
+    findings land in the report's diagnostics.
     """
     report = ChainReport(chain=chain)
     diagnostics: list[Diagnostic] = []
@@ -766,7 +768,7 @@ def analyze_chain(
                 )
             diagnostics.extend(equivalence.race_diagnostics)
         elif mode == "fallback":
-            parallel.process_trace(trace)
+            run_chain(parallel, trace)
 
         if mode == "fallback":
             report.handoff_fraction = parallel.handoff_fraction()

@@ -38,7 +38,8 @@ Violations carry stable MAE1xx codes, render as text or JSON, honor the
 line-scoped ``# maestro: waive[MAE1xx]`` syntax, and are counted through
 ``repro.obs`` (``race.events``, ``race.violations``).  Entry points:
 ``python -m repro.analysis race <nf|--all>``, :func:`sanitize_nf`,
-:func:`sanitize_parallel`, and ``check_equivalence(..., sanitize=True)``.
+:func:`sanitize_parallel`, and ``check_equivalence(..., sanitize=True)``
+(which runs its parallel side on ``run_functional(..., fastpath=False)``).
 """
 
 from __future__ import annotations
@@ -138,10 +139,11 @@ class _CoreProbe:
 class RaceMonitor:
     """Event collector over one :class:`ParallelNF`'s core contexts.
 
-    Use as a context manager around a strict-order replay
-    (``run_functional(..., fastpath=False)`` or a packet-at-a-time loop):
-    probes install on entry, uninstall on exit, and the ordered per-packet
-    logs are left in :attr:`packets` for :func:`analyze_monitor`.
+    Use as a context manager around a strict-order run
+    (``run_functional(..., fastpath=False)``, ``run_elastic(...,
+    fastpath=False)`` or ``run_chain``): probes install on entry,
+    uninstall on exit, and the ordered per-packet logs are left in
+    :attr:`packets` for :func:`analyze_monitor`.
     """
 
     def __init__(self, parallel: ParallelNF) -> None:
@@ -159,7 +161,7 @@ class RaceMonitor:
         return self
 
     def attach_core(self, core) -> None:
-        """Probe a core added after install (elastic grow mid-replay)."""
+        """Probe a core added after install (elastic grow mid-run)."""
         if self._installed:
             core.ctx.access_probe = _CoreProbe(self, core.core_id)
 

@@ -226,11 +226,6 @@ class ParallelChain:
         self.hop_transitions += transitions
         return result
 
-    def process_trace(
-        self, trace: list[tuple[int, Packet]]
-    ) -> list[ChainResult]:
-        return [self.process(port, pkt) for port, pkt in trace]
-
     def handoff_fraction(self) -> float:
         """Observed fraction of hop boundaries that changed core."""
         if not self.hop_transitions:

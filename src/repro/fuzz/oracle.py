@@ -428,7 +428,12 @@ def _check_rescale(
     from repro.scale.elastic import enable_elastic
 
     n = len(trace)
-    events = [(n // 3, n_cores * 2), (2 * n // 3, max(1, n_cores - 1))]
+    # run_elastic takes one event per position, inside the trace: when a
+    # short trace makes ``n // 3`` and ``2 * n // 3`` coincide, the
+    # shrink replaces the grow, and an empty trace gets no rescale.
+    schedule = {n // 3: n_cores * 2}
+    schedule[2 * n // 3] = max(1, n_cores - 1)
+    events = [(at, cores) for at, cores in schedule.items() if at < n]
     try:
         parallel = enable_elastic(make_parallel(Strategy.SHARED_NOTHING))
         eq = check_equivalence(
@@ -514,10 +519,10 @@ def _check_fastpath(
         )
         return
     report.checks += 1
-    report.compiled_stats = getattr(compiled, "compiled", None)
+    report.compiled_stats = compiled.compiled
     if certificate is not None:
         certified = set(certificate.supported_pids)
-        path_ids = getattr(compiled, "compiled_path_ids", None)
+        path_ids = compiled.compiled_path_ids
         observed = (
             sorted({int(p) for p in path_ids.tolist() if p >= 0})
             if path_ids is not None

@@ -8,9 +8,10 @@ and a mid-trace **shrink** (8 -> 3 cores) and checks, end to end:
    the packet-at-a-time reference produce bit-identical ``(core_id,
    result)`` sequences across both rescales;
 2. **equivalence** — the rescaled parallel NF matches a fresh
-   sequential reference (``check_equivalence``), replayed under the
-   race sanitizer with **zero** MAE103 (cross-shard ownership) and
-   MAE105 (packet served during an unowned migration epoch) findings.
+   sequential reference (``check_equivalence``, which runs the same
+   rescales through ``run_elastic``) under the race sanitizer with
+   **zero** MAE103 (cross-shard ownership) and MAE105 (packet served
+   during an unowned migration epoch) findings.
 
 NFs whose Maestro verdict is not shared-nothing are reported as
 ``skipped`` (LOCKS/TM plans share one store; there is nothing to

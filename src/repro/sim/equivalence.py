@@ -1,9 +1,13 @@
 """Semantic equivalence checking: parallel vs sequential (§1, §3).
 
 Maestro's whole premise is that the generated parallel NF "preserves the
-semantics of the sequential implementation".  This checker replays the
-same trace through both and compares each packet's observable behaviour
-(action, egress port, header rewrites).
+semantics of the sequential implementation".  Each checker runs the same
+trace through both — the parallel side on the executors every other
+caller uses (:func:`~repro.sim.functional.run_functional`'s reference
+path, :func:`~repro.scale.elastic.run_elastic`,
+:func:`~repro.sim.functional.run_chain`) — then compares the finished
+result lists packet by packet in one loop: action, egress port, header
+rewrites.
 
 Two documented divergences are permitted, matching the paper:
 
@@ -12,24 +16,27 @@ Two documented divergences are permitted, matching the paper:
   equivalence" — allocated values (external ports) may differ, so callers
   exclude those fields via ``ignore_mods``.
 * **Capacity exhaustion** (§4, *State sharding*): a per-core shard can
-  fill before the global table would; when a capacity divergence is
-  detected it is reported separately, not as a violation — attributed to
-  the state object (allocator chain / table) that refused the insert.
+  fill before the global table would; a capacity divergence is counted
+  separately, not as a violation — attributed to the state object
+  (allocator chain / table) that refused the insert.
 
-``sanitize=True`` additionally runs the replay under the race sanitizer
-(:mod:`repro.analysis.race`): single-threaded replay cannot observe
-ordering hazards directly, so the sanitizer's lockset/ownership checks
-are the way a racy-but-lucky plan gets caught here.
+``sanitize=True`` additionally runs the parallel side under the race
+sanitizer (:mod:`repro.analysis.race`): a single-threaded run cannot
+observe ordering hazards directly, so the sanitizer's lockset/ownership
+checks are the way a racy-but-lucky plan gets caught here.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.chain.runtime import ChainResult, SequentialChainRunner
 from repro.core.codegen import ParallelNF
-from repro.nf.api import NF, ActionKind
+from repro.nf.api import ActionKind
 from repro.nf.runtime import PacketResult, SequentialRunner
+from repro.sim.functional import run_chain, run_functional
 from repro.traffic.generator import Trace
 
 __all__ = [
@@ -55,7 +62,6 @@ class Mismatch:
     port: int
     sequential: tuple
     parallel: tuple
-    capacity_related: bool
 
 
 @dataclass
@@ -70,7 +76,7 @@ class EquivalenceReport:
     #: active race-sanitizer findings (``check_equivalence(sanitize=True)``)
     race_diagnostics: list = field(default_factory=list)
     #: last-N-packets flight-recorder context, captured at the first real
-    #: mismatch (or at replay end when the sanitizer found violations)
+    #: mismatch (or at the end when the sanitizer found violations)
     flight_snapshot: list = field(default_factory=list)
 
     @property
@@ -108,13 +114,19 @@ class EquivalenceReport:
         return "\n".join(lines) + race
 
 
-def _observable(
-    result: PacketResult, ignore_mods: frozenset[str]
-) -> tuple:
+def _observable(result, ignore_mods: frozenset[str]) -> tuple:
+    """Action, egress port and kept rewrites of a packet or chain result."""
     mods = tuple(
         sorted((k, v) for k, v in result.mods.items() if k not in ignore_mods)
     )
     return (result.kind, result.port, mods)
+
+
+def _hop_results(result) -> list[PacketResult]:
+    """Per-hop results of a chain result; a single NF's is its own hop."""
+    if isinstance(result, ChainResult):
+        return [step.result for step in result.steps]
+    return [result]
 
 
 def _default_flow_keys(port: int, pkt) -> list[tuple]:
@@ -146,18 +158,14 @@ def _matches_culprit(tag: str | None, culprit: str) -> bool:
     return tag is None or culprit == tag or culprit.startswith(tag + "_")
 
 
-def _capacity_culprit(
-    seq_result: PacketResult, par_result: PacketResult
-) -> str:
+def _capacity_culprit(dropping: PacketResult) -> str:
     """Name the state object whose full shard caused the divergence.
 
-    The dropping side is the one whose insert was refused; its op record
-    ends at (or contains) the allocator/table op that said no.  Prefer
-    the allocator chain — exhaustion surfaces there first.
+    ``dropping`` is the last hop the dropping side executed: the one
+    whose insert was refused.  Its op record ends at (or contains) the
+    allocator/table op that said no.  Prefer the allocator chain —
+    exhaustion surfaces there first.
     """
-    dropping = (
-        par_result if par_result.kind is ActionKind.DROP else seq_result
-    )
     for wanted in _CAPACITY_OPS:
         for op in reversed(dropping.ops):
             if op.op == wanted:
@@ -168,27 +176,154 @@ def _capacity_culprit(
     return "unknown"
 
 
+def _compare(
+    trace: Trace,
+    seq_results: list,
+    par_results: list,
+    *,
+    ignore_mods: frozenset[str],
+    flow_keys=_default_flow_keys,
+    refused_at: dict[int, list] | None = None,
+    flight=None,
+    core_ids: list[int] | None = None,
+) -> EquivalenceReport:
+    """Compare two finished runs of ``trace``, packet by packet.
+
+    ``refused_at`` maps a packet index to the ``(obj, key)`` map entries
+    a rescale just before that packet refused to install; ``flight`` and
+    ``core_ids`` (single-NF runs) feed every parallel-side packet to the
+    flight recorder.
+    """
+    report = EquivalenceReport(n_packets=len(trace))
+    refused_at = refused_at or {}
+    tainted: set[tuple] = set()
+    #: (obj, key) map entries a rescale refused to install — the flow's
+    #: state vanished exactly as a capacity refusal would make it, so
+    #: later drop-vs-forward disagreements on those keys are excused.
+    refused_state: set[tuple] = set()
+    for index, ((port, pkt), seq_result, par_result) in enumerate(
+        zip(trace, seq_results, par_results)
+    ):
+        refused_state.update(refused_at.get(index, ()))
+        if flight is not None:
+            flight.record(
+                index,
+                port,
+                core_ids[index],
+                par_result.kind.value,
+                par_result.port,
+                (
+                    pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port,
+                    pkt.proto,
+                ),
+                par_result.ops,
+            )
+        seq_obs = _observable(seq_result, ignore_mods)
+        par_obs = _observable(par_result, ignore_mods)
+        if seq_obs == par_obs:
+            continue
+        # Capacity divergence: one side dropped/refused because its
+        # (smaller) shard filled while the other still had room.
+        # ``new_flow`` marks the establishing packet; once a flow's
+        # establishment diverged, its state differs on the two sides
+        # for good, so every later drop-vs-forward disagreement on
+        # the same flow keys is the same capacity story, not a bug
+        # (repeat packets of a refused flow re-fail the allocator
+        # without ever raising ``new_flow``).
+        if (
+            seq_result.kind != par_result.kind
+            and ActionKind.DROP in (seq_result.kind, par_result.kind)
+        ):
+            dropping = (
+                par_result if par_result.kind is ActionKind.DROP
+                else seq_result
+            )
+            culprit = _capacity_culprit(_hop_results(dropping)[-1])
+            relevant = [
+                tagged
+                for tagged in flow_keys(port, pkt)
+                if _matches_culprit(tagged[0], culprit)
+            ]
+            if (
+                any(
+                    hop.new_flow
+                    for result in (seq_result, par_result)
+                    for hop in _hop_results(result)
+                )
+                or any(tagged in tainted for tagged in relevant)
+                or any(
+                    rkey == tagged[1] and _matches_culprit(tagged[0], robj)
+                    for (robj, rkey) in refused_state
+                    for tagged in relevant
+                )
+            ):
+                tainted.update(relevant)
+                report.capacity_divergences += 1
+                report.capacity_by_object[culprit] = (
+                    report.capacity_by_object.get(culprit, 0) + 1
+                )
+                continue
+        report.mismatches.append(
+            Mismatch(
+                index=index, port=port, sequential=seq_obs, parallel=par_obs
+            )
+        )
+        if flight is not None and not report.flight_snapshot:
+            # First genuine mismatch: freeze the tail of the run.
+            report.flight_snapshot = flight.snapshot()
+    return report
+
+
+def _run_parallel(
+    parallel: ParallelNF,
+    trace: Trace,
+    rescale_events: Iterable[tuple[int, int]] | None,
+):
+    """Run ``trace`` on the reference executor, rescaling if asked.
+
+    Returns the run and, per rescale position, the map entries that
+    rescale refused to install.
+    """
+    if not rescale_events:
+        return run_functional(parallel, trace, fastpath=False), {}
+    # Lazy import: repro.scale builds on repro.sim, not the other way.
+    from repro.scale.elastic import RescaleEvent, run_elastic
+
+    events = sorted(
+        (RescaleEvent(int(at), int(n)) for at, n in rescale_events),
+        key=lambda event: event.at_packet,
+    )
+    elastic = run_elastic(parallel, trace, events, fastpath=False)
+    refused_at = {
+        event.at_packet: stats.refused_keys
+        for event, stats in zip(events, elastic.rescales)
+    }
+    return elastic.run, refused_at
+
+
 def check_equivalence(
     make_nf,
     parallel: ParallelNF,
     trace: Trace,
     *,
     ignore_mods: Iterable[str] = (),
-    allow_capacity_divergence: bool = True,
     sanitize: bool = False,
     tree=None,
     flow_keys=None,
     flight=None,
     rescale_events: Iterable[tuple[int, int]] | None = None,
 ) -> EquivalenceReport:
-    """Replay ``trace`` through a fresh sequential NF and ``parallel``.
+    """Run ``trace`` through a fresh sequential NF and ``parallel``, then
+    compare the two runs.
 
     ``make_nf`` is a zero-argument factory producing the sequential
-    reference (fresh state).  ``ignore_mods`` names header rewrites with
+    reference (fresh state).  The parallel side runs on
+    :func:`~repro.sim.functional.run_functional`'s packet-at-a-time
+    reference path.  ``ignore_mods`` names header rewrites with
     allocator-dependent values (e.g. the NAT's external ``src_port``).
 
     ``sanitize=True`` installs the race sanitizer's event probes on the
-    parallel NF for the duration of the replay and attaches the active
+    parallel NF for the duration of the run and attaches the active
     findings as ``report.race_diagnostics``; pass the analysis ``tree``
     (``MaestroResult.tree``) to also enable the MAE104 footprint
     cross-validation and the R5 ownership excusals.
@@ -203,164 +338,55 @@ def check_equivalence(
     tuples onto one entry.
 
     ``flight`` accepts a :class:`repro.obs.flight.FlightRecorder`: the
-    replay then records every parallel-side packet (core, flow hash,
+    comparison records every parallel-side packet (core, flow hash,
     path id, state ops) into its ring and the buffer is snapshotted into
     ``report.flight_snapshot`` at the first genuine mismatch — the
-    last-N-packets context a reproducer ships with — or at replay end
+    last-N-packets context a reproducer ships with — or at the end
     when the sanitizer reported violations.
 
     ``rescale_events`` makes the run *elastic-aware*: a sequence of
-    ``(packet_index, n_cores)`` pairs, each applied via
-    :func:`repro.scale.migrate.rescale_parallel` immediately **before**
-    the packet at that index is processed.  The parallel NF must have
-    elastic mode enabled (``repro.scale.enable_elastic``).  The
+    ``(packet_index, n_cores)`` pairs, run through
+    :func:`repro.scale.elastic.run_elastic` (reference path), so each
+    rescale lands immediately **before** the packet at its index.
+    Positions must lie in ``0..len(trace)``, one event per position, or
+    it raises :class:`~repro.errors.SimulationError`.  ``run_elastic``
+    enables elastic mode on ``parallel`` if it is not already on.  The
     sequential reference is untouched — the whole point is proving that
     a mid-trace grow/shrink is behaviour-preserving.  Under
     ``sanitize=True`` the migrations are reported to the race monitor,
     so MAE103 checks the ownership handoffs and MAE105 the quiesce
     epochs.
     """
-    if flow_keys is None:
-        flow_keys = _default_flow_keys
-    ignored = frozenset(ignore_mods)
-    sequential = SequentialRunner(make_nf())
-    report = EquivalenceReport(n_packets=len(trace))
-    monitor = None
+    seq_results = SequentialRunner(make_nf()).process_trace(trace)
+    race_diagnostics: list = []
     if sanitize:
-        from repro.analysis.race import RaceMonitor
+        from repro.analysis.race import RaceMonitor, analyze_monitor
 
-        monitor = RaceMonitor(parallel).install()
-    rescales: dict[int, int] = {}
-    if rescale_events:
-        # Lazy import: repro.scale imports the codegen/runtime layers,
-        # so the equivalence module must not import it at module level.
-        from repro.scale.migrate import rescale_parallel
-
-        for at_packet, n_cores in rescale_events:
-            rescales[int(at_packet)] = int(n_cores)
-    tainted: set[tuple] = set()
-    #: (obj, key) map entries a rescale refused to install — the flow's
-    #: state vanished exactly as a capacity refusal would make it, so
-    #: later drop-vs-forward disagreements on those keys are excused.
-    refused_state: set[tuple] = set()
-    try:
-        for index, (port, pkt) in enumerate(trace):
-            target = rescales.get(index)
-            if target is not None:
-                stats = rescale_parallel(parallel, target)
-                refused_state.update(stats.refused_keys)
-            seq_result = sequential.process(port, pkt)
-            core_id, par_result = parallel.process(port, pkt)
-            if flight is not None:
-                flight.record(
-                    index,
-                    port,
-                    core_id,
-                    par_result.kind.value,
-                    par_result.port,
-                    (
-                        pkt.src_ip, pkt.dst_ip, pkt.src_port,
-                        pkt.dst_port, pkt.proto,
-                    ),
-                    par_result.ops,
-                )
-            seq_obs = _observable(seq_result, ignored)
-            par_obs = _observable(par_result, ignored)
-            if seq_obs == par_obs:
-                continue
-            # Capacity divergence: one side dropped/refused because its
-            # (smaller) shard filled while the other still had room.
-            # ``new_flow`` marks the establishing packet; once a flow's
-            # establishment diverged, its state differs on the two sides
-            # for good, so every later drop-vs-forward disagreement on
-            # the same flow keys is the same capacity story, not a bug
-            # (repeat packets of a refused flow re-fail the allocator
-            # without ever raising ``new_flow``).
-            capacity = False
-            drop_mismatch = (
-                seq_result.kind != par_result.kind
-                and ActionKind.DROP in (seq_result.kind, par_result.kind)
-            )
-            if drop_mismatch:
-                culprit = _capacity_culprit(seq_result, par_result)
-                relevant = [
-                    tagged
-                    for tagged in flow_keys(port, pkt)
-                    if _matches_culprit(tagged[0], culprit)
-                ]
-                capacity = (
-                    seq_result.new_flow
-                    or par_result.new_flow
-                    or any(tagged in tainted for tagged in relevant)
-                    or any(
-                        rkey == tagged[1] and _matches_culprit(tagged[0], robj)
-                        for (robj, rkey) in refused_state
-                        for tagged in relevant
-                    )
-                )
-            if capacity and allow_capacity_divergence:
-                tainted.update(relevant)
-                report.capacity_divergences += 1
-                report.capacity_by_object[culprit] = (
-                    report.capacity_by_object.get(culprit, 0) + 1
-                )
-                continue
-            report.mismatches.append(
-                Mismatch(
-                    index=index,
-                    port=port,
-                    sequential=seq_obs,
-                    parallel=par_obs,
-                    capacity_related=capacity,
-                )
-            )
-            if flight is not None and not report.flight_snapshot:
-                # First genuine mismatch: freeze the tail of the run.
-                report.flight_snapshot = flight.snapshot()
-    finally:
-        if monitor is not None:
-            monitor.remove()
-    if monitor is not None:
-        from repro.analysis.race import analyze_monitor
-
-        report.race_diagnostics = analyze_monitor(
-            monitor, tree=tree
-        ).diagnostics
+        with RaceMonitor(parallel) as monitor:
+            run, refused_at = _run_parallel(parallel, trace, rescale_events)
+        race_diagnostics = analyze_monitor(monitor, tree=tree).diagnostics
+    else:
+        run, refused_at = _run_parallel(parallel, trace, rescale_events)
+    report = _compare(
+        trace,
+        seq_results,
+        run.packet_results,
+        ignore_mods=frozenset(ignore_mods),
+        flow_keys=flow_keys or _default_flow_keys,
+        refused_at=refused_at,
+        flight=flight,
+        core_ids=run.core_ids.tolist(),
+    )
+    report.race_diagnostics = race_diagnostics
     if (
         flight is not None
         and not report.flight_snapshot
         and report.race_diagnostics
     ):
-        # Sanitizer-only findings surface after the replay; attach the
+        # Sanitizer-only findings surface after the run; attach the
         # final ring so MAE1xx reports still carry packet context.
         report.flight_snapshot = flight.snapshot()
     return report
-
-
-def _chain_observable(result, ignored: frozenset[str]) -> tuple:
-    mods = tuple(
-        sorted((k, v) for k, v in result.mods.items() if k not in ignored)
-    )
-    return (result.kind, result.port, mods)
-
-
-def _chain_capacity_culprit(dropping_steps) -> str:
-    """Blame the state object of the hop that refused the insert.
-
-    The chain-level drop originates in the *last* hop the dropping side
-    executed; scan its op record like the single-NF attribution does.
-    """
-    if not dropping_steps:
-        return "unknown"
-    ops = dropping_steps[-1].result.ops
-    for wanted in _CAPACITY_OPS:
-        for op in reversed(ops):
-            if op.op == wanted:
-                return op.obj
-    for op in reversed(ops):
-        if op.write:
-            return op.obj
-    return "unknown"
 
 
 def check_chain_equivalence(
@@ -370,18 +396,18 @@ def check_chain_equivalence(
     *,
     registry: dict[str, type] | None = None,
     ignore_mods: Iterable[str] = (),
-    allow_capacity_divergence: bool = True,
     sanitize: bool = False,
     trees: dict | None = None,
 ) -> EquivalenceReport:
     """Differentially validate a parallel chain against its sequential
     reference.
 
-    Replays ``trace`` through a fresh
+    Runs ``trace`` through a fresh
     :class:`repro.chain.runtime.SequentialChainRunner` (every hop a
-    single-core NF with full-capacity state) and through ``parallel``
-    (a :class:`repro.chain.runtime.ParallelChain` in joint or fallback
-    mode), comparing each packet's chain-level observable: terminal
+    single-core NF with full-capacity state) and, with
+    :func:`~repro.sim.functional.run_chain`, through ``parallel`` (a
+    :class:`repro.chain.runtime.ParallelChain` in joint or fallback
+    mode), then compares each packet's chain-level observable: terminal
     action, chain egress port, and accumulated header rewrites.
 
     Capacity divergences are excused per flow exactly like the
@@ -391,79 +417,25 @@ def check_chain_equivalence(
     not reported as a violation.
 
     ``sanitize=True`` installs a race monitor on *every* hop's
-    generated ParallelNF for the duration of the replay; pass ``trees``
+    generated ParallelNF for the duration of the run; pass ``trees``
     (hop alias -> execution tree) to enable the MAE104 footprint
     cross-validation per hop.  All hops' findings are concatenated into
     ``report.race_diagnostics``.
     """
-    from repro.chain.runtime import SequentialChainRunner
-
-    ignored = frozenset(ignore_mods)
-    sequential = SequentialChainRunner(chain, registry)
-    report = EquivalenceReport(n_packets=len(trace))
+    seq_results = SequentialChainRunner(chain, registry).process_trace(trace)
     monitors = {}
-    if sanitize:
-        from repro.analysis.race import RaceMonitor
+    with contextlib.ExitStack() as stack:
+        if sanitize:
+            from repro.analysis.race import RaceMonitor
 
-        monitors = {
-            alias: RaceMonitor(hop_parallel).install()
-            for alias, hop_parallel in parallel.hops.items()
-        }
-    tainted: set[tuple] = set()
-    try:
-        for index, (port, pkt) in enumerate(trace):
-            seq_result = sequential.process(port, pkt)
-            par_result = parallel.process(port, pkt)
-            seq_obs = _chain_observable(seq_result, ignored)
-            par_obs = _chain_observable(par_result, ignored)
-            if seq_obs == par_obs:
-                continue
-            capacity = False
-            culprit = "unknown"
-            relevant: list[tuple] = []
-            drop_mismatch = (
-                seq_result.kind != par_result.kind
-                and ActionKind.DROP in (seq_result.kind, par_result.kind)
-            )
-            if drop_mismatch:
-                dropping = (
-                    par_result
-                    if par_result.kind is ActionKind.DROP
-                    else seq_result
-                )
-                culprit = _chain_capacity_culprit(dropping.steps)
-                relevant = [
-                    tagged
-                    for tagged in _default_flow_keys(port, pkt)
-                    if _matches_culprit(tagged[0], culprit)
-                ]
-                new_flow = any(
-                    step.result.new_flow
-                    for result in (seq_result, par_result)
-                    for step in result.steps
-                )
-                capacity = new_flow or any(
-                    tagged in tainted for tagged in relevant
-                )
-            if capacity and allow_capacity_divergence:
-                tainted.update(relevant)
-                report.capacity_divergences += 1
-                report.capacity_by_object[culprit] = (
-                    report.capacity_by_object.get(culprit, 0) + 1
-                )
-                continue
-            report.mismatches.append(
-                Mismatch(
-                    index=index,
-                    port=port,
-                    sequential=seq_obs,
-                    parallel=par_obs,
-                    capacity_related=capacity,
-                )
-            )
-    finally:
-        for monitor in monitors.values():
-            monitor.remove()
+            monitors = {
+                alias: stack.enter_context(RaceMonitor(hop_parallel))
+                for alias, hop_parallel in parallel.hops.items()
+            }
+        par_results = run_chain(parallel, trace).results
+    report = _compare(
+        trace, seq_results, par_results, ignore_mods=frozenset(ignore_mods)
+    )
     if monitors:
         from repro.analysis.race import analyze_monitor
 

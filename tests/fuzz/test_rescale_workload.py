@@ -54,6 +54,39 @@ class TestOracle:
         assert report.rescale_checks > 0
         assert report.to_dict()["rescale_checks"] == report.rescale_checks
 
+    @pytest.mark.parametrize(
+        "n_packets,expected",
+        [
+            # n // 3 and 2 * n // 3 coincide: the shrink replaces the grow.
+            (1, [(0, 3)]),
+            (2, [(0, 8), (1, 3)]),
+        ],
+    )
+    def test_short_trace_schedule(self, monkeypatch, n_packets, expected):
+        """The grow/shrink schedule stays valid for ``run_elastic`` (one
+        event per position, inside the trace) on traces too short to
+        hold two distinct positions."""
+        import repro.fuzz.oracle as oracle_mod
+
+        schedules = []
+        check = oracle_mod.check_equivalence
+
+        def spy(*args, rescale_events=None, **kwargs):
+            if rescale_events is not None:
+                schedules.append(list(rescale_events))
+            return check(*args, rescale_events=rescale_events, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "check_equivalence", spy)
+        spec = random_spec(SN_SEED, shape="small")
+        trace = materialize_workload(RESCALE)[:n_packets]
+        report = run_oracle(
+            spec, [RESCALE], n_cores=4, maestro_seed=7,
+            traces=[(RESCALE, trace)],
+        )
+        assert report.ok, [f.to_dict() for f in report.failures]
+        assert report.rescale_checks == 1
+        assert schedules == [expected]
+
     def test_locks_case_has_no_rescale_check(self):
         spec = random_spec(LOCKS_SEED, shape="small")
         report = run_oracle(spec, [RESCALE], n_cores=4, maestro_seed=7)

@@ -68,6 +68,23 @@ class TestEquivalenceAcrossRescale:
         assert "MAE103" not in codes, report.describe()
         assert "MAE105" not in codes, report.describe()
 
+    def test_unusable_schedule_is_rejected_not_skipped(self, analyses):
+        """An event past the trace end, or two at one position, is an
+        error: a checker that skips a rescale it was asked for reports
+        "equivalent" for a run it never made."""
+        trace = seeded_churn()
+        for events, match in (
+            ([(len(trace) + 10, 8)], "outside"),
+            ([(200, 8), (200, 3)], "two rescale"),
+        ):
+            with pytest.raises(SimulationError, match=match):
+                check_equivalence(
+                    ALL_NFS["fw"],
+                    make_elastic(analyses),
+                    trace,
+                    rescale_events=events,
+                )
+
 
 class TestBatchParity:
     def test_fastpath_and_compiled_match_reference(self, analyses):

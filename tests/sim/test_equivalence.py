@@ -236,6 +236,78 @@ class TestCapacityDivergence:
         assert report.capacity_divergences > 0
 
 
+class TestChainCapacityDivergence:
+    def test_full_hop_shard_is_excused_and_named(self):
+        """A chain hop whose per-core shard fills drops flows the
+        sequential chain still admits; the chain checker excuses them
+        like the single-NF checker and names the refusing hop's
+        state object."""
+        from repro.chain import (
+            ParallelChain,
+            benchmark_chain_trace,
+            default_registry,
+            parse_chain,
+        )
+        from repro.chain.runtime import instantiate_hops
+        from repro.core import Maestro
+        from repro.sim.equivalence import check_chain_equivalence
+        from tests.chain.test_runtime import FW_CL
+
+        chain = parse_chain(FW_CL)
+        registry = dict(default_registry())
+        registry["cl"] = lambda: ALL_NFS["cl"](capacity=8)
+        maestro = Maestro(seed=7)
+        parallel = ParallelChain(
+            chain=chain,
+            hops={
+                alias: maestro.parallelize(nf, 4)
+                for alias, nf in instantiate_hops(chain, registry).items()
+            },
+            mode="fallback",
+        )
+        trace = benchmark_chain_trace(chain, n_flows=64, packets=256, seed=3)
+        report = check_chain_equivalence(
+            chain, parallel, trace, registry=registry
+        )
+        assert report.equivalent, report.describe()
+        assert report.capacity_divergences > 0
+        assert report.capacity_by_object.get("cl_chain", 0) > 0
+
+
+class TestFlightSnapshot:
+    @pytest.mark.parametrize("capacity", [8, 64])
+    def test_snapshot_ends_at_first_mismatch(
+        self, analyses, generator, capacity
+    ):
+        """The ring is frozen at the first genuine mismatch: its last
+        event is that packet, preceded by the packets before it."""
+        from repro.nf.packet import Packet
+        from repro.obs.flight import FlightRecorder
+
+        parallel = analyses.maestro.parallelize(
+            ALL_NFS["fw"](), n_cores=4, result=analyses["fw"]
+        )
+        trace, _ = generator.uniform_trace(20, 8, in_port=0)
+        # Two unsolicited WAN packets: the firewall drops them, the
+        # sequential NOP (a different NF) forwards them.
+        unsolicited = Packet(
+            src_ip=0x0B000001, dst_ip=0x0A000001, src_port=80, dst_port=4242
+        )
+        report = check_equivalence(
+            ALL_NFS["nop"],
+            parallel,
+            trace + [(1, unsolicited)] * 2,
+            flight=FlightRecorder(capacity=capacity),
+        )
+        assert [m.index for m in report.mismatches] == [20, 21]
+        first = report.mismatches[0].index
+        snapshot = report.flight_snapshot
+        assert snapshot[-1]["index"] == first
+        assert [event["index"] for event in snapshot] == list(
+            range(first + 1 - min(capacity, first + 1), first + 1)
+        )
+
+
 class TestReportFormatting:
     """Satellite: describe() caps listings and names capacity culprits."""
 
@@ -247,10 +319,7 @@ class TestReportFormatting:
         )
 
         mismatches = [
-            Mismatch(
-                index=i, port=0, sequential=("seq",), parallel=("par",),
-                capacity_related=False,
-            )
+            Mismatch(index=i, port=0, sequential=("seq",), parallel=("par",))
             for i in range(12)
         ]
         report = EquivalenceReport(n_packets=100, mismatches=mismatches)
@@ -266,10 +335,7 @@ class TestReportFormatting:
         report = EquivalenceReport(
             n_packets=10,
             mismatches=[
-                Mismatch(
-                    index=3, port=1, sequential=("a",), parallel=("b",),
-                    capacity_related=False,
-                )
+                Mismatch(index=3, port=1, sequential=("a",), parallel=("b",))
             ],
         )
         text = report.describe()
