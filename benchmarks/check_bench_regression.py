@@ -11,7 +11,9 @@ more than ``--tolerance`` (default 25%) in *throughput* terms: fresh
 ``us_per_pkt`` may be at most ``baseline / (1 - tolerance)``.  Only
 the optimized paths are gated — the scalar/reference measurements are
 reported for context but a slower baseline interpreter is not a
-product regression.
+product regression.  ``bench_fastpath`` exports the gated costs scaled
+by a machine-speed probe taken before each timing, so a slow spell on
+a shared runner does not read as a regression.
 
 Improvements beyond the tolerance are reported too (update the
 checked-in ``BENCH_fastpath.json`` to ratchet the gate), but they

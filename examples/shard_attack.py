@@ -45,7 +45,7 @@ def main() -> None:
     print("=== attack: exhausting the victim shard ===")
     for flow in attack.flows:
         parallel.process(0, flow.packet())
-    victim_core = parallel.core_for(0, attack.flows[0].packet())
+    victim_core = parallel.rss.core_for(0, attack.flows[0].packet())
 
     # A legitimate new flow that happens to hash to the victim core...
     rng = np.random.default_rng(99)
@@ -54,7 +54,7 @@ def main() -> None:
             int(rng.integers(1, 2**32)), int(rng.integers(1, 2**32)),
             int(rng.integers(1, 2**16)), int(rng.integers(1, 2**16)),
         )
-        if parallel.core_for(0, legit.packet()) == victim_core:
+        if parallel.rss.core_for(0, legit.packet()) == victim_core:
             break
     parallel.process(0, legit.packet())           # untracked (shard full)
     _, reply = parallel.process(1, legit.inverted().packet())

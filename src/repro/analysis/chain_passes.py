@@ -58,6 +58,7 @@ from repro.chain.runtime import (
     ParallelChain,
     benchmark_chain_trace,
     instantiate_hops,
+    run_chain,
 )
 from repro.core.codegen import Strategy
 from repro.core.pipeline import Maestro, MaestroResult
@@ -70,7 +71,6 @@ from repro.rs3.fields import E810, NicModel
 from repro.rs3.joint import compile_joint, solve_joint, verify_joint_steering
 from repro.rs3.solver import KeySearchStats
 from repro.sim.equivalence import EquivalenceReport, check_chain_equivalence
-from repro.sim.functional import run_chain
 from repro.sim.perf import chain_handoff_cost, chain_handoff_slowdown
 
 __all__ = ["HopAnalysis", "ChainReport", "analyze_chain"]
@@ -728,19 +728,20 @@ def analyze_chain(
             return report
         report.mode = mode
 
-        # Generate the per-hop parallel NFs (their own RSS keys steer in
-        # fallback mode; joint mode bypasses them) and the chain runner.
-        maestro = Maestro(nic, seed=seed)
-        parallels = {}
-        nfs = instantiate_hops(chain, registry)
-        for alias, hop in hops.items():
-            strategy = Strategy.default_for(hop.verdict)
-            parallels[alias] = maestro.parallelize(
-                nfs[alias], n_cores, strategy=strategy, result=hop.result
-            )
-        parallel = ParallelChain(
-            chain=chain, hops=parallels, mode=mode, joint_rss=joint_rss
-        )
+        def deploy() -> ParallelChain:
+            # A fresh deployment of per-hop generated NFs (their own RSS
+            # keys steer in fallback mode); generation is deterministic.
+            maestro = Maestro(nic, seed=seed)
+            nfs = instantiate_hops(chain, registry)
+            parallels = {
+                alias: maestro.parallelize(
+                    nfs[alias], n_cores,
+                    strategy=Strategy.default_for(hop.verdict),
+                    result=hop.result,
+                )
+                for alias, hop in hops.items()
+            }
+            return ParallelChain(chain, parallels, mode, joint_rss)
 
         trace = benchmark_chain_trace(
             chain, n_flows=n_flows, packets=packets, seed=seed
@@ -748,7 +749,7 @@ def analyze_chain(
         if validate:
             equivalence = check_chain_equivalence(
                 chain,
-                parallel,
+                deploy(),
                 trace,
                 registry=registry,
                 sanitize=True,
@@ -767,16 +768,14 @@ def analyze_chain(
                     )
                 )
             diagnostics.extend(equivalence.race_diagnostics)
-        elif mode == "fallback":
-            run_chain(parallel, trace)
 
         if mode == "fallback":
-            report.handoff_fraction = parallel.handoff_fraction()
-            handoffs_per_packet = (
-                parallel.handoffs / len(trace) if trace else 0.0
-            )
+            run = run_chain(deploy(), trace)
+            report.handoff_fraction = run.handoff_fraction
+            handoffs_per_packet = run.handoffs / len(trace) if trace else 0.0
             packet_cycles = sum(
-                profile_for(nfs[alias]).base_cycles for alias in hops
+                profile_for(hop.nf).base_cycles
+                for hop in run.parallel.hops.values()
             )
             report.handoff_cycles = chain_handoff_cost(handoffs_per_packet)
             report.handoff_slowdown = chain_handoff_slowdown(

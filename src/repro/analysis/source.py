@@ -105,10 +105,6 @@ def collect_waivers(
     return waivers
 
 
-# Backwards-compatible private alias (pre-chain name).
-_collect_waivers = collect_waivers
-
-
 def gather_sources(nf: NF) -> NfSource:
     """Collect method sources for ``nf``'s class hierarchy (below NF)."""
     out = NfSource(nf_name=nf.name)
@@ -156,5 +152,5 @@ def gather_sources(nf: NF) -> NfSource:
                     pkt_param=_param_named(fn, "pkt", "packet"),
                 )
             )
-            out.waivers.update(_collect_waivers(source, file, first_line))
+            out.waivers.update(collect_waivers(source, file, first_line))
     return out

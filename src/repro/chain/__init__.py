@@ -10,9 +10,10 @@ This package provides the chain description layer:
 * :mod:`repro.chain.dsl` — a small text DSL (``.chain`` files under
   ``examples/chains/``) declaring hops, chain-level ingress ports, the
   hop-to-hop port wiring, and chain egress ports;
-* :mod:`repro.chain.runtime` — a sequential reference executor and a
-  parallel chain executor (one joint RSS steering, or per-hop steering
-  with core handoffs).
+* :mod:`repro.chain.runtime` — a sequential reference executor and
+  :func:`run_chain`, the one executor of a :class:`ParallelChain`
+  deployment (joint steering of the whole trace, or per-hop steering
+  with core handoffs), whose :class:`ChainRun` holds the results.
 
 The whole-chain static analysis lives in
 :mod:`repro.analysis.chain_passes` (MAE2xx diagnostics) and the joint
@@ -31,10 +32,12 @@ from repro.chain.dsl import (
 )
 from repro.chain.runtime import (
     ChainResult,
+    ChainRun,
     HopStep,
     ParallelChain,
     SequentialChainRunner,
     benchmark_chain_trace,
+    run_chain,
 )
 
 __all__ = [
@@ -50,5 +53,7 @@ __all__ = [
     "HopStep",
     "SequentialChainRunner",
     "ParallelChain",
+    "ChainRun",
+    "run_chain",
     "benchmark_chain_trace",
 ]

@@ -1,30 +1,34 @@
-"""Chain execution: sequential reference and parallel chain runner.
+"""Chain execution: the sequential reference and the parallel executor.
 
-Both executors run each packet to completion through the chain: a hop's
-``FORWARD`` follows the chain's wire/egress map (header rewrites are
-applied to the packet before the next hop sees it), ``DROP`` and
+Both run each packet to completion through the chain (:func:`_walk`): a
+hop's ``FORWARD`` follows the chain's wire/egress map (header rewrites
+are applied to the packet before the next hop sees it), ``DROP`` and
 ``FLOOD`` terminate the packet at chain level.
 
-The parallel runner supports the two steering modes the chain analysis
-produces:
+:func:`run_chain` is the one executor of a :class:`ParallelChain`
+deployment, in the two steering modes the chain analysis produces:
 
 * ``joint`` — one RSS decision at the chain ingress (the joint Toeplitz
-  key from :mod:`repro.rs3.joint`); every hop then runs on that same
-  core.  This is the shared-nothing end-to-end plan: no cross-core
-  handoffs, per-hop shard ownership follows from the joint key
-  satisfying the intersection of all hops' constraints.
+  key from :mod:`repro.rs3.joint`), taken for the whole trace by
+  ``steer_trace``; every hop then runs on that same core.  This is the
+  shared-nothing end-to-end plan: no cross-core handoffs, per-hop shard
+  ownership follows from the joint key satisfying the intersection of
+  all hops' constraints.
 * ``fallback`` — every hop steers with its own per-NF RSS key (the
   NFork-style per-NF scaling contrast).  Correct per hop, but a flow
-  may migrate between cores at each hop boundary; the runner counts
+  may migrate between cores at each hop boundary; each result counts
   those handoffs so :mod:`repro.sim.perf` can price them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from itertools import repeat
 
 import numpy as np
 
+from repro import obs
 from repro.core.codegen import ParallelNF
 from repro.errors import ChainError, SimulationError
 from repro.chain.dsl import Chain, Egress, Wire, default_registry
@@ -32,12 +36,15 @@ from repro.nf.api import NF, ActionKind
 from repro.nf.packet import PACKET_FIELDS, Packet
 from repro.nf.runtime import PacketResult, SequentialRunner
 from repro.rs3.config import RssConfiguration
+from repro.traffic.generator import Trace, TraceColumns
 
 __all__ = [
     "HopStep",
     "ChainResult",
     "SequentialChainRunner",
     "ParallelChain",
+    "ChainRun",
+    "run_chain",
     "benchmark_chain_trace",
 ]
 
@@ -64,8 +71,13 @@ class ChainResult:
     steps: list[HopStep] = field(default_factory=list)
     #: accumulated header rewrites (later hops override earlier ones)
     mods: dict[str, int] = field(default_factory=dict)
-    #: fallback mode: number of hop boundaries that changed core
-    handoffs: int = 0
+
+    @property
+    def handoffs(self) -> int:
+        """Hop boundaries whose core differs from the previous hop's
+        (0 in joint mode and on the sequential reference)."""
+        cores = [step.core for step in self.steps]
+        return sum(a != b for a, b in zip(cores, cores[1:]))
 
 
 def _apply_mods(pkt: Packet, mods: dict[str, int]) -> Packet:
@@ -171,7 +183,8 @@ class SequentialChainRunner:
 
 @dataclass
 class ParallelChain:
-    """A parallel chain deployment: per-hop generated NFs + steering mode."""
+    """A parallel chain deployment record: per-hop generated NFs +
+    steering mode (:func:`run_chain` executes it)."""
 
     chain: Chain
     hops: dict[str, ParallelNF]
@@ -179,8 +192,6 @@ class ParallelChain:
     mode: str
     #: chain-ingress RSS configuration; required in joint mode
     joint_rss: RssConfiguration | None = None
-    handoffs: int = 0
-    hop_transitions: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in ("joint", "fallback"):
@@ -197,43 +208,84 @@ class ParallelChain:
     def n_cores(self) -> int:
         return next(iter(self.hops.values())).n_cores
 
-    def process(self, chain_port: int, pkt: Packet) -> ChainResult:
-        if self.mode == "joint":
-            core = self.joint_rss.core_for(chain_port, pkt)
 
-            def run_hop(alias: str, port: int, cur: Packet):
-                return core, self.hops[alias].cores[core].ctx.run(port, cur)
+@dataclass(frozen=True)
+class ChainRun:
+    """A trace's run through a parallel chain: the per-packet results,
+    and every aggregate derived from them on first use."""
 
-            return _walk(self.chain, chain_port, pkt, run_hop)
+    parallel: ParallelChain
+    results: list[ChainResult]
 
-        last_core: int | None = None
-        handoffs = 0
-        transitions = 0
+    @cached_property
+    def hop_packets(self) -> dict[str, int]:
+        """Packets processed per hop alias (every hop, zeros included)."""
+        counts = dict.fromkeys(self.parallel.hops, 0)
+        for result in self.results:
+            for step in result.steps:
+                counts[step.alias] += 1
+        return counts
 
-        def run_hop(alias: str, port: int, cur: Packet):
-            nonlocal last_core, handoffs, transitions
-            core, result = self.hops[alias].process(port, cur)
-            if last_core is not None:
-                transitions += 1
-                if core != last_core:
-                    handoffs += 1
-            last_core = core
-            return core, result
+    @cached_property
+    def core_hop_packets(self) -> np.ndarray:
+        """Hop executions landing on each core (joint mode: every hop of
+        a packet counts toward the packet's single steered core)."""
+        cores = [step.core for result in self.results for step in result.steps]
+        return np.bincount(cores, minlength=self.parallel.n_cores)
 
-        result = _walk(self.chain, chain_port, pkt, run_hop)
-        result.handoffs = handoffs
-        self.handoffs += handoffs
-        self.hop_transitions += transitions
-        return result
+    @cached_property
+    def handoffs(self) -> int:
+        """Hop boundaries that changed core (always 0 in joint mode)."""
+        return sum(result.handoffs for result in self.results)
 
+    @cached_property
+    def hop_transitions(self) -> int:
+        """Hop boundaries crossed (the handoff denominator)."""
+        return sum(len(result.steps) - 1 for result in self.results)
+
+    @property
     def handoff_fraction(self) -> float:
-        """Observed fraction of hop boundaries that changed core."""
-        if not self.hop_transitions:
-            return 0.0
-        return self.handoffs / self.hop_transitions
+        transitions = self.hop_transitions
+        return self.handoffs / transitions if transitions else 0.0
 
-    def reset_stats(self) -> None:
-        self.handoffs = self.hop_transitions = 0
+    def core_shares(self) -> np.ndarray:
+        loads = self.core_hop_packets.astype(np.float64)
+        return loads / loads.sum() if loads.any() else loads
+
+
+def run_chain(parallel: ParallelChain, trace: Trace) -> ChainRun:
+    """Run ``trace`` through ``parallel``, each packet to completion, in
+    trace order.
+
+    Joint mode steers the whole trace at the chain ingress first (an
+    unknown ingress port raises :class:`~repro.errors.SimulationError`
+    before any packet runs), then runs every hop on the packet's core.
+    Fallback mode re-steers at every hop with that hop's own
+    :meth:`~repro.core.codegen.ParallelNF.process`.
+    """
+    chain, hops = parallel.chain, parallel.hops
+    with obs.span(
+        "sim.run_chain", chain=chain.name, mode=parallel.mode,
+        n_packets=len(trace),
+    ):
+        if parallel.mode == "joint":
+            cores, _ = parallel.joint_rss.steer_trace(TraceColumns(trace))
+            cores = cores.tolist()
+
+            def run_hop(core: int, alias: str, port: int, pkt: Packet):
+                return core, hops[alias].cores[core].ctx.run(port, pkt)
+
+        else:
+            cores = repeat(None)
+
+            def run_hop(_: None, alias: str, port: int, pkt: Packet):
+                return hops[alias].process(port, pkt)
+
+        results = [
+            _walk(chain, port, pkt, partial(run_hop, core))
+            for (port, pkt), core in zip(trace, cores)
+        ]
+    return ChainRun(parallel, results)
 
 
 def benchmark_chain_trace(

@@ -199,9 +199,6 @@ class ParallelNF:
     # -------------------------------------------------------------- #
     # Functional execution
     # -------------------------------------------------------------- #
-    def core_for(self, port: int, pkt: Packet) -> int:
-        return self.rss.core_for(port, pkt)
-
     def process(self, port: int, pkt: Packet) -> tuple[int, PacketResult]:
         """Steer one packet through RSS and process it on its core."""
         config = self.rss.port_config(port)

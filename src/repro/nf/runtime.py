@@ -460,12 +460,7 @@ class ConcreteContext(NfContext):
         self._trace_on = self._tracer.enabled()
         probe = self.access_probe
         if probe is not None:
-            # Only pass the steering bucket when elastic tagging is live:
-            # custom probes predating elastic scaling accept begin(port).
-            if self.bucket_index is not None:
-                probe.begin(port, self.current_bucket)
-            else:
-                probe.begin(port)
+            probe.begin(port, self.current_bucket)
         try:
             self.nf.process(self, port, pkt)
         except PacketDone as done:

@@ -488,7 +488,7 @@ def rescale_parallel(
         while len(parallel.cores) < n_new:
             core = _revive_core(parallel, len(parallel.cores))
             parallel.cores.append(core)
-            if monitor is not None and hasattr(monitor, "attach_core"):
+            if monitor is not None:
                 monitor.attach_core(core)
         parallel.n_cores = max(parallel.n_cores, len(parallel.cores))
 
@@ -518,12 +518,6 @@ def rescale_parallel(
         for table in tables:
             table.reprogram(new_entries)
             table.retarget(n_new)
-
-        # Compiled dispatchers cache per-core contexts at construction;
-        # refresh so freshly revived cores are dispatchable.
-        dispatcher = getattr(parallel, "_compiled_dispatcher", None)
-        if dispatcher is not None:
-            dispatcher._ctxs = [core.ctx for core in parallel.cores]
 
     stats.quiesce_us = (
         stats.buckets_moved * QUIESCE_US_PER_BUCKET

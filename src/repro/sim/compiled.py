@@ -794,7 +794,7 @@ class CompiledDispatcher:
         }
         self.path_ids = np.zeros(0, dtype=np.int32)
         self._sn = parallel.strategy is Strategy.SHARED_NOTHING
-        self._ctxs = [core.ctx for core in parallel.cores]
+        self._ctxs = []
         self._bucket_ids = None
         self._cols = None
         self._triggers = {}
@@ -820,6 +820,8 @@ class CompiledDispatcher:
         """
         n = len(cols)
         self._cols = cols
+        # Bound per run: a rescale between runs may revive cores.
+        self._ctxs = [core.ctx for core in self.parallel.cores]
         #: Per-packet indirection-table slots (elastic runs only): the
         #: fallback path installs them as ``ctx.current_bucket`` so
         #: establishment packets bucket-tag the state they create, and

@@ -5,7 +5,7 @@ semantics of the sequential implementation".  Each checker runs the same
 trace through both — the parallel side on the executors every other
 caller uses (:func:`~repro.sim.functional.run_functional`'s reference
 path, :func:`~repro.scale.elastic.run_elastic`,
-:func:`~repro.sim.functional.run_chain`) — then compares the finished
+:func:`~repro.chain.runtime.run_chain`) — then compares the finished
 result lists packet by packet in one loop: action, egress port, header
 rewrites.
 
@@ -29,14 +29,14 @@ checks are the way a racy-but-lucky plan gets caught here.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from repro.chain.runtime import ChainResult, SequentialChainRunner
+from repro.chain.runtime import ChainResult, SequentialChainRunner, run_chain
 from repro.core.codegen import ParallelNF
 from repro.nf.api import ActionKind
 from repro.nf.runtime import PacketResult, SequentialRunner
-from repro.sim.functional import run_chain, run_functional
+from repro.sim.functional import run_functional
 from repro.traffic.generator import Trace
 
 __all__ = [
@@ -129,6 +129,11 @@ def _hop_results(result) -> list[PacketResult]:
     return [result]
 
 
+def _new_flow(result) -> bool:
+    """Whether any hop of a packet or chain result established a flow."""
+    return any(hop.new_flow for hop in _hop_results(result))
+
+
 def _default_flow_keys(port: int, pkt) -> list[tuple]:
     """Both orientations of the packet's header identity, untagged.
 
@@ -201,6 +206,10 @@ def _compare(
     #: state vanished exactly as a capacity refusal would make it, so
     #: later drop-vs-forward disagreements on those keys are excused.
     refused_state: set[tuple] = set()
+    #: flow key -> the object that refused to record the flow on a
+    #: packet both sides still handled alike; the flow's later
+    #: drop-vs-forward packets are that object's capacity divergences.
+    refused_flows: dict[tuple, str] = {}
     for index, ((port, pkt), seq_result, par_result) in enumerate(
         zip(trace, seq_results, par_results)
     ):
@@ -221,6 +230,21 @@ def _compare(
         seq_obs = _observable(seq_result, ignore_mods)
         par_obs = _observable(par_result, ignore_mods)
         if seq_obs == par_obs:
+            # An NF that forwards a packet whether or not it could record
+            # the flow (the firewall's LAN side) differs only in
+            # ``new_flow``; the side without it refused if its last hop
+            # ran a capacity op.  Replies swap the addresses but may keep
+            # the MACs (generated ones do), so key the flow both ways.
+            seq_new = _new_flow(seq_result)
+            refusing = _hop_results(par_result if seq_new else seq_result)[-1]
+            if seq_new != _new_flow(par_result) and any(
+                op.op in _CAPACITY_OPS for op in refusing.ops
+            ):
+                refuser = _capacity_culprit(refusing)
+                swapped = replace(pkt, src_mac=pkt.dst_mac, dst_mac=pkt.src_mac)
+                for tagged in flow_keys(port, pkt) + flow_keys(port, swapped):
+                    if _matches_culprit(tagged[0], refuser):
+                        refused_flows[tagged] = refuser
             continue
         # Capacity divergence: one side dropped/refused because its
         # (smaller) shard filled while the other still had room.
@@ -245,11 +269,8 @@ def _compare(
                 if _matches_culprit(tagged[0], culprit)
             ]
             if (
-                any(
-                    hop.new_flow
-                    for result in (seq_result, par_result)
-                    for hop in _hop_results(result)
-                )
+                _new_flow(seq_result)
+                or _new_flow(par_result)
                 or any(tagged in tainted for tagged in relevant)
                 or any(
                     rkey == tagged[1] and _matches_culprit(tagged[0], robj)
@@ -258,6 +279,10 @@ def _compare(
                 )
             ):
                 tainted.update(relevant)
+            else:
+                keys = [t for t in flow_keys(port, pkt) if t in refused_flows]
+                culprit = refused_flows[keys[0]] if keys else None
+            if culprit is not None:
                 report.capacity_divergences += 1
                 report.capacity_by_object[culprit] = (
                     report.capacity_by_object.get(culprit, 0) + 1
@@ -405,7 +430,7 @@ def check_chain_equivalence(
     Runs ``trace`` through a fresh
     :class:`repro.chain.runtime.SequentialChainRunner` (every hop a
     single-core NF with full-capacity state) and, with
-    :func:`~repro.sim.functional.run_chain`, through ``parallel`` (a
+    :func:`~repro.chain.runtime.run_chain`, through ``parallel`` (a
     :class:`repro.chain.runtime.ParallelChain` in joint or fallback
     mode), then compares each packet's chain-level observable: terminal
     action, chain egress port, and accumulated header rewrites.

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -54,8 +54,6 @@ from repro.traffic.generator import Trace, TraceColumns
 __all__ = [
     "FunctionalRun",
     "run_functional",
-    "ChainRun",
-    "run_chain",
 ]
 
 #: Stable small-int code per action, backing FunctionalRun's action array.
@@ -391,68 +389,3 @@ def run_functional(
             else CompiledDispatcher(parallel, {}, 0)
         )
         return _run_batched(parallel, TraceColumns(trace), dispatcher)
-
-
-# ------------------------------------------------------------------ #
-# Chain execution
-# ------------------------------------------------------------------ #
-@dataclass
-class ChainRun:
-    """Aggregate outcome of executing a trace through a parallel chain."""
-
-    results: list = field(default_factory=list)
-    #: hop executions landing on each core (joint mode: every hop of a
-    #: packet counts toward the packet's single steered core)
-    core_hop_packets: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
-    #: packets processed per hop alias
-    hop_packets: dict = field(default_factory=dict)
-    #: cross-core handoffs observed (always 0 in joint mode)
-    handoffs: int = 0
-    #: hop-boundary transitions observed (handoff denominator)
-    hop_transitions: int = 0
-
-    @property
-    def handoff_fraction(self) -> float:
-        if not self.hop_transitions:
-            return 0.0
-        return self.handoffs / self.hop_transitions
-
-    def core_shares(self) -> np.ndarray:
-        total = self.core_hop_packets.sum()
-        if not total:
-            return self.core_hop_packets.astype(np.float64)
-        return self.core_hop_packets / total
-
-
-def run_chain(parallel, trace: Trace) -> ChainRun:
-    """Execute ``trace`` through a :class:`repro.chain.runtime.ParallelChain`.
-
-    The chain analogue of :func:`run_functional`'s reference path:
-    packet-at-a-time in trace order (run-to-completion through the whole
-    chain), recording per-core load, per-hop packet counts, and — in
-    fallback mode — the cross-core handoffs the per-hop steering caused.
-    """
-    run = ChainRun(
-        core_hop_packets=np.zeros(parallel.n_cores, dtype=np.int64),
-        hop_packets={alias: 0 for alias in parallel.hops},
-    )
-    before_handoffs = parallel.handoffs
-    before_transitions = parallel.hop_transitions
-    with obs.span(
-        "sim.run_chain",
-        chain=parallel.chain.name,
-        mode=parallel.mode,
-        n_packets=len(trace),
-    ):
-        for port, pkt in trace:
-            result = parallel.process(port, pkt)
-            run.results.append(result)
-            for step in result.steps:
-                run.hop_packets[step.alias] += 1
-                if step.core is not None:
-                    run.core_hop_packets[step.core] += 1
-    run.handoffs = parallel.handoffs - before_handoffs
-    run.hop_transitions = parallel.hop_transitions - before_transitions
-    return run

@@ -340,8 +340,8 @@ def chain_handoff_cost(handoffs_per_packet: float) -> float:
     """Extra per-packet cycles a fallback-steered chain pays.
 
     ``handoffs_per_packet`` is the measured average number of hop
-    boundaries where the packet changed core (see
-    :meth:`repro.chain.runtime.ParallelChain.handoff_fraction`).
+    boundaries where the packet changed core (``ChainRun.handoffs`` over
+    the packet count, from :func:`repro.chain.runtime.run_chain`).
     """
     if handoffs_per_packet < 0:
         raise ValueError("handoffs_per_packet must be non-negative")

@@ -102,7 +102,7 @@ class TestKeyProperties:
                 int(rng.integers(1, 2**16)),
                 int(rng.integers(1, 2**16)),
             )
-            assert parallel.core_for(LAN, host_a) == parallel.core_for(
+            assert parallel.rss.core_for(LAN, host_a) == parallel.rss.core_for(
                 LAN, host_b
             )
 
@@ -115,7 +115,7 @@ class TestKeyProperties:
 
         rng = np.random.default_rng(9)
         cores = {
-            parallel.core_for(
+            parallel.rss.core_for(
                 LAN, Packet(int(rng.integers(0, 2**16)) << 16, 2, 3, 4)
             )
             for _ in range(100)

@@ -97,12 +97,12 @@ class TestEndToEndColocation:
         for _ in range(40):
             base, noise = random_packet(rng), random_packet(rng)
             sibling = with_same_fields(base, noise, key_fields)
-            assert parallel.core_for(LAN, base) == parallel.core_for(
+            assert parallel.rss.core_for(LAN, base) == parallel.rss.core_for(
                 LAN, sibling
             ), f"colocation violated for key {key_fields}"
 
         # 3. The key actually spreads traffic over the cores.
         cores = {
-            parallel.core_for(LAN, random_packet(rng)) for _ in range(64)
+            parallel.rss.core_for(LAN, random_packet(rng)) for _ in range(64)
         }
         assert len(cores) >= 3, "degenerate key escaped the quality gate"

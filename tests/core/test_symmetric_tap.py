@@ -101,7 +101,7 @@ class TestEndToEnd:
                 int(rng.integers(1, 2**32)), int(rng.integers(1, 2**32)),
                 int(rng.integers(1, 2**16)), int(rng.integers(1, 2**16)),
             )
-            assert parallel.core_for(TAP, flow.packet()) == parallel.core_for(
+            assert parallel.rss.core_for(TAP, flow.packet()) == parallel.rss.core_for(
                 TAP, flow.inverted().packet()
             )
 

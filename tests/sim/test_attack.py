@@ -61,7 +61,7 @@ class TestAttack:
         )
         for flow in attack.flows:
             parallel.process(0, flow.packet())
-        victim = parallel.core_for(0, attack.flows[0].packet())
+        victim = parallel.rss.core_for(0, attack.flows[0].packet())
         store = parallel.cores[victim].ctx.store
         # 8 entries per shard, 16 colliding flows: the shard is full.
         assert store["fw_chain"].allocated_count() == store["fw_chain"].capacity
@@ -131,6 +131,6 @@ class TestDefense:
                 int(rng.integers(1, 2**32)), int(rng.integers(1, 2**32)),
                 int(rng.integers(1, 2**16)), int(rng.integers(1, 2**16)),
             )
-            assert parallel.core_for(0, flow.packet()) == parallel.core_for(
+            assert parallel.rss.core_for(0, flow.packet()) == parallel.rss.core_for(
                 1, flow.inverted().packet()
             )

@@ -235,6 +235,24 @@ class TestCapacityDivergence:
         assert report.equivalent, report.describe()
         assert report.capacity_divergences > 0
 
+    def test_forwarded_establishment_refusal_taints_the_reply(self):
+        """The firewall forwards a LAN packet even when its shard refuses
+        to record the flow, so only ``new_flow`` tells the two sides
+        apart there; the flow's dropped replies are then the refusing
+        allocator's capacity divergences, not mismatches."""
+        from repro.core.pipeline import Maestro
+
+        nf_factory = lambda: ALL_NFS["fw"](capacity=16)
+        parallel = Maestro(seed=0).parallelize(nf_factory(), n_cores=8)
+        trace, _ = TrafficGenerator(seed=3).uniform_trace(
+            400, 60, in_port=0, reply_port=1, reply_fraction=0.4
+        )
+        report = check_equivalence(nf_factory, parallel, trace)
+        assert report.equivalent, report.describe()
+        assert report.capacity_divergences == 15
+        assert report.capacity_by_object == {"fw_chain": 15}
+
+
 
 class TestChainCapacityDivergence:
     def test_full_hop_shard_is_excused_and_named(self):
