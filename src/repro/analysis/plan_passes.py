@@ -52,7 +52,8 @@ Checks, one stable code each (all error severity):
 Findings are anchored to the first ``ctx.<op>("<obj>", ...)`` call in
 the NF source (same attribution the race sanitizer uses), so the
 line-scoped ``# maestro: waive[MAE3xx]`` syntax applies.  Ports whose
-paths cannot be compiled at all (non-hoistable expiry) are recorded as
+paths cannot be compiled at all (paths that sweep different chains, so
+the sweeping packets cannot be found from the trace) are recorded as
 *uncompiled* — the runtime never builds kernels for them, so falling
 back wholesale is sound, not a finding.
 """
@@ -115,9 +116,9 @@ __all__ = [
 #: with allocation (a slot allocated mid-chunk invalidates the frozen
 #: flag the lane classified on); flag reads conflict with allocation.
 #: A kernel ``dchain_allocate`` runs only on a chain that is full at
-#: chunk start.  Only expiry frees an index and it runs at chunk
-#: boundaries, so the chain stays full and every lane's ``(False, 0)``
-#: holds whatever other lanes do: no dirt demotes it.
+#: chunk start.  Only expiry frees an index and a sweeping packet runs
+#: alone in its own chunk, so the chain stays full and every lane's
+#: ``(False, 0)`` holds whatever other lanes do: no dirt demotes it.
 _INTERFERENCE: dict[str, tuple[str, ...]] = {
     "map_get": ("map_w",),
     "vector_borrow": ("vec_w",),
@@ -329,9 +330,9 @@ def _certify_narrowing(tree, pps, findings: list[_Finding]) -> None:
     path op that may free one must use neither.
 
     The ops ``_OP_WRITE_ASPECTS`` models are the ``NfContext`` state
-    API, and none of them frees an index; expiry does, but only at
-    chunk boundaries.  Any other op could free a cell mid-chunk and
-    push it above the reach.
+    API, and none of them frees an index; expiry does, but only on a
+    packet that runs alone in its own chunk.  Any other op could free a
+    cell mid-chunk and push it above the reach.
     """
     frees = sorted({
         e.op for path in tree.paths() for e in path.trace

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.nf.packet import Packet
 from repro.nf.runtime import ConcreteContext, PacketResult, StateStore
 from repro.rs3.config import RssConfiguration
 from repro.traffic.generator import TraceColumns
+
+if TYPE_CHECKING:
+    from repro.symbex.tree import ExecutionTree
 
 __all__ = ["Strategy", "LockPlan", "CoreInstance", "ParallelNF"]
 
@@ -136,6 +139,9 @@ class ParallelNF:
     #: core count to change at runtime.  ``cores`` then holds the
     #: high-water set; only the first :attr:`active_cores` receive traffic.
     elastic: bool = False
+    #: The analysis's execution tree (set by ``Maestro.parallelize``):
+    #: the compiled dataplane lowers it instead of re-exploring the NF.
+    symbex_tree: ExecutionTree | None = None
 
     @property
     def active_cores(self) -> int:

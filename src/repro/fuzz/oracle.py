@@ -37,9 +37,10 @@ and shrinker can be validated end to end:
 * ``forge-shared-nothing`` — force a shared-nothing build from a
   forged ``Verdict.SHARED_NOTHING`` solution when the analysis said
   LOCKS (the equivalence check or MAE103 must trip);
-* ``skew-kernel`` — corrupt one compiled-kernel scatter mask so a
-  single kernel lane emits a flipped action (the compiled leg must
-  diverge from the reference).
+* ``skew-kernel`` — flip the action of the compiled leg's first
+  kernel-executed packet before the comparison, as a kernel emitting a
+  wrong action would (the compiled leg must diverge from the
+  reference).
 """
 
 from __future__ import annotations
@@ -48,11 +49,15 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.codegen import LockPlan, ParallelNF, Strategy
 from repro.core.pipeline import Maestro
 from repro.core.sharding import Verdict
 from repro.fuzz.generator import NfSpec, build_nf
 from repro.fuzz.workloads import WorkloadSpec, materialize_workload
+from repro.nf.api import ActionKind
+from repro.nf.runtime import PacketResult
 from repro.obs.flight import FlightRecorder
 from repro.sim.equivalence import check_equivalence
 from repro.sim.functional import _get_dispatcher, run_functional
@@ -477,6 +482,14 @@ def _check_rescale(
     return False
 
 
+def _flipped(result: PacketResult) -> PacketResult:
+    """The ``skew-kernel`` corruption: a DROP becomes a FORWARD to port
+    0, anything else a DROP."""
+    if result.kind is ActionKind.DROP:
+        return PacketResult(ActionKind.FORWARD, 0)
+    return PacketResult(ActionKind.DROP)
+
+
 def _check_fastpath(
     report, make_nf, make_parallel, strategy, workload, trace, tree,
     fault, certificate=None,
@@ -485,7 +498,9 @@ def _check_fastpath(
 
     The batched leg is pinned ``kernels=False`` so each leg isolates one
     mechanism: batched steering with grouped execution, and the compiled
-    batch dataplane (kernels on).  When a ``certificate``
+    batch dataplane (kernels on).  Under the ``skew-kernel`` fault the
+    compiled leg's first kernel lane is compared with its action
+    flipped.  When a ``certificate``
     (:class:`repro.analysis.CertifyReport`) is supplied, the compiled
     leg is cross-checked against it: kernel-executed lanes must carry
     certified path ids, and a certificate with lowered paths must
@@ -502,8 +517,6 @@ def _check_fastpath(
         # The analysis already explored this NF; reuse its tree so the
         # compiled leg lowers the exact paths the oracle verified.
         comp_parallel.symbex_tree = tree
-        if fault == "skew-kernel":
-            _get_dispatcher(comp_parallel).fault = "skew-kernel"
         compiled = run_functional(
             comp_parallel, trace, fastpath=True, kernels=True
         )
@@ -566,6 +579,10 @@ def _check_fastpath(
                 )
             )
     ref_stats = [core.ctx.stat_snapshot() for core in ref_parallel.cores]
+    skewed = -1
+    if fault == "skew-kernel":
+        kernel = np.flatnonzero(compiled.compiled_path_ids >= 0)
+        skewed = int(kernel[0]) if kernel.size else -1
     for label, run, parallel in (
         ("batched", batched, bat_parallel),
         ("compiled", compiled, comp_parallel),
@@ -574,6 +591,8 @@ def _check_fastpath(
         for i, ((ref_core, ref_res), (run_core, run_res)) in enumerate(
             zip(reference.results, run.results)
         ):
+            if run is compiled and i == skewed:
+                run_res = _flipped(run_res)
             want = (ref_core, *ref_res.observable())
             got = (run_core, *run_res.observable())
             if want != got:

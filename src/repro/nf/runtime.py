@@ -15,13 +15,48 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.errors import SimulationError, StateModelError
 from repro.nf.api import NF, ActionKind, NfContext, PacketDone, StateDecl, StateKind
 from repro.nf.packet import PACKET_FIELDS, Packet
 from repro.nf.state import DChain, Map, Sketch, Vector
 
-__all__ = ["OpRecord", "PacketResult", "StateStore", "ConcreteContext", "SequentialRunner"]
+__all__ = [
+    "OpRecord", "PacketResult", "StateStore", "ConcreteContext",
+    "SequentialRunner", "EXPIRY_PERIOD", "expiry_triggers",
+]
+
+#: ``expire_flows`` sweeps each chain at most once per this many
+#: simulated seconds, which bounds a trace's sweep cost.
+EXPIRY_PERIOD = 1.0
+#: The last sweep time of a chain never swept.
+_NEVER = float("-inf")
+
+
+def expiry_triggers(ts: np.ndarray, last: float) -> list[int]:
+    """Positions in ``ts`` where a chain last swept at ``last`` sweeps.
+
+    The batched replay of :meth:`ConcreteContext.expire_flows`'s gate
+    (it skips while ``t - last < EXPIRY_PERIOD``), exact for sorted and
+    unsorted timestamps alike: the predicate is evaluated as an array
+    over a window that doubles while nothing fires, and the scan jumps
+    to the first position where it does.
+    """
+    out = []
+    j, w, m = 0, 256, ts.size
+    while j < m:
+        due = np.flatnonzero(~(ts[j:j + w] - last < EXPIRY_PERIOD))
+        if not due.size:
+            j += w
+            w *= 2
+            continue
+        j += int(due[0])
+        out.append(j)
+        last = float(ts[j])
+        j += 1
+    return out
 
 
 class OpRecord(NamedTuple):
@@ -178,7 +213,8 @@ class ConcreteContext(NfContext):
         self._mods: dict[str, int] = {}
         self._ops: list[OpRecord] = []
         self._new_flow = False
-        self._last_expiry: float = float("-inf")
+        #: Chain name -> simulated time of its last expiry sweep.
+        self._last_sweep: dict[str, float] = {}
         #: Lifetime count of packets that created a flow (at most one per
         #: packet, matching ``PacketResult.new_flow``); telemetry windows
         #: read it through :meth:`stat_snapshot` instead of re-walking
@@ -403,10 +439,10 @@ class ConcreteContext(NfContext):
         horizon = self.nf.expiration_time
         if horizon is None:
             return
-        # Sweep at most once per simulated second to keep traces cheap.
-        if self._now - self._last_expiry < 1.0:
+        # Each chain is swept at most once per EXPIRY_PERIOD.
+        if self._now - self._last_sweep.get(chain_name, _NEVER) < EXPIRY_PERIOD:
             return
-        self._last_expiry = self._now
+        self._last_sweep[chain_name] = self._now
         self._record(chain_name, "expire", write=True)
         chain: DChain = self.store[chain_name]
         flow_map: Map = self.store[map_name]
@@ -419,6 +455,14 @@ class ConcreteContext(NfContext):
                 self.store.note_erase(map_name, key)
                 if self.bucket_index is not None:
                     self.bucket_index.drop_key(map_name, key)
+
+    def sweep_positions(self, chain_name: str, ts: np.ndarray) -> list[int]:
+        """Positions in ``ts`` where packets calling ``expire_flows`` on
+        ``chain_name``, in order, would sweep it from this context's
+        current state."""
+        if self.nf.expiration_time is None:
+            return []
+        return expiry_triggers(ts, self._last_sweep.get(chain_name, _NEVER))
 
     # -------------------------------------------------------------- #
     # Packet operations

@@ -26,14 +26,15 @@ lane (or other kernel lane) in the same chunk invalidates what it read
 or re-orders what it writes.  This is resolved by a chunk-local hazard
 fixpoint over a "dirt board" of keys/cells written by fallback lanes:
 kernel lanes whose reads/writes collide are demoted to the interpreter,
-and each demotion publishes that lane's own writes as new dirt.  Expiry
-sweeps are hoisted to chunk boundaries: the exact positions where
-``expire_flows`` fires are precomputed (the once-per-simulated-second
-gate is a pure function of the trace timestamps) and chunks are split
-there, so no sweep ever mutates state mid-chunk.  No other op frees a
-dchain index, so the cells a chunk can allocate are the top of each
-chain's free stack at chunk start (its *reach*), and a chain that is
-full at chunk start stays full for the whole chunk.
+and each demotion publishes that lane's own writes as new dirt.  A
+packet whose ``expire_flows`` call sweeps runs alone on the
+interpreter: the positions where each chain's once-per-simulated-second
+gate fires are replayed from the trace timestamps up front
+(:func:`repro.nf.runtime.expiry_triggers`), and each becomes a
+one-lane chunk, so no sweep ever mutates state mid-chunk.  No other op
+frees a dchain index, so the cells a chunk can allocate are the top of
+each chain's free stack at chunk start (its *reach*), and a chain that
+is full at chunk start stays full for the whole chunk.
 
 The shard is a per-lane column: each chunk is classified once per
 port over every core's lanes, each state read picks the lane's own
@@ -88,9 +89,10 @@ LOWERED_OPS = (
     "vector_put",
     "dchain_allocate",
 )
-#: Op kinds known never to free a dchain index.  Expiry (hoisted to
-#: chunk boundaries) is the only freeing op; a path carrying any op
-#: outside this set withdraws the allocation narrowing for its NF.
+#: Op kinds known never to free a dchain index.  Expiry (whose sweeping
+#: packets run alone, in one-lane chunks) is the only freeing op; a path
+#: carrying any op outside this set withdraws the allocation narrowing
+#: for its NF.
 _NON_FREEING_OPS = frozenset({
     "map_get", "map_put", "map_erase", "vector_borrow", "vector_put",
     "vector_fill", "dchain_allocate", "dchain_is_allocated",
@@ -336,7 +338,7 @@ def _collect_dirt(entries, known, chains, exact):
 
 def _alloc_exact(paths):
     """Whether allocation dirt may be narrowed to reaches for these paths:
-    no op but hoisted expiry frees a dchain index."""
+    no op but expiry (never swept mid-chunk) frees a dchain index."""
     return all(
         e.op in _NON_FREEING_OPS or e.op == "expire"
         for path in paths for e in path.trace
@@ -348,12 +350,11 @@ def _compile_path(path, pid, exact_alloc):
     prog = _PathProgram(pid, path.port)
     prog.source_path = path
     prog.kind = path.action.kind
-    # Expiry sweeps never lower inline: they are hoisted to chunk
-    # boundaries (or disabled outright when expiration_time is None).
+    # Expiry never lowers: a packet whose sweep fires runs alone on the
+    # interpreter, and on every other packet the gate records nothing.
     entries = [e for e in path.trace if e.op != "expire"]
-    # Concrete op records, in concrete order (expire entries only fire at
-    # chunk boundaries and are prepended there; rejuvenation *is*
-    # recorded concretely even though the engine marks it maintenance).
+    # Concrete op records, in concrete order (rejuvenation *is* recorded
+    # concretely even though the engine marks it maintenance).
     prog.ops_list = [OpRecord(e.obj, e.op, e.write) for e in entries]
     prog.bump_ops = [
         ((e.obj, e.op, e.write),
@@ -462,14 +463,16 @@ class _PortProgram:
     """All programs for one ingress port, plus shared-evaluation facts."""
 
     __slots__ = (
-        "port", "programs", "pairs", "fields", "need_time", "shared_ok",
+        "port", "programs", "swept", "fields", "need_time", "shared_ok",
         "any_supported", "alloc_max",
     )
 
-    def __init__(self, port, programs, pairs):
+    def __init__(self, port, programs, swept):
         self.port = port
         self.programs = programs
-        self.pairs = pairs
+        #: The chains every packet of this port passes to
+        #: ``expire_flows`` (empty when the NF never expires).
+        self.swept = swept
         # Most allocations one lane of this port makes per chain: with
         # the lane count it bounds a chunk's reach into the free stack.
         self.alloc_max = Counter()
@@ -508,58 +511,44 @@ class _PortProgram:
                         self.shared_ok = False
 
 
+def _swept_chains(path):
+    """The chains ``path`` passes to ``expire_flows``: the engine emits
+    a (chain, map) pair of ``expire`` entries per call."""
+    return frozenset(
+        [e.obj for e in path.trace if e.op == "expire"][::2]
+    )
+
+
 def _compile_port(nf, port, paths, pid_start, exact_alloc):
-    """Compile one port's paths; raises LowerError on expiry shapes the
-    chunk scheduler cannot hoist (non-prefix ``expire_flows`` calls).
+    """Compile one port's paths; raises LowerError when its paths do not
+    all sweep the same chains, since the sweeps could then not be found
+    from the trace alone.
 
     ``exact_alloc`` (see :func:`_alloc_exact`) enables reach-keyed
     allocation dirt and the full-chain ``dchain_allocate`` lowering.
     """
-    lead = []
-    for e in paths[0].trace:
-        if e.op == "expire":
-            lead.append(e)
-        else:
-            break
-    if len(lead) % 2:
-        raise LowerError(f"odd expire prefix on port {port}")
-    # The engine emits (chain, map) per expire_flows call; the concrete
-    # call signature is expire_flows(map_name, chain_name).
-    pairs = [
-        (lead[i + 1].obj, lead[i].obj) for i in range(0, len(lead), 2)
-    ]
-    for path in paths:
-        plead = []
-        for e in path.trace:
-            if e.op == "expire":
-                plead.append(e)
-            else:
-                break
-        total = sum(1 for e in path.trace if e.op == "expire")
-        if total != len(plead) or len(plead) != len(lead):
-            raise LowerError(f"non-prefix expire on port {port}")
-        for a, b in zip(plead, lead):
-            if a.obj != b.obj:
-                raise LowerError(f"divergent expire prefix on port {port}")
-    if nf.expiration_time is None:
-        pairs = []
+    swept = _swept_chains(paths[0])
+    if any(_swept_chains(path) != swept for path in paths):
+        raise LowerError(f"paths of port {port} sweep different chains")
     programs = [
         _compile_path(path, pid_start + i, exact_alloc)
         for i, path in enumerate(paths)
     ]
-    return _PortProgram(port, programs, pairs)
+    if nf.expiration_time is None:
+        swept = frozenset()
+    return _PortProgram(port, programs, swept)
 
 
-def compile_parallel(parallel: ParallelNF, tree=None):
+def compile_parallel(parallel: ParallelNF):
     """Compile a parallel NF's execution tree into a dispatcher.
 
+    The tree is the analysis's ``parallel.symbex_tree`` when it is set.
     When nothing useful can be compiled (no supported path anywhere, or
-    expiry shapes the scheduler cannot hoist) the dispatcher holds no
+    a port whose paths sweep different chains) the dispatcher holds no
     programs and runs every lane on the interpreter.
     """
     nf = parallel.nf
-    if tree is None:
-        tree = getattr(parallel, "symbex_tree", None)
+    tree = parallel.symbex_tree
     if tree is None:
         tree = explore_nf(nf)
     ports = {}
@@ -705,30 +694,6 @@ def _ivals(col, g):
     return arr
 
 
-def _expiry_triggers(ts, last):
-    """Positions in ``ts`` where the once-per-second expiry gate fires.
-
-    Replays the interpreter's gate exactly (it skips while
-    ``t - last < 1.0``), for sorted and unsorted timestamps alike: the
-    predicate is evaluated as an array over a window that doubles while
-    nothing fires, and the scan jumps to the first position where it
-    does.
-    """
-    out = []
-    j, w, m = 0, 256, ts.size
-    while j < m:
-        due = np.flatnonzero(~(ts[j:j + w] - last < 1.0))
-        if not due.size:
-            j += w
-            w *= 2
-            continue
-        j += int(due[0])
-        out.append(j)
-        last = float(ts[j])
-        j += 1
-    return out
-
-
 def _bump(ctx, bump_ops, n):
     """Add ``n`` packets' worth of op counts to a context's intern table.
 
@@ -779,8 +744,6 @@ class CompiledDispatcher:
         self.parallel = parallel
         self.ports = ports
         self.chunk = DEFAULT_CHUNK
-        self.fault = None
-        self._fault_fired = False
         self.total_paths = total_paths
         self.supported_paths = sum(
             1 for pp in ports.values() for p in pp.programs if p.supported
@@ -789,15 +752,13 @@ class CompiledDispatcher:
         self.fallback_packets = 0
         self.chunks = 0
         self.bails = 0
-        self.expire_ports = {
-            port: pp.pairs for port, pp in ports.items() if pp.pairs
-        }
         self.path_ids = np.zeros(0, dtype=np.int32)
         self._sn = parallel.strategy is Strategy.SHARED_NOTHING
         self._ctxs = []
         self._bucket_ids = None
         self._cols = None
-        self._triggers = {}
+        #: Per run: the packets whose ``expire_flows`` call sweeps.
+        self._sweeps = set()
         self._ts_pending = {}
         #: Per run: the stores kernels read (one per core under
         #: shared-nothing, else the one shared store) and each packet's
@@ -836,7 +797,7 @@ class CompiledDispatcher:
             self._stores = [self._ctxs[0].store]
             self._shards = np.zeros(n, np.int64)
         self.path_ids = np.full(n, -1, dtype=np.int32)
-        self._triggers = self._plan_triggers()
+        self._sweeps = self._plan_sweeps()
         edges = {0, n}
         if self.ports:
             # The chunk bound is the hazard-analysis horizon; without
@@ -844,12 +805,14 @@ class CompiledDispatcher:
             edges.update(range(self.chunk, n, self.chunk))
         if window_packets:
             edges.update(range(window_packets, n, window_packets))
-        edges.update(self._triggers)
+        # Each sweeping packet is a one-lane chunk.
+        edges.update(self._sweeps)
+        edges.update(t + 1 for t in self._sweeps)
         return sorted(edges)
 
     def end_run(self):
         self._cols = None
-        self._triggers = {}
+        self._sweeps = set()
         self._bucket_ids = None
         self._stores = []
         self._shards = None
@@ -859,53 +822,44 @@ class CompiledDispatcher:
         """Column of symbol ``pkt.<field>``, shared with steering."""
         return self._cols.field(name[4:])
 
-    def _plan_triggers(self):
-        """Exact positions where ``expire_flows`` fires, per context.
+    def _plan_sweeps(self):
+        """The packets whose ``expire_flows`` call sweeps a chain.
 
-        The gate is ``now - last_expiry >= 1.0`` evaluated packet-wise
-        over each context's expire-port packets; replaying it over the
-        trace timestamps up front lets the chunker split at precisely
-        those packets so sweeps never happen mid-chunk.
+        Every packet of a port calls ``expire_flows`` on each chain in
+        its program's ``swept`` set, so each context's gate per chain
+        is replayed over that context's packets of the ports sweeping
+        the chain.
         """
-        triggers = {}
-        if self.parallel.nf.expiration_time is None or not self.expire_ports:
-            return triggers
-        eports = np.fromiter(self.expire_ports, np.int64,
-                             count=len(self.expire_ports))
-        pmask = np.isin(self._ports_arr, eports)
+        ports_of = {}
+        for port, pp in self.ports.items():
+            for chain in pp.swept:
+                ports_of.setdefault(chain, []).append(port)
+        sweeps = set()
+        if not ports_of:
+            return sweeps
         ts = self._cols.field("timestamp")
-        for ci, ctx in enumerate(self._ctxs):
-            idxs = np.flatnonzero(pmask & (self._core_ids == ci))
-            if not idxs.size:
-                continue
-            for j in _expiry_triggers(ts[idxs], ctx._last_expiry):
-                triggers[int(idxs[j])] = ci
-        return triggers
+        for chain, ports in ports_of.items():
+            pmask = np.isin(self._ports_arr, ports)
+            for ci, ctx in enumerate(self._ctxs):
+                idxs = np.flatnonzero(pmask & (self._core_ids == ci))
+                if idxs.size:
+                    sweeps.update(
+                        idxs[ctx.sweep_positions(chain, ts[idxs])].tolist()
+                    )
+        return sweeps
 
     # -------------------------------------------------------------- #
     # Chunk execution
     # -------------------------------------------------------------- #
     def run_chunk(self, start, end, results):
         self.chunks += 1
-        captured = None
-        ci = self._triggers.get(start)
-        if ci is not None:
-            ctx = self._ctxs[ci]
-            port = int(self._ports_arr[start])
-            ctx._now = float(self._cols.field("timestamp")[start])
-            ctx._trace_on = ctx._tracer.enabled()
-            ctx._ops = []
-            for map_name, chain_name in self.expire_ports[port]:
-                ctx.expire_flows(map_name, chain_name)
-            captured = ctx._ops
-            ctx._ops = []
+        if start in self._sweeps:
+            # A sweeping packet runs alone, so its ``expire_flows``
+            # frees cells between chunks, never inside one.
+            self._run_fallback(np.arange(start, end), results)
+            self.fallback_packets += end - start
+            return
         self._run_lanes(start, end, results)
-        if captured:
-            r = results[start]
-            results[start] = PacketResult(
-                r.kind, r.port, r.mods, list(captured) + list(r.ops),
-                r.new_flow,
-            )
 
     def _run_lanes(self, start, end, results):
         """Classify each port group of the chunk once, over every shard,
@@ -938,24 +892,18 @@ class CompiledDispatcher:
         self._seed_board(groups, board)
         self._multi_touch(groups)
         self._fixpoint(groups, board)
-        victim = self._inject_fault(groups)
         k_flag = np.zeros(lanes.size, dtype=bool)
         for g in groups:
             pos = g.g_lanes - start
             for ps in g.progs:
                 if ps.kmask is not None and ps.kmask.any():
                     k_flag[pos[ps.kmask]] = True
-        if victim is not None:
-            k_flag[victim[0] - start] = True
         f_lanes = lanes[~k_flag]
         self._run_fallback(f_lanes, results)
         kept = 0
         for g in groups:
             kept += self._apply_group(g, results)
         self._flush_ts()
-        if victim is not None:
-            self._apply_fault(victim, results)
-            kept += 1
         self.kernel_packets += kept
         self.fallback_packets += f_lanes.size
 
@@ -1336,7 +1284,7 @@ class CompiledDispatcher:
             lanes = np.concatenate([
                 g.g_lanes[k] for (g, _, _), k in zip(entries, kidxs)
             ])
-            # Distinct (cell, lane) pairs, by cell: a cell two lanes
+            # Each distinct (cell, lane) once, by cell: a cell two lanes
             # write has no single owner.
             order = np.lexsort((lanes, cells))
             cells = cells[order]
@@ -1450,31 +1398,6 @@ class CompiledDispatcher:
                     hit = np.zeros(kmask.shape, dtype=bool)
                 hit[pos] = True
         return hit
-
-    # -------------------------------------------------------------- #
-    # Fault injection (the fuzz oracle's `skew-kernel` leg)
-    # -------------------------------------------------------------- #
-    def _inject_fault(self, groups):
-        if self.fault != "skew-kernel" or self._fault_fired:
-            return None
-        for g in groups:
-            for ps in g.progs:
-                if ps.kmask is not None and ps.kmask.any():
-                    pos = int(np.flatnonzero(ps.kmask)[0])
-                    ps.kmask[pos] = False
-                    self._fault_fired = True
-                    return (int(g.g_lanes[pos]), ps.prog)
-        return None
-
-    def _apply_fault(self, victim, results):
-        lane, prog = victim
-        kind = (
-            ActionKind.FORWARD if prog.kind is ActionKind.DROP
-            else ActionKind.DROP
-        )
-        port = 0 if kind is ActionKind.FORWARD else None
-        results[lane] = PacketResult(kind, port, {}, prog.ops_list, False)
-        self.path_ids[lane] = prog.pid
 
     # -------------------------------------------------------------- #
     # Stage 2: results, op accounting, scatters

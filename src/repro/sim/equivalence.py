@@ -29,7 +29,7 @@ checks are the way a racy-but-lucky plan gets caught here.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.chain.runtime import ChainResult, SequentialChainRunner, run_chain
@@ -140,7 +140,9 @@ def _default_flow_keys(port: int, pkt) -> list[tuple]:
     Used to taint a flow once a capacity divergence is excused for it:
     the reply direction carries swapped addresses, and symmetric
     sharding sends it to the same diverged shard, so both orientations
-    inherit the taint.  ``port`` is deliberately excluded — the reply
+    inherit the taint.  A reply may swap the MACs too or keep them in
+    place (generated replies do), so the reverse orientation is keyed
+    both ways.  ``port`` is deliberately excluded — the reply
     arrives on the other port.  The ``None`` tag matches any culprit
     object; callers that know the NF's real key structure pass
     ``flow_keys`` with per-state-object tags instead (partial keys like
@@ -151,11 +153,12 @@ def _default_flow_keys(port: int, pkt) -> list[tuple]:
         pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port,
         pkt.proto, pkt.src_mac, pkt.dst_mac,
     )
-    rev = (
-        pkt.dst_ip, pkt.src_ip, pkt.dst_port, pkt.src_port,
-        pkt.proto, pkt.dst_mac, pkt.src_mac,
-    )
-    return [(None, fwd), (None, rev)]
+    rev = (pkt.dst_ip, pkt.src_ip, pkt.dst_port, pkt.src_port, pkt.proto)
+    return [
+        (None, fwd),
+        (None, rev + (pkt.dst_mac, pkt.src_mac)),
+        (None, rev + (pkt.src_mac, pkt.dst_mac)),
+    ]
 
 
 def _matches_culprit(tag: str | None, culprit: str) -> bool:
@@ -233,16 +236,14 @@ def _compare(
             # An NF that forwards a packet whether or not it could record
             # the flow (the firewall's LAN side) differs only in
             # ``new_flow``; the side without it refused if its last hop
-            # ran a capacity op.  Replies swap the addresses but may keep
-            # the MACs (generated ones do), so key the flow both ways.
+            # ran a capacity op.
             seq_new = _new_flow(seq_result)
             refusing = _hop_results(par_result if seq_new else seq_result)[-1]
             if seq_new != _new_flow(par_result) and any(
                 op.op in _CAPACITY_OPS for op in refusing.ops
             ):
                 refuser = _capacity_culprit(refusing)
-                swapped = replace(pkt, src_mac=pkt.dst_mac, dst_mac=pkt.src_mac)
-                for tagged in flow_keys(port, pkt) + flow_keys(port, swapped):
+                for tagged in flow_keys(port, pkt):
                     if _matches_culprit(tagged[0], refuser):
                         refused_flows[tagged] = refuser
             continue

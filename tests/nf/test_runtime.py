@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError, StateModelError
 from repro.nf.api import ActionKind, StateDecl, StateKind, NF
-from repro.nf.nfs import Firewall
+from repro.nf.nfs import Firewall, PortScanDetector
 from repro.nf.packet import Packet
 from repro.nf.runtime import SequentialRunner, StateStore
 
@@ -84,6 +84,21 @@ class TestSequentialRunner:
         # Flow expires; reply afterwards must be dropped.
         out = runner.process(1, pkt.inverted(), now=100.0)
         assert out.kind is ActionKind.DROP
+
+    def test_each_chain_has_its_own_sweep_gate(self):
+        """``psd`` sweeps two chains per packet; the second sweep must
+        not be gated by the first one's timestamp."""
+        runner = SequentialRunner(
+            PortScanDetector(capacity=64, expiration_time=2.0)
+        )
+        for i in range(40):
+            pkt = Packet(src_ip=1000 + i, dst_ip=1, src_port=5, dst_port=80,
+                         timestamp=0.1 * i)
+            runner.process(0, pkt)
+        runner.process(0, Packet(src_ip=5000, dst_ip=1, src_port=5,
+                                 dst_port=80, timestamp=100.0))
+        assert len(runner.store["psd_touched"]) == 1
+        assert len(runner.store["psd_srcs"]) == 1
 
     def test_rejuvenation_keeps_flow_alive(self):
         runner = SequentialRunner(Firewall(expiration_time=10.0))

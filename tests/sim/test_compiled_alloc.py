@@ -1,7 +1,7 @@
 """Exact allocation hazards in the compiled dataplane.
 
-Nothing frees a dchain index inside a chunk (expiry runs at chunk
-boundaries), so the cells a chunk domain can allocate are the top of
+Nothing frees a dchain index inside a chunk (a sweeping packet runs
+alone in its own chunk), so the cells a chunk domain can allocate are the top of
 each chain's free stack at chunk start — its *reach* — and a chain that
 is full at chunk start stays full for the whole chunk.  Allocation dirt
 is keyed by that reach, and ``dchain_allocate`` on a full chain runs on
@@ -117,13 +117,14 @@ class TestReachKeyedDirt:
 class TestFullChainAllocation:
     def test_fw_allocation_cycles_lowered_stopped_lowered(self):
         """An 8-entry chain fills, then new flows fail on kernels.  An
-        expiry sweep frees cells at a chunk boundary: the allocation
-        stops (new flows on the interpreter) until the chain is full
-        again, and from the next chunk on it is lowered once more."""
+        expiry sweep frees cells between chunks: the allocation stops
+        (new flows on the interpreter) until the chain is full again,
+        and from the next chunk on it is lowered once more.  Each
+        sweeping packet runs alone on the interpreter."""
         par_ref, par_comp = _pair(
             lambda: Firewall(capacity=8, expiration_time=2.0)
         )
-        # Chunks split where the once-per-second sweep fires.
+        # The once-per-second sweep fires at t = 0, 1.0, 3.5 and 4.5.
         fill = [_lan(i, 0.01 * i) for i in range(8)]             # t < 1
         refused = [_lan(100 + i, 1.0 + 0.01 * i) for i in range(6)]
         refill = [_lan(200 + i, 3.5 + 0.01 * i) for i in range(10)]
@@ -139,11 +140,15 @@ class TestFullChainAllocation:
                     for i in range(len(packets))]
 
         assert not any(on_kernels(fill, 0))
-        assert all(on_kernels(refused, len(fill)))
-        start = len(fill) + len(refused)
+        start = len(fill)
+        assert pids[start] == -1
+        assert all(on_kernels(refused[1:], start + 1))
+        start += len(refused)
         # The sweep at t=3.5 freed all 8 flows: allocations stop there.
         assert not any(on_kernels(refill, start))
-        assert all(on_kernels(refused2, start + len(refill)))
+        start += len(refill)
+        assert pids[start] == -1
+        assert all(on_kernels(refused2[1:], start + 1))
         assert sum(r.new_flow for _, r in run.results) == 16
 
     def test_lb_full_backend_chain_runs_on_kernels(self):

@@ -1,14 +1,18 @@
-"""Expiry-trigger planning for the compiled dataplane.
+"""Expiry-sweep planning for the compiled dataplane.
 
-The chunker splits runs exactly where the interpreter's once-per-second
-``expire_flows`` gate fires, so no expiry sweep runs mid-chunk.  These
-tests replay the vectorized planner against the interpreter's scalar
-rule, for sorted, unsorted and float-edge timestamps.
+Each packet where the interpreter's once-per-second ``expire_flows``
+gate fires for some chain runs alone in a one-lane chunk, so no expiry
+sweep runs mid-chunk.  These tests replay the batched gate
+(:func:`repro.nf.runtime.expiry_triggers`) against the interpreter's
+scalar rule, for sorted, unsorted and float-edge timestamps.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.pipeline import Maestro
+from repro.nf.nfs import PortScanDetector
+from repro.nf.runtime import expiry_triggers
 from repro.sim import compiled
 from repro.sim.functional import run_functional
 from repro.traffic import TraceColumns
@@ -57,9 +61,7 @@ class TestExpiryTriggers:
             ])
         else:
             ts = np.array([0.5, np.nan, 0.7, 2.0, 2.5, 4.0])
-        assert compiled._expiry_triggers(ts, last) == scalar_triggers(
-            ts, last
-        )
+        assert expiry_triggers(ts, last) == scalar_triggers(ts, last)
 
     def test_start_run_splits_unsorted_trace_at_scalar_triggers(
         self, make_pair, generator
@@ -77,19 +79,61 @@ class TestExpiryTriggers:
         edges = disp.start_run(cols, core_ids, 0)
         try:
             ts = cols.field("timestamp")
-            eports = np.fromiter(disp.expire_ports, np.int64)
-            want = {}
-            for ci, ctx in enumerate(disp._ctxs):
-                idxs = np.flatnonzero(
-                    np.isin(cols.ports, eports) & (core_ids == ci)
-                )
-                for j in scalar_triggers(ts[idxs], ctx._last_expiry):
-                    want[int(idxs[j])] = ci
+            # The interpreter's gate, one packet at a time: a gate per
+            # (context, chain), shared by every port sweeping the chain.
+            want = set()
+            last = {}
+            for i, (port, ci) in enumerate(
+                zip(cols.ports.tolist(), core_ids.tolist())
+            ):
+                t = float(ts[i])
+                for chain in disp.ports[port].swept:
+                    if not t - last.get((ci, chain), float("-inf")) < 1.0:
+                        last[ci, chain] = t
+                        want.add(i)
             assert want
-            assert disp._triggers == want
-            assert set(want) <= set(edges)
+            assert disp._sweeps == want
+            assert want <= set(edges)
+            assert {t + 1 for t in want} <= set(edges)
         finally:
             disp.end_run()
         run_ref = run_functional(par_ref, trace, fastpath=False)
         run_comp = run_functional(par_comp, trace)
         assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
+
+
+def test_psd_sweeps_both_chains_alone_on_the_interpreter(generator):
+    """``psd`` sweeps two chains per packet.  Over a churn trace spanning
+    several expiry periods on 8 cores, the reference, the batched
+    interpreter and the compiled run agree on every result and every
+    core's counters, each sweeping packet sweeps both chains, and none
+    runs as a kernel lane."""
+    trace, _ = generator.uniform_trace(
+        3000, 600, in_port=0, reply_port=1, reply_fraction=0.2,
+        rate_pps=400.0,
+    )
+    analysis = Maestro(seed=5).analyze(PortScanDetector())
+
+    def build():
+        return Maestro(seed=5).parallelize(
+            PortScanDetector(capacity=4096, expiration_time=2.0),
+            n_cores=8, result=analysis,
+        )
+
+    par_ref, par_bat, par_comp = build(), build(), build()
+    run_ref = run_functional(par_ref, trace, fastpath=False)
+    run_bat = run_functional(par_bat, trace, kernels=False)
+    run_comp = run_functional(par_comp, trace)
+    assert_runs_identical(run_ref, run_bat, par_ref, par_bat)
+    assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
+    sweeps = [
+        i for i, (_, r) in enumerate(run_comp.results)
+        if any(op.op == "expire" for op in r.ops)
+    ]
+    assert len(sweeps) > 8
+    for i in sweeps:
+        swept = {op.obj for op in run_comp.results[i][1].ops
+                 if op.op == "expire"}
+        assert swept == {"psd_touched_chain", "psd_srcs_chain"}
+    assert run_comp.compiled["kernel_packets"] > 0
+    assert (run_comp.compiled_path_ids[sweeps] == -1).all()

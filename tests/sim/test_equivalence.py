@@ -252,6 +252,22 @@ class TestCapacityDivergence:
         assert report.capacity_divergences == 15
         assert report.capacity_by_object == {"fw_chain": 15}
 
+    def test_reply_with_macs_in_place_inherits_the_taint(self):
+        """Generated replies swap the addresses but keep the MACs in
+        place; the default flow keys must still carry a taint from the
+        flow's refused establishment to its replies."""
+        from repro.core.pipeline import Maestro
+
+        nf_factory = lambda: ALL_NFS["cl"](capacity=16)
+        parallel = Maestro(seed=0).parallelize(nf_factory(), n_cores=8)
+        trace, _ = TrafficGenerator(seed=3).uniform_trace(
+            400, 60, in_port=0, reply_port=1, reply_fraction=0.4
+        )
+        report = check_equivalence(nf_factory, parallel, trace)
+        assert report.equivalent, report.describe()
+        assert report.capacity_divergences == 41
+        assert report.capacity_by_object == {"cl_chain": 25, "unknown": 16}
+
 
 
 class TestChainCapacityDivergence:
