@@ -163,9 +163,10 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
         Severity.ERROR,
         "plan certifier: fallback-set unsoundness — a path uses an op "
         "outside LOWERED_OPS but was not demoted, its unlowered suffix's "
-        "writes (or those past a lowered allocation) are missing from "
-        "the dirt descriptors, or allocation dirt is narrowed for an NF "
-        "that may free a dchain index mid-chunk",
+        "accesses are missing from the dirt descriptors, a lowered step "
+        "publishes no dirt (or an exact cell derived from an allocation) "
+        "for an interpreted lane, or allocation dirt is narrowed for an "
+        "NF that may free a dchain index mid-chunk",
     ),
     "MAE302": (
         Severity.ERROR,

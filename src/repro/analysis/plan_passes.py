@@ -24,12 +24,14 @@ Checks, one stable code each (all error severity):
 ``MAE301``
     Fallback-set soundness.  A supported program must use only
     ``LOWERED_OPS``; a demoted program's unlowered suffix must publish
-    every write aspect it can perform into the dirt descriptors, or the
-    frozen-prefix hazard analysis would never see those writes.  Every
-    lowered ``dchain_allocate`` must carry the footprint of the path
-    from it on (its lanes publish that when the chain has a free
-    index), and an NF with a path op that may free a dchain index
-    inside a chunk must not narrow allocation dirt to reaches at all.
+    every aspect it can touch into the dirt descriptors, or the
+    frozen-prefix hazard analysis would never see it.  Every lowered
+    step must publish its aspects when its lane runs interpreted, and a
+    key or cell that depends on an allocation's result (which an
+    interpreted lane may pop differently) only as a wildcard, or as the
+    chain's reach when it is that allocation's index.  An NF with a
+    path op that may free a dchain index inside a chunk must not lower
+    an allocation or narrow allocation dirt to reaches at all.
 ``MAE302``
     Hazard-demotion completeness.  For every kernel step kind, a
     read/write interference lattice derived here (independently of the
@@ -79,6 +81,7 @@ from repro.sim.compiled import (
     _alloc_exact,
     _compile_port,
     _DirtBoard,
+    _key_hash,
     _ProgState,
     _qualify,
 )
@@ -109,57 +112,64 @@ __all__ = [
 
 #: Dirt aspects that must demote a kernel lane whose step is of this
 #: kind when an interpreter lane dirtied them first (RAW/WAW pairs):
-#: map probes read map entries; vector reads see vector writes; vector
-#: writes conflict with both earlier writes (WAW order) and earlier
-#: reads (the read must not observe the kernel's frozen-prefix write);
+#: map probes read map entries; map inserts conflict with interpreter
+#: writes of the key (WAW order), reads of it (the read must not miss
+#: the kernel's later insert), puts of the same value (the store's
+#: value index keeps the last) and, on a map that may fill this chunk,
+#: any change of its entry count (``map_n``, shard-wide); vector
+#: writes conflict with both earlier writes and earlier reads;
 #: timestamp scatters conflict with interpreter timestamp writes and
 #: with allocation (a slot allocated mid-chunk invalidates the frozen
 #: flag the lane classified on); flag reads conflict with allocation.
-#: A kernel ``dchain_allocate`` runs only on a chain that is full at
-#: chunk start.  Only expiry frees an index and a sweeping packet runs
-#: alone in its own chunk, so the chain stays full and every lane's
-#: ``(False, 0)`` holds whatever other lanes do: no dirt demotes it.
+#: A kernel ``dchain_allocate`` pops in lane order among the chunk's
+#: allocations on its chain, so an interpreter allocation there
+#: (allocation dirt, keyed by the reach) reorders it, and an
+#: interpreter flag read of the cell it takes would miss it.
 _INTERFERENCE: dict[str, tuple[str, ...]] = {
     "map_get": ("map_w",),
+    "map_put": ("map_w", "map_r", "map_v", "map_n"),
     "vector_borrow": ("vec_w",),
     "vector_put": ("vec_w", "vec_r"),
     "dchain_rejuvenate": ("ts_w", "alloc"),
     "dchain_is_allocated": ("alloc",),
-    "dchain_allocate": (),
+    "dchain_allocate": ("alloc", "flag_r"),
 }
 
-#: Dirt a step's own lanes publish when the program bails (wildcard
-#: direction of the same lattice: what the step *writes*, plus vector
-#: reads, which later kernel writers must not be reordered across).  A
-#: bailed lane may reach an allocation whose chain has a free index.
-_PUBLISH_ASPECT: dict[str, str] = {
-    "dchain_rejuvenate": "ts_w",
-    "vector_put": "vec_w",
-    "vector_borrow": "vec_r",
-    "dchain_allocate": "alloc",
-}
-
-#: Write aspects an *unlowered* trace op can perform — what a demoted
-#: program's dirt descriptors must cover (``None`` = hazard-free read).
-_OP_WRITE_ASPECTS: dict[str, tuple[str, ...] | None] = {
-    "map_put": ("map_w",),
-    "map_erase": ("map_w",),
+#: Dirt a trace op's lane publishes when it runs interpreted: what the
+#: op writes, plus the reads a kernel write must not be reordered
+#: across (``None`` = hazard-free).  A lowered step publishes the same
+#: aspects when its program bails or its lane is demoted.
+_OP_ASPECTS: dict[str, tuple[str, ...] | None] = {
+    "map_get": ("map_r",),
+    "map_put": ("map_w", "map_v", "map_n"),
+    "map_erase": ("map_w", "map_n"),
     "vector_put": ("vec_w",),
     "vector_fill": ("vec_w",),
     "vector_borrow": ("vec_r",),
     "dchain_allocate": ("alloc",),
-    "dchain_rejuvenate": ("ts_w",),
-    "map_get": None,
-    "dchain_is_allocated": None,
+    "dchain_rejuvenate": ("ts_w", "flag_r"),
+    "dchain_is_allocated": ("flag_r",),
     "sketch_fetch": None,
     "sketch_touch": None,
 }
 
-_ALL_ASPECTS = ("map_w", "vec_w", "vec_r", "ts_w", "alloc")
+_ALL_ASPECTS = (
+    "map_w", "map_r", "map_v", "map_n", "vec_w", "vec_r", "ts_w", "flag_r",
+    "alloc",
+)
+
+#: Aspects published only as shard-wide wildcards.
+_WILD_ASPECTS = frozenset({"map_n"})
+
+#: Aspects a step's lane publishes keyed by the step's value expression
+#: rather than its key/index.
+_VALUE_ASPECTS = frozenset({"map_v"})
 
 #: Kernel ops allowed to scatter state writes.  Anything else writing
 #: from inside a kernel has no single-writer/ordering argument.
-_KERNEL_WRITE_OPS = frozenset({"vector_put", "dchain_rejuvenate"})
+_KERNEL_WRITE_OPS = frozenset({
+    "vector_put", "dchain_rejuvenate", "map_put", "dchain_allocate",
+})
 
 #: Maintenance writes excused from lock coverage, mirroring the race
 #: sanitizer's `_MAINTENANCE_OPS` (rejuvenation is idempotent bookkeeping).
@@ -227,15 +237,17 @@ def _expected_binds(entry) -> tuple[str, ...]:
         return (entry.result("allocated").name,)
     if op == "dchain_allocate":
         return (entry.result("ok").name, entry.result("index").name)
+    if op == "map_put":
+        return (entry.result("ok").name,)
     return ()
 
 
 def _check_write_cover(what, entries, descs, pid, findings) -> bool:
-    """Every write aspect of ``entries`` must appear among ``descs``."""
+    """Every aspect of ``entries`` must appear among ``descs``."""
     covered = {(a, o) for a, o, *_ in descs}
     ok = True
     for e in entries:
-        aspects = _OP_WRITE_ASPECTS.get(e.op, _ALL_ASPECTS)
+        aspects = _OP_ASPECTS.get(e.op, _ALL_ASPECTS)
         if aspects is None:
             continue
         for aspect in aspects:
@@ -244,23 +256,76 @@ def _check_write_cover(what, entries, descs, pid, findings) -> bool:
                     "MAE301",
                     f"{what} unlowered {e.op}({e.obj!r}) is missing its "
                     f"{aspect!r} dirt descriptor — the frozen-prefix "
-                    "hazard analysis would never see this write",
+                    "hazard analysis would never see this access",
                     obj=e.obj, op=e.op, path_id=pid,
                 ))
                 ok = False
     return ok
 
 
-def _check_alloc_suffixes(prog, entries, findings) -> bool:
-    """Each lowered allocation carries the dirt of the path from it on."""
+def _check_publish(prog, outcome, findings) -> bool:
+    """Each lowered step publishes its aspects, and a key, cell or value
+    derived from an allocation's result only as a wildcard (or as the
+    reach of the allocation whose index it is): a lane that runs
+    interpreted may pop another cell than its kernel rank predicted."""
+    pid = _pid(prog)
+    pubs = {}
+    for si, aspect, obj, src in prog.pubs:
+        pubs[(si, aspect)] = src
+    tainted: set[str] = set()
+    chains: dict[str, str] = {}
     ok = True
-    for i, step in enumerate(prog.steps):
-        if step.sig[0] == "dchain_allocate":
-            ok &= _check_write_cover(
-                f"allocation step {i}'s path from there on:",
-                entries[i:], getattr(step, "suffix", ()), _pid(prog),
-                findings,
+    for i, step in enumerate(outcome.steps):
+        if step.op == "dchain_allocate":
+            chains[step.binds[1]] = step.obj
+        for aspect in _OP_ASPECTS.get(step.op) or ():
+            where = f"lowered step {i} ({step.op} on {step.obj!r})"
+            if (i, aspect) not in pubs:
+                findings.append(_Finding(
+                    "MAE301",
+                    f"{where} publishes no {aspect!r} dirt when its lane "
+                    "runs interpreted",
+                    obj=step.obj, op=step.op, path_id=pid,
+                ))
+                ok = False
+                continue
+            src = pubs[(i, aspect)]
+            if step.op == "dchain_allocate":
+                exprs = ()
+                allowed = {None, ("reach", step.obj)}
+            else:
+                exprs = (
+                    tuple(e for _, e in step.stored)
+                    if aspect in _VALUE_ASPECTS else step.key
+                )
+                allowed = {None}
+                if len(exprs) == 1 and isinstance(exprs[0], E.Sym) \
+                        and exprs[0].name in chains:
+                    allowed.add(("reach", chains[exprs[0].name]))
+            if aspect in _WILD_ASPECTS:
+                exprs = ()
+                allowed = {None}
+            derived = (
+                aspect in _WILD_ASPECTS or step.op == "dchain_allocate"
+                or any(
+                    s.name in tainted
+                    for e in exprs for s in E.free_symbols(e)
+                )
             )
+            if derived and src not in allowed:
+                findings.append(_Finding(
+                    "MAE301",
+                    f"{where} publishes {aspect!r} dirt as {src!r}, but "
+                    "its value derives from an allocation result: an "
+                    "interpreted lane may pop another cell",
+                    obj=step.obj, op=step.op, path_id=pid,
+                ))
+                ok = False
+        inputs = step.key + tuple(e for _, e in step.stored)
+        if step.op == "dchain_allocate" or any(
+            s.name in tainted for e in inputs for s in E.free_symbols(e)
+        ):
+            tainted.update(step.binds)
     return ok
 
 
@@ -283,21 +348,23 @@ def _certify_program(prog, findings: list[_Finding], seed: int) -> bool:
         # computation (it narrows lanes for hazard attribution) ...
         ok = True
         try:
-            interpret_program(prog)
+            outcome = interpret_program(prog)
         except SymKernelError as exc:
             findings.append(_Finding(
                 "MAE300", f"demoted program's prefix is malformed: {exc}",
                 path_id=pid,
             ))
             ok = False
-        # ... and the unlowered suffix's writes must all be published to
-        # the hazard board, else the fallback set is unsound (MAE301).
+        else:
+            ok &= _check_publish(prog, outcome, findings)
+        # ... and the unlowered suffix's accesses must all be published
+        # to the hazard board, else the fallback set is unsound (MAE301).
         stop = prog.stop if prog.stop is not None else len(prog.steps)
         ok &= _check_write_cover(
             "demoted path's", entries[stop:],
             list(prog.dirt_descs) + list(prog.wild), pid, findings,
         )
-        return _check_alloc_suffixes(prog, entries, findings) and ok
+        return ok
 
     rogue = sorted({e.op for e in entries if e.op not in LOWERED_OPS})
     if rogue:
@@ -318,25 +385,25 @@ def _certify_program(prog, findings: list[_Finding], seed: int) -> bool:
         ))
         return False
 
-    ok = _check_alloc_suffixes(prog, entries, findings)
+    ok = _check_publish(prog, outcome, findings)
     return _check_equivalence(
         prog, outcome, path, entries, findings, seed
     ) and ok
 
 
 def _certify_narrowing(tree, pps, findings: list[_Finding]) -> None:
-    """MAE301: reach-keyed allocation dirt and full-chain allocation
-    lowering assume no index is freed inside a chunk, so an NF with a
-    path op that may free one must use neither.
+    """MAE301: reach-keyed allocation dirt and allocation lowering (lane
+    order ranks into the free stack) assume no index is freed inside a
+    chunk, so an NF with a path op that may free one must use neither.
 
-    The ops ``_OP_WRITE_ASPECTS`` models are the ``NfContext`` state
-    API, and none of them frees an index; expiry does, but only on a
-    packet that runs alone in its own chunk.  Any other op could free a
-    cell mid-chunk and push it above the reach.
+    The ops ``_OP_ASPECTS`` models are the ``NfContext`` state API, and
+    none of them frees an index; expiry does, but only on a packet that
+    runs alone in its own chunk.  Any other op could free a cell
+    mid-chunk and push it above the reach.
     """
     frees = sorted({
         e.op for path in tree.paths() for e in path.trace
-        if e.op != "expire" and e.op not in _OP_WRITE_ASPECTS
+        if e.op != "expire" and e.op not in _OP_ASPECTS
     })
     if not frees:
         return
@@ -344,7 +411,7 @@ def _certify_narrowing(tree, pps, findings: list[_Finding]) -> None:
         for prog in pp.programs:
             if any(s.sig[0] == "dchain_allocate" for s in prog.steps) or any(
                 isinstance(key, str) for _, _, key in prog.dirt_descs
-            ):
+            ) or any(type(src) is tuple for *_, src in prog.pubs):
                 findings.append(_Finding(
                     "MAE301",
                     f"path op(s) {', '.join(frees)} may free a dchain "
@@ -425,7 +492,7 @@ def _check_equivalence(
                 f"result symbols {expected}",
                 obj=entry.obj, op=entry.op,
             )
-        if entry.op == "vector_put":
+        if entry.op in ("vector_put", "map_put"):
             src_stored = tuple(entry.stored or ())
             if tuple(f for f, _ in step.stored) != tuple(
                 f for f, _ in src_stored
@@ -489,17 +556,14 @@ def _check_equivalence(
 # ------------------------------------------------------------------ #
 # MAE302: hazard-demotion completeness (probes the real runtime)
 # ------------------------------------------------------------------ #
-#: The probe lane's map key (every probe lane sits on shard 0).
-_PROBE_KEY = (0,)
-
-
 def _probe_state(prog) -> _ProgState:
     """A synthetic one-lane chunk state sitting on ``prog``.
 
-    Artifacts cover every field ``_demote_mask`` can read: key ``(0,)``
-    and cell 0 on shard 0 per step, and a *stale* allocation flag (allocation only
-    flips free→allocated, so a lane that classified on a free slot is
-    exactly the lane an allocation invalidates).
+    Artifacts cover every field ``_demote_mask`` can read: an all-zero
+    key and value on shard 0 and cell 0 per step, a *stale* allocation
+    flag (allocation only flips free→allocated, so a lane that
+    classified on a free slot is exactly the lane an allocation
+    invalidates), and a successful allocation of cell 0.
     """
     shards = np.zeros(1, dtype=np.int64)
     ps = _ProgState(prog, shards)
@@ -507,23 +571,35 @@ def _probe_state(prog) -> _ProgState:
     cells = np.zeros(1, dtype=np.int64)
     ps.arts = [
         {
-            "keys": [_PROBE_KEY],
+            "kcols": [cells] * len(getattr(step, "keys", ())),
+            "vals": cells,
             "cells": cells,
             "q": _qualify(cells, shards, 1),
             "flags": np.zeros(1, dtype=bool),
+            "ok": np.ones(1, dtype=bool),
+            "exposed": np.ones(1, dtype=bool),
         }
-        for _ in prog.steps
+        for step in prog.steps
     ]
     return ps
 
 
-def _dirt_boards(aspect: str, obj: str) -> list[tuple[str, _DirtBoard]]:
+def _dirt_boards(aspect: str, step) -> list[tuple[str, _DirtBoard]]:
     """Wildcard and keyed boards carrying one dirt record that conflicts
-    with the probe lane: its shard, and its shard-qualified key or cell."""
+    with the probe lane: its shard, and its shard-qualified key, value
+    or cell."""
+    zero = np.zeros(1, dtype=np.int64)
     wild = _DirtBoard()
-    wild.add_wild(aspect, obj, [0])
+    wild.add_wild(aspect, step.obj, [0])
+    if aspect in _WILD_ASPECTS:
+        return [("wildcard", wild)]
     keyed = _DirtBoard()
-    keyed.add(aspect, obj, [(0, _PROBE_KEY)] if aspect == "map_w" else [0])
+    if aspect == "map_v":
+        keyed.add(aspect, step.obj, _key_hash(zero, [zero]))
+    elif aspect.startswith("map_"):
+        keyed.add(aspect, step.obj, _key_hash(zero, [zero] * len(step.keys)))
+    else:
+        keyed.add(aspect, step.obj, [0])
     return [("wildcard", wild), ("keyed", keyed)]
 
 
@@ -557,7 +633,7 @@ def _certify_demotion(pp, findings: list[_Finding]) -> None:
                 ))
                 continue
             for aspect in aspects:
-                for flavor, board in _dirt_boards(aspect, step.obj):
+                for flavor, board in _dirt_boards(aspect, step):
                     dem = disp._demote_mask(_probe_state(prog), board)
                     if dem is None or not bool(np.asarray(dem).all()):
                         findings.append(_Finding(
@@ -568,8 +644,7 @@ def _certify_demotion(pp, findings: list[_Finding]) -> None:
                             "RAW/WAW pair",
                             obj=step.obj, op=op, path_id=pid,
                         ))
-            if op in _PUBLISH_ASPECT:
-                aspect = _PUBLISH_ASPECT[op]
+            for aspect in _OP_ASPECTS.get(op) or ():
                 if (aspect, step.obj) not in prog.wild:
                     findings.append(_Finding(
                         "MAE302",

@@ -192,6 +192,33 @@ class StateStore:
         if value not in values:
             values.append(value)
 
+    def note_puts(self, name: str, keys: list, values: list[int]) -> None:
+        """:meth:`note_put` of each key and its value, in order."""
+        reverse = self._reverse.get(name)
+        if reverse is None:
+            return
+        forward = self._forward[name]
+        if (
+            len(set(values)) == len(values)
+            and reverse.keys().isdisjoint(values)
+            and len(set(keys)) == len(keys)
+            and forward.keys().isdisjoint(keys)
+        ):
+            # New keys with unused values: nothing to unlink.
+            reverse.update(zip(values, keys))
+            forward.update(zip(keys, ([v] for v in values)))
+            return
+        for key, value in zip(keys, values):
+            old = reverse.get(value)
+            if old is not None and old != key:
+                forward[old].remove(value)
+                if not forward[old]:
+                    del forward[old]
+            reverse[value] = key
+            owned = forward.setdefault(key, [])
+            if value not in owned:
+                owned.append(value)
+
     def note_erase(self, name: str, key: Any) -> None:
         forward = self._forward.get(name)
         if forward is not None:

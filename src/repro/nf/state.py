@@ -62,6 +62,11 @@ class Map:
         self._data[key] = int(value)
         return True
 
+    def put_many(self, keys: list, values: list[int]) -> None:
+        """``put`` each key in order, when the map has room for every
+        new one among them (so each put succeeds)."""
+        self._data.update(zip(keys, values))
+
     def erase(self, key: Hashable) -> bool:
         """Remove ``key``; returns whether it was present."""
         return self._data.pop(key, None) is not None
@@ -112,6 +117,11 @@ class Vector:
     def put(self, index: int, record: dict[str, int]) -> None:
         """Overwrite the record at ``index``."""
         self._rows[self._check(index)] = dict(record)
+
+    def put_many(self, indices: list[int], records: list[dict]) -> None:
+        """``put`` each record at its in-range index, in order, taking
+        ownership of the records."""
+        self._rows.update(zip(indices, records))
 
     def reset(self, index: int) -> None:
         """Restore the record at ``index`` to the initial template.
@@ -164,6 +174,24 @@ class DChain:
         plus 0 (a failed allocation's index) when fewer are free."""
         free = self._free
         return free[len(free) - k:] if k <= len(free) else free + [0]
+
+    def peek(self, k: int) -> list[int]:
+        """The indices the next ``k`` allocations return, in order
+        (``k`` at most the free count)."""
+        free = self._free
+        return free[len(free) - k:][::-1]
+
+    def take(self, times: np.ndarray) -> list[int]:
+        """Allocate one index per entry of ``times``, stamped with it:
+        the indices ``len(times)`` calls of :meth:`allocate` return, in
+        order (at most the free count)."""
+        free = self._free
+        cut = len(free) - len(times)
+        cells = free[cut:][::-1]
+        del free[cut:]
+        np.frombuffer(self._allocated, dtype=np.bool_)[cells] = True
+        np.frombuffer(self._touched, dtype=np.float64)[cells] = times
+        return cells
 
     def is_allocated(self, index: int) -> bool:
         return 0 <= index < self.capacity and self._allocated[index] == 1

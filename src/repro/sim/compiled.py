@@ -13,28 +13,32 @@ once:
   to exactly one path.
 * **Stage 2 (apply)** materializes the per-lane results from the lowered
   action (port/mods expressions) and applies the paths' state writes as
-  scatters (dchain timestamp refreshes, vector slot stores).
+  scatters: dchain timestamp refreshes, vector slot stores, and per
+  shard, in lane order, the allocations and map inserts of flow
+  establishment.
 
-Lanes on paths the lowerer cannot express (successful allocations,
-sketch paths, hash functions) fall back to the packet-at-a-time
-interpreter, which remains the oracle: kernel output is bit-identical to
+Lanes on paths the lowerer cannot express (sketch paths, hash
+functions) fall back to the packet-at-a-time interpreter, which remains
+the oracle: kernel output is bit-identical to
 :meth:`repro.nf.runtime.ConcreteContext.run`.
 
 Correctness hinges on the *frozen-prefix* discipline.  Classification
 reads pre-chunk state, so a kernel lane is only kept when no interpreter
 lane (or other kernel lane) in the same chunk invalidates what it read
 or re-orders what it writes.  This is resolved by a chunk-local hazard
-fixpoint over a "dirt board" of keys/cells written by fallback lanes:
+fixpoint over a "dirt board" of keys/cells touched by fallback lanes:
 kernel lanes whose reads/writes collide are demoted to the interpreter,
-and each demotion publishes that lane's own writes as new dirt.  A
+and each demotion publishes that lane's own footprint as new dirt.  A
 packet whose ``expire_flows`` call sweeps runs alone on the
 interpreter: the positions where each chain's once-per-simulated-second
 gate fires are replayed from the trace timestamps up front
 (:func:`repro.nf.runtime.expiry_triggers`), and each becomes a
 one-lane chunk, so no sweep ever mutates state mid-chunk.  No other op
-frees a dchain index, so the cells a chunk can allocate are the top of
-each chain's free stack at chunk start (its *reach*), and a chain that
-is full at chunk start stays full for the whole chunk.
+frees a dchain index, so the k-th allocation of a chunk on a shard pops
+the k-th cell of that shard's free stack at chunk start: allocating
+kernel lanes are ranked in lane order per (shard, chain), and the cells
+any allocation of the chunk can return are the top of the stack (its
+*reach*).
 
 The shard is a per-lane column: each chunk is classified once per
 port over every core's lanes, each state read picks the lane's own
@@ -46,6 +50,7 @@ flush: the next run simply reads the shards its new core ids name.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import repeat, starmap
 
 import numpy as np
@@ -77,12 +82,11 @@ __all__ = [
 DEFAULT_CHUNK = 2048
 #: Stateful ops the lowerer can express as column kernels; any path
 #: containing another op kind (sketch, hash, ...) runs on the
-#: interpreter.  ``dchain_allocate`` runs on kernels only while its
-#: chain is full at chunk start (``ok = 0, index = 0``); otherwise every
-#: program crossing it stops there.  DESIGN.md §13 documents each rule —
-#: kept in sync by the doc tests.
+#: interpreter.  DESIGN.md §13 documents each rule — kept in sync by the
+#: doc tests.
 LOWERED_OPS = (
     "map_get",
+    "map_put",
     "vector_borrow",
     "dchain_is_allocated",
     "dchain_rejuvenate",
@@ -91,8 +95,8 @@ LOWERED_OPS = (
 )
 #: Op kinds known never to free a dchain index.  Expiry (whose sweeping
 #: packets run alone, in one-lane chunks) is the only freeing op; a path
-#: carrying any op outside this set withdraws the allocation narrowing
-#: for its NF.
+#: carrying any op outside this set withdraws allocation lowering and
+#: the reach narrowing for its NF.
 _NON_FREEING_OPS = frozenset({
     "map_get", "map_put", "map_erase", "vector_borrow", "vector_put",
     "vector_fill", "dchain_allocate", "dchain_is_allocated",
@@ -101,11 +105,18 @@ _NON_FREEING_OPS = frozenset({
 #: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
 _FIXPOINT_MAX = 64
 
-#: ``_Alloc`` step artifact when the chain is full on every shard of
-#: the group.  Otherwise the artifact's ``free`` mask marks the lanes
-#: whose shard has a free index: every program crossing the step stops
-#: there for them.
-_FULL = {"oob": None}
+#: Dirt aspects: what an interpreter lane touched.  Map aspects are
+#: keyed by (shard, key) row hashes (``map_v`` by the value a put
+#: stores), every other aspect by shard-qualified cells.
+_ASPECTS = (
+    "map_w", "map_r", "map_v", "map_n", "vec_w", "vec_r", "ts_w", "flag_r",
+    "alloc",
+)
+_ROW_ASPECTS = frozenset({"map_w", "map_r", "map_v"})
+#: Aspects only kernel inserts and allocations check: published only in
+#: chunks where such a kernel write is alive.  ``map_n`` (a shard-wide
+#: wildcard) marks a map whose entry count an interpreter lane changes.
+_NEEDED_ASPECTS = frozenset({"map_r", "map_v", "map_n", "flag_r"})
 
 #: The symbol bindings available before any stateful op runs.
 _BASE_SYMS = frozenset(
@@ -115,128 +126,273 @@ _BASE_SYMS = frozenset(
 
 # ------------------------------------------------------------------ #
 # Lowered steps: one per supported stateful-op kind.
+#
+# ``checks`` names the dirt aspects that demote a kernel lane on the
+# step, the lanes checked (all, or those that read a free flag ("free"),
+# whose allocation or insert succeeds ("ok"), or whose outcome other
+# lanes' allocations or inserts can change ("exposed"), and the artifact
+# column the dirt is matched on.  ``ckey`` keys the per-group
+# step cache; ``node`` (steps whose work depends on the lanes alive
+# there) is the step's tree node, shared by every program through it,
+# and ``after`` the ``(aspect, obj)`` pairs any path through it touches
+# from there on.
 # ------------------------------------------------------------------ #
 class _MapGet:
-    __slots__ = ("obj", "keys", "found", "value", "sig")
+    __slots__ = ("obj", "keys", "found", "value", "sig", "ckey")
+    checks = (("map_w", None, "kh"),)
+    node = None
 
     def __init__(self, obj, keys, found, value):
         self.obj = obj
         self.keys = keys
         self.found = found
         self.value = value
-        self.sig = ("map_get", obj, keys, found, value)
+        self.sig = self.ckey = ("map_get", obj, keys, found, value)
+
+
+class _MapPut:
+    """``map_put``: a keyed insert into the lane's shard map.
+
+    ``probe`` is an earlier ``map_get`` of the same key on this path,
+    whose pre-chunk probe the step reuses.
+    """
+
+    __slots__ = (
+        "obj", "keys", "value", "ok", "probe", "entry", "node", "after",
+        "sig", "ckey",
+    )
+    checks = (
+        ("map_w", None, "kh"), ("map_r", None, "kh"), ("map_v", None, "vh"),
+        ("map_n", "exposed", None),
+    )
+
+    def __init__(self, obj, keys, value, ok, probe, entry):
+        self.obj = obj
+        self.keys = keys
+        self.value = value
+        self.ok = ok
+        self.probe = probe
+        self.entry = entry
+        self.node = None
+        self.after = ()
+        self.sig = self.ckey = ("map_put", obj, keys, value, ok)
 
 
 class _VecBorrow:
-    __slots__ = ("obj", "index", "fields", "sig")
+    """``vector_borrow``; ``fwd`` are the earlier ``vector_put`` steps of
+    the same vector on this path, whose rows the lane reads back."""
 
-    def __init__(self, obj, index, fields):
+    __slots__ = ("obj", "index", "fields", "fwd", "sig", "ckey")
+    checks = (("vec_w", None, "q"),)
+    node = None
+
+    def __init__(self, obj, index, fields, fwd):
         self.obj = obj
         self.index = index
         self.fields = fields
+        self.fwd = fwd
         self.sig = ("vector_borrow", obj, index, fields)
+        self.ckey = self.sig + tuple(p.sig for p in fwd)
 
 
 class _IsAlloc:
-    __slots__ = ("obj", "index", "res", "sig")
+    __slots__ = ("obj", "index", "res", "sig", "ckey")
+    checks = (("alloc", "free", "q"),)
+    node = None
 
     def __init__(self, obj, index, res):
         self.obj = obj
         self.index = index
         self.res = res
-        self.sig = ("dchain_is_allocated", obj, index, res)
+        self.sig = self.ckey = ("dchain_is_allocated", obj, index, res)
 
 
 class _Rejuv:
-    __slots__ = ("obj", "index", "sig")
+    __slots__ = ("obj", "index", "sig", "ckey")
+    checks = (("ts_w", None, "q"), ("alloc", "free", "q"))
+    node = None
 
     def __init__(self, obj, index):
         self.obj = obj
         self.index = index
-        self.sig = ("dchain_rejuvenate", obj, index)
+        self.sig = self.ckey = ("dchain_rejuvenate", obj, index)
 
 
 class _VecPut:
-    __slots__ = ("obj", "index", "stored", "sig")
+    __slots__ = ("obj", "index", "stored", "sig", "ckey")
+    checks = (("vec_w", None, "q"), ("vec_r", None, "q"))
+    node = None
 
     def __init__(self, obj, index, stored):
         self.obj = obj
         self.index = index
         self.stored = stored
-        self.sig = ("vector_put", obj, index, stored)
+        self.sig = self.ckey = ("vector_put", obj, index, tuple(stored))
 
 
 class _Alloc:
-    """``dchain_allocate`` on a chain that is full at chunk start.
+    """``dchain_allocate``: the lane's rank among the chunk's allocations
+    on its (shard, chain), in lane order, picks its free-stack pop.
+    ``entry`` (the trace index) orders one lane's allocations."""
 
-    ``suffix`` holds the dirt descriptors of the path from this
-    allocation on, collected with the symbols known *before* it: when
-    the chain has a free index, the program stops here and its lanes
-    publish that footprint.
-    """
+    __slots__ = (
+        "obj", "ok", "index", "entry", "node", "after", "sig", "ckey",
+    )
+    checks = (("alloc", "exposed", "q"), ("flag_r", "ok", "q"))
 
-    __slots__ = ("obj", "ok", "index", "suffix", "sig")
-
-    def __init__(self, obj, ok, index, suffix):
+    def __init__(self, obj, ok, index, entry):
         self.obj = obj
         self.ok = ok
         self.index = index
-        self.suffix = suffix
-        self.sig = ("dchain_allocate", obj, ok, index)
+        self.entry = entry
+        self.node = None
+        self.after = ()
+        self.sig = self.ckey = ("dchain_allocate", obj, ok, index)
 
 
-def _lower_entry(entry, known, used, suffix=None):
+def _lower_entry(entry, known, used, lowered, exact_alloc):
     """Lower one trace entry into a step, binding its result symbols.
 
-    ``dchain_allocate`` lowers only with its path ``suffix`` dirt.
+    ``lowered`` holds the path's steps so far.  A read of state the path
+    itself wrote earlier lowers only for vectors (the lane reads its own
+    row back); a second insert into one map or allocation on one chain
+    does not lower.  ``dchain_allocate`` lowers only with ``exact_alloc``.
     """
     op = entry.op
-    if op == "dchain_allocate" and suffix is not None:
-        step = _Alloc(entry.obj, entry.result("ok").name,
-                      entry.result("index").name, suffix)
-        known.add(step.ok)
-        known.add(step.index)
-        return step
+    obj = entry.obj
+
+    def after(kind):
+        return any(isinstance(s, kind) and s.obj == obj for s in lowered)
+
     if op == "map_get":
+        if after(_MapPut):
+            raise LowerError(f"map_get of {obj!r} after its map_put")
         for k in entry.key:
             check_expr(k, known, used)
         found = entry.result("found").name
         value = entry.result("value").name
         known.add(found)
         known.add(value)
-        return _MapGet(entry.obj, tuple(entry.key), found, value)
+        return _MapGet(obj, tuple(entry.key), found, value)
+    if op == "map_put":
+        if after(_MapPut):
+            raise LowerError(f"second map_put of {obj!r} on one path")
+        for k in entry.key:
+            check_expr(k, known, used)
+        value = entry.stored[0][1]
+        check_expr(value, known, used)
+        ok = entry.result("ok").name
+        known.add(ok)
+        keys = tuple(entry.key)
+        probe = next((
+            s for s in lowered if isinstance(s, _MapGet) and s.obj == obj
+            and len(s.keys) == len(keys)
+            and all(E.structurally_equal(a, b) for a, b in zip(s.keys, keys))
+        ), None)
+        return _MapPut(obj, keys, value, ok, probe, entry.index)
     if op == "vector_borrow":
         check_expr(entry.key[0], known, used)
         fields = tuple((fname, sym.name) for fname, sym in entry.results)
         for _, name in fields:
             known.add(name)
-        return _VecBorrow(entry.obj, entry.key[0], fields)
+        fwd = tuple(
+            s for s in lowered if isinstance(s, _VecPut) and s.obj == obj
+        )
+        return _VecBorrow(obj, entry.key[0], fields, fwd)
+    if op in ("dchain_is_allocated", "dchain_rejuvenate") and after(_Alloc):
+        raise LowerError(f"{op} of {obj!r} after its allocation")
     if op == "dchain_is_allocated":
         check_expr(entry.key[0], known, used)
         res = entry.result("allocated").name
         known.add(res)
-        return _IsAlloc(entry.obj, entry.key[0], res)
+        return _IsAlloc(obj, entry.key[0], res)
     if op == "dchain_rejuvenate":
         check_expr(entry.key[0], known, used)
-        return _Rejuv(entry.obj, entry.key[0])
+        return _Rejuv(obj, entry.key[0])
     if op == "vector_put":
         check_expr(entry.key[0], known, used)
         for _, expr in entry.stored:
             check_expr(expr, known, used)
-        return _VecPut(entry.obj, entry.key[0], tuple(entry.stored))
-    raise LowerError(f"cannot lower stateful op {op!r} on {entry.obj!r}")
+        return _VecPut(obj, entry.key[0], tuple(entry.stored))
+    if op == "dchain_allocate" and exact_alloc and not after(_Alloc):
+        step = _Alloc(obj, entry.result("ok").name,
+                      entry.result("index").name, entry.index)
+        known.add(step.ok)
+        known.add(step.index)
+        return step
+    raise LowerError(f"cannot lower stateful op {op!r} on {obj!r}")
 
 
-#: Write/read aspects a kernel lane's step contributes when the lane
-#: runs interpreted.  A lowered ``_Alloc`` has none: its chain is full.
-def _step_dirt_aspect(step):
-    if isinstance(step, _Rejuv):
-        return "ts_w"
+def _step_inputs(step):
+    """The expressions a lowered step evaluates."""
+    if isinstance(step, _MapGet):
+        return step.keys
+    if isinstance(step, _MapPut):
+        return step.keys + (step.value,)
     if isinstance(step, _VecPut):
-        return "vec_w"
+        return (step.index,) + tuple(e for _, e in step.stored)
+    if isinstance(step, _Alloc):
+        return ()
+    return (step.index,)
+
+
+def _step_binds(step):
+    """The result symbols a lowered step binds."""
+    if isinstance(step, _MapGet):
+        return (step.found, step.value)
+    if isinstance(step, _MapPut):
+        return (step.ok,)
     if isinstance(step, _VecBorrow):
-        return "vec_r"
-    return None
+        return tuple(n for _, n in step.fields)
+    if isinstance(step, _IsAlloc):
+        return (step.res,)
+    if isinstance(step, _Alloc):
+        return (step.ok, step.index)
+    return ()
+
+
+def _step_pubs(step, tainted, chains):
+    """``(aspect, source)`` of the dirt an interpreter lane that ran this
+    step publishes.
+
+    The source is the artifact column holding the exact keys or cells,
+    ``("reach", chain)`` for a cell that is an allocation's index, or
+    None (a wildcard) when the value depends on an allocation result: an
+    interpreter lane's allocation may pop another cell than its
+    kernel rank predicted.
+    """
+
+    def src(expr, col):
+        if not tainted:
+            return col
+        if isinstance(expr, E.Sym) and expr.name in chains:
+            return ("reach", chains[expr.name])
+        if any(s.name in tainted for s in E.free_symbols(expr)):
+            return None
+        return col
+
+    def keyed(col):
+        if any(src(k, col) != col for k in step.keys):
+            return None
+        return col
+
+    if isinstance(step, _MapGet):
+        return (("map_r", keyed("kh")),)
+    if isinstance(step, _MapPut):
+        return (
+            ("map_w", keyed("kh")), ("map_v", src(step.value, "vh")),
+            ("map_n", None),
+        )
+    if isinstance(step, _VecBorrow):
+        return (("vec_r", src(step.index, "q")),)
+    if isinstance(step, _VecPut):
+        return (("vec_w", src(step.index, "q")),)
+    if isinstance(step, _IsAlloc):
+        return (("flag_r", src(step.index, "q")),)
+    if isinstance(step, _Rejuv):
+        return (("ts_w", src(step.index, "live")),
+                ("flag_r", src(step.index, "q")))
+    return (("alloc", ("reach", step.obj)),)
 
 
 class _PathProgram:
@@ -246,12 +402,15 @@ class _PathProgram:
     ``supported`` is False, ``items`` is the lowerable prefix (used to
     narrow which lanes sit on this path for hazard attribution) and
     ``dirt_descs`` describes the state the *unlowered* suffix touches.
+    ``pubs`` holds, per lowered step, the ``(step index, aspect, obj,
+    source)`` dirt its lanes publish when they run interpreted.
     """
 
     __slots__ = (
-        "pid", "port", "supported", "items", "steps", "dirt_descs",
+        "pid", "port", "supported", "items", "steps", "dirt_descs", "pubs",
         "kind", "port_const", "port_expr", "mods", "const_result",
-        "ops_list", "bump_ops", "used", "wild", "source_path", "stop",
+        "const_new", "ops_list", "bump_ops", "used", "wild", "source_path",
+        "stop",
     )
 
     def __init__(self, pid, port):
@@ -261,11 +420,13 @@ class _PathProgram:
         self.items = []
         self.steps = []
         self.dirt_descs = []
+        self.pubs = []
         self.kind = None
         self.port_const = None
         self.port_expr = None
         self.mods = ()
         self.const_result = None
+        self.const_new = None
         self.ops_list = []
         self.bump_ops = []
         self.used = set()
@@ -284,11 +445,11 @@ def _collect_dirt(entries, known, chains, exact):
     a wildcard, a chain name for the *reach* of that chain (the cells
     its allocations can return this chunk), or a tuple of expressions
     lowerable against ``known`` (exact demotion).  With ``exact``,
-    allocation dirt and cell dirt at an index an allocation bound
-    (``chains`` maps earlier allocations' index symbols to their chain)
-    are reach-keyed; without it they are wildcards.  Result symbols of
-    unlowered ops are *not* bound, so downstream expressions depending
-    on them correctly degrade to wildcards.
+    allocation dirt and cell dirt (or a stored map value) at an index an
+    allocation bound (``chains`` maps earlier allocations' index symbols
+    to their chain) are reach-keyed; without it they are wildcards.
+    Result symbols of unlowered ops are *not* bound, so downstream
+    expressions depending on them correctly degrade to wildcards.
     """
     chains = dict(chains)
     descs = []
@@ -301,44 +462,47 @@ def _collect_dirt(entries, known, chains, exact):
                 return None
         return tuple(exprs)
 
-    def _cell(e):
-        if not e.key:
-            return None
-        idx = e.key[0]
-        if isinstance(idx, E.Sym) and idx.name in chains:
-            return chains[idx.name]
-        return _keyed(e.key)
+    def _cell(expr):
+        if isinstance(expr, E.Sym) and expr.name in chains:
+            return chains[expr.name]
+        return _keyed((expr,))
 
     for e in entries:
         op = e.op
         if op == "expire":
             continue
-        if op in ("map_put", "map_erase"):
+        if op == "map_get":
+            descs.append(("map_r", e.obj, _keyed(e.key)))
+        elif op in ("map_put", "map_erase"):
             descs.append(("map_w", e.obj, _keyed(e.key) if e.key else None))
+            descs.append(("map_n", e.obj, None))
+            if op == "map_put":
+                descs.append(("map_v", e.obj, _cell(e.stored[0][1])))
         elif op in ("vector_put", "vector_fill"):
-            descs.append(("vec_w", e.obj, _cell(e)))
+            descs.append(("vec_w", e.obj, _cell(e.key[0]) if e.key else None))
         elif op == "vector_borrow":
-            descs.append(("vec_r", e.obj, _cell(e)))
+            descs.append(("vec_r", e.obj, _cell(e.key[0])))
         elif op == "dchain_allocate":
             descs.append(("alloc", e.obj, e.obj if exact else None))
             if exact:
                 chains[e.result("index").name] = e.obj
-        elif op == "dchain_rejuvenate":
-            descs.append(("ts_w", e.obj, _cell(e)))
-        elif op in ("map_get", "dchain_is_allocated", "sketch_fetch",
-                    "sketch_touch"):
-            # Reads of state kernels never write (maps, flags, sketches)
-            # and sketch writes kernels never read: hazard-free.
+        elif op in ("dchain_rejuvenate", "dchain_is_allocated"):
+            if op == "dchain_rejuvenate":
+                descs.append(("ts_w", e.obj, _cell(e.key[0])))
+            descs.append(("flag_r", e.obj, _cell(e.key[0])))
+        elif op in ("sketch_fetch", "sketch_touch"):
+            # Sketches never run on kernels: hazard-free.
             pass
         else:  # unknown op: poison every aspect of the object
-            for aspect in ("map_w", "vec_w", "vec_r", "ts_w", "alloc"):
+            for aspect in _ASPECTS:
                 descs.append((aspect, e.obj, None))
     return descs
 
 
 def _alloc_exact(paths):
-    """Whether allocation dirt may be narrowed to reaches for these paths:
-    no op but expiry (never swept mid-chunk) frees a dchain index."""
+    """Whether allocations may lower and their dirt be narrowed to
+    reaches for these paths: no op but expiry (never swept mid-chunk)
+    frees a dchain index."""
     return all(
         e.op in _NON_FREEING_OPS or e.op == "expire"
         for path in paths for e in path.trace
@@ -366,8 +530,10 @@ def _compile_path(path, pid, exact_alloc):
     used = prog.used
     items = prog.items
     constraints = path.constraints
-    # Index symbol -> chain, for every lowered allocation so far.
+    # Index symbol -> chain, for every lowered allocation so far, and the
+    # symbols whose value depends on an allocation's result.
     chains = {}
+    tainted = set()
     ci = 0
     stop = len(entries)
     supported = True
@@ -385,17 +551,24 @@ def _compile_path(path, pid, exact_alloc):
             ci += 1
         if not supported:
             break
-        suffix = None
-        if e.op == "dchain_allocate" and exact_alloc:
-            suffix = _collect_dirt(entries[idx:], known, chains, True)
         try:
-            step = _lower_entry(e, known, used, suffix)
+            step = _lower_entry(e, known, used, prog.steps, exact_alloc)
         except LowerError:
             supported = False
             stop = idx
             break
-        if suffix is not None:
+        if step.node is None and isinstance(step, (_MapPut, _Alloc)):
+            step.node = (path.decisions[:e.pc_len], e.index)
+        for aspect, src in _step_pubs(step, tainted, chains):
+            prog.pubs.append((len(prog.steps), aspect, step.obj, src))
+        if isinstance(step, _Alloc):
             chains[step.index] = step.obj
+            tainted.update(_step_binds(step))
+        elif tainted and any(
+            s.name in tainted
+            for x in _step_inputs(step) for s in E.free_symbols(x)
+        ):
+            tainted.update(_step_binds(step))
         items.append(("op", step))
         prog.steps.append(step)
     if supported:
@@ -434,28 +607,22 @@ def _compile_path(path, pid, exact_alloc):
         if prog.port_expr is None and all(
             isinstance(expr, E.Const) for _, expr in prog.mods
         ):
-            prog.const_result = PacketResult(
+            const = (
                 prog.kind,
                 prog.port_const,
                 {name: int(expr.value) for name, expr in prog.mods},
                 prog.ops_list,
-                False,
             )
+            prog.const_result = PacketResult(*const, False)
+            prog.const_new = PacketResult(*const, True)
     else:
         prog.dirt_descs = _collect_dirt(
-            entries[stop:], known, chains, exact_alloc
+            entries[stop:], known - tainted, chains, exact_alloc
         )
-        prog.wild = [(a, o) for a, o, key in prog.dirt_descs if key is None]
-    # Aspects this program's *lowered* steps poison when the program
-    # bails at run time (lanes unknown -> wildcard everything),
-    # including the footprint past every allocation it crosses.
-    for step in prog.steps:
-        if isinstance(step, _Alloc):
-            prog.wild.extend((a, o) for a, o, _ in step.suffix)
-            continue
-        aspect = _step_dirt_aspect(step)
-        if aspect is not None:
-            prog.wild.append((aspect, step.obj))
+    # Aspects this program poisons when it bails at run time (lanes
+    # unknown -> wildcard everything it could touch).
+    prog.wild = [(a, o) for _, a, o, _ in prog.pubs]
+    prog.wild.extend((a, o) for a, o, _ in prog.dirt_descs)
     return prog
 
 
@@ -464,7 +631,7 @@ class _PortProgram:
 
     __slots__ = (
         "port", "programs", "swept", "fields", "need_time", "shared_ok",
-        "any_supported", "alloc_max",
+        "any_supported", "write_max",
     )
 
     def __init__(self, port, programs, swept):
@@ -473,13 +640,14 @@ class _PortProgram:
         #: The chains every packet of this port passes to
         #: ``expire_flows`` (empty when the NF never expires).
         self.swept = swept
-        # Most allocations one lane of this port makes per chain: with
-        # the lane count it bounds a chunk's reach into the free stack.
-        self.alloc_max = Counter()
+        # Most allocations (per chain) and map inserts (per map) one
+        # lane of this port makes: with the lane count they bound a
+        # chunk's reach into a free stack and its inserts into a map.
+        self.write_max = Counter()
         for prog in programs:
-            self.alloc_max |= Counter(
-                e.obj for e in prog.source_path.trace
-                if e.op == "dchain_allocate"
+            self.write_max |= Counter(
+                (e.op, e.obj) for e in prog.source_path.trace
+                if e.op in ("dchain_allocate", "map_put")
             )
         used = set()
         for prog in programs:
@@ -495,20 +663,27 @@ class _PortProgram:
         self.shared_ok = True
         for prog in programs:
             for step in prog.steps:
-                if isinstance(step, _MapGet):
-                    bound = ((step.found, step.sig), (step.value, step.sig))
-                elif isinstance(step, _VecBorrow):
-                    bound = tuple((n, step.sig) for _, n in step.fields)
-                elif isinstance(step, _IsAlloc):
-                    bound = ((step.res, step.sig),)
-                elif isinstance(step, _Alloc):
-                    bound = ((step.ok, step.sig), (step.index, step.sig))
-                else:
-                    bound = ()
-                for name, sig in bound:
-                    prev = sigs.setdefault(name, sig)
-                    if prev != sig:
+                for name in _step_binds(step):
+                    prev = sigs.setdefault(name, step.ckey)
+                    if prev != step.ckey:
                         self.shared_ok = False
+        # Intern tree nodes: programs through one node share its id, and
+        # the footprint of every path through it from there on.
+        nodes = {}
+        after = {}
+        for prog in programs:
+            for si, step in enumerate(prog.steps):
+                if isinstance(step.node, tuple):
+                    step.node = nodes.setdefault(step.node, len(nodes))
+                if step.node is not None:
+                    after.setdefault(step.node, set()).update(
+                        [(a, o) for sj, a, o, _ in prog.pubs if sj >= si]
+                        + [(a, o) for a, o, _ in prog.dirt_descs]
+                    )
+        for prog in programs:
+            for step in prog.steps:
+                if step.node is not None:
+                    step.after = tuple(sorted(after[step.node]))
 
 
 def _swept_chains(path):
@@ -524,8 +699,8 @@ def _compile_port(nf, port, paths, pid_start, exact_alloc):
     all sweep the same chains, since the sweeps could then not be found
     from the trace alone.
 
-    ``exact_alloc`` (see :func:`_alloc_exact`) enables reach-keyed
-    allocation dirt and the full-chain ``dchain_allocate`` lowering.
+    ``exact_alloc`` (see :func:`_alloc_exact`) enables the
+    ``dchain_allocate`` lowering and reach-keyed allocation dirt.
     """
     swept = _swept_chains(paths[0])
     if any(_swept_chains(path) != swept for path in paths):
@@ -582,6 +757,25 @@ def _qualify(cells, shards, n_shards):
     return np.where(ok, cells * n_shards + shards, -1)
 
 
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_SHIFT = np.uint64(31)
+
+
+def _key_hash(shards, cols):
+    """A 64-bit hash of each lane's ``(shard, *cols)`` row.
+
+    Equal rows hash equal, so a dirt check on hashes never misses a
+    collision; two different rows that hash equal only demote a lane,
+    which is always safe.
+    """
+    acc = np.asarray(shards, np.int64).astype(np.uint64) + _MIX
+    for col in cols:
+        acc = acc * _MIX
+        acc ^= np.asarray(col, np.int64).view(np.uint64)
+        acc ^= acc >> _SHIFT
+    return acc * _MIX
+
+
 def _by_shard(shards, n_shards):
     """``(shard, lane positions)`` per shard present, in shard order;
     the positions are None when one shard holds every lane."""
@@ -603,44 +797,79 @@ def _on_shards(shards, wild):
     return np.isin(shards, np.fromiter(wild, np.int64, count=len(wild)))
 
 
+class _Dirt:
+    """One aspect of one object: the shards dirtied wholesale and the
+    exact qualified cells or key-row hashes, kept sorted on demand."""
+
+    __slots__ = ("wild", "parts", "_sorted")
+
+    def __init__(self):
+        self.wild = set()
+        self.parts = []
+        self._sorted = None
+
+    def add(self, values):
+        values = np.asarray(values)
+        if values.size:
+            self.parts.append(values)
+            self._sorted = None
+
+    def sorted(self):
+        if self._sorted is None:
+            vals = (
+                np.concatenate(self.parts) if len(self.parts) > 1
+                else self.parts[0]
+            )
+            self._sorted = np.unique(vals)
+            self.parts = [self._sorted]
+        return self._sorted
+
+
 class _DirtBoard:
     """Chunk-local record of state touched by interpreter-bound lanes.
 
-    Per aspect and object, an entry holds the shards dirtied wholesale
-    (wildcards) and the exact keys or cells, each qualified by its
-    shard: ``(shard, key)`` for map keys, :func:`_qualify` for cells.
-    ``alloc`` cells are a chain's reach: the free cells an allocation
-    this chunk can hand out.  ``wild_all`` holds the shards where a
-    lane of a port with no program runs interpreted.
+    Per aspect and object, a :class:`_Dirt` holds the shards dirtied
+    wholesale (wildcards) and the exact keys or cells, each qualified by
+    its shard: :func:`_key_hash` rows for map aspects, :func:`_qualify`
+    cells otherwise.  ``alloc`` cells are a chain's reach: the free
+    cells an allocation this chunk can hand out.  ``wild_all`` holds the
+    shards where a lane of a port with no program runs interpreted.
     """
 
-    __slots__ = ("tables", "wild_all")
+    __slots__ = ("tables", "wild_all", "reached")
 
     def __init__(self):
-        self.tables = {
-            aspect: {} for aspect in ("map_w", "vec_w", "vec_r", "ts_w",
-                                      "alloc")
-        }
+        self.tables = {aspect: {} for aspect in _ASPECTS}
         self.wild_all = set()
+        #: ``(aspect, obj, shard, chain)`` of the reaches already added.
+        self.reached = set()
 
     def get(self, aspect, obj):
-        """``(wildcard shards, qualified keys)`` of ``obj``, or None."""
+        """The :class:`_Dirt` of ``obj``, or None."""
         return self.tables[aspect].get(obj)
 
     def _entry(self, aspect, obj):
         table = self.tables[aspect]
         entry = table.get(obj)
         if entry is None:
-            entry = table[obj] = (set(), set())
+            entry = table[obj] = _Dirt()
         return entry
 
     def add(self, aspect, obj, values):
-        """Mark shard-qualified keys or cells of ``obj`` dirty."""
-        self._entry(aspect, obj)[1].update(values)
+        """Mark shard-qualified cells or key hashes of ``obj`` dirty."""
+        self._entry(aspect, obj).add(values)
 
     def add_wild(self, aspect, obj, shards):
         """Mark all of ``obj`` dirty on each of ``shards``."""
-        self._entry(aspect, obj)[0].update(shards)
+        self._entry(aspect, obj).wild.update(shards)
+
+    def add_reach(self, aspect, obj, shard, chain, reach):
+        """Mark ``chain``'s reach on ``shard`` dirty (``reach(shard,
+        chain, aspect)`` gives its values), once per chunk."""
+        key = (aspect, obj, shard, chain)
+        if key not in self.reached:
+            self.reached.add(key)
+            self.add(aspect, obj, reach(shard, chain, aspect))
 
 
 class _ProgState:
@@ -648,7 +877,7 @@ class _ProgState:
 
     __slots__ = (
         "prog", "shards", "match", "force_f", "kmask", "bailed", "arts",
-        "dirt_vals", "stops", "stopped", "port_vals", "mod_vals",
+        "dirt_vals", "port_vals", "mod_vals",
     )
 
     def __init__(self, prog, shards):
@@ -661,13 +890,6 @@ class _ProgState:
         self.bailed = False
         self.arts = []
         self.dirt_vals = []
-        #: Lanes stopped at an allocation whose chain has a free index
-        #: on their shard, per allocation: ``(steps run before it, lane
-        #: mask, footprint of the path from it on)``.  ``stopped`` is
-        #: the union of the masks (None while empty); these lanes run
-        #: interpreted, and ``match`` excludes them.
-        self.stops = []
-        self.stopped = None
         self.port_vals = None
         self.mod_vals = None
 
@@ -676,14 +898,21 @@ class _Group:
     """One port's lanes of a chunk, over every shard, and their
     classification state."""
 
-    __slots__ = ("pp", "g_lanes", "shards", "by_shard", "progs")
+    __slots__ = (
+        "pp", "g_lanes", "shards", "counts", "by_shard", "progs", "bad",
+    )
 
     def __init__(self, pp, g_lanes, shards, n_shards):
         self.pp = pp
         self.g_lanes = g_lanes
         self.shards = shards
+        #: Lanes per shard.
+        self.counts = np.bincount(shards, minlength=n_shards)
         self.by_shard = _by_shard(shards, n_shards)
         self.progs = [_ProgState(p, shards) for p in pp.programs]
+        #: Shards whose allocation ranks could not be settled: every
+        #: lane of the group there runs interpreted, as if bailed.
+        self.bad = set()
 
 
 def _ivals(col, g):
@@ -692,6 +921,18 @@ def _ivals(col, g):
     if arr.ndim == 0:
         arr = np.broadcast_to(arr, (g,))
     return arr
+
+
+def _key_cols(keys, env, cache, g):
+    """Int64 columns of a map key's components.  A float component
+    bails: the interpreter would key the map by the float itself."""
+    cols = []
+    for k in keys:
+        col = eval_expr(k, env, cache)
+        if col.is_float:
+            raise KernelBail("float map key component")
+        cols.append(_ivals(col, g))
+    return cols
 
 
 def _bump(ctx, bump_ops, n):
@@ -730,11 +971,38 @@ def _stored_values(col, kidx):
     ]
 
 
+def _select(same, a, b):
+    """Column ``a`` where ``same``, else ``b`` (int lanes only)."""
+    if a.is_float or b.is_float:
+        raise KernelBail("forwarded float vector values")
+    return Column(np.where(same, _to_int(a), _to_int(b)),
+                  max(a.bound, b.bound))
+
+
 def _hit_or(dem, hit):
     """``dem | hit``, where None is an empty mask."""
     if hit is None or not hit.any():
         return dem
     return hit if dem is None else dem | hit
+
+
+def _hits(sel, shards, vals, dirt):
+    """Lanes of ``sel`` on a shard ``dirt`` wildcards, or whose value
+    (qualified cell or key hash; ``vals`` maps lane positions to them)
+    it holds."""
+    hit = sel & _on_shards(shards, dirt.wild) if dirt.wild else None
+    if dirt.parts:
+        d = dirt.sorted()
+        kidx = np.flatnonzero(sel)
+        v = vals(kidx)
+        at = np.searchsorted(d, v)
+        at[at == d.size] = 0
+        found = d[at] == v
+        if found.any():
+            if hit is None:
+                hit = np.zeros(sel.shape, dtype=bool)
+            hit[kidx[found]] = True
+    return hit
 
 
 class CompiledDispatcher:
@@ -759,15 +1027,36 @@ class CompiledDispatcher:
         self._cols = None
         #: Per run: the packets whose ``expire_flows`` call sweeps.
         self._sweeps = set()
-        self._ts_pending = {}
         #: Per run: the stores kernels read (one per core under
         #: shared-nothing, else the one shared store) and each packet's
         #: shard, its index in ``_stores``.
         self._stores = []
         self._shards = None
-        #: The running chunk's groups, and its reaches per (shard, chain).
-        self._groups = []
+        self._new_chunk(0, 0, [])
+
+    def _new_chunk(self, start, size, groups):
+        """Reset the running chunk's state."""
+        self._start = start
+        self._size = size
+        self._groups = groups
+        #: Reach dirt per (shard, chain, as key hashes).
         self._reaches = {}
+        #: Node-step artifacts per (port, node), and the ranked events
+        #: per chain or map: ``(node key, lanes, shards, trace entry,
+        #: ranks)`` of the lanes that reached an allocation or insert.
+        self._node_arts = {}
+        self._events = {}
+        self._offsets = {}
+        #: Room per shard of each object with events; the chains.
+        self._rooms = {}
+        self._chains = set()
+        #: Settled ranks per node key, as an array over the chunk's lanes.
+        self._override = {}
+        #: The ``(aspect, obj)`` pairs of ``_NEEDED_ASPECTS`` that a
+        #: kernel insert or allocation alive this chunk checks.
+        self._needs = set()
+        self._ts_pending = {}
+        self._put_pending = {}
 
     # -------------------------------------------------------------- #
     # Run setup
@@ -786,7 +1075,7 @@ class CompiledDispatcher:
         #: Per-packet indirection-table slots (elastic runs only): the
         #: fallback path installs them as ``ctx.current_bucket`` so
         #: establishment packets bucket-tag the state they create, and
-        #: kernel vector scatters re-tag the rows they overwrite.
+        #: kernel writes tag the keys, rows and indices they create.
         self._bucket_ids = bucket_ids
         self._ports_arr = cols.ports
         self._core_ids = core_ids
@@ -816,7 +1105,7 @@ class CompiledDispatcher:
         self._bucket_ids = None
         self._stores = []
         self._shards = None
-        self._groups = []
+        self._new_chunk(0, 0, [])
 
     def _field_col(self, name):
         """Column of symbol ``pkt.<field>``, shared with steering."""
@@ -874,23 +1163,25 @@ class CompiledDispatcher:
             pos = np.flatnonzero(ports_l == port)
             if pos.size:
                 uncovered[pos] = False
-                group = _Group(pp, lanes[pos], shards[pos], n_shards)
-                self._eval_group(group)
-                groups.append(group)
+                groups.append(_Group(pp, lanes[pos], shards[pos], n_shards))
         if not groups:
             self._run_fallback(lanes, results)
             self.fallback_packets += lanes.size
             return
+        self._new_chunk(start, lanes.size, groups)
+        for group in groups:
+            self._eval_group(group)
+        if self._events:
+            self._settle_ranks()
+            groups = self._groups
         board = _DirtBoard()
         # Lanes of a port with no program run interpreted with an
         # unknown footprint: no kernel lane of their shard may trust
         # its reads.
         if uncovered.any():
             board.wild_all.update(np.unique(shards[uncovered]).tolist())
-        self._groups = groups
-        self._reaches = {}
         self._seed_board(groups, board)
-        self._multi_touch(groups)
+        self._multi_touch(groups, board)
         self._fixpoint(groups, board)
         k_flag = np.zeros(lanes.size, dtype=bool)
         for g in groups:
@@ -903,6 +1194,9 @@ class CompiledDispatcher:
         kept = 0
         for g in groups:
             kept += self._apply_group(g, results)
+        if self._events:
+            self._apply_allocs(k_flag)
+        self._apply_puts()
         self._flush_ts()
         self.kernel_packets += kept
         self.fallback_packets += f_lanes.size
@@ -972,58 +1266,50 @@ class CompiledDispatcher:
         g = group.g_lanes.size
         alive = np.ones(g, dtype=bool)
         force_f = np.zeros(g, dtype=bool)
+        ps.match = alive
+        ps.force_f = force_f
         for tag, x in prog.items:
             if tag == "c":
-                alive = np.logical_and(alive, as_bool(eval_expr(x, env, cache)))
-                continue
-            art = step_cache.get(x.sig)
-            if art is None:
-                art = self._exec_step(x, env, cache, group)
-                step_cache[x.sig] = art
-            free = art.get("free")
-            if free is not None:
-                # The chain has a free index on these lanes' shards: they
-                # stop here and publish the footprint of the path from
-                # the allocation on.
-                stop = alive & free
-                if stop.any():
-                    ps.stops.append((
-                        len(ps.arts), stop,
-                        self._eval_dirt(x.suffix, env, cache, g),
-                    ))
-                    ps.stopped = stop if ps.stopped is None \
-                        else ps.stopped | stop
-                alive = alive & ~free
+                alive = alive & as_bool(eval_expr(x, env, cache))
                 if not alive.any():
-                    break
+                    # No lane is on this path: nothing more to evaluate.
+                    ps.match = alive
+                    return
+                continue
+            if x.node is not None:
+                art = self._node_step(x, alive, env, cache, group, step_cache)
+            else:
+                art = step_cache.get(x.ckey)
+                if art is None:
+                    art = self._exec_step(x, env, cache, group, step_cache)
+                    step_cache[x.ckey] = art
             ps.arts.append(art)
-            oob = art.get("oob")
+            oob = art["oob"]
             if oob is not None:
                 force_f = force_f | oob
-        else:
-            ps.dirt_vals = self._eval_dirt(prog.dirt_descs, env, cache, g)
-            if prog.supported and prog.const_result is None:
-                if prog.port_expr is not None:
-                    ps.port_vals = _ivals(
-                        eval_expr(prog.port_expr, env, cache), g
-                    )
-                ps.mod_vals = [
-                    (name, _ivals(eval_expr(expr, env, cache), g))
-                    for name, expr in prog.mods
-                ]
+        ps.dirt_vals = self._eval_dirt(prog.dirt_descs, env, cache, g)
+        if prog.supported and prog.const_result is None:
+            if prog.port_expr is not None:
+                ps.port_vals = _ivals(
+                    eval_expr(prog.port_expr, env, cache), g
+                )
+            ps.mod_vals = [
+                (name, _ivals(eval_expr(expr, env, cache), g))
+                for name, expr in prog.mods
+            ]
         ps.match = alive
         ps.force_f = force_f
 
     @staticmethod
     def _eval_dirt(descs, env, cache, g):
         """Per-lane values of dirt descriptors: a list of key columns for
-        ``map_w``, a cell column otherwise; None (wildcard) or a chain
+        map aspects, a cell column otherwise; None (wildcard) or a chain
         name (its reach) pass through."""
         out = []
         for aspect, obj, exprs in descs:
             if exprs is not None and not isinstance(exprs, str):
                 try:
-                    if aspect == "map_w":
+                    if aspect in _ROW_ASPECTS:
                         exprs = [
                             _ivals(eval_expr(k, env, cache), g) for k in exprs
                         ]
@@ -1034,36 +1320,184 @@ class CompiledDispatcher:
             out.append((aspect, obj, exprs))
         return out
 
-    def _exec_step(self, step, env, cache, group):
+    def _node_step(self, step, alive, env, cache, group, step_cache):
+        """Artifact of a step whose work depends on the lanes alive at
+        it, computed once per tree node and chunk (programs through the
+        node see the same lanes there)."""
+        key = (group.pp.port, step.node)
+        art = self._node_arts.get(key)
+        if art is None:
+            if isinstance(step, _Alloc):
+                art = self._exec_alloc(step, key, alive, group)
+            else:
+                art = self._exec_put(
+                    step, key, alive, env, cache, group, step_cache
+                )
+            self._node_arts[key] = art
+        env.update(art["env"])
+        return art
+
+    def _ranks(self, key, obj, entry, sel, group, room):
+        """Ranks of the ``sel`` lanes of ``group`` among the chunk's
+        allocations or inserts on their shard's ``obj``, in lane order;
+        ``room`` is how many more each shard's ``obj`` takes.
+
+        Ranks continue across the nodes of one object in evaluation
+        order; when lanes of several nodes interleave on a shard,
+        :meth:`_settle_ranks` ranks them again.
+        """
+        lanes = group.g_lanes[sel]
+        on = group.shards[sel]
+        override = self._override.get(key)
+        if override is None:
+            off = self._offsets.get(obj)
+            if off is None:
+                off = np.zeros(room.size, np.int64)
+            counts = np.bincount(on, minlength=room.size)
+            order = np.argsort(on, kind="stable")
+            ranks = np.empty(sel.size, np.int64)
+            ranks[order] = (
+                np.arange(sel.size) - (np.cumsum(counts) - counts)[on[order]]
+            )
+            ranks += off[on]
+            self._offsets[obj] = off + counts
+        else:
+            # A lane that did not reach the node before settling has no
+            # rank: it fails here and the settled-rank check.
+            ranks = override[lanes - self._start]
+            ranks = np.where(ranks < 0, room[on], ranks)
+        self._rooms[obj] = room
+        self._events.setdefault(obj, []).append(
+            (key, lanes, on, entry, ranks)
+        )
+        return ranks
+
+    def _exec_alloc(self, step, key, alive, group):
+        """Pop each alive lane's cell: the k-th allocation of the chunk
+        on a (shard, chain) takes the k-th cell of its free stack, and
+        gets ``(False, 0)`` past the stack's end."""
+        g = group.g_lanes.size
+        name = step.obj
+        ok = np.zeros(g, dtype=bool)
+        exposed = np.zeros(g, dtype=bool)
+        tight = np.zeros(g, dtype=bool)
+        index = np.zeros(g, np.int64)
+        kidx = np.flatnonzero(alive)
+        if kidx.size:
+            self._needs.add(("flag_r", name))
+            self._chains.add(name)
+            chains = [store[name] for store in self._stores]
+            n_free = np.array([len(c._free) for c in chains])
+            ranks = self._ranks(key, name, step.entry, kidx, group, n_free)
+            on = group.shards[kidx]
+            room = n_free[on]
+            exposed[kidx] = room > 0
+            tight[kidx] = (room > 0) & (
+                room < self._bound("dchain_allocate", name)[on]
+            )
+            live = ranks < room
+            ok[kidx] = live
+            if live.any():
+                sel = kidx[live]
+                on = on[live]
+                ranks = ranks[live]
+                for s in np.unique(on).tolist():
+                    at = on == s
+                    top = chains[s].peek(int(ranks[at].max()) + 1)
+                    index[sel[at]] = np.asarray(top)[ranks[at]]
+        return {
+            "ok": ok,
+            "exposed": exposed,
+            "tight": tight,
+            "q": _qualify(index, group.shards, len(self._stores)),
+            "oob": None,
+            "env": (
+                (step.ok, Column(ok, 1.0)),
+                (step.index, Column(index)),
+            ),
+        }
+
+    def _exec_put(self, step, key, alive, env, cache, group, step_cache):
+        """Probe the keys a ``map_put`` inserts on the lanes alive at it.
+
+        A put of a present key succeeds; so does every insert into a map
+        with room for all the inserts the chunk can make.  Otherwise new
+        keys are ranked like allocations: the k-th insert of the chunk
+        on a (shard, map) succeeds while the map has room for k more.
+        """
+        g = group.g_lanes.size
+        kcols = _key_cols(step.keys, env, cache, g)
+        vals = _ivals(eval_expr(step.value, env, cache), g)
+        ok = np.ones(g, dtype=bool)
+        exposed = np.zeros(g, dtype=bool)
+        present = np.zeros(g, dtype=bool)
+        kidx = np.flatnonzero(alive)
+        keys = None
+        if kidx.size:
+            self._needs.add(("map_r", step.obj))
+            self._needs.add(("map_v", step.obj))
+            on = group.shards[kidx]
+            if step.probe is not None:
+                keys = step_cache[step.probe.ckey]["keys"]
+                found = env[step.probe.found].arr[kidx]
+            else:
+                keys = list(zip(*[c[kidx].tolist() for c in kcols]))
+                datas = [store[step.obj]._data for store in self._stores]
+                found = np.fromiter(
+                    map(dict.__contains__,
+                        map(datas.__getitem__, on.tolist()), keys),
+                    bool, count=kidx.size,
+                )
+                # Keys of the alive lanes, by lane position.
+                by_pos = [None] * g
+                for p, k in zip(kidx.tolist(), keys):
+                    by_pos[p] = k
+                keys = by_pos
+            present[kidx] = found
+            room = np.array([
+                m.capacity - len(m)
+                for m in (store[step.obj] for store in self._stores)
+            ])
+            # Inserts into a map with room for all the chunk can make
+            # succeed in any order; the others are ranked.
+            ranked = ~found & (
+                room < self._bound("map_put", step.obj)
+            )[on]
+            if ranked.any():
+                self._needs.add(("map_n", step.obj))
+                sel = kidx[ranked]
+                exposed[sel] = True
+                ranks = self._ranks(
+                    key, step.obj, step.entry, sel, group, room
+                )
+                ok[sel] = ranks < room[group.shards[sel]]
+        return {
+            "keys": keys,
+            "kcols": kcols,
+            "found": present,
+            "vals": vals,
+            "ok": ok,
+            "exposed": exposed,
+            "tight": exposed,
+            "oob": None,
+            "env": ((step.ok, Column(ok, 1.0)),),
+        }
+
+    def _bound(self, op, obj):
+        """Most ``op`` calls on ``obj`` the chunk's lanes on each shard
+        can make (allocations on a chain, inserts into a map)."""
+        return sum(
+            g.counts * g.pp.write_max[(op, obj)] for g in self._groups
+        )
+
+    def _exec_step(self, step, env, cache, group, step_cache):
         g = group.g_lanes.size
         stores = self._stores
         n_shards = len(stores)
         by_shard = group.by_shard
-        if isinstance(step, _Alloc):
-            free = [
-                s for s, _ in by_shard
-                if stores[s][step.obj].allocated_count()
-                < stores[s][step.obj].capacity
-            ]
-            # A chain full at chunk start stays full all chunk: its
-            # lanes get the interpreter's ``(False, 0)``.
-            env[step.ok] = Column(np.zeros(g, dtype=bool), 1.0)
-            env[step.index] = Column(np.zeros(g, np.int64), 0.0)
-            if not free:
-                return _FULL
-            mask = np.zeros(g, dtype=bool)
-            if len(free) == len(by_shard):
-                mask[:] = True
-            else:
-                for s, pos in by_shard:
-                    if s in free:
-                        mask[pos] = True
-            return {"oob": None, "free": mask}
         if isinstance(step, _MapGet):
-            keys = list(zip(*[
-                _ivals(eval_expr(k, env, cache), g).tolist()
-                for k in step.keys
-            ]))
+            kcols = _key_cols(step.keys, env, cache, g)
+            keys = list(zip(*[c.tolist() for c in kcols]))
             if len(by_shard) == 1:
                 data = stores[by_shard[0][0]][step.obj]._data
                 found = map(data.__contains__, keys)
@@ -1074,35 +1508,62 @@ class CompiledDispatcher:
                 lane_data = list(map(datas.__getitem__, group.shards.tolist()))
                 found = map(dict.__contains__, lane_data, keys)
                 value = map(dict.get, lane_data, keys, repeat(0))
-            env[step.found] = Column(np.fromiter(found, bool, count=g), 1.0)
+            found = np.fromiter(found, bool, count=g)
+            env[step.found] = Column(found, 1.0)
             env[step.value] = Column(np.fromiter(value, np.int64, count=g))
-            return {"keys": keys, "oob": None}
+            return {"keys": keys, "kcols": kcols, "found": found, "oob": None}
         if isinstance(step, _VecBorrow):
             cells = _ivals(eval_expr(step.index, env, cache), g)
+            # The lane's own earlier puts to the cell, in path order: the
+            # lane reads the last one back instead of the state.
+            puts = []
+            covered = None
+            for put in step.fwd:
+                part = step_cache[put.ckey]
+                same = part["cells"] == cells
+                if same.any():
+                    puts.append((same, dict(part["stored"])))
+                    covered = same if covered is None else covered | same
             # Every shard of a structure has the same capacity.
             oob = (cells < 0) | (cells >= stores[0][step.obj].capacity)
             has_oob = bool(oob.any())
             safe = np.where(oob, 0, cells) if has_oob else cells
-            # One row read per distinct (shard, cell).
             q = safe * n_shards + group.shards
-            uniq, inv = np.unique(q, return_inverse=True)
-            try:
-                if n_shards == 1:
-                    recs = list(map(stores[0][step.obj].row, uniq.tolist()))
-                else:
-                    rows = [store[step.obj].row for store in stores]
-                    recs = [
-                        rows[s](c) for c, s in zip(
-                            (uniq // n_shards).tolist(),
-                            (uniq % n_shards).tolist(),
-                        )
-                    ]
-                for fname, sym in step.fields:
-                    env[sym] = self._value_column(
-                        [r[fname] for r in recs], inv
+            # One row read per distinct (shard, cell) not read back.
+            if covered is None or not covered.all():
+                uniq, inv = np.unique(
+                    q if covered is None else np.where(covered, q[~covered][0], q),
+                    return_inverse=True,
+                )
+                try:
+                    if n_shards == 1:
+                        recs = list(map(stores[0][step.obj].row, uniq.tolist()))
+                    else:
+                        rows = [store[step.obj].row for store in stores]
+                        recs = [
+                            rows[s](c) for c, s in zip(
+                                (uniq // n_shards).tolist(),
+                                (uniq % n_shards).tolist(),
+                            )
+                        ]
+                    cols = {
+                        fname: self._value_column([r[fname] for r in recs], inv)
+                        for fname, _ in step.fields
+                    }
+                except KeyError:
+                    raise KernelBail("missing vector field") from None
+            else:
+                cols = dict.fromkeys(fname for fname, _ in step.fields)
+            for same, stored in puts:
+                for fname in cols:
+                    if fname not in stored:
+                        raise KernelBail("read of a field a put dropped")
+                    cols[fname] = (
+                        stored[fname] if cols[fname] is None
+                        else _select(same, stored[fname], cols[fname])
                     )
-            except KeyError:
-                raise KernelBail("missing vector field") from None
+            for fname, sym in step.fields:
+                env[sym] = cols[fname]
             return {
                 "cells": cells,
                 "q": np.where(oob, -1, q) if has_oob else q,
@@ -1170,101 +1631,220 @@ class CompiledDispatcher:
         return Column(u_arr[inv])
 
     # -------------------------------------------------------------- #
+    # Allocation ranks
+    # -------------------------------------------------------------- #
+    def _rank_faults(self):
+        """Per object whose events were not ranked in lane order on some
+        shard: the lane-order rank of its events, concatenated, and
+        those shards."""
+        faults = {}
+        for obj, evs in self._events.items():
+            if len(evs) == 1 and not self._override:
+                continue  # one node, ranked in lane order as it ran
+            lanes, on, ranks = (
+                np.concatenate([e[i] for e in evs]) for i in (1, 2, 4)
+            )
+            entries = np.concatenate([np.full(e[1].size, e[3]) for e in evs])
+            order = np.lexsort((entries, lanes, on))
+            counts = np.bincount(on, minlength=self._rooms[obj].size)
+            true = np.empty(lanes.size, np.int64)
+            true[order] = (
+                np.arange(lanes.size) - (np.cumsum(counts) - counts)[on[order]]
+            )
+            room = self._rooms[obj][on]
+            off = np.minimum(true, room) != np.minimum(ranks, room)
+            if off.any():
+                faults[obj] = (true, set(np.unique(on[off]).tolist()))
+        return faults
+
+    def _settle_ranks(self):
+        """Give every allocation and ranked insert its lane-order rank
+        on its shard.
+
+        Ranks are first taken per node, in evaluation order.  Where lanes
+        of several nodes (or ports) share an object's shard, the events
+        give each lane its true rank, and the port groups involved are
+        classified once more with those ranks.  A shard still out of
+        order after that (a re-ranked allocation changed which lanes
+        reach one) runs those groups' lanes there on the interpreter,
+        with a wildcard footprint, as if they bailed.
+        """
+        faults = self._rank_faults()
+        if not faults:
+            return
+        redo = {key[0] for obj in faults for key, *_ in self._events[obj]}
+        override = {}
+        for obj, evs in self._events.items():
+            true = faults[obj][0] if obj in faults else np.concatenate(
+                [e[4] for e in evs]
+            )
+            pos = 0
+            for key, lanes, *_ in evs:
+                if key[0] in redo:
+                    arr = override.get(key)
+                    if arr is None:
+                        arr = override[key] = np.full(self._size, -1, np.int64)
+                    arr[lanes - self._start] = true[pos:pos + lanes.size]
+                pos += lanes.size
+        self._override = override
+        self._events = {
+            obj: kept for obj, evs in self._events.items()
+            if (kept := [e for e in evs if e[0][0] not in redo])
+        }
+        self._node_arts = {
+            k: v for k, v in self._node_arts.items() if k[0] not in redo
+        }
+        n_shards = len(self._stores)
+        for i, g in enumerate(self._groups):
+            if g.pp.port in redo:
+                g = _Group(g.pp, g.g_lanes, g.shards, n_shards)
+                self._groups[i] = g
+                self._eval_group(g)
+        faults = self._rank_faults()
+        if not faults:
+            return
+        by_port = {g.pp.port: g for g in self._groups}
+        for obj, (_, shards) in faults.items():
+            for key, *_ in self._events[obj]:
+                by_port[key[0]].bad.update(shards)
+        for g in self._groups:
+            if g.bad:
+                off = _on_shards(g.shards, g.bad)
+                for ps in g.progs:
+                    if ps.kmask is not None:
+                        ps.kmask &= ~off
+
+    # -------------------------------------------------------------- #
     # Hazard analysis
     # -------------------------------------------------------------- #
     def _seed_board(self, groups, board):
         for g in groups:
+            if g.bad:
+                bad = sorted(g.bad)
+                for ps in g.progs:
+                    for aspect, obj in ps.prog.wild:
+                        board.add_wild(aspect, obj, bad)
             for ps in g.progs:
                 prog = ps.prog
                 if ps.bailed:
                     # No artifacts survived: wildcard every aspect this
-                    # program could touch on the group's shards,
-                    # including keyed suffix descs.
+                    # program could touch on the group's shards.
                     shards = [s for s, _ in g.by_shard]
                     for aspect, obj in prog.wild:
                         board.add_wild(aspect, obj, shards)
-                    for aspect, obj, _ in prog.dirt_descs:
-                        board.add_wild(aspect, obj, shards)
                     continue
                 fall = ps.match & ~ps.kmask if prog.supported else ps.match
-                if ps.stopped is not None:
-                    fall = fall | ps.stopped
                 if fall.any():
-                    self._publish_dirt(board, ps, fall)
+                    self._publish(board, ps, fall)
 
-    def _publish_dirt(self, board, ps, mask):
-        """Publish the state footprint of ``mask`` lanes of one program."""
-        for n_steps, stop, vals in ps.stops:
-            sel = mask & stop
-            if sel.any():
-                self._publish(board, ps, sel, n_steps, vals)
-        if ps.stopped is not None:
-            mask = mask & ~ps.stopped
-            if not mask.any():
-                return
-        self._publish(board, ps, mask, len(ps.arts), ps.dirt_vals)
+    @staticmethod
+    def _art_hash(art, name, shards, lanes):
+        """Key-row (``kh``) or stored-value (``vh``) hashes of a map
+        step's ``lanes`` (a mask or positions).  Hashes of every lane
+        are kept once a quarter of them is asked for."""
+        h = art.get(name)
+        if h is None:
+            cols = art["kcols"] if name == "kh" else [art["vals"]]
+            n = np.count_nonzero(lanes) if lanes.dtype == bool else lanes.size
+            if 4 * n < shards.size:
+                return _key_hash(shards[lanes], [c[lanes] for c in cols])
+            h = art[name] = _key_hash(shards, cols)
+        return h[lanes]
 
-    def _publish(self, board, ps, mask, n_steps, dirt_vals):
-        """Publish the first ``n_steps`` steps' cells and ``dirt_vals``
-        of ``mask`` lanes."""
-        for step, art in zip(ps.prog.steps[:n_steps], ps.arts):
-            aspect = _step_dirt_aspect(step)
-            if aspect is None:
-                continue
-            sel = mask & art["flags"] if aspect == "ts_w" else mask
-            q = art["q"][sel]
-            if q.size:
-                board.add(aspect, step.obj, q[q >= 0].tolist())
-        shards = ps.shards[mask]
+    def _publish(self, board, ps, mask):
+        """Publish the state footprint of ``mask`` lanes of one program.
+
+        A lane whose allocation or insert outcome other lanes can change
+        (its chain may run out, or its map fill, this chunk) may take
+        any path from there when it runs interpreted: it publishes the
+        footprint of every path through that step, as wildcards.
+        """
+        shards = ps.shards
+        needs = self._needs
         present = None
-        for aspect, obj, vals in dirt_vals:
+        for step, art in zip(ps.prog.steps, ps.arts):
+            tight = art.get("tight") if step.node is not None else None
+            if tight is not None:
+                sel = mask & tight
+                if sel.any():
+                    on = np.unique(shards[sel]).tolist()
+                    for aspect, obj in step.after:
+                        board.add_wild(aspect, obj, on)
+        for si, aspect, obj, src in ps.prog.pubs:
+            if si >= len(ps.arts):
+                break
+            if aspect in _NEEDED_ASPECTS and (aspect, obj) not in needs:
+                continue
+            art = ps.arts[si]
+            if src is None or type(src) is tuple:
+                if present is None:
+                    present = np.unique(shards[mask]).tolist()
+                if src is None:
+                    board.add_wild(aspect, obj, present)
+                else:
+                    for s in present:
+                        board.add_reach(aspect, obj, s, src[1], self._reach)
+            elif src in ("kh", "vh"):
+                board.add(aspect, obj, self._art_hash(art, src, shards, mask))
+            else:
+                sel = mask & art["flags"] if src == "live" else mask
+                q = art["q"][sel]
+                board.add(aspect, obj, q[q >= 0])
+        for aspect, obj, vals in ps.dirt_vals:
+            if aspect in _NEEDED_ASPECTS and (aspect, obj) not in needs:
+                continue
             if vals is None or isinstance(vals, str):
                 if present is None:
-                    present = np.unique(shards).tolist()
+                    present = np.unique(shards[mask]).tolist()
                 if vals is None:
                     board.add_wild(aspect, obj, present)
                 else:
                     for s in present:
-                        board.add(aspect, obj, self._reach(s, vals))
-            elif aspect == "map_w":
-                board.add(aspect, obj, zip(
-                    shards.tolist(), zip(*[a[mask].tolist() for a in vals])
+                        board.add_reach(aspect, obj, s, vals, self._reach)
+            elif aspect in _ROW_ASPECTS:
+                board.add(aspect, obj, _key_hash(
+                    shards[mask], [v[mask] for v in vals]
                 ))
             else:
-                q = _qualify(vals[mask], shards, len(self._stores))
-                board.add(aspect, obj, q[q >= 0].tolist())
+                q = _qualify(vals[mask], shards[mask], len(self._stores))
+                board.add(aspect, obj, q[q >= 0])
 
-    def _reach(self, shard, chain):
-        """Qualified cells allocations on ``chain`` can return on
-        ``shard`` this chunk.
+    def _reach(self, shard, chain, aspect):
+        """The cells allocations on ``chain`` can return on ``shard``
+        this chunk, as ``aspect`` dirt: qualified cells, or key hashes
+        of ``(shard, cell)`` for a map value.
 
         Nothing frees an index inside a chunk, so at most ``k`` pops (the
         shard's lanes times their paths' allocations on ``chain``) take
         the top ``k`` cells of its free stack; past its end they fail
         with index 0.
         """
-        cells = self._reaches.get((shard, chain))
-        if cells is None:
-            k = sum(
-                int(np.count_nonzero(g.shards == shard))
-                * g.pp.alloc_max[chain]
-                for g in self._groups if g.pp.alloc_max[chain]
+        rows = aspect in _ROW_ASPECTS
+        vals = self._reaches.get((shard, chain, rows))
+        if vals is None:
+            k = int(self._bound("dchain_allocate", chain)[shard])
+            cells = np.array(self._stores[shard][chain].reach(k), np.int64)
+            vals = (
+                _key_hash(np.full(cells.size, shard), [cells]) if rows
+                else cells * len(self._stores) + shard
             )
-            n_shards = len(self._stores)
-            cells = [
-                c * n_shards + shard
-                for c in self._stores[shard][chain].reach(k)
-            ]
-            self._reaches[(shard, chain)] = cells
-        return cells
+            self._reaches[(shard, chain, rows)] = vals
+        return vals
 
-    def _multi_touch(self, groups):
-        """Serialize same-cell vector writes: only one kernel lane may
-        write a cell, and no other kernel lane may read it.
+    def _multi_touch(self, groups, board):
+        """Serialize same-cell and same-key kernel writes: a vector row,
+        an allocated cell or an inserted map key one kernel lane writes
+        no other kernel lane may write or read.
 
         Objects go in order of first use; each sees the kernel lanes the
-        objects before it left.
+        objects before it left.  Every demoted lane publishes its
+        footprint.
         """
+        kinds = (
+            (_VecPut, (_VecBorrow,)),
+            (_Alloc, (_IsAlloc, _Rejuv)),
+            (_MapPut, (_MapGet, _MapPut)),
+        )
         writers = {}
         readers = {}
         for g in groups:
@@ -1272,40 +1852,120 @@ class CompiledDispatcher:
                 if ps.kmask is None or not ps.kmask.any():
                     continue
                 for si, step in enumerate(ps.prog.steps):
-                    if isinstance(step, _VecPut):
-                        writers.setdefault(step.obj, []).append((g, ps, si))
-                    elif isinstance(step, _VecBorrow):
-                        readers.setdefault(step.obj, []).append((g, ps, si))
-        for obj, entries in writers.items():
-            kidxs = [np.flatnonzero(ps.kmask) for _, ps, _ in entries]
-            cells = np.concatenate([
-                ps.arts[si]["q"][k] for (_, ps, si), k in zip(entries, kidxs)
-            ])
-            lanes = np.concatenate([
-                g.g_lanes[k] for (g, _, _), k in zip(entries, kidxs)
-            ])
-            # Each distinct (cell, lane) once, by cell: a cell two lanes
-            # write has no single owner.
-            order = np.lexsort((lanes, cells))
-            cells = cells[order]
-            lanes = lanes[order]
-            new = np.ones(cells.size, dtype=bool)
-            new[1:] = (cells[1:] != cells[:-1]) | (lanes[1:] != lanes[:-1])
-            uniq, first, counts = np.unique(
-                cells[new], return_index=True, return_counts=True
-            )
-            owner = lanes[new][first]
-            owner[counts > 1] = -1
-            multi = uniq[counts > 1]
-            if multi.size:
-                for (_, ps, si), k in zip(entries, kidxs):
-                    ps.kmask[k[np.isin(ps.arts[si]["q"][k], multi)]] = False
-            for g, ps, si in readers.get(obj, ()):
-                k = np.flatnonzero(ps.kmask)
-                q = ps.arts[si]["q"][k]
-                at = np.minimum(np.searchsorted(uniq, q), uniq.size - 1)
-                written = uniq[at] == q
-                ps.kmask[k[written & (owner[at] != g.g_lanes[k])]] = False
+                    for kind, (wcls, rcls) in enumerate(kinds):
+                        if isinstance(step, wcls):
+                            writers.setdefault((kind, step.obj), []).append(
+                                (g, ps, si)
+                            )
+                        if isinstance(step, rcls):
+                            readers.setdefault((kind, step.obj), []).append(
+                                (g, ps, si)
+                            )
+        if not writers:
+            return
+        before = [
+            (ps, ps.kmask.copy()) for g in groups for ps in g.progs
+            if ps.kmask is not None and ps.kmask.any()
+        ]
+        for (kind, obj), entries in writers.items():
+            touch = self._key_touch if kind == 2 else self._cell_touch
+            touch(kind, entries, readers.get((kind, obj), ()))
+        for ps, kmask in before:
+            dem = kmask & ~ps.kmask
+            if dem.any():
+                self._publish(board, ps, dem)
+
+    @staticmethod
+    def _cell_touch(kind, entries, readers):
+        """Demote kernel lanes sharing a written vector row or allocated
+        cell (by qualified cell) with another kernel lane."""
+        wks = []
+        for _, ps, si in entries:
+            k = np.flatnonzero(ps.kmask)
+            if kind:
+                # A failed allocation writes nothing.
+                k = k[ps.arts[si]["ok"][k]]
+            wks.append(k)
+        rks = []
+        for _, ps, si in readers:
+            k = np.flatnonzero(ps.kmask)
+            if kind:
+                # Only a free cell can be allocated.
+                k = k[~ps.arts[si]["flags"][k]]
+            rks.append(k)
+        # Allocated cells are distinct: they need readers to conflict.
+        if kind and not any(k.size for k in rks):
+            return
+        cells = np.concatenate([
+            ps.arts[si]["q"][k] for (_, ps, si), k in zip(entries, wks)
+        ])
+        if not cells.size:
+            return
+        lanes = np.concatenate([
+            g.g_lanes[k] for (g, _, _), k in zip(entries, wks)
+        ])
+        # Each distinct (cell, lane) once, by cell: a cell two lanes
+        # write has no single owner.
+        order = np.lexsort((lanes, cells))
+        cells = cells[order]
+        lanes = lanes[order]
+        new = np.ones(cells.size, dtype=bool)
+        new[1:] = (cells[1:] != cells[:-1]) | (lanes[1:] != lanes[:-1])
+        uniq, first, counts = np.unique(
+            cells[new], return_index=True, return_counts=True
+        )
+        owner = lanes[new][first]
+        owner[counts > 1] = -1
+        multi = uniq[counts > 1]
+        if multi.size:
+            for (_, ps, si), k in zip(entries, wks):
+                ps.kmask[k[np.isin(ps.arts[si]["q"][k], multi)]] = False
+        for (g, ps, si), k in zip(readers, rks):
+            k = k[ps.kmask[k]]
+            q = ps.arts[si]["q"][k]
+            at = np.minimum(np.searchsorted(uniq, q), uniq.size - 1)
+            written = uniq[at] == q
+            ps.kmask[k[written & (owner[at] != g.g_lanes[k])]] = False
+
+    @staticmethod
+    def _key_touch(kind, entries, readers):
+        """Demote kernel lanes sharing an inserted (shard, key) with
+        another kernel lane: one dict lookup per inserting lane, and per
+        lane that read the key as absent (every reading lane when a put
+        updates a present key)."""
+        owner = {}
+        writes = []
+        updates = False
+        for g, ps, si in entries:
+            art = ps.arts[si]
+            k = np.flatnonzero(ps.kmask)
+            k = k[art["ok"][k]]
+            updates = updates or bool(art["found"][k].any())
+            keys = art["keys"]
+            for p, s, lane in zip(
+                k.tolist(), ps.shards[k].tolist(), g.g_lanes[k].tolist()
+            ):
+                sk = (s, keys[p])
+                o = owner.get(sk)
+                owner[sk] = lane if o is None or o == lane else -1
+                writes.append((ps, p, sk))
+        if not owner:
+            return
+        for ps, p, sk in writes:
+            if owner[sk] == -1:
+                ps.kmask[p] = False
+        for g, ps, si in readers:
+            art = ps.arts[si]
+            k = np.flatnonzero(ps.kmask)
+            if not updates:
+                k = k[~art["found"][k]]
+            keys = art["keys"]
+            for p, s, lane in zip(
+                k.tolist(), ps.shards[k].tolist(), g.g_lanes[k].tolist()
+            ):
+                o = owner.get((s, keys[p]))
+                if o is not None and o != lane:
+                    ps.kmask[p] = False
 
     def _fixpoint(self, groups, board):
         for _ in range(_FIXPOINT_MAX):
@@ -1317,7 +1977,7 @@ class CompiledDispatcher:
                     dem = self._demote_mask(ps, board)
                     if dem is not None and dem.any():
                         ps.kmask &= ~dem
-                        self._publish_dirt(board, ps, dem)
+                        self._publish(board, ps, dem)
                         changed = True
             if not changed:
                 return
@@ -1327,7 +1987,7 @@ class CompiledDispatcher:
                 if ps.kmask is not None and ps.kmask.any():
                     mask = ps.kmask.copy()
                     ps.kmask[:] = False
-                    self._publish_dirt(board, ps, mask)
+                    self._publish(board, ps, mask)
 
     def _demote_mask(self, ps, board):
         kmask = ps.kmask
@@ -1336,68 +1996,29 @@ class CompiledDispatcher:
         if board.wild_all:
             dem = _hit_or(None, kmask & _on_shards(shards, board.wild_all))
         for step, art in zip(ps.prog.steps, ps.arts):
-            if isinstance(step, _MapGet):
-                dem = _hit_or(dem, self._key_hit(
-                    kmask, shards, art["keys"], board.get("map_w", step.obj)
-                ))
-            elif isinstance(step, _VecBorrow):
-                dem = _hit_or(dem, self._cell_hit(
-                    kmask, shards, art["q"], board.get("vec_w", step.obj)
-                ))
-            elif isinstance(step, _VecPut):
-                for aspect in ("vec_w", "vec_r"):
-                    dem = _hit_or(dem, self._cell_hit(
-                        kmask, shards, art["q"], board.get(aspect, step.obj)
-                    ))
-            elif isinstance(step, (_Rejuv, _IsAlloc)):
-                if isinstance(step, _Rejuv):
-                    dem = _hit_or(dem, self._cell_hit(
-                        kmask, shards, art["q"], board.get("ts_w", step.obj)
-                    ))
-                # Allocation only flips free -> allocated, and only for
-                # cells in the reach: a lane that read a free flag there
-                # read a stale one.
-                dem = _hit_or(dem, self._cell_hit(
-                    kmask & ~art["flags"], shards, art["q"],
-                    board.get("alloc", step.obj),
-                ))
-            # _Alloc: a full chain stays full all chunk; nothing demotes.
+            for aspect, lanes, col in step.checks:
+                dirt = board.get(aspect, step.obj)
+                if dirt is None:
+                    continue
+                if lanes is None:
+                    sel = kmask
+                elif lanes == "free":
+                    # Allocation only flips free -> allocated, and only
+                    # for cells in the reach: a lane that read a free
+                    # flag there read a stale one.
+                    sel = kmask & ~art["flags"]
+                else:
+                    sel = kmask & art[lanes]
+                if col in ("kh", "vh"):
+                    vals = partial(self._art_hash, art, col, shards)
+                else:
+                    vals = art.get(col)
+                    if vals is not None:
+                        vals = vals.__getitem__
+                dem = _hit_or(dem, _hits(sel, shards, vals, dirt))
             if dem is not None and not (kmask & ~dem).any():
                 break
         return dem
-
-    @staticmethod
-    def _cell_hit(kmask, shards, q, entry):
-        """Lanes of ``kmask`` whose qualified cell ``entry`` dirties."""
-        if entry is None:
-            return None
-        wild, cells = entry
-        hit = kmask & _on_shards(shards, wild) if wild else None
-        if cells:
-            h = kmask & np.isin(
-                q, np.fromiter(cells, np.int64, count=len(cells))
-            )
-            hit = h if hit is None else hit | h
-        return hit
-
-    @staticmethod
-    def _key_hit(kmask, shards, keys, entry):
-        """Lanes of ``kmask`` whose map key ``entry`` dirties."""
-        if entry is None:
-            return None
-        wild, dirty = entry
-        hit = kmask & _on_shards(shards, wild) if wild else None
-        if dirty:
-            kidx = np.flatnonzero(kmask)
-            pos = [
-                p for p, s in zip(kidx.tolist(), shards[kidx].tolist())
-                if (s, keys[p]) in dirty
-            ]
-            if pos:
-                if hit is None:
-                    hit = np.zeros(kmask.shape, dtype=bool)
-                hit[pos] = True
-        return hit
 
     # -------------------------------------------------------------- #
     # Stage 2: results, op accounting, scatters
@@ -1417,14 +2038,32 @@ class CompiledDispatcher:
             kept += kidx.size
             self.path_ids[lanes] = prog.pid
             # Lifetime op-count accounting, batched per context.
-            counts = np.bincount(self._core_ids[lanes], minlength=len(ctxs))
+            cores = self._core_ids[lanes]
+            counts = np.bincount(cores, minlength=len(ctxs))
             for c in np.flatnonzero(counts).tolist():
                 _bump(ctxs[c], prog.bump_ops, int(counts[c]))
+            # A lane opens a flow when one of its allocations succeeds.
+            new = None
+            for step, art in zip(prog.steps, ps.arts):
+                if isinstance(step, _Alloc):
+                    ok = art["ok"][kidx]
+                    new = ok if new is None else new | ok
+            if new is not None and new.any():
+                opened = np.bincount(cores[new], minlength=len(ctxs))
+                for c in np.flatnonzero(opened).tolist():
+                    ctxs[c].new_flow_total += int(opened[c])
+            else:
+                new = None
             # Results.
             if prog.const_result is not None:
-                r = prog.const_result
-                for i in lanes_l:
-                    results[i] = r
+                if new is None:
+                    r = prog.const_result
+                    for i in lanes_l:
+                        results[i] = r
+                else:
+                    both = (prog.const_result, prog.const_new)
+                    for i, opened_flow in zip(lanes_l, new.tolist()):
+                        results[i] = both[opened_flow]
             else:
                 ports = (
                     repeat(prog.port_const) if ps.port_vals is None
@@ -1438,13 +2077,15 @@ class CompiledDispatcher:
                 )
                 for i, r in zip(lanes_l, map(
                     PacketResult, repeat(prog.kind), ports, mods,
-                    repeat(prog.ops_list), repeat(False),
+                    repeat(prog.ops_list),
+                    repeat(False) if new is None else new.tolist(),
                 )):
                     results[i] = r
             # Scatters: dchain timestamp refreshes and vector stores.
             # Hazard demotion guarantees cell-disjointness with every
             # interpreter lane and every other kernel lane, so apply
             # order only matters lane-internally (step order below).
+            # Map inserts wait for :meth:`_apply_puts`.
             for step, art in zip(prog.steps, ps.arts):
                 if isinstance(step, _Rejuv):
                     # Lanes from *different* port groups may rejuvenate
@@ -1457,7 +2098,7 @@ class CompiledDispatcher:
                     vecs = [store[step.obj] for store in stores]
                     cells = art["cells"][kidx].tolist()
                     shards = ps.shards[kidx].tolist()
-                    # Elastic runs re-tag overwritten rows with the
+                    # Elastic runs tag the written rows with the
                     # writing packet's bucket (same bucket for every
                     # packet of a flow, so re-tagging is idempotent).
                     bucket_ids = self._bucket_ids
@@ -1470,9 +2111,88 @@ class CompiledDispatcher:
                                 )
                     fnames = [fname for fname, _ in art["stored"]]
                     cols = [_stored_values(col, kidx) for _, col in art["stored"]]
-                    for c, s, row in zip(cells, shards, zip(*cols)):
-                        vecs[s].put(c, dict(zip(fnames, row)))
+                    if len(fnames) == 1:
+                        recs = [{fnames[0]: v} for v in cols[0]]
+                    else:
+                        recs = [dict(zip(fnames, row)) for row in zip(*cols)]
+                    for s, pos in _by_shard(ps.shards[kidx], len(stores)):
+                        if pos is None:
+                            vecs[s].put_many(cells, recs)
+                        else:
+                            vecs[s].put_many(
+                                art["cells"][kidx[pos]].tolist(),
+                                [recs[i] for i in pos.tolist()],
+                            )
+                elif isinstance(step, _MapPut):
+                    keys = art["keys"]
+                    put = kidx[art["ok"][kidx]]
+                    self._put_pending.setdefault(step.obj, []).append((
+                        g_lanes[put], ps.shards[put],
+                        [keys[p] for p in put.tolist()], art["vals"][put],
+                    ))
         return kept
+
+    def _apply_allocs(self, k_flag):
+        """Pop each (shard, chain)'s free stack for the kernel lanes'
+        allocations, in rank order, which is lane order."""
+        ts = self._cols.field("timestamp")
+        buckets = self._bucket_ids
+        for name in self._chains:
+            evs = self._events.get(name)
+            if not evs:
+                continue
+            lanes, on, ranks = (
+                np.concatenate([e[i] for e in evs]) for i in (1, 2, 4)
+            )
+            live = ranks < self._rooms[name][on]
+            kern = k_flag[lanes - self._start]
+            for s in np.unique(on[kern & live]).tolist():
+                at = on == s
+                if not kern[at].all():
+                    raise RuntimeError(
+                        f"allocations on {name!r} split between kernel "
+                        "and interpreter lanes"
+                    )
+                at &= live
+                popped = lanes[at][np.argsort(ranks[at])]
+                cells = self._stores[s][name].take(ts[popped])
+                bindex = self._ctxs[s].bucket_index if buckets is not None \
+                    else None
+                if bindex is not None:
+                    for c, i in zip(cells, popped.tolist()):
+                        bindex.note_index(name, c, int(buckets[i]))
+
+    def _apply_puts(self):
+        """Insert the kernel lanes' map puts, per map and shard in lane
+        order, the order ``StateStore``'s value index must see them in."""
+        if not self._put_pending:
+            return
+        stores = self._stores
+        ctxs = self._ctxs
+        buckets = self._bucket_ids
+        for obj, parts in self._put_pending.items():
+            lanes = np.concatenate([p[0] for p in parts])
+            shards = np.concatenate([p[1] for p in parts])
+            vals = np.concatenate([p[3] for p in parts])
+            keys = [k for p in parts for k in p[2]]
+            if len(parts) > 1:
+                order = np.argsort(lanes, kind="stable")
+                lanes, shards, vals = lanes[order], shards[order], vals[order]
+                keys = [keys[i] for i in order.tolist()]
+            for s, pos in _by_shard(shards, len(stores)):
+                if pos is None:
+                    s_keys, s_vals, s_lanes = keys, vals.tolist(), lanes
+                else:
+                    s_keys = [keys[i] for i in pos.tolist()]
+                    s_vals, s_lanes = vals[pos].tolist(), lanes[pos]
+                store = stores[s]
+                store[obj].put_many(s_keys, s_vals)
+                store.note_puts(obj, s_keys, s_vals)
+                bindex = ctxs[s].bucket_index if buckets is not None else None
+                if bindex is not None:
+                    for key, i in zip(s_keys, s_lanes.tolist()):
+                        bindex.note_key(obj, key, int(buckets[i]))
+        self._put_pending = {}
 
     def _flush_ts(self):
         if not self._ts_pending:

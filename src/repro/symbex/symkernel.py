@@ -59,7 +59,7 @@ def base_symbols() -> frozenset:
 #: Ops a lowered step may carry, with the shape of its ``sig`` tail.
 #: Anything else is an unknown kernel and is rejected conservatively.
 _READ_OPS = ("map_get", "vector_borrow", "dchain_is_allocated")
-_WRITE_OPS = ("dchain_rejuvenate", "vector_put", "dchain_allocate")
+_WRITE_OPS = ("dchain_rejuvenate", "vector_put", "dchain_allocate", "map_put")
 
 
 class SymKernelError(Exception):
@@ -206,6 +206,17 @@ def _interpret_step(step, bound: set) -> SymStep:
         bound.add(ok)
         bound.add(index)
         return SymStep(op, obj, (), (ok, index), (), True)
+    if op == "map_put":
+        # Binds the insert's ``ok``; stores one ``value``.
+        _, obj, keys, value, ok = sig
+        for k in keys:
+            _check_bound(k, bound, f"map_put({obj!r}) key")
+        _check_bound(value, bound, f"map_put({obj!r}) value")
+        bound.add(ok)
+        return SymStep(
+            op, obj, tuple(strip_zext(k) for k in keys), (ok,),
+            (("value", strip_zext(value)),), True,
+        )
     if op == "vector_put":
         _, obj, index, stored = sig
         _check_bound(index, bound, f"vector_put({obj!r}) index")

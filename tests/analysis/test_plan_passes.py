@@ -177,21 +177,47 @@ def test_swapped_alloc_binds_are_flagged_mae300() -> None:
     )
 
 
-@pytest.mark.parametrize(
-    "supported, aspect", [(True, "alloc"), (False, "vec_w")]
-)
-def test_dropped_alloc_suffix_is_flagged_mae301(supported, aspect) -> None:
-    """A lowered allocation whose chain has a free index stops its
-    program there; without the suffix footprint those lanes would run
-    interpreted with writes the hazard board never sees."""
+def _step_pub(prog, op, aspect):
+    """Index into ``prog.pubs`` of the ``aspect`` dirt of its ``op`` step."""
+    for i, (si, asp, _, _) in enumerate(prog.pubs):
+        if asp == aspect and prog.steps[si].sig[0] == op:
+            return i
+    raise AssertionError(f"no {aspect!r} publication of {op}")
+
+
+def test_dropped_alloc_publication_is_flagged_mae301() -> None:
+    """A lane that runs interpreted after crossing a lowered allocation
+    must publish the chain's reach, or kernel lanes keep stale reads of
+    the cell it pops."""
     pp = _compile_nf(ALL_NFS["nat"]())
-    prog, step = _alloc_program(pp, supported)
-    step.suffix = [d for d in step.suffix if d[0] != aspect]
+    prog, _ = _alloc_program(pp)
+    del prog.pubs[_step_pub(prog, "dchain_allocate", "alloc")]
     findings: list = []
     assert _certify_program(prog, findings, 0) is False
     assert any(
-        f.code == "MAE301" and "allocation step" in f.message
-        and repr(aspect) in f.message for f in findings
+        f.code == "MAE301" and "publishes no 'alloc' dirt" in f.message
+        for f in findings
+    )
+
+
+def test_exact_cell_of_allocated_index_is_flagged_mae301() -> None:
+    """A vector row written at an allocated index is published as the
+    chain's reach: an interpreted lane may pop another cell than its
+    kernel rank predicted, so the predicted cell is not its footprint."""
+    pp = _compile_nf(ALL_NFS["nat"]())
+    prog = next(
+        p for p in pp.programs
+        if p.supported and any(s.sig[0] == "vector_put" for s in p.steps)
+    )
+    i = _step_pub(prog, "vector_put", "vec_w")
+    si, aspect, obj, src = prog.pubs[i]
+    assert src == ("reach", "nat_chain")
+    prog.pubs[i] = (si, aspect, obj, "q")
+    findings: list = []
+    assert _certify_program(prog, findings, 0) is False
+    assert any(
+        f.code == "MAE301" and "derives from an allocation result"
+        in f.message for f in findings
     )
 
 

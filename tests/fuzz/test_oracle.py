@@ -149,19 +149,19 @@ def _expiring_exhaust():
 
 
 def test_exhaust_with_expiry_cycles_full_chains(monkeypatch) -> None:
-    """Chains go full and free again across chunk boundaries: the
-    full-chain allocation lowering and its stop rule both run, and all
+    """Chains go full and free again across chunk boundaries: kernel
+    allocations fail on full chains and pop cells of free ones, and all
     three oracle legs stay green."""
     seen = {"full": 0, "free": 0}
-    exec_step = compiled.CompiledDispatcher._exec_step
+    exec_alloc = compiled.CompiledDispatcher._exec_alloc
 
-    def spy(self, step, *args):
-        art = exec_step(self, step, *args)
-        if isinstance(step, compiled._Alloc):
-            seen["full" if art is compiled._FULL else "free"] += 1
+    def spy(self, step, key, alive, group):
+        art = exec_alloc(self, step, key, alive, group)
+        seen["full"] += bool((alive & ~art["exposed"]).any())
+        seen["free"] += bool(art["ok"].any())
         return art
 
-    monkeypatch.setattr(compiled.CompiledDispatcher, "_exec_step", spy)
+    monkeypatch.setattr(compiled.CompiledDispatcher, "_exec_alloc", spy)
     spec, traces = _expiring_exhaust()
     report = run_oracle(
         spec, [w for w, _ in traces], n_cores=4, maestro_seed=7,

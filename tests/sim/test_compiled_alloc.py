@@ -1,11 +1,13 @@
-"""Exact allocation hazards in the compiled dataplane.
+"""Exact allocation in the compiled dataplane.
 
 Nothing frees a dchain index inside a chunk (a sweeping packet runs
-alone in its own chunk), so the cells a chunk domain can allocate are the top of
-each chain's free stack at chunk start — its *reach* — and a chain that
-is full at chunk start stays full for the whole chunk.  Allocation dirt
-is keyed by that reach, and ``dchain_allocate`` on a full chain runs on
-kernels.  Every run here must be bit-identical to ``fastpath=False``.
+alone in its own chunk), so the k-th allocation of a chunk on a shard
+pops the k-th cell of that shard's free stack at chunk start: allocating
+kernel lanes take their pops in lane order, past the stack's end they
+get ``(False, 0)``, and the cells any allocation of the chunk can return
+are the top of the stack — its *reach*, which keys the allocation dirt
+interpreter lanes publish.  Every run here must be bit-identical to
+``fastpath=False``.
 """
 
 from __future__ import annotations
@@ -84,20 +86,20 @@ class TestReachKeyedDirt:
     def test_nat_reply_outside_reach_stays_kernel(self):
         """One allocating lane reaches one cell: a stray reply on a free
         cell further down the stack cannot see it allocated this chunk,
-        so it stays a kernel lane (and drops)."""
+        so both lanes run on kernels (and the reply drops)."""
         par_ref, par_comp = self._warm_nat()
         chain = par_comp.cores[0].ctx.store["nat_chain"]
         far = chain._free[-10]
         trace = [_lan(100, 1e-3), _nat_reply(far, 2e-3)]
         run = _run_both(par_ref, par_comp, trace)
         assert run.results[1][1].port is None
-        assert run.compiled["kernel_packets"] == 1
-        assert run.compiled["fallback_packets"] == 1
+        assert run.compiled["kernel_packets"] == 2
+        assert run.compiled["fallback_packets"] == 0
 
     def test_policer_new_key_keeps_known_keys_on_kernels(self):
-        """A new user's bucket is written at an allocated cell, which is
-        in the reach; every known user's bucket is not, so one new key
-        no longer demotes the port."""
+        """A new user's bucket is written at the cell its allocation
+        pops, which no known user's bucket shares: the new key runs on
+        kernels beside the known keys."""
         par_ref, par_comp = _pair(Policer)
 
         def down(user, t):
@@ -110,17 +112,16 @@ class TestReachKeyedDirt:
         trace = [down(u, 0.5 + u * 1e-4) for u in users]
         trace.insert(20, down(999, 0.5 + 20.5e-4))
         run = _run_both(par_ref, par_comp, trace)
-        assert run.compiled["kernel_packets"] == len(users)
-        assert run.compiled["fallback_packets"] == 1
+        assert run.compiled["kernel_packets"] == len(users) + 1
+        assert run.compiled["fallback_packets"] == 0
 
 
 class TestFullChainAllocation:
-    def test_fw_allocation_cycles_lowered_stopped_lowered(self):
-        """An 8-entry chain fills, then new flows fail on kernels.  An
-        expiry sweep frees cells between chunks: the allocation stops
-        (new flows on the interpreter) until the chain is full again,
-        and from the next chunk on it is lowered once more.  Each
-        sweeping packet runs alone on the interpreter."""
+    def test_fw_allocation_cycles_stay_lowered(self):
+        """An 8-entry chain fills, then new flows fail; an expiry sweep
+        frees every cell and the refill runs out mid-chunk.  Every lane
+        but the sweeping packets runs on kernels, each allocation popping
+        the cell the interpreter would or failing where it would."""
         par_ref, par_comp = _pair(
             lambda: Firewall(capacity=8, expiration_time=2.0)
         )
@@ -134,21 +135,19 @@ class TestFullChainAllocation:
         pids = run.compiled_path_ids
         lowered = _lowered_alloc_pids(par_comp, 0)
         assert lowered
-
-        def on_kernels(packets, start):
-            return [int(pids[start + i]) in lowered
-                    for i in range(len(packets))]
-
-        assert not any(on_kernels(fill, 0))
-        start = len(fill)
-        assert pids[start] == -1
-        assert all(on_kernels(refused[1:], start + 1))
-        start += len(refused)
-        # The sweep at t=3.5 freed all 8 flows: allocations stop there.
-        assert not any(on_kernels(refill, start))
-        start += len(refill)
-        assert pids[start] == -1
-        assert all(on_kernels(refused2[1:], start + 1))
+        start = len(fill) + len(refused)
+        sweeps = (0, len(fill), start, start + len(refill))
+        for i in range(len(trace)):
+            if i in sweeps:
+                assert pids[i] == -1
+            else:
+                assert int(pids[i]) in lowered
+        # The sweep at t=3.5 freed all 8 flows; its packet took one cell
+        # and the refill's last two new flows found the chain full.
+        refill_flows = [
+            r.new_flow for _, r in run.results[start:start + len(refill)]
+        ]
+        assert refill_flows == [True] * 8 + [False] * 2
         assert sum(r.new_flow for _, r in run.results) == 16
 
     def test_lb_full_backend_chain_runs_on_kernels(self):

@@ -1,0 +1,247 @@
+"""Flow establishment on the kernels: allocation, insert, row write.
+
+A lane that opens a flow pops its shard's free stack in lane order,
+inserts the key and writes the row at the popped index, all as batched
+per-shard writes.  Each case compares the compiled run with the
+``fastpath=False`` reference: results, core ids, every core's counters,
+and every core's state — map contents, chain flags, timestamps and free
+stacks, vector rows, the store's value index and (elastic runs) the
+bucket tags.
+"""
+
+from __future__ import annotations
+
+from repro.core.pipeline import Maestro
+from repro.fuzz.generator import GroupSpec, NfSpec, build_nf
+from repro.nf.api import NF, NfContext, StateDecl, StateKind
+from repro.nf.nfs.firewall import Firewall
+from repro.nf.nfs.nat import Nat
+from repro.nf.nfs.psd import PortScanDetector
+from repro.nf.packet import Packet
+from repro.nf.state import DChain, Map, Sketch, Vector
+from repro.scale import enable_elastic, rescale_parallel
+from repro.sim.functional import run_functional
+from tests.sim.test_compiled import assert_runs_identical
+
+SERVER = 0x08080808
+NAT_IP = 0xC0A80101  # Nat's default external address
+PORT_BASE = 1024
+
+
+def _state(obj):
+    if isinstance(obj, Map):
+        return dict(obj._data)
+    if isinstance(obj, Vector):
+        return dict(obj._rows)
+    if isinstance(obj, DChain):
+        return list(obj._free), bytes(obj._allocated), list(obj._touched)
+    if isinstance(obj, Sketch):
+        return [list(row) for row in obj._rows]
+    raise AssertionError(f"unknown state object {obj!r}")
+
+
+def assert_state_identical(par_ref, par_comp):
+    """Every core's stores, value indexes and bucket tags agree."""
+    assert len(par_ref.cores) == len(par_comp.cores)
+    for ref_core, comp_core in zip(par_ref.cores, par_comp.cores):
+        ref, comp = ref_core.ctx.store, comp_core.ctx.store
+        for name, obj in ref.objects.items():
+            assert _state(obj) == _state(comp.objects[name]), name
+        assert ref._forward == comp._forward
+        assert ref._reverse == comp._reverse
+        ref_b = ref_core.ctx.bucket_index
+        comp_b = comp_core.ctx.bucket_index
+        assert (ref_b is None) == (comp_b is None)
+        if ref_b is not None:
+            assert ref_b._keys == comp_b._keys
+            assert ref_b._indices == comp_b._indices
+
+
+def _pair(nf_factory, n_cores=2):
+    def build():
+        return Maestro(seed=7).parallelize(nf_factory(), n_cores=n_cores)
+
+    return build(), build()
+
+
+def _run_both(par_ref, par_comp, trace):
+    run_ref = run_functional(par_ref, trace, fastpath=False)
+    run_comp = run_functional(par_comp, trace)
+    assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
+    assert_state_identical(par_ref, par_comp)
+    return run_comp
+
+
+def _lan(i, t, dst_port=53):
+    return (0, Packet(src_ip=0x0A000000 + i, dst_ip=SERVER,
+                      src_port=4000 + i, dst_port=dst_port, timestamp=t))
+
+
+def test_chain_runs_out_mid_chunk_on_kernels():
+    """Two cores with 6 cells each and 40 new flows in one chunk: each
+    shard's first 6 allocating lanes pop its stack in lane order, the
+    rest get ``(False, 0)``, all on kernels."""
+    par_ref, par_comp = _pair(lambda: Firewall(capacity=12), n_cores=2)
+    trace = [_lan(i, 1e-3 * i) for i in range(40)]
+    run = _run_both(par_ref, par_comp, trace)
+    # Each core's first packet sweeps, alone on the interpreter.
+    assert run.compiled["fallback_packets"] == 2
+    opened = sum(r.new_flow for _, r in run.results)
+    assert opened == 12
+    for core in par_comp.cores:
+        chain = core.ctx.store["fw_chain"]
+        assert chain.allocated_count() == chain.capacity
+
+
+class _SmallMapNF(NF):
+    """A flow table whose map holds fewer keys than its chain has cells:
+    once the map is full, new flows still allocate (and write a row) but
+    their insert is refused."""
+
+    name = "small_map"
+    ports = {"lan": 0, "wan": 1}
+
+    def state(self) -> list[StateDecl]:
+        return [
+            StateDecl("sm_map", StateKind.MAP, 8),
+            StateDecl("sm_chain", StateKind.DCHAIN, 32),
+            StateDecl(
+                "sm_rows", StateKind.VECTOR, 32, value_layout=(("port", 16),)
+            ),
+        ]
+
+    def process(self, ctx: NfContext, port: int, pkt) -> None:
+        key = (pkt.src_ip, pkt.src_port)
+        found, index = ctx.map_get("sm_map", key)
+        if ctx.cond(found):
+            ctx.forward(self.other_port(port))
+        ok, index = ctx.dchain_allocate("sm_chain")
+        if ctx.cond(ok):
+            ctx.map_put("sm_map", key, index)
+            ctx.vector_put("sm_rows", index, {"port": pkt.dst_port})
+        ctx.forward(self.other_port(port))
+
+
+def test_full_map_with_free_chain_refuses_inserts_on_kernels():
+    par_ref, par_comp = _pair(_SmallMapNF, n_cores=2)
+    for t0 in (0.0, 0.1):
+        trace = [_lan(i, t0 + 1e-3 * i) for i in range(30)]
+        run = _run_both(par_ref, par_comp, trace)
+        assert run.compiled["fallback_packets"] == 0
+    full = [
+        core.ctx.store for core in par_comp.cores
+        if len(core.ctx.store["sm_map"]) == core.ctx.store["sm_map"].capacity
+    ]
+    assert full
+    for store in full:
+        assert store["sm_chain"].allocated_count() > len(store["sm_map"])
+
+
+def test_full_plain_map_beside_free_flow_chain_fuzz_spec():
+    """A generated NF: a plain map that fills (standalone inserts) next
+    to a flow group whose chain keeps free cells."""
+    spec = NfSpec(seed=0, groups=(
+        GroupSpec("plain_map", "g0", ("src_port",), 8),
+        GroupSpec("flow", "g1", ("src_ip", "src_port"), 256),
+    ))
+    par_ref, par_comp = _pair(lambda: build_nf(spec), n_cores=2)
+    for t0 in (0.0, 0.1):
+        trace = [_lan(i, t0 + 1e-3 * i) for i in range(40)]
+        run = _run_both(par_ref, par_comp, trace)
+        assert run.compiled["fallback_packets"] == 0
+    full = [
+        core.ctx.store for core in par_comp.cores
+        if len(core.ctx.store["g0_map"]) == core.ctx.store["g0_map"].capacity
+    ]
+    assert full
+    for store in full:
+        chain = store["g1_chain"]
+        assert 0 < chain.allocated_count() < chain.capacity
+
+
+def test_same_new_key_twice_in_one_chunk():
+    """The second packet of a new flow read the key as absent before the
+    chunk; both run on the interpreter, and the rest stay on kernels."""
+    par_ref, par_comp = _pair(Firewall, n_cores=1)
+    trace = [_lan(99, 0.0)]
+    trace += [_lan(i, 1e-3 * (i + 1)) for i in range(10)]
+    trace.insert(6, _lan(2, 5.5e-3))
+    run = _run_both(par_ref, par_comp, trace)
+    pids = run.compiled_path_ids
+    assert pids[3] == -1 and pids[6] == -1
+    assert sum(r.new_flow for _, r in run.results) == 11
+
+
+def test_nat_reply_to_a_cell_allocated_in_the_same_chunk():
+    par_ref, par_comp = _pair(Nat, n_cores=1)
+    _run_both(par_ref, par_comp, [_lan(i, 1e-4 * i) for i in range(5)])
+    nxt = par_comp.cores[0].ctx.store["nat_chain"]._free[-1]
+    reply = (1, Packet(src_ip=SERVER, dst_ip=NAT_IP, src_port=53,
+                       dst_port=PORT_BASE + nxt, timestamp=2e-3))
+    trace = [_lan(50 + i, 1e-3 + 1e-5 * i) for i in range(4)]
+    trace.insert(1, reply)
+    run = _run_both(par_ref, par_comp, trace)
+    assert run.results[1][1].port == 0  # translated back to the LAN
+    assert run.compiled_path_ids[1] == -1
+
+
+def test_psd_opens_a_source_and_a_pair_in_one_lane(monkeypatch):
+    """A new source allocates on both chains and reads back the count
+    row it just wrote; a known source opens only the (source, port).
+    The two kinds of lanes alternate, so their allocations on the pair
+    chain come from two tree nodes and are ranked once more."""
+    from repro.sim.compiled import CompiledDispatcher
+
+    faults = []
+    rank_faults = CompiledDispatcher._rank_faults
+
+    def spy(self):
+        found = rank_faults(self)
+        faults.append(bool(found))
+        return found
+
+    monkeypatch.setattr(CompiledDispatcher, "_rank_faults", spy)
+    par_ref, par_comp = _pair(PortScanDetector, n_cores=1)
+    _run_both(par_ref, par_comp, [_lan(i, 1e-4 * i) for i in range(4)])
+    trace = []
+    for i in range(4):
+        trace.append(_lan(10 + i, 1e-2 + 2e-4 * i))
+        trace.append(_lan(i, 1e-2 + 2e-4 * i + 1e-4, dst_port=80))
+    run = _run_both(par_ref, par_comp, trace)
+    assert faults[-2:] == [True, False]  # re-ranked, then settled
+    assert run.compiled["fallback_packets"] == 0
+    assert all(r.new_flow for _, r in run.results)
+    store = par_comp.cores[0].ctx.store
+    for key, index in store["psd_srcs"]._data.items():
+        ports = sum(k[0] == key[0] for k in store["psd_touched"]._data)
+        assert store["psd_counts"].borrow(index) == {"port_count": ports}
+
+
+def test_kernel_established_state_is_tagged_and_moves_like_reference():
+    """An elastic run tags the keys, cells and rows kernels create with
+    the packet's bucket, and a 4 -> 8 grow moves them exactly as it
+    moves state the interpreter created."""
+
+    def build():
+        return enable_elastic(
+            Maestro(seed=7).parallelize(Firewall(), n_cores=4)
+        )
+
+    par_ref, par_comp = build(), build()
+    trace = [_lan(i, 1e-4 * i) for i in range(200)]
+    run = _run_both(par_ref, par_comp, trace)
+    # Each core's first packet sweeps, alone on the interpreter.
+    assert run.compiled["fallback_packets"] == len(par_comp.cores)
+    tagged = sum(c.ctx.bucket_index.entry_count() for c in par_comp.cores)
+    assert tagged == 3 * len(trace)  # key, cell and row per flow
+    stats = [rescale_parallel(par, 8) for par in (par_ref, par_comp)]
+    assert stats[0].to_json() == stats[1].to_json()
+    assert stats[0].entries_moved > 0
+    assert_state_identical(par_ref, par_comp)
+    replies = [
+        (1, Packet(src_ip=SERVER, dst_ip=pkt.src_ip, src_port=pkt.dst_port,
+                   dst_port=pkt.src_port, timestamp=0.5 + 1e-4 * i))
+        for i, (_, pkt) in enumerate(trace)
+    ]
+    run = _run_both(par_ref, par_comp, replies)
+    assert all(r.port == 0 for _, r in run.results)

@@ -3,7 +3,7 @@
 Each state read picks the lane's own shard store, and hazard keys and
 cells carry the shard, so two shards holding the same key or the same
 cell index never demote each other's kernel lanes, and a chain that is
-full on one shard and free on another splits its lanes per shard.  Both
+full on one shard and free on another refuses or pops per shard.  Both
 cases run inside one chunk, bit-identical to ``fastpath=False``.
 """
 
@@ -78,7 +78,7 @@ def _run_both(par_ref, par_comp, trace):
 
 
 def test_same_key_and_cell_on_two_shards_do_not_demote_each_other():
-    """A fallback lane on one shard opens key K at cell 0 while a kernel
+    """A kernel lane on one shard opens key K at cell 0 while a kernel
     lane on the other shard reads and writes its own K at cell 0."""
     par_ref, par_comp = _pair(_CounterNF)
     # Swap the cores of the second port's table on both sides, so a
@@ -102,9 +102,8 @@ def test_same_key_and_cell_on_two_shards_do_not_demote_each_other():
     ]
     run = _run_both(par_ref, par_comp, trace)
     assert disp.chunks == chunks + 1
-    assert run.compiled["kernel_packets"] == 1
-    assert run.compiled["fallback_packets"] == 1
-    assert run.compiled_path_ids.tolist()[0] == -1
+    assert run.compiled["kernel_packets"] == 2
+    assert run.compiled["fallback_packets"] == 0
     # Both shards now hold K at cell 0, each with its own count.
     for core, n in ((home, 2), (1 - home, 1)):
         store = cores[core].ctx.store
@@ -114,8 +113,8 @@ def test_same_key_and_cell_on_two_shards_do_not_demote_each_other():
 
 def test_chain_full_on_one_shard_and_free_on_another():
     """New flows on a shard whose chain is full get ``(False, 0)`` on
-    kernels; new flows on a shard with a free index stop at the
-    allocation and run interpreted, in the same chunk and port group."""
+    kernels; a new flow on a shard with a free index pops it on kernels,
+    in the same chunk and port group."""
     par_ref, par_comp = _pair(lambda: Firewall(capacity=4))
     rss = par_comp.rss
     by_core = {0: [], 1: []}
@@ -134,15 +133,15 @@ def test_chain_full_on_one_shard_and_free_on_another():
     disp = par_comp._compiled_dispatcher
     chunks = disp.chunks
     trace = [
-        (0, _pkt(full[2], 0.1)),   # refused on the full shard: kernel
-        (0, _pkt(free[1], 0.2)),   # allocates on the free shard: fallback
+        (0, _pkt(full[2], 0.1)),   # refused on the full shard
+        (0, _pkt(free[1], 0.2)),   # allocates on the free shard
         (0, _pkt(full[0], 0.3)),   # established on either shard: kernel
         (0, _pkt(free[0], 0.4)),
         (0, _pkt(full[3], 0.5)),
     ]
     run = _run_both(par_ref, par_comp, trace)
     assert disp.chunks == chunks + 1
-    assert run.compiled["kernel_packets"] == 4
-    assert run.compiled["fallback_packets"] == 1
-    assert np.flatnonzero(run.compiled_path_ids < 0).tolist() == [1]
+    assert run.compiled["kernel_packets"] == 5
+    assert run.compiled["fallback_packets"] == 0
+    assert run.results[1][1].new_flow and not run.results[0][1].new_flow
     assert chains[1].allocated_count() == chains[1].capacity
