@@ -23,7 +23,11 @@ NF), plus one analysis-cost ceiling:
   contract): the per-entry cost at 2k and 131k live flows, 5% of them
   stale, is gated by a ceiling and the 131k/2k ratio by another, so
   per-erase work that grows with the shard (a whole-index scan in
-  ``StateStore.note_erase``) fails the smoke job.
+  ``StateStore.note_erase``) fails the smoke job;
+* a batched map probe through the cross-shard ``MapIndex`` (what the
+  kernels' ``map_get`` runs) must be at least ``MAP_SPEEDUP_FLOOR``
+  times faster per lane than the per-lane dict probes it replaced, on
+  2048 lanes over 8 shards, with identical results.
 
 All gates use *best-of-rounds* minima — the standard noise-robust
 estimator for wall-clock micro-benchmarks — and all assert the fast
@@ -58,6 +62,7 @@ from perfbench.bench import probe_s, scaled
 from repro.core.pipeline import Maestro
 from repro.nf.nfs import ALL_NFS, Firewall
 from repro.nf.runtime import ConcreteContext, StateStore
+from repro.nf.state import Map, MapIndex, key_hash
 from repro.rs3.toeplitz import (
     hash_input_rows,
     hash_packet,
@@ -99,6 +104,13 @@ EXPIRY_CEILING_US = 10.0
 #: entry that grows with the shard, like a scan of the whole reverse
 #: index per erased key, multiplies it by up to the 64x size step.
 EXPIRY_RATIO_CEILING = 2.0
+#: Lanes, shards, entries per shard and key components of the map
+#: probe benchmark.  Best-of-rounds over ``MAP_REPEATS`` probes per
+#: round; a 2-core container measures about 0.5 us/lane for the dict
+#: probes and 0.1 for the index.
+MAP_LANES, MAP_SHARDS, MAP_ENTRIES, MAP_ARITY = 2048, 8, 250, 5
+MAP_REPEATS = 20
+MAP_SPEEDUP_FLOOR = 2.0
 
 _RESULTS: dict[str, object] = {"quick": QUICK, "n_packets": N_PACKETS}
 
@@ -403,4 +415,74 @@ def test_expiry_cost_per_expired_entry():
         f"per-entry expiry cost grows {ratio:.2f}x from "
         f"{EXPIRY_FLOWS[0]} to {EXPIRY_FLOWS[1]} live flows "
         f"(ceiling {EXPIRY_RATIO_CEILING}x) — does an erase scan the whole shard?"
+    )
+
+
+def _dict_probe(maps, shards, kcols):
+    """The per-lane probe the map index replaced: a key tuple per lane
+    and two probes of its shard's dict."""
+    keys = list(zip(*[c.tolist() for c in kcols]))
+    datas = [m._data for m in maps]
+    lane_data = list(map(datas.__getitem__, shards.tolist()))
+    found = np.fromiter(
+        map(dict.__contains__, lane_data, keys), bool, count=len(keys)
+    )
+    value = np.fromiter(
+        map(dict.get, lane_data, keys, [0] * len(keys)), np.int64,
+        count=len(keys),
+    )
+    return found, value
+
+
+def test_map_lookup_speedup():
+    """Batched map probes: the cross-shard index against dict probes.
+
+    Every shard holds ``MAP_ENTRIES`` keys of ``MAP_ARITY`` 32-bit
+    components; a fifth of the lanes probe a key no shard holds.
+    """
+    rng = np.random.default_rng(5)
+    maps = [Map(4 * MAP_ENTRIES) for _ in range(MAP_SHARDS)]
+    stored = rng.integers(0, 1 << 32, (MAP_SHARDS, MAP_ENTRIES, MAP_ARITY))
+    for m, rows in zip(maps, stored):
+        m.put_many(list(map(tuple, rows.tolist())), list(range(MAP_ENTRIES)))
+    index = MapIndex(MAP_ARITY)
+    index.sync(maps)
+    shards = rng.integers(0, MAP_SHARDS, MAP_LANES)
+    lanes = stored[shards, rng.integers(0, MAP_ENTRIES, MAP_LANES)]
+    lanes[rng.random(MAP_LANES) < 0.2, 0] += 1 << 32
+    kcols = [lanes[:, j].copy() for j in range(MAP_ARITY)]
+
+    def indexed():
+        return index.lookup(key_hash(shards, kcols), shards, kcols)[:2]
+
+    want, got = _dict_probe(maps, shards, kcols), indexed()
+    assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+    assert 0.7 < want[0].mean() < 0.9
+
+    best = {"dict": float("inf"), "index": float("inf")}
+    for _ in range(ROUNDS):
+        for name, probe in (
+            ("dict", lambda: _dict_probe(maps, shards, kcols)),
+            ("index", indexed),
+        ):
+            start = time.perf_counter()
+            for _ in range(MAP_REPEATS):
+                probe()
+            best[name] = min(
+                best[name],
+                (time.perf_counter() - start) / MAP_REPEATS / MAP_LANES,
+            )
+    speedup = best["dict"] / best["index"]
+    _RESULTS["map"] = {
+        "lanes": MAP_LANES,
+        "shards": MAP_SHARDS,
+        "dict_us_per_lane": best["dict"] * 1e6,
+        "lookup_us_per_lane": best["index"] * 1e6,
+        "speedup": speedup,
+        "floor": MAP_SPEEDUP_FLOOR,
+    }
+    assert speedup >= MAP_SPEEDUP_FLOOR, (
+        f"map index probe only {speedup:.2f}x the dict probes "
+        f"({best['index'] * 1e6:.3f} vs {best['dict'] * 1e6:.3f} us/lane; "
+        f"floor {MAP_SPEEDUP_FLOOR}x)"
     )

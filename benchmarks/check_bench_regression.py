@@ -72,9 +72,13 @@ ABSOLUTE = (
 #: Absolute floors: fresh ``section.metric`` must stay *at or above*
 #: the baseline's ``section.floor_key``.  Used for ratios where bigger
 #: is better — a live rescale must not leave the dataplane slower than
-#: a statically provisioned build of the same width.
+#: a statically provisioned build of the same width, and a map probe
+#: through the index must beat the dict probes.
 FLOORS = (
     ("rescale", "post_rescale_ratio", "ratio_floor"),
+    # The kernels' batched map probe must stay a multiple of the
+    # per-lane dict probes it replaced.
+    ("map", "speedup", "floor"),
 )
 
 

@@ -75,13 +75,13 @@ from repro.core.codegen import LockPlan, Strategy
 from repro.core.report import StatefulReport, build_report
 from repro.core.sharding import ConstraintsGenerator, ShardingSolution, Verdict
 from repro.nf.api import NF
+from repro.nf.state import key_hash
 from repro.sim.compiled import (
     LOWERED_OPS,
     CompiledDispatcher,
     _alloc_exact,
     _compile_port,
     _DirtBoard,
-    _key_hash,
     _ProgState,
     _qualify,
 )
@@ -595,9 +595,9 @@ def _dirt_boards(aspect: str, step) -> list[tuple[str, _DirtBoard]]:
         return [("wildcard", wild)]
     keyed = _DirtBoard()
     if aspect == "map_v":
-        keyed.add(aspect, step.obj, _key_hash(zero, [zero]))
+        keyed.add(aspect, step.obj, key_hash(zero, [zero]))
     elif aspect.startswith("map_"):
-        keyed.add(aspect, step.obj, _key_hash(zero, [zero] * len(step.keys)))
+        keyed.add(aspect, step.obj, key_hash(zero, [zero] * len(step.keys)))
     else:
         keyed.add(aspect, step.obj, [0])
     return [("wildcard", wild), ("keyed", keyed)]

@@ -40,7 +40,17 @@ and shrinker can be validated end to end:
 * ``skew-kernel`` — flip the action of the compiled leg's first
   kernel-executed packet before the comparison, as a kernel emitting a
   wrong action would (the compiled leg must diverge from the
-  reference).
+  reference);
+* ``stale-index`` — the compiled leg's map indexes never drain the keys
+  their maps logged, so kernel lanes probe a map as it was when the
+  index was last rebuilt, missing every interpreter put and erase;
+* ``drop-key-dirt`` — the compiled leg's dispatcher never publishes map
+  dirt, so a kernel lane keeps a key an interpreter lane of the same
+  chunk wrote.
+
+The last three are dispatcher faults (:func:`inject_dispatcher_fault`):
+each is patched onto the compiled leg's dispatcher only, and every
+trace runs the fast-path check under them.
 """
 
 from __future__ import annotations
@@ -69,7 +79,11 @@ FAULTS: tuple[str, ...] = (
     "drop-lock",
     "forge-shared-nothing",
     "skew-kernel",
+    "stale-index",
+    "drop-key-dirt",
 )
+#: Faults in the compiled leg's dispatcher.
+DISPATCHER_FAULTS = ("skew-kernel", "stale-index", "drop-key-dirt")
 
 
 @dataclass(frozen=True)
@@ -343,7 +357,7 @@ def run_oracle(
             if check_fastpath and (
                 failed
                 or index == 0
-                or fault == "skew-kernel"
+                or fault in DISPATCHER_FAULTS
             ):
                 _check_fastpath(
                     report, make_nf, make_parallel, strategy, workload,
@@ -482,6 +496,37 @@ def _check_rescale(
     return False
 
 
+class _MapDirtDropped:
+    """A dirt board that drops every map aspect it is given."""
+
+    def __init__(self, board):
+        self._board = board
+
+    def __getattr__(self, name):
+        attr = getattr(self._board, name)
+        if name not in ("add", "add_wild", "add_reach"):
+            return attr
+        return lambda aspect, *args: (
+            None if aspect.startswith("map_") else attr(aspect, *args)
+        )
+
+
+def inject_dispatcher_fault(dispatcher, fault: str) -> None:
+    """Patch dispatcher fault ``fault`` onto one compiled dispatcher
+    (``skew-kernel`` corrupts results instead, see :func:`_flipped`)."""
+    if fault == "stale-index":
+        for index in dispatcher._indexes.values():
+            index.drain = lambda: None
+    elif fault == "drop-key-dirt":
+        publish, seed = dispatcher._publish, dispatcher._seed_board
+        dispatcher._publish = lambda board, ps, mask: publish(
+            _MapDirtDropped(board), ps, mask
+        )
+        dispatcher._seed_board = lambda groups, board: seed(
+            groups, _MapDirtDropped(board)
+        )
+
+
 def _flipped(result: PacketResult) -> PacketResult:
     """The ``skew-kernel`` corruption: a DROP becomes a FORWARD to port
     0, anything else a DROP."""
@@ -517,6 +562,8 @@ def _check_fastpath(
         # The analysis already explored this NF; reuse its tree so the
         # compiled leg lowers the exact paths the oracle verified.
         comp_parallel.symbex_tree = tree
+        if fault in DISPATCHER_FAULTS:
+            inject_dispatcher_fault(_get_dispatcher(comp_parallel), fault)
         compiled = run_functional(
             comp_parallel, trace, fastpath=True, kernels=True
         )

@@ -21,14 +21,20 @@ generator can divide it across cores (§4, *State sharding*).
 from __future__ import annotations
 
 import hashlib
+import operator
 from array import array
+from itertools import chain, repeat
 from typing import Hashable, Iterator
 
 import numpy as np
 
 from repro.errors import StateModelError
 
-__all__ = ["Map", "Vector", "DChain", "Sketch"]
+__all__ = ["Map", "MapIndex", "Vector", "DChain", "Sketch", "key_hash"]
+
+#: Keys a watched map logs between two drains of its index.  One more
+#: unwatches the map, and the index rebuilds from the dicts instead.
+MAP_LOG_MAX = 4096
 
 
 class Map:
@@ -38,6 +44,10 @@ class Map:
     is at capacity, matching the sequential semantics that the paper's
     state-sharding discussion (§4) builds on: a "full" shard behaves
     locally like the full sequential map behaves globally.
+
+    The dict is the truth.  A :class:`MapIndex` that mirrors the map
+    *watches* it: ``_log`` is then a list of the keys changed since the
+    index last drained it, and None otherwise.
     """
 
     def __init__(self, capacity: int):
@@ -45,9 +55,15 @@ class Map:
             raise StateModelError(f"map capacity must be positive: {capacity}")
         self.capacity = capacity
         self._data: dict[Hashable, int] = {}
+        self._log: list | None = None
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def _logged(self, log: list) -> None:
+        """Unwatch the map once ``log`` outgrows its bound."""
+        if len(log) > MAP_LOG_MAX:
+            self._log = None
 
     def get(self, key: Hashable) -> tuple[bool, int]:
         """Lookup ``key``; returns ``(found, value)`` with value 0 on miss."""
@@ -60,19 +76,453 @@ class Map:
         if key not in self._data and len(self._data) >= self.capacity:
             return False
         self._data[key] = int(value)
+        log = self._log
+        if log is not None:
+            log.append(key)
+            self._logged(log)
         return True
 
     def put_many(self, keys: list, values: list[int]) -> None:
         """``put`` each key in order, when the map has room for every
         new one among them (so each put succeeds)."""
         self._data.update(zip(keys, values))
+        log = self._log
+        if log is not None:
+            log.extend(keys)
+            self._logged(log)
 
     def erase(self, key: Hashable) -> bool:
         """Remove ``key``; returns whether it was present."""
-        return self._data.pop(key, None) is not None
+        if self._data.pop(key, None) is None:
+            return False
+        log = self._log
+        if log is not None:
+            log.append(key)
+            self._logged(log)
+        return True
 
     def keys(self) -> Iterator[Hashable]:
         return iter(list(self._data.keys()))
+
+
+_MIX_INT = 0x9E3779B97F4A7C15
+_MIX = np.uint64(_MIX_INT)
+_SHIFT = np.uint64(31)
+_U64 = (1 << 64) - 1
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
+
+
+def key_hash(shards, cols):
+    """A 64-bit hash of each lane's ``(shard, *cols)`` row.
+
+    Equal rows hash equal, so a dirt check on hashes never misses a
+    collision; two different rows that hash equal only demote a lane,
+    which is always safe.
+    """
+    acc = np.asarray(shards, np.int64).astype(np.uint64) + _MIX
+    for col in cols:
+        acc = acc * _MIX
+        acc ^= np.asarray(col, np.int64).view(np.uint64)
+        acc ^= acc >> _SHIFT
+    return acc * _MIX
+
+
+def _lane_key(key, arity):
+    """The tuple of int64 values equal to dict key ``key``, or None when
+    no lane key (``arity`` Python ints within int64) can equal it.
+
+    ``(True, 3.0)`` is ``(1, 3)``.  The tuple must also hash like
+    ``key``: a dict finds a stored key only through its hash.
+    """
+    if not isinstance(key, tuple) or len(key) != arity:
+        return None
+    lane = key
+    if type(key) is not tuple or any(type(x) is not int for x in key):
+        try:
+            lane = tuple([
+                int(x.real) if isinstance(x, complex) else int(x) for x in key
+            ])
+        except (TypeError, ValueError, OverflowError, AttributeError):
+            return None
+        if not (lane == key and hash(lane) == hash(key)):
+            return None
+    if lane and (min(lane) < _I64_MIN or max(lane) > _I64_MAX):
+        return None
+    return lane
+
+
+def _lane_rows(keys, arity):
+    """The lanes of the keys a lane key can equal (:func:`_lane_key`),
+    as an ``(n, arity)`` int64 array, and their positions in ``keys``
+    (None when that is every key)."""
+    if set(map(type, keys)) == {tuple} and set(map(len, keys)) == {arity} \
+            and set(map(type, chain.from_iterable(keys))) <= {int}:
+        try:
+            flat = np.fromiter(
+                chain.from_iterable(keys), np.int64, count=len(keys) * arity
+            )
+            return flat.reshape(len(keys), arity), None
+        except OverflowError:
+            pass
+    lanes = [_lane_key(key, arity) for key in keys]
+    at = [i for i, lane in enumerate(lanes) if lane is not None]
+    rows = np.array([lanes[i] for i in at], np.int64)
+    return rows.reshape(len(at), arity), at
+
+
+def _int64s(values):
+    """``values`` as int64, and which of them are not ints within int64
+    (``wide``, stored as 0)."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, np.int64), np.zeros(len(values), bool)
+        except OverflowError:
+            pass
+    wide = np.fromiter(
+        (not (type(v) is int and _I64_MIN <= v <= _I64_MAX) for v in values),
+        bool, count=len(values),
+    )
+    values = [0 if w else v for v, w in zip(values, wide.tolist())]
+    return np.array(values, np.int64), wide
+
+
+class MapIndex:
+    """An exact open-addressing index of one map object over its shards,
+    for batched lookups of lane keys of ``arity`` int64 components.
+
+    Vigor's map layout (Table 1), one slot per entry: a :func:`key_hash`
+    of ``(shard, key)``, the shard and key columns, the value, and
+    whether the value is outside int64 (``wide``).  A stored hash has
+    bit 1 set, so 0 marks an empty slot and 1 a deleted one.  Probes are
+    linear on the hashes; the columns are compared exactly once per
+    hash hit.  At most half the slots are used (deleted ones included:
+    past that, the live entries are placed afresh), and the table is
+    sized by the live entries, never by the maps' capacity.
+
+    The per-shard dicts stay the truth.  The index watches each shard's
+    :class:`Map` with its own log list, and :meth:`sync` reconciles each
+    logged key against its shard's dict: present means upsert, absent
+    means delete, so the order of the logged operations does not matter.
+    It rebuilds from the dicts only when the maps change (a rescale), a
+    log overflows, or another index took over a map's log.  A dict key
+    no lane key can equal (see :func:`_lane_key`) is left out.
+    """
+
+    #: Slot offsets a probe reads per row in one round, past the home
+    #: slot (which is read alone first: most rows stop there).
+    _WINDOW = np.arange(1, 9)
+    _TAG = np.uint64(2)
+    _FEW = 16
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self.maps: list[Map] = []
+        self.logs: list[list] = []
+        #: Keys reconciled from logs, and rebuilds, over the lifetime.
+        self.reconciled = 0
+        self.rebuilds = 0
+        self._alloc(0)
+
+    def _alloc(self, n):
+        """Empty arrays for ``n`` live entries, at most a third full: at
+        least ``n / 2`` more entries fit before the table is re-placed,
+        so re-placing costs O(1) per insert."""
+        cap = 8
+        while cap < 3 * n:
+            cap *= 2
+        self.mask = cap - 1
+        self.shift = np.uint64(65 - cap.bit_length())
+        self.hashes = np.zeros(cap, np.uint64)
+        #: Row 0 holds each slot's shard, the others its key columns.
+        self.cols = np.zeros((1 + self.arity, cap), np.int64)
+        self.values = np.zeros(cap, np.int64)
+        self.wide = np.zeros(cap, bool)
+        self.live = 0
+        self.used = 0
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (
+            self.hashes, self.cols, self.values, self.wide
+        ))
+
+    # ------------------------------------------------------------ #
+    # Keeping up with the dicts
+    # ------------------------------------------------------------ #
+    def sync(self, maps: list[Map]) -> None:
+        """Bring the index up to the contents of ``maps`` (one per shard)."""
+        if len(maps) != len(self.maps) or any(
+            m is not w or m._log is not log
+            for m, w, log in zip(maps, self.maps, self.logs)
+        ):
+            self.rebuild(maps)
+        else:
+            self.drain()
+
+    def rebuild(self, maps: list[Map]) -> None:
+        """Watch ``maps`` afresh and index every entry of their dicts."""
+        for m, log in zip(self.maps, self.logs):
+            if m._log is log:
+                m._log = None
+        self.maps = list(maps)
+        self.logs = []
+        for m in maps:
+            m._log = []
+            self.logs.append(m._log)
+        cols, values = self._rows(
+            (s, list(m._data)) for s, m in enumerate(maps)
+        )
+        self._alloc(len(values))
+        self.rebuilds += 1
+        if values:
+            vals, wide = _int64s(values)
+            self._place(key_hash(cols[0], cols[1:]), cols, vals, wide)
+
+    def drain(self) -> None:
+        """Reconcile every logged key against its shard's dict.  A few
+        keys go one by one: the batched path's fixed cost is that of
+        about ``_FEW`` single keys."""
+        logged = []
+        for s, log in enumerate(self.logs):
+            if log:
+                keys = list(dict.fromkeys(log))
+                log.clear()
+                self.reconciled += len(keys)
+                logged.append((s, keys))
+        if not logged:
+            return
+        if sum(len(keys) for _, keys in logged) <= self._FEW:
+            for s, keys in logged:
+                for key in keys:
+                    lane = _lane_key(key, self.arity)
+                    if lane is not None:
+                        self._reconcile(s, lane, self.maps[s]._data.get(key))
+            return
+        cols, values = self._rows(logged)
+        if not values:
+            return
+        gone = np.fromiter(
+            map(operator.is_, values, repeat(None)), bool, count=len(values)
+        )
+        vals, wide = _int64s([0 if v is None else v for v in values])
+        h = key_hash(cols[0], cols[1:])
+        slots = self._find(h, cols)
+        drop = slots[(slots >= 0) & gone]
+        self.hashes[drop] = 1
+        self.live -= drop.size
+        keep = ~gone
+        self._upsert(
+            h[keep], [c[keep] for c in cols], vals[keep], wide[keep],
+            slots[keep],
+        )
+
+    def _reconcile(self, shard, lane, value):
+        """Set one row to ``value``, or delete it when ``value`` is None."""
+        row = [shard, *lane]
+        h = (shard + _MIX_INT) & _U64
+        for c in lane:
+            h = h * _MIX_INT & _U64
+            h ^= c & _U64
+            h ^= h >> 31
+        h = h * _MIX_INT & _U64
+        home = h >> int(self.shift)
+        slot = self._walk(home, h | 2, row)
+        if value is None:
+            if slot >= 0:
+                self.hashes[slot] = 1
+                self.live -= 1
+            return
+        wide = not (type(value) is int and _I64_MIN <= value <= _I64_MAX)
+        if slot >= 0:
+            self.values[slot] = 0 if wide else value
+            self.wide[slot] = wide
+        elif 2 * (self.used + 1) > self.mask + 1:
+            self._add(
+                np.array([h], np.uint64), [np.array([c]) for c in row],
+                np.array([0 if wide else value]), np.array([wide]),
+            )
+        else:
+            slot = home
+            while self.hashes[slot] > 1:
+                slot = (slot + 1) & self.mask
+            self._write(
+                np.array([slot]), 0, np.array([h], np.uint64),
+                [np.array([c]) for c in row],
+                np.array([0 if wide else value]), np.array([wide]),
+            )
+
+    def _rows(self, keys_by_shard):
+        """The shard and key columns of the keys a lane key can equal,
+        over ``(shard, keys)`` pairs, and each one's value in its
+        shard's dict (None when absent)."""
+        shards, keys, values = [], [], []
+        for s, some in keys_by_shard:
+            shards += repeat(s, len(some))
+            keys += some
+            values += map(self.maps[s]._data.get, some)
+        rows, at = _lane_rows(keys, self.arity)
+        if at is not None:
+            shards = [shards[i] for i in at]
+            values = [values[i] for i in at]
+        return [np.array(shards, np.int64), *rows.T], values
+
+    def put_many(self, shard: int, m: Map, keys: list, values: list) -> None:
+        """``m.put_many(keys, values)`` on the map of ``shard``, keeping
+        the keys out of this index's log: the caller enters them with
+        :meth:`upsert`, from their columns."""
+        log = m._log
+        ours = shard < len(self.logs) and log is self.logs[shard]
+        n = len(log) if ours else 0
+        m.put_many(keys, values)
+        if ours:
+            del log[n:]
+
+    # ------------------------------------------------------------ #
+    # Batched lookups and writes, by (hash, shard, key columns)
+    # ------------------------------------------------------------ #
+    def lookup(self, h, shards, kcols):
+        """``(found, value, wide)`` per row: whether its ``(shard, key)``
+        (``h`` its :func:`key_hash`) is present, its value (0 on a miss),
+        and whether that value is outside int64 (stored as 0)."""
+        slots = self._find(h, [shards, *kcols])
+        found = slots >= 0
+        at = np.where(found, slots, 0)
+        return found, np.where(found, self.values[at], 0), found & self.wide[at]
+
+    def upsert(self, h, shards, kcols, vals, present):
+        """Set each row's ``(shard, key)`` to its value.  The rows must be
+        distinct, and ``present`` says which of them the index holds
+        (only those are probed)."""
+        cols = [shards, *kcols]
+        slots = np.full(h.size, -1, np.int64)
+        if present.any():
+            slots[present] = self._find(h[present], [c[present] for c in cols])
+        self._upsert(h, cols, vals, np.zeros(h.size, bool), slots)
+
+    def _find(self, h, cols):
+        """The slot holding each row of ``cols`` (shard, then key
+        columns), or -1."""
+        if not self.live or not h.size:
+            return np.full(h.size, -1, np.int64)
+        table = self.hashes
+        hp = h | self._TAG
+        sp = (h >> self.shift).astype(np.int64)
+        hv = table[sp]
+        hit = hv == hp
+        out = np.where(hit, sp, -1)
+        # A row whose home slot holds another entry probes on.
+        pos = np.flatnonzero((hv != 0) ^ hit)
+        hp = hp[pos, None]
+        sp = sp[pos, None]
+        while pos.size:
+            slots = (sp + self._WINDOW) & self.mask
+            hv = table[slots]
+            hit = hv == hp
+            first = hit.argmax(1)
+            at = np.arange(pos.size)
+            hit = hit[at, first]
+            out[pos[hit]] = slots[at, first][hit]
+            # On past a window with neither the hash nor an empty slot.
+            go = ~hit & (hv != 0).all(1)
+            pos, hp, sp = pos[go], hp[go], sp[go] + self._WINDOW.size
+        # An entry is never stored past an empty slot of its probe, so
+        # a hash hit beyond one is a collision the exact check rejects.
+        same = self.cols[0][out] == cols[0]
+        for j in range(1, len(cols)):
+            same &= self.cols[j][out] == cols[j]
+        for i in np.flatnonzero((out >= 0) > same).tolist():
+            out[i] = self._walk(
+                (int(out[i]) + 1) & self.mask, int(h[i] | self._TAG),
+                [int(c[i]) for c in cols],
+            )
+        return out
+
+    def _walk(self, slot, want, row):
+        """One row's probe from ``slot``: the first slot holding tagged
+        hash ``want`` and ``row`` (shard, then key), or -1 at an empty
+        slot."""
+        while True:
+            hv = int(self.hashes[slot])
+            if hv == 0:
+                return -1
+            if hv == want and self.cols[:, slot].tolist() == row:
+                return slot
+            slot = (slot + 1) & self.mask
+
+    def _upsert(self, h, cols, vals, wide, slots):
+        here = slots >= 0
+        self.values[slots[here]] = vals[here]
+        self.wide[slots[here]] = wide[here]
+        new = ~here
+        if new.any():
+            self._add(h[new], [c[new] for c in cols], vals[new], wide[new])
+
+    def _add(self, h, cols, vals, wide):
+        """Insert distinct absent rows.  Past half the slots used, every
+        live entry is placed afresh with them in a table sized for both."""
+        if 2 * (self.used + h.size) > self.mask + 1:
+            live = np.flatnonzero(self.hashes > 1)
+            h = np.concatenate((self.hashes[live], h))
+            cols = [np.concatenate((c[live], col))
+                    for c, col in zip(self.cols, cols)]
+            vals = np.concatenate((self.values[live], vals))
+            wide = np.concatenate((self.wide[live], wide))
+            self._alloc(h.size)
+            self._place(h, cols, vals, wide)
+        else:
+            self._insert(h, cols, vals, wide)
+
+    def _write(self, slots, rows, h, cols, vals, wide):
+        """Store rows ``rows`` of the arrays at free ``slots``."""
+        self.used += int(np.count_nonzero(self.hashes[slots] == 0))
+        self.live += slots.size
+        self.hashes[slots] = h[rows] | self._TAG
+        for j, col in enumerate(cols):
+            self.cols[j][slots] = col[rows]
+        self.values[slots] = vals[rows]
+        self.wide[slots] = wide[rows]
+
+    def _place(self, h, cols, vals, wide):
+        """Fill an empty table in one pass.  In order of home slot, each
+        row takes its home or the slot after the previous row's, which
+        is where inserting them one by one would put them; the rows
+        pushed past the last slot wrap around one by one."""
+        home = (h >> self.shift).astype(np.int64)
+        order = np.argsort(home, kind="stable")
+        k = np.arange(h.size)
+        slots = np.maximum.accumulate(home[order] - k) + k
+        fit = slots <= self.mask
+        self._write(slots[fit], order[fit], h, cols, vals, wide)
+        rest = order[~fit]
+        if rest.size:
+            self._insert(
+                h[rest], [c[rest] for c in cols], vals[rest], wide[rest]
+            )
+
+    def _insert(self, h, cols, vals, wide):
+        """Insert rows into free slots, probing from their homes."""
+        mask = self.mask
+        pos = np.arange(h.size)
+        sp = (h >> self.shift).astype(np.int64)[:, None]
+        window = self._WINDOW - 1
+        claim = np.empty(mask + 1, np.int64)
+        while pos.size:
+            slots = (sp + window) & mask
+            free = self.hashes[slots] <= 1
+            first = free.argmax(1)
+            at = np.arange(pos.size)
+            has = free[at, first]
+            cand = slots[at, first]
+            # One row per free slot takes it, the one whose claim stuck;
+            # the others probe on past it, or past the window when it
+            # held no free slot.
+            claim[cand[has]] = at[has]
+            won = has & (claim[cand] == at)
+            self._write(cand[won], pos[won], h, cols, vals, wide)
+            left = ~won
+            sp = np.where(has, cand, sp[:, 0] + window.size)[left, None]
+            pos = pos[left]
 
 
 class Vector:

@@ -42,9 +42,14 @@ any allocation of the chunk can return are the top of the stack (its
 
 The shard is a per-lane column: each chunk is classified once per
 port over every core's lanes, each state read picks the lane's own
-shard store, and hazard keys and cells carry the shard.  Nothing is
-cached across chunks, so a ``rss.steering_generation`` bump needs no
-flush: the next run simply reads the shards its new core ids name.
+shard store, and hazard keys and cells carry the shard.  The one thing
+kept across chunks is each map's :class:`~repro.nf.state.MapIndex`,
+which map probes read in one pass over every shard.  It stays exact
+because each chunk starts by reconciling it with the keys its shards'
+maps logged since the last chunk, it takes kernel inserts straight
+from their key columns, and it rebuilds from the dicts when the run's
+stores change.  So a ``rss.steering_generation`` bump needs no flush:
+the next run simply reads the shards its new core ids name.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from repro.core.codegen import ParallelNF, Strategy
 from repro.nf.api import ActionKind
 from repro.nf.packet import PACKET_FIELDS
 from repro.nf.runtime import OpRecord, PacketResult
+from repro.nf.state import MapIndex, key_hash
 from repro.symbex import expr as E
 from repro.symbex.engine import explore_nf
 from repro.symbex.lower import (
@@ -757,25 +763,6 @@ def _qualify(cells, shards, n_shards):
     return np.where(ok, cells * n_shards + shards, -1)
 
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-_SHIFT = np.uint64(31)
-
-
-def _key_hash(shards, cols):
-    """A 64-bit hash of each lane's ``(shard, *cols)`` row.
-
-    Equal rows hash equal, so a dirt check on hashes never misses a
-    collision; two different rows that hash equal only demote a lane,
-    which is always safe.
-    """
-    acc = np.asarray(shards, np.int64).astype(np.uint64) + _MIX
-    for col in cols:
-        acc = acc * _MIX
-        acc ^= np.asarray(col, np.int64).view(np.uint64)
-        acc ^= acc >> _SHIFT
-    return acc * _MIX
-
-
 def _by_shard(shards, n_shards):
     """``(shard, lane positions)`` per shard present, in shard order;
     the positions are None when one shard holds every lane."""
@@ -830,10 +817,11 @@ class _DirtBoard:
 
     Per aspect and object, a :class:`_Dirt` holds the shards dirtied
     wholesale (wildcards) and the exact keys or cells, each qualified by
-    its shard: :func:`_key_hash` rows for map aspects, :func:`_qualify`
-    cells otherwise.  ``alloc`` cells are a chain's reach: the free
-    cells an allocation this chunk can hand out.  ``wild_all`` holds the
-    shards where a lane of a port with no program runs interpreted.
+    its shard: :func:`~repro.nf.state.key_hash` rows for map aspects,
+    :func:`_qualify` cells otherwise.  ``alloc`` cells are a chain's
+    reach: the free cells an allocation this chunk can hand out.
+    ``wild_all`` holds the shards where a lane of a port with no program
+    runs interpreted.
     """
 
     __slots__ = ("tables", "wild_all", "reached")
@@ -1032,6 +1020,16 @@ class CompiledDispatcher:
         #: shard, its index in ``_stores``.
         self._stores = []
         self._shards = None
+        #: One :class:`~repro.nf.state.MapIndex` per map a step probes
+        #: or inserts into, kept across chunks and runs: each chunk
+        #: first reconciles it with the keys its shards' maps logged.
+        self._indexes = {}
+        for pp in ports.values():
+            for prog in pp.programs:
+                for step in prog.steps:
+                    if isinstance(step, (_MapGet, _MapPut)) \
+                            and step.obj not in self._indexes:
+                        self._indexes[step.obj] = MapIndex(len(step.keys))
         self._new_chunk(0, 0, [])
 
     def _new_chunk(self, start, size, groups):
@@ -1169,6 +1167,8 @@ class CompiledDispatcher:
             self.fallback_packets += lanes.size
             return
         self._new_chunk(start, lanes.size, groups)
+        for obj, index in self._indexes.items():
+            index.sync([store[obj] for store in self._stores])
         for group in groups:
             self._eval_group(group)
         if self._events:
@@ -1432,27 +1432,19 @@ class CompiledDispatcher:
         exposed = np.zeros(g, dtype=bool)
         present = np.zeros(g, dtype=bool)
         kidx = np.flatnonzero(alive)
-        keys = None
+        art = {"kcols": kcols}
         if kidx.size:
             self._needs.add(("map_r", step.obj))
             self._needs.add(("map_v", step.obj))
             on = group.shards[kidx]
             if step.probe is not None:
-                keys = step_cache[step.probe.ckey]["keys"]
+                art["kh"] = step_cache[step.probe.ckey]["kh"]
                 found = env[step.probe.found].arr[kidx]
             else:
-                keys = list(zip(*[c[kidx].tolist() for c in kcols]))
-                datas = [store[step.obj]._data for store in self._stores]
-                found = np.fromiter(
-                    map(dict.__contains__,
-                        map(datas.__getitem__, on.tolist()), keys),
-                    bool, count=kidx.size,
-                )
-                # Keys of the alive lanes, by lane position.
-                by_pos = [None] * g
-                for p, k in zip(kidx.tolist(), keys):
-                    by_pos[p] = k
-                keys = by_pos
+                kh = art["kh"] = key_hash(group.shards, kcols)
+                found = self._probe(
+                    step, kh[kidx], on, [c[kidx] for c in kcols]
+                )[0]
             present[kidx] = found
             room = np.array([
                 m.capacity - len(m)
@@ -1471,17 +1463,20 @@ class CompiledDispatcher:
                     key, step.obj, step.entry, sel, group, room
                 )
                 ok[sel] = ranks < room[group.shards[sel]]
-        return {
-            "keys": keys,
-            "kcols": kcols,
-            "found": present,
-            "vals": vals,
-            "ok": ok,
-            "exposed": exposed,
-            "tight": exposed,
-            "oob": None,
-            "env": ((step.ok, Column(ok, 1.0)),),
-        }
+        art.update(
+            found=present, vals=vals, ok=ok, exposed=exposed, tight=exposed,
+            oob=None, env=((step.ok, Column(ok, 1.0)),),
+        )
+        return art
+
+    def _probe(self, step, h, shards, kcols):
+        """``(found, value, wide)`` of each row's key (``h`` its
+        :func:`~repro.nf.state.key_hash`) in its shard's map, from the
+        map's index (see :meth:`~repro.nf.state.MapIndex.lookup`)."""
+        index = self._indexes[step.obj]
+        if index.arity != len(kcols):
+            raise KernelBail("map probed with keys of two arities")
+        return index.lookup(h, shards, kcols)
 
     def _bound(self, op, obj):
         """Most ``op`` calls on ``obj`` the chunk's lanes on each shard
@@ -1497,21 +1492,13 @@ class CompiledDispatcher:
         by_shard = group.by_shard
         if isinstance(step, _MapGet):
             kcols = _key_cols(step.keys, env, cache, g)
-            keys = list(zip(*[c.tolist() for c in kcols]))
-            if len(by_shard) == 1:
-                data = stores[by_shard[0][0]][step.obj]._data
-                found = map(data.__contains__, keys)
-                value = map(data.get, keys, repeat(0))
-            else:
-                # Each lane probes its own shard's map, in one pass.
-                datas = [store[step.obj]._data for store in stores]
-                lane_data = list(map(datas.__getitem__, group.shards.tolist()))
-                found = map(dict.__contains__, lane_data, keys)
-                value = map(dict.get, lane_data, keys, repeat(0))
-            found = np.fromiter(found, bool, count=g)
+            kh = key_hash(group.shards, kcols)
+            found, value, wide = self._probe(step, kh, group.shards, kcols)
+            if wide.any():
+                raise KernelBail("map value beyond int64")
             env[step.found] = Column(found, 1.0)
-            env[step.value] = Column(np.fromiter(value, np.int64, count=g))
-            return {"keys": keys, "kcols": kcols, "found": found, "oob": None}
+            env[step.value] = Column(value)
+            return {"kcols": kcols, "kh": kh, "found": found, "oob": None}
         if isinstance(step, _VecBorrow):
             cells = _ivals(eval_expr(step.index, env, cache), g)
             # The lane's own earlier puts to the cell, in path order: the
@@ -1747,8 +1734,8 @@ class CompiledDispatcher:
             cols = art["kcols"] if name == "kh" else [art["vals"]]
             n = np.count_nonzero(lanes) if lanes.dtype == bool else lanes.size
             if 4 * n < shards.size:
-                return _key_hash(shards[lanes], [c[lanes] for c in cols])
-            h = art[name] = _key_hash(shards, cols)
+                return key_hash(shards[lanes], [c[lanes] for c in cols])
+            h = art[name] = key_hash(shards, cols)
         return h[lanes]
 
     def _publish(self, board, ps, mask):
@@ -1802,7 +1789,7 @@ class CompiledDispatcher:
                     for s in present:
                         board.add_reach(aspect, obj, s, vals, self._reach)
             elif aspect in _ROW_ASPECTS:
-                board.add(aspect, obj, _key_hash(
+                board.add(aspect, obj, key_hash(
                     shards[mask], [v[mask] for v in vals]
                 ))
             else:
@@ -1825,7 +1812,7 @@ class CompiledDispatcher:
             k = int(self._bound("dchain_allocate", chain)[shard])
             cells = np.array(self._stores[shard][chain].reach(k), np.int64)
             vals = (
-                _key_hash(np.full(cells.size, shard), [cells]) if rows
+                key_hash(np.full(cells.size, shard), [cells]) if rows
                 else cells * len(self._stores) + shard
             )
             self._reaches[(shard, chain, rows)] = vals
@@ -1868,36 +1855,54 @@ class CompiledDispatcher:
             if ps.kmask is not None and ps.kmask.any()
         ]
         for (kind, obj), entries in writers.items():
-            touch = self._key_touch if kind == 2 else self._cell_touch
-            touch(kind, entries, readers.get((kind, obj), ()))
+            self._touch(kind, entries, readers.get((kind, obj), ()))
         for ps, kmask in before:
             dem = kmask & ~ps.kmask
             if dem.any():
                 self._publish(board, ps, dem)
 
-    @staticmethod
-    def _cell_touch(kind, entries, readers):
-        """Demote kernel lanes sharing a written vector row or allocated
-        cell (by qualified cell) with another kernel lane."""
+    def _touch(self, kind, entries, readers):
+        """Demote kernel lanes sharing a written vector row, allocated
+        cell or inserted map key with another kernel lane.
+
+        Cells are shard-qualified; keys are :func:`~repro.nf.state.key_hash`
+        rows of ``(shard, key)``, where a collision only demotes a lane.
+        """
+
+        def vals(ps, si, k):
+            art = ps.arts[si]
+            if kind == 2:
+                return self._art_hash(art, "kh", ps.shards, k)
+            return art["q"][k]
+
         wks = []
         for _, ps, si in entries:
             k = np.flatnonzero(ps.kmask)
             if kind:
-                # A failed allocation writes nothing.
+                # A failed allocation or insert writes nothing.
                 k = k[ps.arts[si]["ok"][k]]
             wks.append(k)
+        # A put that updates a present key conflicts with every reader
+        # of that key; otherwise only with the readers that found the
+        # key absent.
+        updates = kind == 2 and any(
+            ps.arts[si]["found"][k].any()
+            for (_, ps, si), k in zip(entries, wks)
+        )
         rks = []
         for _, ps, si in readers:
             k = np.flatnonzero(ps.kmask)
-            if kind:
+            if kind == 1:
                 # Only a free cell can be allocated.
                 k = k[~ps.arts[si]["flags"][k]]
+            elif kind == 2 and not updates:
+                k = k[~ps.arts[si]["found"][k]]
             rks.append(k)
         # Allocated cells are distinct: they need readers to conflict.
-        if kind and not any(k.size for k in rks):
+        if kind == 1 and not any(k.size for k in rks):
             return
         cells = np.concatenate([
-            ps.arts[si]["q"][k] for (_, ps, si), k in zip(entries, wks)
+            vals(ps, si, k) for (_, ps, si), k in zip(entries, wks)
         ])
         if not cells.size:
             return
@@ -1919,53 +1924,13 @@ class CompiledDispatcher:
         multi = uniq[counts > 1]
         if multi.size:
             for (_, ps, si), k in zip(entries, wks):
-                ps.kmask[k[np.isin(ps.arts[si]["q"][k], multi)]] = False
+                ps.kmask[k[np.isin(vals(ps, si, k), multi)]] = False
         for (g, ps, si), k in zip(readers, rks):
             k = k[ps.kmask[k]]
-            q = ps.arts[si]["q"][k]
+            q = vals(ps, si, k)
             at = np.minimum(np.searchsorted(uniq, q), uniq.size - 1)
             written = uniq[at] == q
             ps.kmask[k[written & (owner[at] != g.g_lanes[k])]] = False
-
-    @staticmethod
-    def _key_touch(kind, entries, readers):
-        """Demote kernel lanes sharing an inserted (shard, key) with
-        another kernel lane: one dict lookup per inserting lane, and per
-        lane that read the key as absent (every reading lane when a put
-        updates a present key)."""
-        owner = {}
-        writes = []
-        updates = False
-        for g, ps, si in entries:
-            art = ps.arts[si]
-            k = np.flatnonzero(ps.kmask)
-            k = k[art["ok"][k]]
-            updates = updates or bool(art["found"][k].any())
-            keys = art["keys"]
-            for p, s, lane in zip(
-                k.tolist(), ps.shards[k].tolist(), g.g_lanes[k].tolist()
-            ):
-                sk = (s, keys[p])
-                o = owner.get(sk)
-                owner[sk] = lane if o is None or o == lane else -1
-                writes.append((ps, p, sk))
-        if not owner:
-            return
-        for ps, p, sk in writes:
-            if owner[sk] == -1:
-                ps.kmask[p] = False
-        for g, ps, si in readers:
-            art = ps.arts[si]
-            k = np.flatnonzero(ps.kmask)
-            if not updates:
-                k = k[~art["found"][k]]
-            keys = art["keys"]
-            for p, s, lane in zip(
-                k.tolist(), ps.shards[k].tolist(), g.g_lanes[k].tolist()
-            ):
-                o = owner.get((s, keys[p]))
-                if o is not None and o != lane:
-                    ps.kmask[p] = False
 
     def _fixpoint(self, groups, board):
         for _ in range(_FIXPOINT_MAX):
@@ -2124,11 +2089,12 @@ class CompiledDispatcher:
                                 [recs[i] for i in pos.tolist()],
                             )
                 elif isinstance(step, _MapPut):
-                    keys = art["keys"]
                     put = kidx[art["ok"][kidx]]
                     self._put_pending.setdefault(step.obj, []).append((
-                        g_lanes[put], ps.shards[put],
-                        [keys[p] for p in put.tolist()], art["vals"][put],
+                        g_lanes[put], ps.shards[put], art["vals"][put],
+                        art["found"][put],
+                        self._art_hash(art, "kh", ps.shards, put),
+                        *(c[put] for c in art["kcols"]),
                     ))
         return kept
 
@@ -2164,34 +2130,37 @@ class CompiledDispatcher:
 
     def _apply_puts(self):
         """Insert the kernel lanes' map puts, per map and shard in lane
-        order, the order ``StateStore``'s value index must see them in."""
+        order, the order ``StateStore``'s value index must see them in.
+        Key tuples are built here, for the applied lanes only, and the
+        map's index takes the keys from their columns."""
         if not self._put_pending:
             return
         stores = self._stores
         ctxs = self._ctxs
         buckets = self._bucket_ids
         for obj, parts in self._put_pending.items():
-            lanes = np.concatenate([p[0] for p in parts])
-            shards = np.concatenate([p[1] for p in parts])
-            vals = np.concatenate([p[3] for p in parts])
-            keys = [k for p in parts for k in p[2]]
+            lanes, shards, vals, found, h, *kcols = (
+                np.concatenate(col) for col in zip(*parts)
+            )
             if len(parts) > 1:
                 order = np.argsort(lanes, kind="stable")
-                lanes, shards, vals = lanes[order], shards[order], vals[order]
-                keys = [keys[i] for i in order.tolist()]
+                lanes, shards, vals, found, h, *kcols = (
+                    c[order] for c in (lanes, shards, vals, found, h, *kcols)
+                )
+            index = self._indexes[obj]
             for s, pos in _by_shard(shards, len(stores)):
-                if pos is None:
-                    s_keys, s_vals, s_lanes = keys, vals.tolist(), lanes
-                else:
-                    s_keys = [keys[i] for i in pos.tolist()]
-                    s_vals, s_lanes = vals[pos].tolist(), lanes[pos]
+                at = slice(None) if pos is None else pos
+                s_keys = list(zip(*[c[at].tolist() for c in kcols]))
+                s_vals = vals[at].tolist()
                 store = stores[s]
-                store[obj].put_many(s_keys, s_vals)
+                index.put_many(s, store[obj], s_keys, s_vals)
                 store.note_puts(obj, s_keys, s_vals)
                 bindex = ctxs[s].bucket_index if buckets is not None else None
                 if bindex is not None:
-                    for key, i in zip(s_keys, s_lanes.tolist()):
+                    for key, i in zip(s_keys, lanes[at].tolist()):
                         bindex.note_key(obj, key, int(buckets[i]))
+            # The index is as it was when the lanes probed it.
+            index.upsert(h, shards, kcols, vals, found)
         self._put_pending = {}
 
     def _flush_ts(self):
@@ -2226,7 +2195,7 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     def stats(self):
         return {
-            **self.run_stats(0, 0),
+            **self.run_stats((0, 0, 0, 0)),
             "chunks": self.chunks,
             "bails": self.bails,
             # Always zero: nothing is memoized.  Kept only because the
@@ -2234,9 +2203,25 @@ class CompiledDispatcher:
             "memo": {"hits": 0, "misses": 0},
         }
 
-    def run_stats(self, kernel_before, fallback_before):
-        kernel = self.kernel_packets - kernel_before
-        fallback = self.fallback_packets - fallback_before
+    def counters(self):
+        """Lifetime kernel and fallback packets, and keys the map indexes
+        reconciled and their rebuilds: :meth:`run_stats` reports a run
+        as the change since the counters taken before it."""
+        indexes = self._indexes.values()
+        return (
+            self.kernel_packets,
+            self.fallback_packets,
+            sum(ix.reconciled for ix in indexes),
+            sum(ix.rebuilds for ix in indexes),
+        )
+
+    def run_stats(self, before):
+        """Accounting since ``before`` (:meth:`counters`); ``map_index``
+        holds the keys the map indexes reconciled from logs, their
+        rebuilds and the bytes they hold now."""
+        kernel, fallback, reconciled, rebuilds = (
+            now - then for now, then in zip(self.counters(), before)
+        )
         total = kernel + fallback
         return {
             "paths": self.total_paths,
@@ -2245,4 +2230,9 @@ class CompiledDispatcher:
             "fallback_packets": fallback,
             "coverage": kernel / total if total else 0.0,
             "fallback_rate": fallback / total if total else 0.0,
+            "map_index": {
+                "reconciled": reconciled,
+                "rebuilds": rebuilds,
+                "bytes": sum(ix.nbytes for ix in self._indexes.values()),
+            },
         }

@@ -297,8 +297,7 @@ def _run_batched(
     buckets = slots if parallel.elastic else None
     wp = sink.window_packets if sink is not None else 0
     results: list[PacketResult | None] = [None] * len(cols)
-    k0 = dispatcher.kernel_packets
-    f0 = dispatcher.fallback_packets
+    before = dispatcher.counters()
     # Pause the cyclic GC for the batch: the loop allocates one result
     # (plus its mods/ops containers) per packet and frees nothing, so
     # generational collections triggered mid-batch only re-scan live
@@ -325,7 +324,7 @@ def _run_batched(
         parallel,
         core_ids,
         results,
-        compiled=dispatcher.run_stats(k0, f0),
+        compiled=dispatcher.run_stats(before),
         compiled_path_ids=dispatcher.path_ids,
     )
     if obs.enabled():

@@ -182,3 +182,85 @@ def test_skew_kernel_fault_caught_on_expiring_exhaust() -> None:
         f.kind == "fastpath" and "fastpath-compiled" in f.codes
         for f in report.failures
     ), [f.to_dict() for f in report.failures]
+
+
+# ------------------------------------------------------------------ #
+# Dispatcher faults: each must change an observable on a hand-built
+# case.  The connection limiter opens a flow on the interpreter (its
+# new-flow path touches a sketch, which never lowers), and its replies
+# run on kernels: a reply probes the key the opening packet inserted.
+# ------------------------------------------------------------------ #
+CLIENT = 0x0A000001
+SERVER = 0x08080808
+
+
+def _cl_pair():
+    from repro.nf.nfs.cl import ConnectionLimiter
+
+    def build():
+        return Maestro(seed=7).parallelize(ConnectionLimiter(), n_cores=2)
+
+    return build(), build()
+
+
+def _open(t, i=0):
+    from repro.nf.packet import Packet
+
+    return (0, Packet(src_ip=CLIENT + i, dst_ip=SERVER, src_port=4000 + i,
+                      dst_port=53, timestamp=t))
+
+
+def _reply(t, i=0):
+    from repro.nf.packet import Packet
+
+    return (1, Packet(src_ip=SERVER, dst_ip=CLIENT + i, src_port=53,
+                      dst_port=4000 + i, timestamp=t))
+
+
+def _runs(fault, batches):
+    """The reference's and the faulted compiled leg's results, batch by
+    batch (one ``run_functional`` call each, on one plan per leg)."""
+    from repro.fuzz.oracle import inject_dispatcher_fault
+    from repro.sim.functional import _get_dispatcher, run_functional
+
+    par_ref, par_comp = _cl_pair()
+    if fault is not None:
+        inject_dispatcher_fault(_get_dispatcher(par_comp), fault)
+    out = []
+    for batch in batches:
+        ref = run_functional(par_ref, batch, fastpath=False)
+        comp = run_functional(par_comp, batch)
+        out.append((
+            [(c, r.observable()) for c, r in ref.results],
+            [(c, r.observable()) for c, r in comp.results],
+            comp.compiled,
+        ))
+    return out
+
+
+# Flows 1-8 make every core sweep at t=0, alone on the interpreter.
+_WARM = [_open(0.0, i) for i in range(1, 9)]
+
+
+@pytest.mark.parametrize("fault", [None, "stale-index"])
+def test_stale_index_fault_misses_an_interpreter_insert(fault) -> None:
+    """The opening packet inserts its key on the interpreter; a reply in
+    a later run probes the map index, which must have drained the key
+    from the map's log."""
+    runs = _runs(fault, [_WARM, [_open(0.1)], [_reply(0.2)]])
+    ref, comp, stats = runs[-1]
+    assert stats["kernel_packets"] == 1
+    assert stats["map_index"]["reconciled"] == (1 if fault is None else 0)
+    assert ref[0][1][0].name == "FORWARD"
+    assert (comp == ref) is (fault is None)
+
+
+@pytest.mark.parametrize("fault", [None, "drop-key-dirt"])
+def test_drop_key_dirt_fault_keeps_a_stale_reply(fault) -> None:
+    """The opening packet and its reply share a chunk: the interpreter
+    lane's map dirt must demote the reply, which read the key absent."""
+    runs = _runs(fault, [_WARM, [_open(0.1), _reply(0.2)]])
+    ref, comp, stats = runs[-1]
+    assert ref[1][1][0].name == "FORWARD"
+    assert stats["kernel_packets"] == (0 if fault is None else 1)
+    assert (comp == ref) is (fault is None)

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StateModelError
 from repro.nf.api import StateDecl, StateKind
 from repro.nf.runtime import StateStore
-from repro.nf.state import DChain, Map, Sketch, Vector
+from repro.nf import state
+from repro.nf.state import DChain, Map, MapIndex, Sketch, Vector, key_hash
 
 
 class TestMap:
@@ -274,6 +275,151 @@ class TestDChainModel:
         # the same index sequence.
         order = [chain.allocate(99.0) for _ in range(9)]
         assert order == [model.allocate(99.0) for _ in range(9)]
+
+
+#: Keys a lane of two int64 components can or cannot equal: int-equal
+#: floats and bools, a component past int64, the wrong arity, and keys
+#: that are no tuple at all.
+_INDEX_KEYS = st.one_of(
+    st.tuples(st.integers(-1, 3), st.integers(0, 3)),
+    st.sampled_from([
+        (1.0, 2), (True, 2), (2.5, 2), (2**63, 1), (-(2**63), 1),
+        (1, 2, 3), (1,), "k", 7, None,
+    ]),
+)
+#: Values, some outside int64.
+_INDEX_VALUES = st.one_of(
+    st.integers(-3, 3), st.sampled_from([2**63, -(2**63) - 1, 2**70]),
+)
+_INDEX_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 2), _INDEX_KEYS, _INDEX_VALUES),
+        st.tuples(st.just("erase"), st.integers(0, 2), _INDEX_KEYS),
+        st.tuples(
+            st.just("put_many"), st.integers(0, 2),
+            st.lists(st.tuples(_INDEX_KEYS, _INDEX_VALUES), max_size=4),
+        ),
+        st.tuples(st.just("lookup")),
+        st.tuples(st.just("replace"), st.integers(0, 2)),
+        st.tuples(st.just("steal")),
+    ),
+    max_size=60,
+)
+
+
+class TestMapIndexModel:
+    """A :class:`MapIndex` over three shard maps against per-shard dict
+    probes, under interleaved puts, erases and batched puts, with a
+    small log bound so logs overflow, maps replaced (a rescale changes
+    the store list) and another index taking the maps' logs over."""
+
+    LANES = [
+        (s, (a, b)) for s in range(3) for a in range(-1, 4) for b in range(4)
+    ] + [(0, (2**63 - 1, 1)), (1, (-(2**63), 1))]
+
+    def _check(self, index, maps):
+        index.sync(maps)
+        shards = np.array([s for s, _ in self.LANES], np.int64)
+        kcols = [np.array([k[j] for _, k in self.LANES], np.int64)
+                 for j in range(2)]
+        found, value, wide = index.lookup(key_hash(shards, kcols), shards, kcols)
+        for i, (s, key) in enumerate(self.LANES):
+            hit, want = maps[s].get(key)
+            assert bool(found[i]) is hit, (s, key)
+            in_range = -(2**63) <= want < 2**63
+            assert bool(wide[i]) is (hit and not in_range), (s, key)
+            assert int(value[i]) == (want if in_range else 0), (s, key)
+
+    @given(_INDEX_OPS)
+    @example([
+        ("put", 0, (1, 2), 5), ("put", 0, (2, 2), 6), ("lookup",),
+        ("erase", 0, (1, 2)), ("put", 0, (2, 2), 7),
+        ("put", 1, (1.0, 2), 2**63), ("lookup",),
+    ])
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.parametrize("few", [0, 16])
+    def test_lookups_match_dict_probes(self, few, ops):
+        """``few`` keys or fewer drain one by one, more in one batch."""
+        maps = [Map(64) for _ in range(3)]
+        index = MapIndex(2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(state, "MAP_LOG_MAX", 12)
+            mp.setattr(index, "_FEW", few)
+            for op, *args in ops:
+                if op == "put":
+                    maps[args[0]].put(args[1], args[2])
+                elif op == "erase":
+                    maps[args[0]].erase(args[1])
+                elif op == "put_many":
+                    pairs = dict(args[1])
+                    maps[args[0]].put_many(list(pairs), list(pairs.values()))
+                elif op == "lookup":
+                    self._check(index, maps)
+                elif op == "replace":
+                    fresh = Map(64)
+                    fresh.put_many(
+                        list(maps[args[0]]._data), maps[args[0]]._data.values()
+                    )
+                    maps[args[0]] = fresh
+                else:
+                    MapIndex(2).sync(maps)
+            self._check(index, maps)
+
+    def test_rebuilds_only_when_maps_change(self):
+        maps = [Map(64) for _ in range(3)]
+        index = MapIndex(2)
+        index.sync(maps)
+        maps[1].put((1, 2), 5)
+        maps[1].erase((1, 2))
+        maps[2].put((3, 3), 1)
+        index.sync(maps)
+        assert (index.rebuilds, index.reconciled) == (1, 2)
+        # A rescale hands the index other maps: rebuild, not drain.
+        maps[0] = Map(64)
+        maps[0].put((0, 0), 9)
+        index.sync(maps)
+        assert index.rebuilds == 2
+        assert maps[0]._log == [] and maps[1]._log == []
+
+    def test_log_overflow_unwatches_and_rebuilds(self):
+        maps = [Map(10_000)]
+        index = MapIndex(1)
+        index.sync(maps)
+        for i in range(state.MAP_LOG_MAX + 1):
+            maps[0].put((i,), i)
+        assert maps[0]._log is None
+        index.sync(maps)
+        assert index.rebuilds == 2 and index.live == state.MAP_LOG_MAX + 1
+
+    def test_hash_collision_is_exact(self):
+        """Two rows given one hash: each still finds only itself."""
+        index = MapIndex(1)
+        h = np.array([12345, 12345], np.uint64)
+        shards = np.zeros(2, np.int64)
+        keys = [np.array([1, 2], np.int64)]
+        index.upsert(
+            h, shards, keys, np.array([10, 20], np.int64), np.zeros(2, bool)
+        )
+        found, value, _ = index.lookup(
+            np.array([12345, 12345, 12345], np.uint64), np.zeros(3, np.int64),
+            [np.array([2, 1, 3], np.int64)],
+        )
+        assert found.tolist() == [True, True, False]
+        assert value.tolist() == [20, 10, 0]
+
+    def test_sized_by_live_entries(self):
+        """A table starts at most a third full, never sized by the
+        maps' capacity, and re-placing it drops the deleted slots."""
+        maps = [Map(1 << 20)]
+        maps[0].put_many([(i,) for i in range(100)], list(range(100)))
+        index = MapIndex(1)
+        index.sync(maps)
+        assert index.mask + 1 == 512
+        for i in range(100):
+            maps[0].erase((i,))
+        maps[0].put_many([(i,) for i in range(200, 500)], [0] * 300)
+        index.sync(maps)
+        assert (index.live, index.used, index.mask + 1) == (300, 300, 1024)
 
 
 class _FullScanIndex:

@@ -304,3 +304,32 @@ class TestObservability:
             + mem.counter_total("compiled.fallbacks")
             == len(trace)
         )
+
+    def test_map_index_counters(self, make_pair, generator):
+        """``run.compiled["map_index"]`` reports the run's reconciled
+        keys and rebuilds and the bytes the map indexes hold; the index
+        is built once, then kept in step with the maps' logs."""
+        trace, _ = generator.uniform_trace(
+            600, 40, in_port=0, reply_port=1, reply_fraction=0.3
+        )
+        par_ref, par_comp = make_pair("fw")
+        first = run_functional(par_comp, trace).compiled["map_index"]
+        assert first["rebuilds"] == 1 and first["bytes"] > 0
+        run_functional(par_ref, trace, fastpath=False)
+        again = run_functional(par_comp, trace)
+        assert again.compiled["map_index"]["rebuilds"] == 0
+        assert_runs_identical(
+            run_functional(par_ref, trace, fastpath=False), again,
+            par_ref, par_comp,
+        )
+
+    def test_no_index_without_kernels(self, make_pair, generator):
+        """``kernels=False`` builds no index and watches no map."""
+        trace, _ = generator.uniform_trace(300, 20, in_port=0)
+        _, par = make_pair("fw")
+        run = run_functional(par, trace, kernels=False)
+        assert run.compiled["map_index"] == {
+            "reconciled": 0, "rebuilds": 0, "bytes": 0,
+        }
+        for core in par.cores:
+            assert core.ctx.store["fw_flows"]._log is None

@@ -245,3 +245,44 @@ def test_kernel_established_state_is_tagged_and_moves_like_reference():
     ]
     run = _run_both(par_ref, par_comp, replies)
     assert all(r.port == 0 for _, r in run.results)
+
+
+class _KeyedNF(NF):
+    """Forwards a packet whose source address is a key of its map."""
+
+    name = "keyed"
+    ports = {"lan": 0, "wan": 1}
+
+    def state(self) -> list[StateDecl]:
+        return [StateDecl("km", StateKind.MAP, 64)]
+
+    def process(self, ctx: NfContext, port: int, pkt) -> None:
+        found, _ = ctx.map_get("km", (pkt.src_ip,))
+        if ctx.cond(found):
+            ctx.forward(1)
+        ctx.drop()
+
+
+def test_map_probes_follow_dict_equality_and_bail_on_wide_values():
+    """Kernel probes go through the map index: a float key equal to a
+    lane key is found, a key of another arity is not, and a lane that
+    finds a value outside int64 bails its group to the interpreter."""
+    par_ref, par_comp = _pair(_KeyedNF)
+    src = 0x0A000000
+    for par in (par_ref, par_comp):
+        for core in par.cores:
+            flows = core.ctx.store["km"]
+            flows.put((float(src + 1),), 5)
+            flows.put((src + 2, 0), 5)
+    trace = [_lan(i, 1e-3 * i) for i in range(4)]
+    run = _run_both(par_ref, par_comp, trace)
+    assert [r.kind.name for _, r in run.results] == [
+        "DROP", "FORWARD", "DROP", "DROP",
+    ]
+    assert run.compiled["kernel_packets"] == 4
+    for par in (par_ref, par_comp):
+        for core in par.cores:
+            core.ctx.store["km"].put((src + 3,), 2**70)
+    run = _run_both(par_ref, par_comp, trace)
+    assert run.results[3][1].kind.name == "FORWARD"
+    assert run.compiled["kernel_packets"] < 4

@@ -40,6 +40,7 @@ def _payload(
     rs3_ceiling_ms=500.0,
     expiry_per_entry=3.0,
     expiry_ratio=1.0,
+    map_speedup=5.0,
     quick=True,
 ) -> dict:
     return {
@@ -66,6 +67,7 @@ def _payload(
             "scaling_ratio": expiry_ratio,
             "ratio_ceiling": 2.0,
         },
+        "map": {"speedup": map_speedup, "floor": 2.0},
     }
 
 
@@ -160,6 +162,11 @@ def test_post_rescale_ratio_under_floor_fails(write, capsys):
 
 def test_post_rescale_ratio_at_floor_passes(write):
     assert _run(write, _payload(), _payload(rescale_ratio=0.9)) == 0
+
+
+def test_map_probe_speedup_under_floor_fails(write, capsys):
+    assert _run(write, _payload(), _payload(map_speedup=1.5)) == 1
+    assert "map.speedup" in capsys.readouterr().out
 
 
 def test_missing_rescale_section_is_a_usage_error(write, capsys):
