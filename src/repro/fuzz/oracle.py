@@ -43,7 +43,8 @@ and shrinker can be validated end to end:
   reference);
 * ``stale-index`` — the compiled leg's map indexes never drain the keys
   their maps logged, so kernel lanes probe a map as it was when the
-  index was last rebuilt, missing every interpreter put and erase;
+  index was last rebuilt, missing every put and erase since (the
+  compiled leg probes every chunk through its indexes);
 * ``drop-key-dirt`` — the compiled leg's dispatcher never publishes map
   dirt, so a kernel lane keeps a key an interpreter lane of the same
   chunk wrote.
@@ -562,8 +563,13 @@ def _check_fastpath(
         # The analysis already explored this NF; reuse its tree so the
         # compiled leg lowers the exact paths the oracle verified.
         comp_parallel.symbex_tree = tree
+        dispatcher = _get_dispatcher(comp_parallel)
+        # Fuzz traces make chunks below INDEX_MIN_LANES, which probe the
+        # dicts as the reference does: probe every chunk through the map
+        # indexes instead, the reads this leg is here to check.
+        dispatcher.index_min_lanes = 1
         if fault in DISPATCHER_FAULTS:
-            inject_dispatcher_fault(_get_dispatcher(comp_parallel), fault)
+            inject_dispatcher_fault(dispatcher, fault)
         compiled = run_functional(
             comp_parallel, trace, fastpath=True, kernels=True
         )

@@ -60,11 +60,6 @@ class Map:
     def __len__(self) -> int:
         return len(self._data)
 
-    def _logged(self, log: list) -> None:
-        """Unwatch the map once ``log`` outgrows its bound."""
-        if len(log) > MAP_LOG_MAX:
-            self._log = None
-
     def get(self, key: Hashable) -> tuple[bool, int]:
         """Lookup ``key``; returns ``(found, value)`` with value 0 on miss."""
         if key in self._data:
@@ -79,7 +74,8 @@ class Map:
         log = self._log
         if log is not None:
             log.append(key)
-            self._logged(log)
+            if len(log) > MAP_LOG_MAX:
+                self._log = None
         return True
 
     def put_many(self, keys: list, values: list[int]) -> None:
@@ -89,7 +85,8 @@ class Map:
         log = self._log
         if log is not None:
             log.extend(keys)
-            self._logged(log)
+            if len(log) > MAP_LOG_MAX:
+                self._log = None
 
     def erase(self, key: Hashable) -> bool:
         """Remove ``key``; returns whether it was present."""
@@ -98,17 +95,16 @@ class Map:
         log = self._log
         if log is not None:
             log.append(key)
-            self._logged(log)
+            if len(log) > MAP_LOG_MAX:
+                self._log = None
         return True
 
     def keys(self) -> Iterator[Hashable]:
         return iter(list(self._data.keys()))
 
 
-_MIX_INT = 0x9E3779B97F4A7C15
-_MIX = np.uint64(_MIX_INT)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 _SHIFT = np.uint64(31)
-_U64 = (1 << 64) - 1
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -140,10 +136,8 @@ def _lane_key(key, arity):
     lane = key
     if type(key) is not tuple or any(type(x) is not int for x in key):
         try:
-            lane = tuple([
-                int(x.real) if isinstance(x, complex) else int(x) for x in key
-            ])
-        except (TypeError, ValueError, OverflowError, AttributeError):
+            lane = tuple([int(x) for x in key])
+        except (TypeError, ValueError, OverflowError):
             return None
         if not (lane == key and hash(lane) == hash(key)):
             return None
@@ -197,8 +191,9 @@ class MapIndex:
     bit 1 set, so 0 marks an empty slot and 1 a deleted one.  Probes are
     linear on the hashes; the columns are compared exactly once per
     hash hit.  At most half the slots are used (deleted ones included:
-    past that, the live entries are placed afresh), and the table is
-    sized by the live entries, never by the maps' capacity.
+    past that, the live entries are inserted afresh), and the table is
+    sized by the live entries, never by the maps' capacity.  One more
+    slot past the table stays empty, so a miss (slot -1) reads value 0.
 
     The per-shard dicts stay the truth.  The index watches each shard's
     :class:`Map` with its own log list, and :meth:`sync` reconciles each
@@ -209,11 +204,9 @@ class MapIndex:
     no lane key can equal (see :func:`_lane_key`) is left out.
     """
 
-    #: Slot offsets a probe reads per row in one round, past the home
-    #: slot (which is read alone first: most rows stop there).
-    _WINDOW = np.arange(1, 9)
+    #: Slot offsets one probe round reads, from where the round starts.
+    _WINDOW = np.arange(8)
     _TAG = np.uint64(2)
-    _FEW = 16
 
     def __init__(self, arity: int):
         self.arity = arity
@@ -226,18 +219,18 @@ class MapIndex:
 
     def _alloc(self, n):
         """Empty arrays for ``n`` live entries, at most a third full: at
-        least ``n / 2`` more entries fit before the table is re-placed,
-        so re-placing costs O(1) per insert."""
+        least ``n / 2`` more entries fit before the table is refilled,
+        so refilling costs O(1) per insert."""
         cap = 8
         while cap < 3 * n:
             cap *= 2
         self.mask = cap - 1
         self.shift = np.uint64(65 - cap.bit_length())
-        self.hashes = np.zeros(cap, np.uint64)
+        self.hashes = np.zeros(cap + 1, np.uint64)
         #: Row 0 holds each slot's shard, the others its key columns.
-        self.cols = np.zeros((1 + self.arity, cap), np.int64)
-        self.values = np.zeros(cap, np.int64)
-        self.wide = np.zeros(cap, bool)
+        self.cols = np.zeros((1 + self.arity, cap + 1), np.int64)
+        self.values = np.zeros(cap + 1, np.int64)
+        self.wide = np.zeros(cap + 1, bool)
         self.live = 0
         self.used = 0
 
@@ -270,19 +263,17 @@ class MapIndex:
         for m in maps:
             m._log = []
             self.logs.append(m._log)
-        cols, values = self._rows(
+        rows, values = self._rows(
             (s, list(m._data)) for s, m in enumerate(maps)
         )
         self._alloc(len(values))
         self.rebuilds += 1
         if values:
-            vals, wide = _int64s(values)
-            self._place(key_hash(cols[0], cols[1:]), cols, vals, wide)
+            self._insert(key_hash(rows[0], rows[1:]), rows, *_int64s(values))
 
     def drain(self) -> None:
-        """Reconcile every logged key against its shard's dict.  A few
-        keys go one by one: the batched path's fixed cost is that of
-        about ``_FEW`` single keys."""
+        """Reconcile every logged key against its shard's dict, in one
+        batch."""
         logged = []
         for s, log in enumerate(self.logs):
             if log:
@@ -292,91 +283,43 @@ class MapIndex:
                 logged.append((s, keys))
         if not logged:
             return
-        if sum(len(keys) for _, keys in logged) <= self._FEW:
-            for s, keys in logged:
-                for key in keys:
-                    lane = _lane_key(key, self.arity)
-                    if lane is not None:
-                        self._reconcile(s, lane, self.maps[s]._data.get(key))
-            return
-        cols, values = self._rows(logged)
+        rows, values = self._rows(logged)
         if not values:
             return
-        gone = np.fromiter(
-            map(operator.is_, values, repeat(None)), bool, count=len(values)
+        h = key_hash(rows[0], rows[1:])
+        slots = self._find(h, rows)
+        keep = np.fromiter(
+            map(operator.is_not, values, repeat(None)), bool, count=len(values)
         )
-        vals, wide = _int64s([0 if v is None else v for v in values])
-        h = key_hash(cols[0], cols[1:])
-        slots = self._find(h, cols)
-        drop = slots[(slots >= 0) & gone]
+        drop = slots[(slots >= 0) > keep]
         self.hashes[drop] = 1
         self.live -= drop.size
-        keep = ~gone
-        self._upsert(
-            h[keep], [c[keep] for c in cols], vals[keep], wide[keep],
-            slots[keep],
-        )
-
-    def _reconcile(self, shard, lane, value):
-        """Set one row to ``value``, or delete it when ``value`` is None."""
-        row = [shard, *lane]
-        h = (shard + _MIX_INT) & _U64
-        for c in lane:
-            h = h * _MIX_INT & _U64
-            h ^= c & _U64
-            h ^= h >> 31
-        h = h * _MIX_INT & _U64
-        home = h >> int(self.shift)
-        slot = self._walk(home, h | 2, row)
-        if value is None:
-            if slot >= 0:
-                self.hashes[slot] = 1
-                self.live -= 1
-            return
-        wide = not (type(value) is int and _I64_MIN <= value <= _I64_MAX)
-        if slot >= 0:
-            self.values[slot] = 0 if wide else value
-            self.wide[slot] = wide
-        elif 2 * (self.used + 1) > self.mask + 1:
-            self._add(
-                np.array([h], np.uint64), [np.array([c]) for c in row],
-                np.array([0 if wide else value]), np.array([wide]),
-            )
-        else:
-            slot = home
-            while self.hashes[slot] > 1:
-                slot = (slot + 1) & self.mask
-            self._write(
-                np.array([slot]), 0, np.array([h], np.uint64),
-                [np.array([c]) for c in row],
-                np.array([0 if wide else value]), np.array([wide]),
-            )
+        vals, wide = _int64s([v for v in values if v is not None])
+        slots = slots[keep]
+        here = slots >= 0
+        self.values[slots[here]] = vals[here]
+        self.wide[slots[here]] = wide[here]
+        new = np.flatnonzero(keep)[~here]
+        if new.size:
+            self._add(h[new], rows[:, new], vals[~here], wide[~here])
 
     def _rows(self, keys_by_shard):
-        """The shard and key columns of the keys a lane key can equal,
-        over ``(shard, keys)`` pairs, and each one's value in its
+        """The keys a lane key can equal, over ``(shard, keys)`` pairs,
+        as columns (shard, then key), and each one's value in its
         shard's dict (None when absent)."""
         shards, keys, values = [], [], []
         for s, some in keys_by_shard:
             shards += repeat(s, len(some))
             keys += some
             values += map(self.maps[s]._data.get, some)
-        rows, at = _lane_rows(keys, self.arity)
+        lanes, at = _lane_rows(keys, self.arity)
         if at is not None:
             shards = [shards[i] for i in at]
             values = [values[i] for i in at]
-        return [np.array(shards, np.int64), *rows.T], values
-
-    def put_many(self, shard: int, m: Map, keys: list, values: list) -> None:
-        """``m.put_many(keys, values)`` on the map of ``shard``, keeping
-        the keys out of this index's log: the caller enters them with
-        :meth:`upsert`, from their columns."""
-        log = m._log
-        ours = shard < len(self.logs) and log is self.logs[shard]
-        n = len(log) if ours else 0
-        m.put_many(keys, values)
-        if ours:
-            del log[n:]
+        rows = np.empty((1 + self.arity, len(values)), np.int64)
+        rows[0] = shards
+        rows[1:] = lanes.T
+        return rows, values
 
     # ------------------------------------------------------------ #
     # Batched lookups and writes, by (hash, shard, key columns)
@@ -386,19 +329,7 @@ class MapIndex:
         (``h`` its :func:`key_hash`) is present, its value (0 on a miss),
         and whether that value is outside int64 (stored as 0)."""
         slots = self._find(h, [shards, *kcols])
-        found = slots >= 0
-        at = np.where(found, slots, 0)
-        return found, np.where(found, self.values[at], 0), found & self.wide[at]
-
-    def upsert(self, h, shards, kcols, vals, present):
-        """Set each row's ``(shard, key)`` to its value.  The rows must be
-        distinct, and ``present`` says which of them the index holds
-        (only those are probed)."""
-        cols = [shards, *kcols]
-        slots = np.full(h.size, -1, np.int64)
-        if present.any():
-            slots[present] = self._find(h[present], [c[present] for c in cols])
-        self._upsert(h, cols, vals, np.zeros(h.size, bool), slots)
+        return slots >= 0, self.values[slots], self.wide[slots]
 
     def _find(self, h, cols):
         """The slot holding each row of ``cols`` (shard, then key
@@ -407,14 +338,14 @@ class MapIndex:
             return np.full(h.size, -1, np.int64)
         table = self.hashes
         hp = h | self._TAG
-        sp = (h >> self.shift).astype(np.int64)
+        sp = (h >> self.shift).view(np.int64)
         hv = table[sp]
         hit = hv == hp
         out = np.where(hit, sp, -1)
         # A row whose home slot holds another entry probes on.
         pos = np.flatnonzero((hv != 0) ^ hit)
         hp = hp[pos, None]
-        sp = sp[pos, None]
+        sp = sp[pos, None] + 1
         while pos.size:
             slots = (sp + self._WINDOW) & self.mask
             hv = table[slots]
@@ -450,65 +381,27 @@ class MapIndex:
                 return slot
             slot = (slot + 1) & self.mask
 
-    def _upsert(self, h, cols, vals, wide, slots):
-        here = slots >= 0
-        self.values[slots[here]] = vals[here]
-        self.wide[slots[here]] = wide[here]
-        new = ~here
-        if new.any():
-            self._add(h[new], [c[new] for c in cols], vals[new], wide[new])
-
-    def _add(self, h, cols, vals, wide):
+    def _add(self, h, rows, vals, wide):
         """Insert distinct absent rows.  Past half the slots used, every
-        live entry is placed afresh with them in a table sized for both."""
+        live entry is inserted afresh with them, into a table sized for
+        both."""
         if 2 * (self.used + h.size) > self.mask + 1:
             live = np.flatnonzero(self.hashes > 1)
             h = np.concatenate((self.hashes[live], h))
-            cols = [np.concatenate((c[live], col))
-                    for c, col in zip(self.cols, cols)]
+            rows = np.concatenate((self.cols[:, live], rows), axis=1)
             vals = np.concatenate((self.values[live], vals))
             wide = np.concatenate((self.wide[live], wide))
             self._alloc(h.size)
-            self._place(h, cols, vals, wide)
-        else:
-            self._insert(h, cols, vals, wide)
+        self._insert(h, rows, vals, wide)
 
-    def _write(self, slots, rows, h, cols, vals, wide):
-        """Store rows ``rows`` of the arrays at free ``slots``."""
-        self.used += int(np.count_nonzero(self.hashes[slots] == 0))
-        self.live += slots.size
-        self.hashes[slots] = h[rows] | self._TAG
-        for j, col in enumerate(cols):
-            self.cols[j][slots] = col[rows]
-        self.values[slots] = vals[rows]
-        self.wide[slots] = wide[rows]
-
-    def _place(self, h, cols, vals, wide):
-        """Fill an empty table in one pass.  In order of home slot, each
-        row takes its home or the slot after the previous row's, which
-        is where inserting them one by one would put them; the rows
-        pushed past the last slot wrap around one by one."""
-        home = (h >> self.shift).astype(np.int64)
-        order = np.argsort(home, kind="stable")
-        k = np.arange(h.size)
-        slots = np.maximum.accumulate(home[order] - k) + k
-        fit = slots <= self.mask
-        self._write(slots[fit], order[fit], h, cols, vals, wide)
-        rest = order[~fit]
-        if rest.size:
-            self._insert(
-                h[rest], [c[rest] for c in cols], vals[rest], wide[rest]
-            )
-
-    def _insert(self, h, cols, vals, wide):
-        """Insert rows into free slots, probing from their homes."""
+    def _insert(self, h, rows, vals, wide):
+        """Insert absent rows into free slots, probing from their homes."""
         mask = self.mask
         pos = np.arange(h.size)
-        sp = (h >> self.shift).astype(np.int64)[:, None]
-        window = self._WINDOW - 1
+        sp = (h >> self.shift).view(np.int64)[:, None]
         claim = np.empty(mask + 1, np.int64)
         while pos.size:
-            slots = (sp + window) & mask
+            slots = (sp + self._WINDOW) & mask
             free = self.hashes[slots] <= 1
             first = free.argmax(1)
             at = np.arange(pos.size)
@@ -519,10 +412,19 @@ class MapIndex:
             # held no free slot.
             claim[cand[has]] = at[has]
             won = has & (claim[cand] == at)
-            self._write(cand[won], pos[won], h, cols, vals, wide)
+            self._write(cand[won], pos[won], h, rows, vals, wide)
             left = ~won
-            sp = np.where(has, cand, sp[:, 0] + window.size)[left, None]
+            sp = np.where(has, cand, sp[:, 0] + self._WINDOW.size)[left, None]
             pos = pos[left]
+
+    def _write(self, slots, sel, h, rows, vals, wide):
+        """Store rows ``sel`` at free ``slots``."""
+        self.used += int(np.count_nonzero(self.hashes[slots] == 0))
+        self.live += slots.size
+        self.hashes[slots] = h[sel] | self._TAG
+        self.cols[:, slots] = rows[:, sel]
+        self.values[slots] = vals[sel]
+        self.wide[slots] = wide[sel]
 
 
 class Vector:

@@ -44,12 +44,13 @@ The shard is a per-lane column: each chunk is classified once per
 port over every core's lanes, each state read picks the lane's own
 shard store, and hazard keys and cells carry the shard.  The one thing
 kept across chunks is each map's :class:`~repro.nf.state.MapIndex`,
-which map probes read in one pass over every shard.  It stays exact
-because each chunk starts by reconciling it with the keys its shards'
-maps logged since the last chunk, it takes kernel inserts straight
-from their key columns, and it rebuilds from the dicts when the run's
-stores change.  So a ``rss.steering_generation`` bump needs no flush:
-the next run simply reads the shards its new core ids name.
+which map probes of a chunk of at least ``INDEX_MIN_LANES`` lanes read
+in one pass over every shard (smaller chunks probe the dicts).  It
+stays exact because such a chunk first reconciles it with every key
+its shards' maps logged since (interpreter and kernel puts and erases
+alike), and it rebuilds from the dicts when the run's stores change.
+So a ``rss.steering_generation`` bump needs no flush: the next run
+simply reads the shards its new core ids name.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ _NON_FREEING_OPS = frozenset({
 })
 #: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
 _FIXPOINT_MAX = 64
+
+#: Fewest lanes a chunk needs to probe maps through their indexes (the
+#: default of ``CompiledDispatcher.index_min_lanes``).  An index probe
+#: has a fixed cost of about 100 dict probes (350 when the chunk first
+#: reconciles two logged keys), so a smaller chunk probes the dicts, and
+#: the logs wait for the next indexed chunk.
+INDEX_MIN_LANES = 256
 
 #: Dirt aspects: what an interpreter lane touched.  Map aspects are
 #: keyed by (shard, key) row hashes (``map_v`` by the value a put
@@ -1020,16 +1028,19 @@ class CompiledDispatcher:
         #: shard, its index in ``_stores``.
         self._stores = []
         self._shards = None
-        #: One :class:`~repro.nf.state.MapIndex` per map a step probes
-        #: or inserts into, kept across chunks and runs: each chunk
-        #: first reconciles it with the keys its shards' maps logged.
+        #: One :class:`~repro.nf.state.MapIndex` per map a step probes,
+        #: kept across chunks and runs: each chunk first reconciles it
+        #: with the keys its shards' maps logged.
         self._indexes = {}
         for pp in ports.values():
             for prog in pp.programs:
                 for step in prog.steps:
-                    if isinstance(step, (_MapGet, _MapPut)) \
-                            and step.obj not in self._indexes:
+                    probes = isinstance(step, _MapGet) or (
+                        isinstance(step, _MapPut) and step.probe is None
+                    )
+                    if probes and step.obj not in self._indexes:
                         self._indexes[step.obj] = MapIndex(len(step.keys))
+        self.index_min_lanes = INDEX_MIN_LANES
         self._new_chunk(0, 0, [])
 
     def _new_chunk(self, start, size, groups):
@@ -1037,6 +1048,8 @@ class CompiledDispatcher:
         self._start = start
         self._size = size
         self._groups = groups
+        #: Whether the chunk probes maps through their indexes.
+        self._indexed = size >= self.index_min_lanes
         #: Reach dirt per (shard, chain, as key hashes).
         self._reaches = {}
         #: Node-step artifacts per (port, node), and the ranked events
@@ -1167,8 +1180,9 @@ class CompiledDispatcher:
             self.fallback_packets += lanes.size
             return
         self._new_chunk(start, lanes.size, groups)
-        for obj, index in self._indexes.items():
-            index.sync([store[obj] for store in self._stores])
+        if self._indexed:
+            for obj, index in self._indexes.items():
+                index.sync([store[obj] for store in self._stores])
         for group in groups:
             self._eval_group(group)
         if self._events:
@@ -1438,13 +1452,12 @@ class CompiledDispatcher:
             self._needs.add(("map_v", step.obj))
             on = group.shards[kidx]
             if step.probe is not None:
-                art["kh"] = step_cache[step.probe.ckey]["kh"]
+                kh = step_cache[step.probe.ckey].get("kh")
+                if kh is not None:
+                    art["kh"] = kh
                 found = env[step.probe.found].arr[kidx]
             else:
-                kh = art["kh"] = key_hash(group.shards, kcols)
-                found = self._probe(
-                    step, kh[kidx], on, [c[kidx] for c in kcols]
-                )[0]
+                found = self._probe(step, art, group.shards, kidx, False)[0]
             present[kidx] = found
             room = np.array([
                 m.capacity - len(m)
@@ -1469,14 +1482,44 @@ class CompiledDispatcher:
         )
         return art
 
-    def _probe(self, step, h, shards, kcols):
-        """``(found, value, wide)`` of each row's key (``h`` its
-        :func:`~repro.nf.state.key_hash`) in its shard's map, from the
-        map's index (see :meth:`~repro.nf.state.MapIndex.lookup`)."""
-        index = self._indexes[step.obj]
-        if index.arity != len(kcols):
-            raise KernelBail("map probed with keys of two arities")
-        return index.lookup(h, shards, kcols)
+    def _probe(self, step, art, shards, kidx=None, values=True):
+        """``(found, value)`` of the keys ``art["kcols"]`` (of lanes
+        ``kidx``, or all) in their shards' maps: value 0 on a miss, None
+        without ``values``, and a value beyond int64 bails.  An indexed
+        chunk reads the map's index (see
+        :meth:`~repro.nf.state.MapIndex.lookup`) and keeps every lane's
+        key hash in ``art``; a smaller chunk probes the dicts."""
+        kcols = art["kcols"]
+        if self._indexed:
+            kh = art.get("kh")
+            if kh is None:
+                kh = art["kh"] = key_hash(shards, kcols)
+        if kidx is not None:
+            shards = shards[kidx]
+            kcols = [c[kidx] for c in kcols]
+        if self._indexed:
+            index = self._indexes[step.obj]
+            if index.arity != len(kcols):
+                raise KernelBail("map probed with keys of two arities")
+            found, value, wide = index.lookup(
+                kh if kidx is None else kh[kidx], shards, kcols
+            )
+            if values and wide.any():
+                raise KernelBail("map value beyond int64")
+            return found, value
+        keys = list(zip(*[c.tolist() for c in kcols]))
+        datas = [store[step.obj]._data for store in self._stores]
+        lane_data = list(map(datas.__getitem__, shards.tolist()))
+        found = np.fromiter(
+            map(dict.__contains__, lane_data, keys), bool, count=len(keys)
+        )
+        if not values:
+            return found, None
+        # A value beyond int64 raises OverflowError, which bails.
+        return found, np.fromiter(
+            map(dict.get, lane_data, keys, repeat(0)), np.int64,
+            count=len(keys),
+        )
 
     def _bound(self, op, obj):
         """Most ``op`` calls on ``obj`` the chunk's lanes on each shard
@@ -1491,14 +1534,12 @@ class CompiledDispatcher:
         n_shards = len(stores)
         by_shard = group.by_shard
         if isinstance(step, _MapGet):
-            kcols = _key_cols(step.keys, env, cache, g)
-            kh = key_hash(group.shards, kcols)
-            found, value, wide = self._probe(step, kh, group.shards, kcols)
-            if wide.any():
-                raise KernelBail("map value beyond int64")
+            art = {"kcols": _key_cols(step.keys, env, cache, g), "oob": None}
+            found, value = self._probe(step, art, group.shards)
             env[step.found] = Column(found, 1.0)
             env[step.value] = Column(value)
-            return {"kcols": kcols, "kh": kh, "found": found, "oob": None}
+            art["found"] = found
+            return art
         if isinstance(step, _VecBorrow):
             cells = _ivals(eval_expr(step.index, env, cache), g)
             # The lane's own earlier puts to the cell, in path order: the
@@ -2092,8 +2133,6 @@ class CompiledDispatcher:
                     put = kidx[art["ok"][kidx]]
                     self._put_pending.setdefault(step.obj, []).append((
                         g_lanes[put], ps.shards[put], art["vals"][put],
-                        art["found"][put],
-                        self._art_hash(art, "kh", ps.shards, put),
                         *(c[put] for c in art["kcols"]),
                     ))
         return kept
@@ -2131,36 +2170,33 @@ class CompiledDispatcher:
     def _apply_puts(self):
         """Insert the kernel lanes' map puts, per map and shard in lane
         order, the order ``StateStore``'s value index must see them in.
-        Key tuples are built here, for the applied lanes only, and the
-        map's index takes the keys from their columns."""
+        Key tuples are built here, for the applied lanes only; the maps
+        log them for their indexes like any other put."""
         if not self._put_pending:
             return
         stores = self._stores
         ctxs = self._ctxs
         buckets = self._bucket_ids
         for obj, parts in self._put_pending.items():
-            lanes, shards, vals, found, h, *kcols = (
+            lanes, shards, vals, *kcols = (
                 np.concatenate(col) for col in zip(*parts)
             )
             if len(parts) > 1:
                 order = np.argsort(lanes, kind="stable")
-                lanes, shards, vals, found, h, *kcols = (
-                    c[order] for c in (lanes, shards, vals, found, h, *kcols)
+                lanes, shards, vals, *kcols = (
+                    c[order] for c in (lanes, shards, vals, *kcols)
                 )
-            index = self._indexes[obj]
             for s, pos in _by_shard(shards, len(stores)):
                 at = slice(None) if pos is None else pos
                 s_keys = list(zip(*[c[at].tolist() for c in kcols]))
                 s_vals = vals[at].tolist()
                 store = stores[s]
-                index.put_many(s, store[obj], s_keys, s_vals)
+                store[obj].put_many(s_keys, s_vals)
                 store.note_puts(obj, s_keys, s_vals)
                 bindex = ctxs[s].bucket_index if buckets is not None else None
                 if bindex is not None:
                     for key, i in zip(s_keys, lanes[at].tolist()):
                         bindex.note_key(obj, key, int(buckets[i]))
-            # The index is as it was when the lanes probed it.
-            index.upsert(h, shards, kcols, vals, found)
         self._put_pending = {}
 
     def _flush_ts(self):

@@ -224,8 +224,11 @@ def _runs(fault, batches):
     from repro.sim.functional import _get_dispatcher, run_functional
 
     par_ref, par_comp = _cl_pair()
+    dispatcher = _get_dispatcher(par_comp)
+    # One-lane chunks: probe the map index all the same.
+    dispatcher.index_min_lanes = 1
     if fault is not None:
-        inject_dispatcher_fault(_get_dispatcher(par_comp), fault)
+        inject_dispatcher_fault(dispatcher, fault)
     out = []
     for batch in batches:
         ref = run_functional(par_ref, batch, fastpath=False)

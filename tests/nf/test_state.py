@@ -336,15 +336,12 @@ class TestMapIndexModel:
         ("erase", 0, (1, 2)), ("put", 0, (2, 2), 7),
         ("put", 1, (1.0, 2), 2**63), ("lookup",),
     ])
-    @settings(max_examples=150, deadline=None)
-    @pytest.mark.parametrize("few", [0, 16])
-    def test_lookups_match_dict_probes(self, few, ops):
-        """``few`` keys or fewer drain one by one, more in one batch."""
+    @settings(max_examples=300, deadline=None)
+    def test_lookups_match_dict_probes(self, ops):
         maps = [Map(64) for _ in range(3)]
         index = MapIndex(2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(state, "MAP_LOG_MAX", 12)
-            mp.setattr(index, "_FEW", few)
             for op, *args in ops:
                 if op == "put":
                     maps[args[0]].put(args[1], args[2])
@@ -391,25 +388,33 @@ class TestMapIndexModel:
         index.sync(maps)
         assert index.rebuilds == 2 and index.live == state.MAP_LOG_MAX + 1
 
-    def test_hash_collision_is_exact(self):
-        """Two rows given one hash: each still finds only itself."""
+    def test_hash_collision_is_exact(self, monkeypatch):
+        """Keys that all share one hash: each still finds only itself,
+        across inserts and a delete."""
+        one = np.uint64(12345)
+        monkeypatch.setattr(
+            state, "key_hash", lambda shards, cols: np.full(len(shards), one)
+        )
+        maps = [Map(64)]
         index = MapIndex(1)
-        h = np.array([12345, 12345], np.uint64)
-        shards = np.zeros(2, np.int64)
-        keys = [np.array([1, 2], np.int64)]
-        index.upsert(
-            h, shards, keys, np.array([10, 20], np.int64), np.zeros(2, bool)
-        )
-        found, value, _ = index.lookup(
-            np.array([12345, 12345, 12345], np.uint64), np.zeros(3, np.int64),
-            [np.array([2, 1, 3], np.int64)],
-        )
+        index.sync(maps)
+        maps[0].put((1,), 10)
+        maps[0].put((2,), 20)
+        lanes = (np.full(3, one), np.zeros(3, np.int64), [np.array([2, 1, 3])])
+        index.sync(maps)
+        found, value, _ = index.lookup(*lanes)
         assert found.tolist() == [True, True, False]
         assert value.tolist() == [20, 10, 0]
+        maps[0].erase((1,))
+        maps[0].put((3,), 30)
+        index.sync(maps)
+        found, value, _ = index.lookup(*lanes)
+        assert found.tolist() == [True, False, True]
+        assert value.tolist() == [20, 0, 30]
 
     def test_sized_by_live_entries(self):
         """A table starts at most a third full, never sized by the
-        maps' capacity, and re-placing it drops the deleted slots."""
+        maps' capacity, and refilling it drops the deleted slots."""
         maps = [Map(1 << 20)]
         maps[0].put_many([(i,) for i in range(100)], list(range(100)))
         index = MapIndex(1)

@@ -23,7 +23,7 @@ from repro.nf.api import ActionKind
 from repro.nf.nfs import ALL_NFS
 from repro.nf.nfs.firewall import Firewall
 from repro.obs.collect import MemoryCollector
-from repro.sim.functional import run_functional
+from repro.sim.functional import _get_dispatcher, run_functional
 
 CORPUS = sorted(ALL_NFS)
 
@@ -81,6 +81,20 @@ class TestPerPathIdentity:
             assert [comp_results[i] for i in idx] == [
                 ref_results[i] for i in idx
             ], f"{name}: divergence within path {pid}"
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus_nf_through_map_indexes(self, make_pair, generator, name):
+        """The same with every chunk, however small, probing maps
+        through their indexes, over a cold and a warm run."""
+        trace, _ = generator.uniform_trace(
+            1200, 90, in_port=0, reply_port=1, reply_fraction=0.35
+        )
+        par_ref, par_comp = make_pair(name)
+        _get_dispatcher(par_comp).index_min_lanes = 1
+        for _ in range(2):
+            run_ref = run_functional(par_ref, trace, fastpath=False)
+            run_comp = run_functional(par_comp, trace)
+            assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
 
     def test_locks_strategy_per_path(self, make_pair, generator):
         trace, _ = generator.uniform_trace(
@@ -313,6 +327,7 @@ class TestObservability:
             600, 40, in_port=0, reply_port=1, reply_fraction=0.3
         )
         par_ref, par_comp = make_pair("fw")
+        _get_dispatcher(par_comp).index_min_lanes = 1
         first = run_functional(par_comp, trace).compiled["map_index"]
         assert first["rebuilds"] == 1 and first["bytes"] > 0
         run_functional(par_ref, trace, fastpath=False)

@@ -11,6 +11,8 @@ bucket tags.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.pipeline import Maestro
 from repro.fuzz.generator import GroupSpec, NfSpec, build_nf
 from repro.nf.api import NF, NfContext, StateDecl, StateKind
@@ -20,7 +22,8 @@ from repro.nf.nfs.psd import PortScanDetector
 from repro.nf.packet import Packet
 from repro.nf.state import DChain, Map, Sketch, Vector
 from repro.scale import enable_elastic, rescale_parallel
-from repro.sim.functional import run_functional
+from repro.sim.compiled import INDEX_MIN_LANES
+from repro.sim.functional import _get_dispatcher, run_functional
 from tests.sim.test_compiled import assert_runs_identical
 
 SERVER = 0x08080808
@@ -263,11 +266,16 @@ class _KeyedNF(NF):
         ctx.drop()
 
 
-def test_map_probes_follow_dict_equality_and_bail_on_wide_values():
-    """Kernel probes go through the map index: a float key equal to a
-    lane key is found, a key of another arity is not, and a lane that
-    finds a value outside int64 bails its group to the interpreter."""
+@pytest.mark.parametrize("index_min_lanes", [1, INDEX_MIN_LANES])
+def test_map_probes_follow_dict_equality_and_bail_on_wide_values(
+    index_min_lanes,
+):
+    """Kernel probes, through the map index or (in chunks too small
+    for it) the dicts: a float key equal to a lane key is found, a key
+    of another arity is not, and a lane that finds a value outside
+    int64 bails its group to the interpreter."""
     par_ref, par_comp = _pair(_KeyedNF)
+    _get_dispatcher(par_comp).index_min_lanes = index_min_lanes
     src = 0x0A000000
     for par in (par_ref, par_comp):
         for core in par.cores:
