@@ -47,11 +47,21 @@ and shrinker can be validated end to end:
   compiled leg probes every chunk through its indexes);
 * ``drop-key-dirt`` — the compiled leg's dispatcher never publishes map
   dirt, so a kernel lane keeps a key an interpreter lane of the same
-  chunk wrote.
+  chunk wrote;
+* ``no-multi-touch`` — the compiled leg's dispatcher skips its
+  kernel-conflict pass, so two kernel lanes may write one vector row,
+  cell or map key, or one may read what another writes;
+* ``drop-reach`` — an allocation's reach (the cells it can pop this
+  chunk) is empty, so interpreter allocations dirty no cell and kernel
+  lanes keep cells an interpreter lane may take;
+* ``stale-rank`` — allocation and insert ranks are never settled, so
+  the lanes of two tree nodes on one shard keep their per-node ranks.
 
-The last three are dispatcher faults (:func:`inject_dispatcher_fault`):
+The last six are dispatcher faults (:func:`inject_dispatcher_fault`):
 each is patched onto the compiled leg's dispatcher only, and every
-trace runs the fast-path check under them.
+trace runs the fast-path check under them.  ``stale-rank`` survives
+the fuzz campaigns (no generated workload interleaves two tree nodes'
+allocations on one shard), so only its hand-built case catches it.
 """
 
 from __future__ import annotations
@@ -82,9 +92,15 @@ FAULTS: tuple[str, ...] = (
     "skew-kernel",
     "stale-index",
     "drop-key-dirt",
+    "no-multi-touch",
+    "drop-reach",
+    "stale-rank",
 )
 #: Faults in the compiled leg's dispatcher.
-DISPATCHER_FAULTS = ("skew-kernel", "stale-index", "drop-key-dirt")
+DISPATCHER_FAULTS = (
+    "skew-kernel", "stale-index", "drop-key-dirt", "no-multi-touch",
+    "drop-reach", "stale-rank",
+)
 
 
 @dataclass(frozen=True)
@@ -526,6 +542,12 @@ def inject_dispatcher_fault(dispatcher, fault: str) -> None:
         dispatcher._seed_board = lambda groups, board: seed(
             groups, _MapDirtDropped(board)
         )
+    elif fault == "no-multi-touch":
+        dispatcher._multi_touch = lambda groups, board: None
+    elif fault == "drop-reach":
+        dispatcher._reach = lambda shard, chain, aspect: np.zeros(0, np.int64)
+    elif fault == "stale-rank":
+        dispatcher._settle_ranks = lambda: None
 
 
 def _flipped(result: PacketResult) -> PacketResult:

@@ -267,3 +267,91 @@ def test_drop_key_dirt_fault_keeps_a_stale_reply(fault) -> None:
     assert ref[1][1][0].name == "FORWARD"
     assert stats["kernel_packets"] == (0 if fault is None else 1)
     assert (comp == ref) is (fault is None)
+
+
+def _leg_runs(factory, n_cores, fault, batches):
+    """Per batch: the reference's and the faulted compiled leg's results
+    and per-core counters (one plan per leg, fed the batches in order)."""
+    from repro.fuzz.oracle import inject_dispatcher_fault
+    from repro.sim.functional import _get_dispatcher, run_functional
+
+    par_ref, par_comp = (
+        Maestro(seed=7).parallelize(factory(), n_cores=n_cores)
+        for _ in range(2)
+    )
+    if fault is not None:
+        inject_dispatcher_fault(_get_dispatcher(par_comp), fault)
+    out = []
+    for batch in batches:
+        ref = run_functional(par_ref, batch, fastpath=False)
+        comp = run_functional(par_comp, batch)
+        out.append((
+            (list(ref.results), [c.ctx.stat_snapshot() for c in par_ref.cores]),
+            (list(comp.results), [c.ctx.stat_snapshot() for c in par_comp.cores]),
+        ))
+    return out, par_ref, par_comp
+
+
+def _same_key_twice():
+    """A firewall's chunk that opens one new key twice (lanes 3 and 6)
+    among ten new flows; packet 0 sweeps, alone on the interpreter."""
+    from repro.nf.nfs.firewall import Firewall
+    from tests.sim.test_compiled_establish import _lan
+
+    trace = [_lan(99, 0.0)] + [_lan(i, 1e-3 * (i + 1)) for i in range(10)]
+    trace.insert(6, _lan(2, 5.5e-3))
+    return Firewall, [trace]
+
+
+@pytest.mark.parametrize("fault", [None, "no-multi-touch"])
+def test_no_multi_touch_fault_opens_one_flow_twice(fault) -> None:
+    """Both lanes of the repeated key insert it on kernels without the
+    conflict pass, so the second reports a new flow and the core counts
+    one flow too many."""
+    factory, batches = _same_key_twice()
+    runs, _, _ = _leg_runs(factory, 1, fault, batches)
+    (ref, ref_stats), (comp, comp_stats) = runs[-1]
+    assert not ref[6][1].new_flow
+    assert comp[6][1].new_flow is (fault is not None)
+    assert (comp_stats == ref_stats) is (fault is None)
+
+
+@pytest.mark.parametrize("fault", [None, "drop-reach"])
+def test_drop_reach_fault_splits_a_shards_allocations(fault) -> None:
+    """The demoted lanes of the repeated key allocate on the interpreter;
+    without their reach the other allocations of the shard stay on
+    kernels, which the dispatcher refuses to apply (the oracle reports
+    the crash)."""
+    factory, batches = _same_key_twice()
+    if fault is None:
+        runs, _, _ = _leg_runs(factory, 1, fault, batches)
+        assert all(ref == comp for ref, comp in runs)
+        return
+    with pytest.raises(RuntimeError, match="split between kernel and"):
+        _leg_runs(factory, 1, fault, batches)
+
+
+@pytest.mark.parametrize("fault", [None, "stale-rank"])
+def test_stale_rank_fault_renumbers_psd_pairs(fault) -> None:
+    """``test_psd_opens_a_source_and_a_pair_in_one_lane``'s trace: new
+    and known sources alternate, so two tree nodes allocate on the pair
+    chain.  Unsettled, each node's lanes take a block of cells, so pairs
+    map to other cells than the reference's.  Results and counters
+    agree (PSD never shows a cell), which is why the fuzz oracle misses
+    this fault; the stores do not."""
+    from repro.nf.nfs.psd import PortScanDetector
+    from tests.sim.test_compiled_establish import _lan, _state
+
+    second = []
+    for i in range(4):
+        second.append(_lan(10 + i, 1e-2 + 2e-4 * i))
+        second.append(_lan(i, 1e-2 + 2e-4 * i + 1e-4, dst_port=80))
+    runs, par_ref, par_comp = _leg_runs(
+        PortScanDetector, 1, fault,
+        [[_lan(i, 1e-4 * i) for i in range(4)], second],
+    )
+    assert all(ref == comp for ref, comp in runs)
+    ref, comp = (par.cores[0].ctx.store for par in (par_ref, par_comp))
+    assert (
+        _state(ref["psd_touched"]) == _state(comp["psd_touched"])
+    ) is (fault is None)

@@ -11,6 +11,7 @@ bucket tags.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import Maestro
@@ -218,6 +219,123 @@ def test_psd_opens_a_source_and_a_pair_in_one_lane(monkeypatch):
     for key, index in store["psd_srcs"]._data.items():
         ports = sum(k[0] == key[0] for k in store["psd_touched"]._data)
         assert store["psd_counts"].borrow(index) == {"port_count": ports}
+
+
+class _RowsNF(NF):
+    """Port 0 writes the row its source port names; port 1 reads it."""
+
+    name = "rows"
+    ports = {"w": 0, "r": 1}
+
+    def state(self) -> list[StateDecl]:
+        return [StateDecl(
+            "rw_rows", StateKind.VECTOR, 64, value_layout=(("v", 16),)
+        )]
+
+    def process(self, ctx: NfContext, port: int, pkt) -> None:
+        if port == 0:
+            ctx.vector_put("rw_rows", pkt.src_port, {"v": pkt.dst_port})
+            ctx.forward(1)
+        row = ctx.vector_borrow("rw_rows", pkt.src_port)
+        ctx.set_field("dst_port", row["v"])
+        ctx.forward(0)
+
+
+class _KvNF(NF):
+    """Port 0 stores its destination port under its source address;
+    port 1 reads it back."""
+
+    name = "kv"
+    ports = {"put": 0, "get": 1}
+
+    def state(self) -> list[StateDecl]:
+        return [StateDecl("kv_map", StateKind.MAP, 64)]
+
+    def process(self, ctx: NfContext, port: int, pkt) -> None:
+        key = (pkt.src_ip,)
+        if port == 0:
+            ctx.map_put("kv_map", key, pkt.dst_port)
+            ctx.forward(1)
+        found, value = ctx.map_get("kv_map", key)
+        if ctx.cond(found):
+            ctx.set_field("dst_port", value)
+            ctx.forward(0)
+        ctx.drop()
+
+
+def _pkt(port, src, dst, i):
+    return (port, Packet(src_ip=src, dst_ip=SERVER, src_port=src,
+                         dst_port=dst, timestamp=1e-3 * (i + 1)))
+
+
+def _nat_replies(store):
+    """Four new NAT flows, a reply (lane 1) to the cell lane 0 pops and
+    a reply (lane 5) to a flow opened before the chunk."""
+    nxt = store["nat_chain"]._free[-1]
+    old = store["nat_flows"].get((0x0A000000, 4000, SERVER, 53))[1]
+    trace = [_lan(50 + i, 1e-3 + 1e-5 * i) for i in range(4)]
+    for at, cell in ((1, nxt), (5, old)):
+        trace.insert(at, (1, Packet(
+            src_ip=SERVER, dst_ip=NAT_IP, src_port=53,
+            dst_port=PORT_BASE + cell, timestamp=2e-3,
+        )))
+    return trace
+
+
+_KV_PRE = [_pkt(0, 7, 100, -1), _pkt(0, 8, 200, 0)]
+
+#: Conflict rules between kernel lanes, each pinned on one chunk: the
+#: NF, the batch run before it, the chunk (from the store after that
+#: batch) and the lanes of the chunk that must run interpreted.
+CONFLICT_CASES = {
+    # Two kernel lanes write row 3: both run interpreted; row 4's
+    # writer stays on the kernels.
+    "two-writers-one-row": (_RowsNF, None, lambda store: [
+        _pkt(0, 3, 10, 0), _pkt(0, 3, 11, 1), _pkt(0, 4, 12, 2),
+    ], [0, 1]),
+    # A read of row 3, which a kernel lane writes, runs interpreted and
+    # so does that writer, which its read must precede.
+    "reader-of-a-written-row": (_RowsNF, None, lambda store: [
+        _pkt(0, 3, 10, 0), _pkt(1, 3, 0, 1), _pkt(1, 5, 0, 2),
+        _pkt(0, 4, 12, 3),
+    ], [0, 1]),
+    # An ``is_allocated`` read of the cell lane 0 pops: the reader runs
+    # interpreted, its flag read demotes the popping lane, and that
+    # allocation takes the shard's others with it.  A reply to an older
+    # cell stays on the kernels.
+    "flag-reader-of-a-popped-cell": (
+        Nat, [_lan(i, 1e-4 * i) for i in range(5)], _nat_replies,
+        [0, 1, 2, 3, 4],
+    ),
+    # A put updates present key 7 while another lane reads it.
+    "update-beside-a-reader": (_KvNF, _KV_PRE, lambda store: [
+        _pkt(0, 7, 101, 1), _pkt(1, 7, 0, 2), _pkt(1, 8, 0, 3),
+    ], [0, 1]),
+    # A put inserts new key 9 while a reader found it absent.
+    "insert-beside-an-absent-reader": (_KvNF, _KV_PRE, lambda store: [
+        _pkt(1, 9, 0, 1), _pkt(0, 9, 5, 2), _pkt(1, 7, 0, 3),
+    ], [0, 1]),
+    # Readers of present keys stay on the kernels beside an insert of
+    # another key, and beside an update of another key.
+    "present-readers-without-update": (_KvNF, _KV_PRE, lambda store: [
+        _pkt(1, 7, 0, 1), _pkt(0, 9, 5, 2), _pkt(1, 7, 0, 3),
+        _pkt(1, 8, 0, 4),
+    ], []),
+    "update-of-another-key": (_KvNF, _KV_PRE, lambda store: [
+        _pkt(0, 7, 101, 1), _pkt(1, 8, 0, 2),
+    ], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFLICT_CASES))
+def test_conflict_rule_demotes_exactly_its_lanes(case):
+    factory, prelude, chunk, interpreted = CONFLICT_CASES[case]
+    par_ref, par_comp = _pair(factory, n_cores=1)
+    if prelude:
+        _run_both(par_ref, par_comp, prelude)
+    trace = chunk(par_comp.cores[0].ctx.store)
+    run = _run_both(par_ref, par_comp, trace)
+    assert np.flatnonzero(run.compiled_path_ids == -1).tolist() == interpreted
 
 
 def test_kernel_established_state_is_tagged_and_moves_like_reference():
