@@ -48,14 +48,10 @@ and shrinker can be validated end to end:
 * ``drop-key-dirt`` — the compiled leg's dispatcher never publishes map
   dirt, so a kernel lane keeps a key an interpreter lane of the same
   chunk wrote;
-* ``no-multi-touch`` — the compiled leg's dispatcher skips its
-  kernel-conflict pass, so two kernel lanes may write one vector row,
-  cell or map key, or one may read what another writes;
-* ``drop-reach`` — an allocation's reach (the cells it can pop this
-  chunk) is empty, so interpreter allocations dirty no cell and kernel
-  lanes keep cells an interpreter lane may take;
-* ``stale-rank`` — allocation and insert ranks are never settled, so
-  the lanes of two tree nodes on one shard keep their per-node ranks.
+* ``no-multi-touch``, ``drop-reach``, ``stale-rank`` — the compiled
+  leg's dispatcher skips its kernel-conflict pass, finds no cell in an
+  allocation's reach, or never settles the ranks of two tree nodes'
+  allocations and inserts on one shard.
 
 The last six are dispatcher faults (:func:`inject_dispatcher_fault`):
 each is patched onto the compiled leg's dispatcher only, and every
@@ -97,10 +93,7 @@ FAULTS: tuple[str, ...] = (
     "stale-rank",
 )
 #: Faults in the compiled leg's dispatcher.
-DISPATCHER_FAULTS = (
-    "skew-kernel", "stale-index", "drop-key-dirt", "no-multi-touch",
-    "drop-reach", "stale-rank",
-)
+DISPATCHER_FAULTS = FAULTS[2:]
 
 
 @dataclass(frozen=True)

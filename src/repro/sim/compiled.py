@@ -56,7 +56,6 @@ simply reads the shards its new core ids name.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from itertools import repeat, starmap
 
 import numpy as np
@@ -87,19 +86,6 @@ __all__ = [
 
 #: Lanes per kernel chunk (also the hazard-analysis horizon).
 DEFAULT_CHUNK = 2048
-#: Stateful ops the lowerer can express as column kernels; any path
-#: containing another op kind (sketch, hash, ...) runs on the
-#: interpreter.  DESIGN.md §13 documents each rule — kept in sync by the
-#: doc tests.
-LOWERED_OPS = (
-    "map_get",
-    "map_put",
-    "vector_borrow",
-    "dchain_is_allocated",
-    "dchain_rejuvenate",
-    "vector_put",
-    "dchain_allocate",
-)
 #: Op kinds known never to free a dchain index.  Expiry (whose sweeping
 #: packets run alone, in one-lane chunks) is the only freeing op; a path
 #: carrying any op outside this set withdraws allocation lowering and
@@ -139,274 +125,675 @@ _BASE_SYMS = frozenset(
 
 
 # ------------------------------------------------------------------ #
-# Lowered steps: one per supported stateful-op kind.
+# Lowered steps: one class per supported stateful op, holding all the
+# dispatcher knows of it (the dispatcher's loops only call it):
 #
-# ``checks`` names the dirt aspects that demote a kernel lane on the
-# step, the lanes checked (all, or those that read a free flag ("free"),
-# whose allocation or insert succeeds ("ok"), or whose outcome other
-# lanes' allocations or inserts can change ("exposed"), and the artifact
-# column the dirt is matched on.  ``ckey`` keys the per-group
-# step cache; ``node`` (steps whose work depends on the lanes alive
-# there) is the step's tree node, shared by every program through it,
-# and ``after`` the ``(aspect, obj)`` pairs any path through it touches
-# from there on.
+# * ``op``, the trace op it lowers (``LOWERED_OPS`` lists them); the
+#   constructor lowers a ``TraceEntry`` after the path's steps so far or
+#   raises LowerError, and ``inputs``/``binds`` are the expressions the
+#   step evaluates and the result symbols it defines;
+# * ``pubs``, the dirt its lane publishes when it runs interpreted;
+# * ``read``, its per-chunk work over a port group, which returns the
+#   step's artifact (per-lane columns, ``env`` its bindings, ``oob`` the
+#   lanes that must fall back); ``probes``: it reads the map index;
+# * ``ranked`` (allocations and inserts, whose outcome depends on the
+#   chunk's earlier lanes on the shard): ``node`` is then its tree node,
+#   shared by every program through it, and ``after`` the ``(aspect,
+#   obj)`` pairs any path through it touches from there on;
+# * ``checks``: the dirt aspects that demote its kernel lane, the lanes
+#   checked (all, or those that read a free flag ("free"), whose
+#   allocation or insert succeeds ("ok"), or whose outcome other lanes'
+#   allocations or inserts can change ("exposed")), and the artifact
+#   column the dirt is matched on;
+# * its conflict rule with the other kernel lanes on its object: it
+#   ``writes`` and/or ``reads``; ``written``, ``updates`` and ``touched``
+#   pick the lanes that meet, on column ``touch_col``, and a
+#   ``distinct`` writer never writes one cell twice;
+# * ``apply``, its scatter per group; ``flush``, its write once per
+#   chunk after every group; ``opened``, the lanes that open a flow.
+#
+# ``sig`` is the plain tuple :mod:`repro.symbex.symkernel` decodes, and
+# ``ckey`` keys the per-group step cache.  A new op adds one class here,
+# one ``symkernel`` case and one row of the certifier's lattices, and
+# nothing else in the dispatcher.
 # ------------------------------------------------------------------ #
-class _MapGet:
-    __slots__ = ("obj", "keys", "found", "value", "sig", "ckey")
-    checks = (("map_w", None, "kh"),)
+def _after(lowered, op, obj):
+    """Whether ``lowered`` (a path's steps so far) holds an ``op`` step
+    on ``obj``."""
+    return any(s.op == op and s.obj == obj for s in lowered)
+
+
+def _source(expr, col, tainted, chains):
+    """Where an interpreter lane's dirt at ``expr`` is read from: the
+    artifact column ``col``, ``("reach", chain)`` for an allocation's
+    index, or None (a wildcard) when ``expr`` depends on an allocation
+    result: an interpreter lane's allocation may pop another cell than
+    its kernel rank predicted."""
+    if not tainted:
+        return col
+    if isinstance(expr, E.Sym) and expr.name in chains:
+        return ("reach", chains[expr.name])
+    if any(s.name in tainted for s in E.free_symbols(expr)):
+        return None
+    return col
+
+
+class _Step:
+    """The defaults: a step that conflicts with no kernel lane, opens no
+    flow and writes nothing."""
+
+    __slots__ = ()
     node = None
+    ranked = probes = writes = reads = distinct = False
+    touch_col = "q"
 
-    def __init__(self, obj, keys, found, value):
-        self.obj = obj
-        self.keys = keys
-        self.found = found
-        self.value = value
-        self.sig = self.ckey = ("map_get", obj, keys, found, value)
+    def taint(self, tainted, chains):
+        """Track allocation results: ``tainted`` symbols depend on one,
+        ``chains`` maps each allocation's index symbol to its chain."""
+        if tainted and any(
+            s.name in tainted for x in self.inputs for s in E.free_symbols(x)
+        ):
+            tainted.update(self.binds)
+
+    def written(self, art, k):
+        return k
+
+    def updates(self, art, k):
+        return False
+
+    def touched(self, art, k, updates):
+        return k
+
+    def opened(self, art, kidx):
+        return None
+
+    def apply(self, disp, group, ps, art, kidx):
+        pass
+
+    @classmethod
+    def flush(cls, disp, k_flag):
+        pass
 
 
-class _MapPut:
+class _MapStep(_Step):
+    """A keyed step on the lane's shard map: its dirt and conflicts meet
+    on (shard, key) row hashes."""
+
+    __slots__ = ()
+    touch_col = "kh"
+
+    def keyed(self, tainted, chains):
+        if any(_source(k, "kh", tainted, chains) != "kh" for k in self.keys):
+            return None
+        return "kh"
+
+    def touched(self, art, k, updates):
+        # A put that updates a present key conflicts with every reader
+        # of that key; otherwise only with the readers that found the
+        # key absent.
+        return k if updates else k[~art["found"][k]]
+
+
+class _MapGet(_MapStep):
+    """``map_get``: a probe of the lane's shard map."""
+
+    __slots__ = (
+        "obj", "keys", "found", "value", "inputs", "binds", "sig", "ckey",
+    )
+    op = "map_get"
+    checks = (("map_w", None, "kh"),)
+    probes = reads = True
+
+    def __init__(self, entry, lowered, exact_alloc):
+        if _after(lowered, _MapPut.op, entry.obj):
+            raise LowerError(f"map_get of {entry.obj!r} after its map_put")
+        self.obj = entry.obj
+        self.keys = tuple(entry.key)
+        self.found = entry.result("found").name
+        self.value = entry.result("value").name
+        self.inputs = self.keys
+        self.binds = (self.found, self.value)
+        self.sig = self.ckey = (
+            self.op, self.obj, self.keys, self.found, self.value,
+        )
+
+    def pubs(self, tainted, chains):
+        return (("map_r", self.keyed(tainted, chains)),)
+
+    def read(self, disp, group, env, cache, steps, alive):
+        art = {
+            "kcols": _key_cols(self.keys, env, cache, group.g_lanes.size),
+            "oob": None,
+        }
+        found, value = disp._probe(self, art, group.shards)
+        art["found"] = found
+        art["env"] = (
+            (self.found, Column(found, 1.0)), (self.value, Column(value)),
+        )
+        return art
+
+
+class _MapPut(_MapStep):
     """``map_put``: a keyed insert into the lane's shard map.
 
     ``probe`` is an earlier ``map_get`` of the same key on this path,
-    whose pre-chunk probe the step reuses.
+    whose pre-chunk probe the step reuses.  A put of a present key
+    succeeds; so does every insert into a map with room for all the
+    inserts the chunk can make.  Otherwise new keys are ranked like
+    allocations: the k-th insert of the chunk on a (shard, map) succeeds
+    while the map has room for k more.
     """
 
     __slots__ = (
-        "obj", "keys", "value", "ok", "probe", "entry", "node", "after",
-        "sig", "ckey",
+        "obj", "keys", "value", "ok", "probe", "probes", "entry", "node",
+        "after", "inputs", "binds", "sig", "ckey",
     )
+    op = "map_put"
     checks = (
         ("map_w", None, "kh"), ("map_r", None, "kh"), ("map_v", None, "vh"),
         ("map_n", "exposed", None),
     )
+    ranked = writes = reads = True
 
-    def __init__(self, obj, keys, value, ok, probe, entry):
-        self.obj = obj
-        self.keys = keys
-        self.value = value
-        self.ok = ok
-        self.probe = probe
-        self.entry = entry
-        self.node = None
-        self.after = ()
-        self.sig = self.ckey = ("map_put", obj, keys, value, ok)
-
-
-class _VecBorrow:
-    """``vector_borrow``; ``fwd`` are the earlier ``vector_put`` steps of
-    the same vector on this path, whose rows the lane reads back."""
-
-    __slots__ = ("obj", "index", "fields", "fwd", "sig", "ckey")
-    checks = (("vec_w", None, "q"),)
-    node = None
-
-    def __init__(self, obj, index, fields, fwd):
-        self.obj = obj
-        self.index = index
-        self.fields = fields
-        self.fwd = fwd
-        self.sig = ("vector_borrow", obj, index, fields)
-        self.ckey = self.sig + tuple(p.sig for p in fwd)
-
-
-class _IsAlloc:
-    __slots__ = ("obj", "index", "res", "sig", "ckey")
-    checks = (("alloc", "free", "q"),)
-    node = None
-
-    def __init__(self, obj, index, res):
-        self.obj = obj
-        self.index = index
-        self.res = res
-        self.sig = self.ckey = ("dchain_is_allocated", obj, index, res)
-
-
-class _Rejuv:
-    __slots__ = ("obj", "index", "sig", "ckey")
-    checks = (("ts_w", None, "q"), ("alloc", "free", "q"))
-    node = None
-
-    def __init__(self, obj, index):
-        self.obj = obj
-        self.index = index
-        self.sig = self.ckey = ("dchain_rejuvenate", obj, index)
-
-
-class _VecPut:
-    __slots__ = ("obj", "index", "stored", "sig", "ckey")
-    checks = (("vec_w", None, "q"), ("vec_r", None, "q"))
-    node = None
-
-    def __init__(self, obj, index, stored):
-        self.obj = obj
-        self.index = index
-        self.stored = stored
-        self.sig = self.ckey = ("vector_put", obj, index, tuple(stored))
-
-
-class _Alloc:
-    """``dchain_allocate``: the lane's rank among the chunk's allocations
-    on its (shard, chain), in lane order, picks its free-stack pop.
-    ``entry`` (the trace index) orders one lane's allocations."""
-
-    __slots__ = (
-        "obj", "ok", "index", "entry", "node", "after", "sig", "ckey",
-    )
-    checks = (("alloc", "exposed", "q"), ("flag_r", "ok", "q"))
-
-    def __init__(self, obj, ok, index, entry):
-        self.obj = obj
-        self.ok = ok
-        self.index = index
-        self.entry = entry
-        self.node = None
-        self.after = ()
-        self.sig = self.ckey = ("dchain_allocate", obj, ok, index)
-
-
-def _lower_entry(entry, known, used, lowered, exact_alloc):
-    """Lower one trace entry into a step, binding its result symbols.
-
-    ``lowered`` holds the path's steps so far.  A read of state the path
-    itself wrote earlier lowers only for vectors (the lane reads its own
-    row back); a second insert into one map or allocation on one chain
-    does not lower.  ``dchain_allocate`` lowers only with ``exact_alloc``.
-    """
-    op = entry.op
-    obj = entry.obj
-
-    def after(kind):
-        return any(isinstance(s, kind) and s.obj == obj for s in lowered)
-
-    if op == "map_get":
-        if after(_MapPut):
-            raise LowerError(f"map_get of {obj!r} after its map_put")
-        for k in entry.key:
-            check_expr(k, known, used)
-        found = entry.result("found").name
-        value = entry.result("value").name
-        known.add(found)
-        known.add(value)
-        return _MapGet(obj, tuple(entry.key), found, value)
-    if op == "map_put":
-        if after(_MapPut):
+    def __init__(self, entry, lowered, exact_alloc):
+        obj = entry.obj
+        if _after(lowered, self.op, obj):
             raise LowerError(f"second map_put of {obj!r} on one path")
-        for k in entry.key:
-            check_expr(k, known, used)
-        value = entry.stored[0][1]
-        check_expr(value, known, used)
-        ok = entry.result("ok").name
-        known.add(ok)
-        keys = tuple(entry.key)
-        probe = next((
-            s for s in lowered if isinstance(s, _MapGet) and s.obj == obj
+        self.obj = obj
+        self.keys = keys = tuple(entry.key)
+        self.value = entry.stored[0][1]
+        self.ok = entry.result("ok").name
+        self.probe = next((
+            s for s in lowered if s.op == _MapGet.op and s.obj == obj
             and len(s.keys) == len(keys)
             and all(E.structurally_equal(a, b) for a, b in zip(s.keys, keys))
         ), None)
-        return _MapPut(obj, keys, value, ok, probe, entry.index)
-    if op == "vector_borrow":
-        check_expr(entry.key[0], known, used)
-        fields = tuple((fname, sym.name) for fname, sym in entry.results)
-        for _, name in fields:
-            known.add(name)
-        fwd = tuple(
-            s for s in lowered if isinstance(s, _VecPut) and s.obj == obj
-        )
-        return _VecBorrow(obj, entry.key[0], fields, fwd)
-    if op in ("dchain_is_allocated", "dchain_rejuvenate") and after(_Alloc):
-        raise LowerError(f"{op} of {obj!r} after its allocation")
-    if op == "dchain_is_allocated":
-        check_expr(entry.key[0], known, used)
-        res = entry.result("allocated").name
-        known.add(res)
-        return _IsAlloc(obj, entry.key[0], res)
-    if op == "dchain_rejuvenate":
-        check_expr(entry.key[0], known, used)
-        return _Rejuv(obj, entry.key[0])
-    if op == "vector_put":
-        check_expr(entry.key[0], known, used)
-        for _, expr in entry.stored:
-            check_expr(expr, known, used)
-        return _VecPut(obj, entry.key[0], tuple(entry.stored))
-    if op == "dchain_allocate" and exact_alloc and not after(_Alloc):
-        step = _Alloc(obj, entry.result("ok").name,
-                      entry.result("index").name, entry.index)
-        known.add(step.ok)
-        known.add(step.index)
-        return step
-    raise LowerError(f"cannot lower stateful op {op!r} on {obj!r}")
+        self.probes = self.probe is None
+        self.entry = entry.index
+        self.node = None
+        self.after = ()
+        self.inputs = keys + (self.value,)
+        self.binds = (self.ok,)
+        self.sig = self.ckey = (self.op, obj, keys, self.value, self.ok)
 
-
-def _step_inputs(step):
-    """The expressions a lowered step evaluates."""
-    if isinstance(step, _MapGet):
-        return step.keys
-    if isinstance(step, _MapPut):
-        return step.keys + (step.value,)
-    if isinstance(step, _VecPut):
-        return (step.index,) + tuple(e for _, e in step.stored)
-    if isinstance(step, _Alloc):
-        return ()
-    return (step.index,)
-
-
-def _step_binds(step):
-    """The result symbols a lowered step binds."""
-    if isinstance(step, _MapGet):
-        return (step.found, step.value)
-    if isinstance(step, _MapPut):
-        return (step.ok,)
-    if isinstance(step, _VecBorrow):
-        return tuple(n for _, n in step.fields)
-    if isinstance(step, _IsAlloc):
-        return (step.res,)
-    if isinstance(step, _Alloc):
-        return (step.ok, step.index)
-    return ()
-
-
-def _step_pubs(step, tainted, chains):
-    """``(aspect, source)`` of the dirt an interpreter lane that ran this
-    step publishes.
-
-    The source is the artifact column holding the exact keys or cells,
-    ``("reach", chain)`` for a cell that is an allocation's index, or
-    None (a wildcard) when the value depends on an allocation result: an
-    interpreter lane's allocation may pop another cell than its
-    kernel rank predicted.
-    """
-
-    def src(expr, col):
-        if not tainted:
-            return col
-        if isinstance(expr, E.Sym) and expr.name in chains:
-            return ("reach", chains[expr.name])
-        if any(s.name in tainted for s in E.free_symbols(expr)):
-            return None
-        return col
-
-    def keyed(col):
-        if any(src(k, col) != col for k in step.keys):
-            return None
-        return col
-
-    if isinstance(step, _MapGet):
-        return (("map_r", keyed("kh")),)
-    if isinstance(step, _MapPut):
+    def pubs(self, tainted, chains):
         return (
-            ("map_w", keyed("kh")), ("map_v", src(step.value, "vh")),
+            ("map_w", self.keyed(tainted, chains)),
+            ("map_v", _source(self.value, "vh", tainted, chains)),
             ("map_n", None),
         )
-    if isinstance(step, _VecBorrow):
-        return (("vec_r", src(step.index, "q")),)
-    if isinstance(step, _VecPut):
-        return (("vec_w", src(step.index, "q")),)
-    if isinstance(step, _IsAlloc):
-        return (("flag_r", src(step.index, "q")),)
-    if isinstance(step, _Rejuv):
-        return (("ts_w", src(step.index, "live")),
-                ("flag_r", src(step.index, "q")))
-    return (("alloc", ("reach", step.obj)),)
+
+    def written(self, art, k):
+        return k[art["ok"][k]]  # a failed insert writes nothing
+
+    def updates(self, art, k):
+        return art["found"][k].any()
+
+    def read(self, disp, group, env, cache, steps, alive):
+        g = group.g_lanes.size
+        kcols = _key_cols(self.keys, env, cache, g)
+        vals = _ivals(eval_expr(self.value, env, cache), g)
+        ok = np.ones(g, dtype=bool)
+        exposed = np.zeros(g, dtype=bool)
+        present = np.zeros(g, dtype=bool)
+        kidx = np.flatnonzero(alive)
+        art = {"kcols": kcols}
+        if kidx.size:
+            disp._needs.update((("map_r", self.obj), ("map_v", self.obj)))
+            on = group.shards[kidx]
+            if self.probe is not None:
+                kh = steps[self.probe.ckey].get("kh")
+                if kh is not None:
+                    art["kh"] = kh
+                found = env[self.probe.found].arr[kidx]
+            else:
+                found = disp._probe(self, art, group.shards, kidx, False)[0]
+            present[kidx] = found
+            room = np.array([
+                m.capacity - len(m)
+                for m in (store[self.obj] for store in disp._stores)
+            ])
+            # Inserts into a map with room for all the chunk can make
+            # succeed in any order; the others are ranked.
+            ranked = ~found & (room < disp._bound(self.op, self.obj))[on]
+            if ranked.any():
+                disp._needs.add(("map_n", self.obj))
+                sel = kidx[ranked]
+                exposed[sel] = True
+                ranks = disp._ranks(self, sel, group, room)
+                ok[sel] = ranks < room[group.shards[sel]]
+        art.update(
+            found=present, vals=vals, ok=ok, exposed=exposed, tight=exposed,
+            oob=None, env=((self.ok, Column(ok, 1.0)),),
+        )
+        return art
+
+    def apply(self, disp, group, ps, art, kidx):
+        put = kidx[art["ok"][kidx]]
+        disp._put_pending.setdefault(self.obj, []).append((
+            group.g_lanes[put], ps.shards[put], art["vals"][put],
+            *(c[put] for c in art["kcols"]),
+        ))
+
+    @classmethod
+    def flush(cls, disp, k_flag):
+        """Insert the kernel lanes' map puts, per map and shard in lane
+        order, the order ``StateStore``'s value index must see them in.
+        Key tuples are built here, for the applied lanes only; the maps
+        log them for their indexes like any other put."""
+        if not disp._put_pending:
+            return
+        stores = disp._stores
+        ctxs = disp._ctxs
+        buckets = disp._bucket_ids
+        for obj, parts in disp._put_pending.items():
+            lanes, shards, vals, *kcols = (
+                np.concatenate(col) for col in zip(*parts)
+            )
+            if len(parts) > 1:
+                order = np.argsort(lanes, kind="stable")
+                lanes, shards, vals, *kcols = (
+                    c[order] for c in (lanes, shards, vals, *kcols)
+                )
+            for s, pos in _by_shard(shards, len(stores)):
+                at = slice(None) if pos is None else pos
+                s_keys = list(zip(*[c[at].tolist() for c in kcols]))
+                s_vals = vals[at].tolist()
+                store = stores[s]
+                store[obj].put_many(s_keys, s_vals)
+                store.note_puts(obj, s_keys, s_vals)
+                bindex = ctxs[s].bucket_index if buckets is not None else None
+                if bindex is not None:
+                    for key, i in zip(s_keys, lanes[at].tolist()):
+                        bindex.note_key(obj, key, int(buckets[i]))
+        disp._put_pending = {}
+
+
+class _VecBorrow(_Step):
+    """``vector_borrow``; ``fwd`` are the earlier ``vector_put`` steps of
+    the same vector on this path, whose rows the lane reads back."""
+
+    __slots__ = (
+        "obj", "index", "fields", "fwd", "inputs", "binds", "sig", "ckey",
+    )
+    op = "vector_borrow"
+    checks = (("vec_w", None, "q"),)
+    reads = True
+
+    def __init__(self, entry, lowered, exact_alloc):
+        self.obj = entry.obj
+        self.index = entry.key[0]
+        self.fields = tuple((fname, sym.name) for fname, sym in entry.results)
+        self.fwd = tuple(
+            s for s in lowered if s.op == _VecPut.op and s.obj == self.obj
+        )
+        self.inputs = (self.index,)
+        self.binds = tuple(n for _, n in self.fields)
+        self.sig = (self.op, self.obj, self.index, self.fields)
+        self.ckey = self.sig + tuple(p.sig for p in self.fwd)
+
+    def pubs(self, tainted, chains):
+        return (("vec_r", _source(self.index, "q", tainted, chains)),)
+
+    def read(self, disp, group, env, cache, steps, alive):
+        g = group.g_lanes.size
+        stores = disp._stores
+        n_shards = len(stores)
+        cells = _ivals(eval_expr(self.index, env, cache), g)
+        # The lane's own earlier puts to the cell, in path order: the
+        # lane reads the last one back instead of the state.
+        puts = []
+        covered = None
+        for put in self.fwd:
+            part = steps[put.ckey]
+            same = part["cells"] == cells
+            if same.any():
+                puts.append((same, dict(part["stored"])))
+                covered = same if covered is None else covered | same
+        # Every shard of a structure has the same capacity.
+        oob = (cells < 0) | (cells >= stores[0][self.obj].capacity)
+        has_oob = bool(oob.any())
+        safe = np.where(oob, 0, cells) if has_oob else cells
+        q = safe * n_shards + group.shards
+        # One row read per distinct (shard, cell) not read back.
+        if covered is None or not covered.all():
+            uniq, inv = np.unique(
+                q if covered is None else np.where(covered, q[~covered][0], q),
+                return_inverse=True,
+            )
+            try:
+                if n_shards == 1:
+                    recs = list(map(stores[0][self.obj].row, uniq.tolist()))
+                else:
+                    rows = [store[self.obj].row for store in stores]
+                    recs = [
+                        rows[s](c) for c, s in zip(
+                            (uniq // n_shards).tolist(),
+                            (uniq % n_shards).tolist(),
+                        )
+                    ]
+                cols = {
+                    fname: _value_column([r[fname] for r in recs], inv)
+                    for fname, _ in self.fields
+                }
+            except KeyError:
+                raise KernelBail("missing vector field") from None
+        else:
+            cols = dict.fromkeys(fname for fname, _ in self.fields)
+        for same, stored in puts:
+            for fname in cols:
+                if fname not in stored:
+                    raise KernelBail("read of a field a put dropped")
+                cols[fname] = (
+                    stored[fname] if cols[fname] is None
+                    else _select(same, stored[fname], cols[fname])
+                )
+        return {
+            "cells": cells,
+            "q": np.where(oob, -1, q) if has_oob else q,
+            "oob": oob if has_oob else None,
+            "env": tuple((sym, cols[fname]) for fname, sym in self.fields),
+        }
+
+
+class _FlagStep(_Step):
+    """A read of the lane's cell flag on its shard chain; ``results``
+    names the op's results the step binds."""
+
+    __slots__ = ("obj", "index", "inputs", "binds", "sig", "ckey")
+    reads = True
+
+    def __init__(self, entry, lowered, exact_alloc):
+        if _after(lowered, _Alloc.op, entry.obj):
+            raise LowerError(f"{self.op} of {entry.obj!r} after its allocation")
+        self.obj = entry.obj
+        self.index = entry.key[0]
+        self.inputs = (self.index,)
+        self.binds = tuple(entry.result(r).name for r in self.results)
+        self.sig = self.ckey = (self.op, self.obj, self.index) + self.binds
+
+    def touched(self, art, k, updates):
+        return k[~art["flags"][k]]  # only a free cell can be allocated
+
+    def read(self, disp, group, env, cache, steps, alive):
+        g = group.g_lanes.size
+        stores = disp._stores
+        cells = _ivals(eval_expr(self.index, env, cache), g)
+        flags = np.empty(g, dtype=bool)
+        for s, pos in group.by_shard:
+            chain = stores[s][self.obj]
+            if pos is None:
+                flags = chain.flags(cells)
+            else:
+                flags[pos] = chain.flags(cells[pos])
+        return {
+            "cells": cells,
+            "q": _qualify(cells, group.shards, len(stores)),
+            "flags": flags,
+            "oob": None,
+            "env": tuple((name, Column(flags, 1.0)) for name in self.binds),
+        }
+
+
+class _IsAlloc(_FlagStep):
+    __slots__ = ()
+    op = "dchain_is_allocated"
+    results = ("allocated",)
+    checks = (("alloc", "free", "q"),)
+
+    def pubs(self, tainted, chains):
+        return (("flag_r", _source(self.index, "q", tainted, chains)),)
+
+
+class _Rejuv(_FlagStep):
+    __slots__ = ()
+    op = "dchain_rejuvenate"
+    results = ()
+    checks = (("ts_w", None, "q"), ("alloc", "free", "q"))
+
+    def pubs(self, tainted, chains):
+        return (
+            ("ts_w", _source(self.index, "live", tainted, chains)),
+            ("flag_r", _source(self.index, "q", tainted, chains)),
+        )
+
+    def apply(self, disp, group, ps, art, kidx):
+        # Lanes from *different* port groups may rejuvenate the same
+        # cell; defer and apply in lane order so last-touched matches
+        # the interpreter's trace order.
+        live = kidx[art["flags"][kidx]]
+        disp._ts_pending.setdefault(self.obj, []).append(
+            (group.g_lanes[live], art["q"][live])
+        )
+
+    @classmethod
+    def flush(cls, disp, k_flag):
+        if not disp._ts_pending:
+            return
+        ts = disp._cols.field("timestamp")
+        n_shards = len(disp._stores)
+        for obj, parts in disp._ts_pending.items():
+            if len(parts) == 1:
+                lanes, q = parts[0]
+            else:
+                lanes = np.concatenate([p[0] for p in parts])
+                q = np.concatenate([p[1] for p in parts])
+            if not lanes.size:
+                continue
+            # Lane order is the interpreter's apply order; only the
+            # last write per (shard, cell) is observable before the next
+            # chunk boundary, so collapse to one store per touched cell.
+            order = np.argsort(lanes, kind="stable")
+            q_s = q[order]
+            uniq, first_rev = np.unique(q_s[::-1], return_index=True)
+            times = ts[lanes[order[q_s.size - 1 - first_rev]]]
+            shard = uniq % n_shards
+            cells = uniq // n_shards
+            for s in np.unique(shard).tolist():
+                on = shard == s
+                disp._stores[s][obj].stamp(cells[on], times[on])
+        disp._ts_pending = {}
+
+
+class _VecPut(_Step):
+    __slots__ = ("obj", "index", "stored", "inputs", "binds", "sig", "ckey")
+    op = "vector_put"
+    checks = (("vec_w", None, "q"), ("vec_r", None, "q"))
+    writes = True
+
+    def __init__(self, entry, lowered, exact_alloc):
+        self.obj = entry.obj
+        self.index = entry.key[0]
+        self.stored = tuple(entry.stored)
+        self.inputs = (self.index,) + tuple(e for _, e in self.stored)
+        self.binds = ()
+        self.sig = self.ckey = (self.op, self.obj, self.index, self.stored)
+
+    def pubs(self, tainted, chains):
+        return (("vec_w", _source(self.index, "q", tainted, chains)),)
+
+    def read(self, disp, group, env, cache, steps, alive):
+        g = group.g_lanes.size
+        cells = _ivals(eval_expr(self.index, env, cache), g)
+        oob = (cells < 0) | (cells >= disp._stores[0][self.obj].capacity)
+        stored = []
+        for fname, expr in self.stored:
+            col = eval_expr(expr, env, cache)
+            if col.is_float and col.fmask is not None \
+                    and col.bound >= FLOAT_EXACT:
+                raise KernelBail("mixed stored column beyond exact range")
+            arr = np.asarray(col.arr)
+            if arr.ndim == 0:
+                arr = np.broadcast_to(arr, (g,))
+                col = Column(arr, col.bound, col.fmask)
+            stored.append((fname, col))
+        return {
+            "cells": cells,
+            "q": _qualify(cells, group.shards, len(disp._stores)),
+            "oob": oob if bool(oob.any()) else None,
+            "stored": stored,
+            "env": (),
+        }
+
+    def apply(self, disp, group, ps, art, kidx):
+        # Hazard demotion guarantees cell-disjointness with every
+        # interpreter lane and every other kernel lane, so apply order
+        # only matters lane-internally (step order).
+        stores = disp._stores
+        vecs = [store[self.obj] for store in stores]
+        cells = art["cells"][kidx].tolist()
+        # Elastic runs tag the written rows with the writing packet's
+        # bucket (same bucket for every packet of a flow, so re-tagging
+        # is idempotent).
+        bucket_ids = disp._bucket_ids
+        if bucket_ids is not None:
+            ctxs = disp._ctxs
+            for c, s, i in zip(
+                cells, ps.shards[kidx].tolist(), group.g_lanes[kidx].tolist()
+            ):
+                bindex = ctxs[s].bucket_index
+                if bindex is not None:
+                    bindex.note_index(self.obj, c, int(bucket_ids[i]))
+        fnames = [fname for fname, _ in art["stored"]]
+        cols = [_stored_values(col, kidx) for _, col in art["stored"]]
+        if len(fnames) == 1:
+            recs = [{fnames[0]: v} for v in cols[0]]
+        else:
+            recs = [dict(zip(fnames, row)) for row in zip(*cols)]
+        for s, pos in _by_shard(ps.shards[kidx], len(stores)):
+            if pos is None:
+                vecs[s].put_many(cells, recs)
+            else:
+                vecs[s].put_many(
+                    art["cells"][kidx[pos]].tolist(),
+                    [recs[i] for i in pos.tolist()],
+                )
+
+
+class _Alloc(_Step):
+    """``dchain_allocate``: the lane's rank among the chunk's allocations
+    on its (shard, chain), in lane order, picks its free-stack pop: the
+    k-th allocation takes the k-th cell of the stack, and gets
+    ``(False, 0)`` past its end.  ``entry`` (the trace index) orders one
+    lane's allocations.  Lowers only with ``exact_alloc``."""
+
+    __slots__ = (
+        "obj", "ok", "index", "entry", "node", "after", "inputs", "binds",
+        "sig", "ckey",
+    )
+    op = "dchain_allocate"
+    checks = (("alloc", "exposed", "q"), ("flag_r", "ok", "q"))
+    ranked = writes = distinct = True
+
+    def __init__(self, entry, lowered, exact_alloc):
+        if not exact_alloc or _after(lowered, self.op, entry.obj):
+            raise LowerError(f"cannot lower {self.op} on {entry.obj!r}")
+        self.obj = entry.obj
+        self.ok = entry.result("ok").name
+        self.index = entry.result("index").name
+        self.entry = entry.index
+        self.node = None
+        self.after = ()
+        self.inputs = ()
+        self.binds = (self.ok, self.index)
+        self.sig = self.ckey = (self.op, self.obj, self.ok, self.index)
+
+    def taint(self, tainted, chains):
+        chains[self.index] = self.obj
+        tainted.update(self.binds)
+
+    def pubs(self, tainted, chains):
+        return (("alloc", ("reach", self.obj)),)
+
+    def written(self, art, k):
+        return k[art["ok"][k]]  # a failed allocation writes nothing
+
+    def opened(self, art, kidx):
+        return art["ok"][kidx]
+
+    def read(self, disp, group, env, cache, steps, alive):
+        g = group.g_lanes.size
+        name = self.obj
+        ok = np.zeros(g, dtype=bool)
+        exposed = np.zeros(g, dtype=bool)
+        tight = np.zeros(g, dtype=bool)
+        index = np.zeros(g, np.int64)
+        kidx = np.flatnonzero(alive)
+        if kidx.size:
+            disp._needs.add(("flag_r", name))
+            disp._chains.add(name)
+            chains = [store[name] for store in disp._stores]
+            n_free = np.array([len(c._free) for c in chains])
+            ranks = disp._ranks(self, kidx, group, n_free)
+            on = group.shards[kidx]
+            room = n_free[on]
+            exposed[kidx] = room > 0
+            tight[kidx] = (room > 0) & (
+                room < disp._bound(self.op, name)[on]
+            )
+            live = ranks < room
+            ok[kidx] = live
+            if live.any():
+                sel = kidx[live]
+                on = on[live]
+                ranks = ranks[live]
+                for s in np.unique(on).tolist():
+                    at = on == s
+                    top = chains[s].peek(int(ranks[at].max()) + 1)
+                    index[sel[at]] = np.asarray(top)[ranks[at]]
+        return {
+            "ok": ok,
+            "exposed": exposed,
+            "tight": tight,
+            "q": _qualify(index, group.shards, len(disp._stores)),
+            "oob": None,
+            "env": (
+                (self.ok, Column(ok, 1.0)),
+                (self.index, Column(index)),
+            ),
+        }
+
+    @classmethod
+    def flush(cls, disp, k_flag):
+        """Pop each (shard, chain)'s free stack for the kernel lanes'
+        allocations, in rank order, which is lane order."""
+        ts = disp._cols.field("timestamp")
+        buckets = disp._bucket_ids
+        for name in disp._chains:
+            evs = disp._events.get(name)
+            if not evs:
+                continue
+            lanes, on, ranks = (
+                np.concatenate([e[i] for e in evs]) for i in (1, 2, 4)
+            )
+            live = ranks < disp._rooms[name][on]
+            kern = k_flag[lanes - disp._start]
+            for s in np.unique(on[kern & live]).tolist():
+                at = on == s
+                if not kern[at].all():
+                    raise RuntimeError(
+                        f"allocations on {name!r} split between kernel "
+                        "and interpreter lanes"
+                    )
+                at &= live
+                popped = lanes[at][np.argsort(ranks[at])]
+                cells = disp._stores[s][name].take(ts[popped])
+                bindex = disp._ctxs[s].bucket_index if buckets is not None \
+                    else None
+                if bindex is not None:
+                    for c, i in zip(cells, popped.tolist()):
+                        bindex.note_index(name, c, int(buckets[i]))
+
+
+_STEPS = (_MapGet, _MapPut, _VecBorrow, _IsAlloc, _Rejuv, _VecPut, _Alloc)
+#: Stateful ops the lowerer can express as column kernels; any path
+#: containing another op kind (sketch, hash, ...) runs on the
+#: interpreter.  DESIGN.md §13 documents each rule — kept in sync by the
+#: doc tests.
+LOWERED_OPS = tuple(cls.op for cls in _STEPS)
+_LOWERING = dict(zip(LOWERED_OPS, _STEPS))
+#: Ops whose steps are ranked: allocations on a chain, inserts into a map.
+_RANKED_OPS = frozenset(cls.op for cls in _STEPS if cls.ranked)
 
 
 class _PathProgram:
@@ -416,8 +803,11 @@ class _PathProgram:
     ``supported`` is False, ``items`` is the lowerable prefix (used to
     narrow which lanes sit on this path for hazard attribution) and
     ``dirt_descs`` describes the state the *unlowered* suffix touches.
-    ``pubs`` holds, per lowered step, the ``(step index, aspect, obj,
-    source)`` dirt its lanes publish when they run interpreted.
+    ``pubs`` holds the ``(artifact index, aspect, obj, source)`` dirt its
+    lanes publish when they run interpreted: per lowered step, with the
+    step's index (its class's ``pubs``), then per dirt descriptor,
+    indexed past the steps, whose keyed values each chunk evaluates into
+    an artifact of its own (``kh`` key hashes or ``q`` cells).
     """
 
     __slots__ = (
@@ -548,73 +938,48 @@ def _compile_path(path, pid, exact_alloc):
     # symbols whose value depends on an allocation's result.
     chains = {}
     tainted = set()
-    ci = 0
-    stop = len(entries)
     supported = True
-    for idx, e in enumerate(entries):
-        target = e.pc_len
-        while ci < target:
-            c = constraints[ci]
-            try:
+    ci = stop = 0
+    try:
+        for stop, e in enumerate(entries):
+            for c in constraints[ci:e.pc_len]:
                 check_expr(c, known, used)
-            except LowerError:
-                supported = False
-                stop = idx
-                break
+                items.append(("c", c))
+                ci += 1
+            cls = _LOWERING.get(e.op)
+            if cls is None:
+                raise LowerError(f"cannot lower stateful op {e.op!r}")
+            step = cls(e, prog.steps, exact_alloc)
+            for x in step.inputs:
+                check_expr(x, known, used)
+            known.update(step.binds)
+            if step.ranked:
+                step.node = (path.decisions[:e.pc_len], e.index)
+            for aspect, src in step.pubs(tainted, chains):
+                prog.pubs.append((len(prog.steps), aspect, step.obj, src))
+            step.taint(tainted, chains)
+            items.append(("op", step))
+            prog.steps.append(step)
+        stop = len(entries)
+        for c in constraints[ci:]:
+            check_expr(c, known, used)
             items.append(("c", c))
-            ci += 1
-        if not supported:
-            break
-        try:
-            step = _lower_entry(e, known, used, prog.steps, exact_alloc)
-        except LowerError:
-            supported = False
-            stop = idx
-            break
-        if step.node is None and isinstance(step, (_MapPut, _Alloc)):
-            step.node = (path.decisions[:e.pc_len], e.index)
-        for aspect, src in _step_pubs(step, tainted, chains):
-            prog.pubs.append((len(prog.steps), aspect, step.obj, src))
-        if isinstance(step, _Alloc):
-            chains[step.index] = step.obj
-            tainted.update(_step_binds(step))
-        elif tainted and any(
-            s.name in tainted
-            for x in _step_inputs(step) for s in E.free_symbols(x)
-        ):
-            tainted.update(_step_binds(step))
-        items.append(("op", step))
-        prog.steps.append(step)
-    if supported:
-        while ci < len(constraints):
-            c = constraints[ci]
-            try:
-                check_expr(c, known, used)
-            except LowerError:
-                supported = False
-                stop = len(entries)
-                break
-            items.append(("c", c))
-            ci += 1
-    if supported:
         # Terminal action: port expression and header rewrites.
-        try:
-            act = path.action
-            if act.kind is ActionKind.FORWARD:
-                p = act.port
-                if isinstance(p, E.Const):
-                    prog.port_const = int(p.value)
-                elif isinstance(p, E.Expr):
-                    check_expr(p, known, used)
-                    prog.port_expr = p
-                else:
-                    prog.port_const = int(p)
-            for _, expr in act.mods:
-                check_expr(expr, known, used)
-            prog.mods = tuple(act.mods)
-        except LowerError:
-            supported = False
-            stop = len(entries)
+        act = path.action
+        if act.kind is ActionKind.FORWARD:
+            p = act.port
+            if isinstance(p, E.Const):
+                prog.port_const = int(p.value)
+            elif isinstance(p, E.Expr):
+                check_expr(p, known, used)
+                prog.port_expr = p
+            else:
+                prog.port_const = int(p)
+        for _, expr in act.mods:
+            check_expr(expr, known, used)
+        prog.mods = tuple(act.mods)
+    except LowerError:
+        supported = False
     prog.supported = supported
     prog.stop = None if supported else stop
     if supported:
@@ -633,10 +998,19 @@ def _compile_path(path, pid, exact_alloc):
         prog.dirt_descs = _collect_dirt(
             entries[stop:], known - tainted, chains, exact_alloc
         )
+        for si, (aspect, obj, key) in enumerate(
+            prog.dirt_descs, len(prog.steps)
+        ):
+            if key is None:
+                src = None
+            elif isinstance(key, str):
+                src = ("reach", key)
+            else:
+                src = "kh" if aspect in _ROW_ASPECTS else "q"
+            prog.pubs.append((si, aspect, obj, src))
     # Aspects this program poisons when it bails at run time (lanes
     # unknown -> wildcard everything it could touch).
     prog.wild = [(a, o) for _, a, o, _ in prog.pubs]
-    prog.wild.extend((a, o) for a, o, _ in prog.dirt_descs)
     return prog
 
 
@@ -661,7 +1035,7 @@ class _PortProgram:
         for prog in programs:
             self.write_max |= Counter(
                 (e.op, e.obj) for e in prog.source_path.trace
-                if e.op in ("dchain_allocate", "map_put")
+                if e.op in _RANKED_OPS
             )
         used = set()
         for prog in programs:
@@ -677,7 +1051,7 @@ class _PortProgram:
         self.shared_ok = True
         for prog in programs:
             for step in prog.steps:
-                for name in _step_binds(step):
+                for name in step.binds:
                     prev = sigs.setdefault(name, step.ckey)
                     if prev != step.ckey:
                         self.shared_ok = False
@@ -691,8 +1065,7 @@ class _PortProgram:
                     step.node = nodes.setdefault(step.node, len(nodes))
                 if step.node is not None:
                     after.setdefault(step.node, set()).update(
-                        [(a, o) for sj, a, o, _ in prog.pubs if sj >= si]
-                        + [(a, o) for a, o, _ in prog.dirt_descs]
+                        (a, o) for sj, a, o, _ in prog.pubs if sj >= si
                     )
         for prog in programs:
             for step in prog.steps:
@@ -873,7 +1246,7 @@ class _ProgState:
 
     __slots__ = (
         "prog", "shards", "match", "force_f", "kmask", "bailed", "arts",
-        "dirt_vals", "port_vals", "mod_vals",
+        "port_vals", "mod_vals",
     )
 
     def __init__(self, prog, shards):
@@ -884,8 +1257,9 @@ class _ProgState:
         self.force_f = None
         self.kmask = None
         self.bailed = False
+        #: Per lowered step, then per dirt descriptor (see
+        #: ``_PathProgram.pubs``), the chunk's artifact.
         self.arts = []
-        self.dirt_vals = []
         self.port_vals = None
         self.mod_vals = None
 
@@ -967,6 +1341,27 @@ def _stored_values(col, kidx):
     ]
 
 
+def _value_column(vals, inv):
+    """Unique-slot values -> per-lane Column, preserving int/float."""
+    if any(isinstance(v, float) for v in vals):
+        u_arr = np.array(vals, np.float64)
+        bound = float(np.abs(u_arr).max()) if u_arr.size else 0.0
+        if bound >= FLOAT_EXACT:
+            raise KernelBail("vector values beyond exact float range")
+        fm_u = np.fromiter(
+            (isinstance(v, float) for v in vals), bool, count=len(vals)
+        )
+        fmask = fm_u[inv]
+        return Column(u_arr[inv], bound, None if fmask.all() else fmask)
+    try:
+        u_arr = np.array([int(v) for v in vals], np.int64)
+    except OverflowError:
+        raise KernelBail("vector values beyond int64") from None
+    if u_arr.size and abs(int(np.abs(u_arr).max())) >= INT_SAFE:
+        raise KernelBail("vector values beyond safe int range")
+    return Column(u_arr[inv])
+
+
 def _select(same, a, b):
     """Column ``a`` where ``same``, else ``b`` (int lanes only)."""
     if a.is_float or b.is_float:
@@ -982,15 +1377,30 @@ def _hit_or(dem, hit):
     return hit if dem is None else dem | hit
 
 
-def _hits(sel, shards, vals, dirt):
-    """Lanes of ``sel`` on a shard ``dirt`` wildcards, or whose value
-    (qualified cell or key hash; ``vals`` maps lane positions to them)
-    it holds."""
+def _art_vals(art, col, shards, lanes):
+    """Artifact column ``col`` at ``lanes`` (a mask or positions).  Key-row
+    (``kh``) and stored-value (``vh``) hashes of a map step are made on
+    demand; hashes of every lane are kept once a quarter is asked for."""
+    if col not in ("kh", "vh"):
+        return art[col][lanes]
+    h = art.get(col)
+    if h is None:
+        cols = art["kcols"] if col == "kh" else [art["vals"]]
+        n = np.count_nonzero(lanes) if lanes.dtype == bool else lanes.size
+        if 4 * n < shards.size:
+            return key_hash(shards[lanes], [c[lanes] for c in cols])
+        h = art[col] = key_hash(shards, cols)
+    return h[lanes]
+
+
+def _hits(sel, shards, art, col, dirt):
+    """Lanes of ``sel`` on a shard ``dirt`` wildcards, or whose value in
+    artifact column ``col`` (a qualified cell or key hash) it holds."""
     hit = sel & _on_shards(shards, dirt.wild) if dirt.wild else None
     if dirt.parts:
         d = dirt.sorted()
         kidx = np.flatnonzero(sel)
-        v = vals(kidx)
+        v = _art_vals(art, col, shards, kidx)
         at = np.searchsorted(d, v)
         at[at == d.size] = 0
         found = d[at] == v
@@ -1035,10 +1445,7 @@ class CompiledDispatcher:
         for pp in ports.values():
             for prog in pp.programs:
                 for step in prog.steps:
-                    probes = isinstance(step, _MapGet) or (
-                        isinstance(step, _MapPut) and step.probe is None
-                    )
-                    if probes and step.obj not in self._indexes:
+                    if step.probes and step.obj not in self._indexes:
                         self._indexes[step.obj] = MapIndex(len(step.keys))
         self.index_min_lanes = INDEX_MIN_LANES
         self._new_chunk(0, 0, [])
@@ -1208,10 +1615,8 @@ class CompiledDispatcher:
         kept = 0
         for g in groups:
             kept += self._apply_group(g, results)
-        if self._events:
-            self._apply_allocs(k_flag)
-        self._apply_puts()
-        self._flush_ts()
+        for cls in _STEPS:
+            cls.flush(self, k_flag)
         self.kernel_packets += kept
         self.fallback_packets += f_lanes.size
 
@@ -1290,18 +1695,24 @@ class CompiledDispatcher:
                     ps.match = alive
                     return
                 continue
-            if x.node is not None:
-                art = self._node_step(x, alive, env, cache, group, step_cache)
+            # A ranked step's work depends on the lanes alive at it: it
+            # runs once per tree node and chunk (programs through the
+            # node see the same lanes there).
+            if x.node is None:
+                arts, key = step_cache, x.ckey
             else:
-                art = step_cache.get(x.ckey)
-                if art is None:
-                    art = self._exec_step(x, env, cache, group, step_cache)
-                    step_cache[x.ckey] = art
+                arts, key = self._node_arts, (group.pp.port, x.node)
+            art = arts.get(key)
+            if art is None:
+                art = arts[key] = x.read(
+                    self, group, env, cache, step_cache, alive
+                )
+            env.update(art["env"])
             ps.arts.append(art)
             oob = art["oob"]
             if oob is not None:
                 force_f = force_f | oob
-        ps.dirt_vals = self._eval_dirt(prog.dirt_descs, env, cache, g)
+        self._suffix_arts(ps, env, cache, g)
         if prog.supported and prog.const_result is None:
             if prog.port_expr is not None:
                 ps.port_vals = _ivals(
@@ -1314,52 +1725,35 @@ class CompiledDispatcher:
         ps.match = alive
         ps.force_f = force_f
 
-    @staticmethod
-    def _eval_dirt(descs, env, cache, g):
-        """Per-lane values of dirt descriptors: a list of key columns for
-        map aspects, a cell column otherwise; None (wildcard) or a chain
-        name (its reach) pass through."""
-        out = []
-        for aspect, obj, exprs in descs:
-            if exprs is not None and not isinstance(exprs, str):
+    def _suffix_arts(self, ps, env, cache, g):
+        """Artifacts of the dirt descriptors' exact keys: key columns for
+        map aspects, qualified cells otherwise; None for a wildcard or a
+        reach, and for keys the chunk cannot evaluate (wildcards then)."""
+        for aspect, _, key in ps.prog.dirt_descs:
+            art = None
+            if type(key) is tuple:
                 try:
-                    if aspect in _ROW_ASPECTS:
-                        exprs = [
-                            _ivals(eval_expr(k, env, cache), g) for k in exprs
-                        ]
-                    else:
-                        exprs = _ivals(eval_expr(exprs[0], env, cache), g)
+                    cols = [_ivals(eval_expr(k, env, cache), g) for k in key]
                 except (KernelBail, OverflowError):
-                    exprs = None
-            out.append((aspect, obj, exprs))
-        return out
+                    pass
+                else:
+                    art = {"kcols": cols} if aspect in _ROW_ASPECTS else {
+                        "q": _qualify(cols[0], ps.shards, len(self._stores)),
+                    }
+            ps.arts.append(art)
 
-    def _node_step(self, step, alive, env, cache, group, step_cache):
-        """Artifact of a step whose work depends on the lanes alive at
-        it, computed once per tree node and chunk (programs through the
-        node see the same lanes there)."""
-        key = (group.pp.port, step.node)
-        art = self._node_arts.get(key)
-        if art is None:
-            if isinstance(step, _Alloc):
-                art = self._exec_alloc(step, key, alive, group)
-            else:
-                art = self._exec_put(
-                    step, key, alive, env, cache, group, step_cache
-                )
-            self._node_arts[key] = art
-        env.update(art["env"])
-        return art
-
-    def _ranks(self, key, obj, entry, sel, group, room):
+    def _ranks(self, step, sel, group, room):
         """Ranks of the ``sel`` lanes of ``group`` among the chunk's
-        allocations or inserts on their shard's ``obj``, in lane order;
-        ``room`` is how many more each shard's ``obj`` takes.
+        allocations or inserts on their shard's object, in lane order,
+        for the ranked ``step``; ``room`` is how many more each shard's
+        object takes.
 
         Ranks continue across the nodes of one object in evaluation
         order; when lanes of several nodes interleave on a shard,
         :meth:`_settle_ranks` ranks them again.
         """
+        key = (group.pp.port, step.node)
+        obj = step.obj
         lanes = group.g_lanes[sel]
         on = group.shards[sel]
         override = self._override.get(key)
@@ -1382,105 +1776,9 @@ class CompiledDispatcher:
             ranks = np.where(ranks < 0, room[on], ranks)
         self._rooms[obj] = room
         self._events.setdefault(obj, []).append(
-            (key, lanes, on, entry, ranks)
+            (key, lanes, on, step.entry, ranks)
         )
         return ranks
-
-    def _exec_alloc(self, step, key, alive, group):
-        """Pop each alive lane's cell: the k-th allocation of the chunk
-        on a (shard, chain) takes the k-th cell of its free stack, and
-        gets ``(False, 0)`` past the stack's end."""
-        g = group.g_lanes.size
-        name = step.obj
-        ok = np.zeros(g, dtype=bool)
-        exposed = np.zeros(g, dtype=bool)
-        tight = np.zeros(g, dtype=bool)
-        index = np.zeros(g, np.int64)
-        kidx = np.flatnonzero(alive)
-        if kidx.size:
-            self._needs.add(("flag_r", name))
-            self._chains.add(name)
-            chains = [store[name] for store in self._stores]
-            n_free = np.array([len(c._free) for c in chains])
-            ranks = self._ranks(key, name, step.entry, kidx, group, n_free)
-            on = group.shards[kidx]
-            room = n_free[on]
-            exposed[kidx] = room > 0
-            tight[kidx] = (room > 0) & (
-                room < self._bound("dchain_allocate", name)[on]
-            )
-            live = ranks < room
-            ok[kidx] = live
-            if live.any():
-                sel = kidx[live]
-                on = on[live]
-                ranks = ranks[live]
-                for s in np.unique(on).tolist():
-                    at = on == s
-                    top = chains[s].peek(int(ranks[at].max()) + 1)
-                    index[sel[at]] = np.asarray(top)[ranks[at]]
-        return {
-            "ok": ok,
-            "exposed": exposed,
-            "tight": tight,
-            "q": _qualify(index, group.shards, len(self._stores)),
-            "oob": None,
-            "env": (
-                (step.ok, Column(ok, 1.0)),
-                (step.index, Column(index)),
-            ),
-        }
-
-    def _exec_put(self, step, key, alive, env, cache, group, step_cache):
-        """Probe the keys a ``map_put`` inserts on the lanes alive at it.
-
-        A put of a present key succeeds; so does every insert into a map
-        with room for all the inserts the chunk can make.  Otherwise new
-        keys are ranked like allocations: the k-th insert of the chunk
-        on a (shard, map) succeeds while the map has room for k more.
-        """
-        g = group.g_lanes.size
-        kcols = _key_cols(step.keys, env, cache, g)
-        vals = _ivals(eval_expr(step.value, env, cache), g)
-        ok = np.ones(g, dtype=bool)
-        exposed = np.zeros(g, dtype=bool)
-        present = np.zeros(g, dtype=bool)
-        kidx = np.flatnonzero(alive)
-        art = {"kcols": kcols}
-        if kidx.size:
-            self._needs.add(("map_r", step.obj))
-            self._needs.add(("map_v", step.obj))
-            on = group.shards[kidx]
-            if step.probe is not None:
-                kh = step_cache[step.probe.ckey].get("kh")
-                if kh is not None:
-                    art["kh"] = kh
-                found = env[step.probe.found].arr[kidx]
-            else:
-                found = self._probe(step, art, group.shards, kidx, False)[0]
-            present[kidx] = found
-            room = np.array([
-                m.capacity - len(m)
-                for m in (store[step.obj] for store in self._stores)
-            ])
-            # Inserts into a map with room for all the chunk can make
-            # succeed in any order; the others are ranked.
-            ranked = ~found & (
-                room < self._bound("map_put", step.obj)
-            )[on]
-            if ranked.any():
-                self._needs.add(("map_n", step.obj))
-                sel = kidx[ranked]
-                exposed[sel] = True
-                ranks = self._ranks(
-                    key, step.obj, step.entry, sel, group, room
-                )
-                ok[sel] = ranks < room[group.shards[sel]]
-        art.update(
-            found=present, vals=vals, ok=ok, exposed=exposed, tight=exposed,
-            oob=None, env=((step.ok, Column(ok, 1.0)),),
-        )
-        return art
 
     def _probe(self, step, art, shards, kidx=None, values=True):
         """``(found, value)`` of the keys ``art["kcols"]`` (of lanes
@@ -1527,136 +1825,6 @@ class CompiledDispatcher:
         return sum(
             g.counts * g.pp.write_max[(op, obj)] for g in self._groups
         )
-
-    def _exec_step(self, step, env, cache, group, step_cache):
-        g = group.g_lanes.size
-        stores = self._stores
-        n_shards = len(stores)
-        by_shard = group.by_shard
-        if isinstance(step, _MapGet):
-            art = {"kcols": _key_cols(step.keys, env, cache, g), "oob": None}
-            found, value = self._probe(step, art, group.shards)
-            env[step.found] = Column(found, 1.0)
-            env[step.value] = Column(value)
-            art["found"] = found
-            return art
-        if isinstance(step, _VecBorrow):
-            cells = _ivals(eval_expr(step.index, env, cache), g)
-            # The lane's own earlier puts to the cell, in path order: the
-            # lane reads the last one back instead of the state.
-            puts = []
-            covered = None
-            for put in step.fwd:
-                part = step_cache[put.ckey]
-                same = part["cells"] == cells
-                if same.any():
-                    puts.append((same, dict(part["stored"])))
-                    covered = same if covered is None else covered | same
-            # Every shard of a structure has the same capacity.
-            oob = (cells < 0) | (cells >= stores[0][step.obj].capacity)
-            has_oob = bool(oob.any())
-            safe = np.where(oob, 0, cells) if has_oob else cells
-            q = safe * n_shards + group.shards
-            # One row read per distinct (shard, cell) not read back.
-            if covered is None or not covered.all():
-                uniq, inv = np.unique(
-                    q if covered is None else np.where(covered, q[~covered][0], q),
-                    return_inverse=True,
-                )
-                try:
-                    if n_shards == 1:
-                        recs = list(map(stores[0][step.obj].row, uniq.tolist()))
-                    else:
-                        rows = [store[step.obj].row for store in stores]
-                        recs = [
-                            rows[s](c) for c, s in zip(
-                                (uniq // n_shards).tolist(),
-                                (uniq % n_shards).tolist(),
-                            )
-                        ]
-                    cols = {
-                        fname: self._value_column([r[fname] for r in recs], inv)
-                        for fname, _ in step.fields
-                    }
-                except KeyError:
-                    raise KernelBail("missing vector field") from None
-            else:
-                cols = dict.fromkeys(fname for fname, _ in step.fields)
-            for same, stored in puts:
-                for fname in cols:
-                    if fname not in stored:
-                        raise KernelBail("read of a field a put dropped")
-                    cols[fname] = (
-                        stored[fname] if cols[fname] is None
-                        else _select(same, stored[fname], cols[fname])
-                    )
-            for fname, sym in step.fields:
-                env[sym] = cols[fname]
-            return {
-                "cells": cells,
-                "q": np.where(oob, -1, q) if has_oob else q,
-                "oob": oob if has_oob else None,
-            }
-        if isinstance(step, (_IsAlloc, _Rejuv)):
-            cells = _ivals(eval_expr(step.index, env, cache), g)
-            flags = np.empty(g, dtype=bool)
-            for s, pos in by_shard:
-                chain = stores[s][step.obj]
-                if pos is None:
-                    flags = chain.flags(cells)
-                else:
-                    flags[pos] = chain.flags(cells[pos])
-            if isinstance(step, _IsAlloc):
-                env[step.res] = Column(flags, 1.0)
-            return {
-                "cells": cells,
-                "q": _qualify(cells, group.shards, n_shards),
-                "flags": flags,
-                "oob": None,
-            }
-        # _VecPut
-        cells = _ivals(eval_expr(step.index, env, cache), g)
-        oob = (cells < 0) | (cells >= stores[0][step.obj].capacity)
-        stored = []
-        for fname, expr in step.stored:
-            col = eval_expr(expr, env, cache)
-            if col.is_float and col.fmask is not None \
-                    and col.bound >= FLOAT_EXACT:
-                raise KernelBail("mixed stored column beyond exact range")
-            arr = np.asarray(col.arr)
-            if arr.ndim == 0:
-                arr = np.broadcast_to(arr, (g,))
-                col = Column(arr, col.bound, col.fmask)
-            stored.append((fname, col))
-        return {
-            "cells": cells,
-            "q": _qualify(cells, group.shards, n_shards),
-            "oob": oob if bool(oob.any()) else None,
-            "stored": stored,
-        }
-
-    @staticmethod
-    def _value_column(vals, inv):
-        """Unique-slot values -> per-lane Column, preserving int/float."""
-        if any(isinstance(v, float) for v in vals):
-            u_arr = np.array(vals, np.float64)
-            bound = float(np.abs(u_arr).max()) if u_arr.size else 0.0
-            if bound >= FLOAT_EXACT:
-                raise KernelBail("vector values beyond exact float range")
-            fm_u = np.fromiter(
-                (isinstance(v, float) for v in vals), bool, count=len(vals)
-            )
-            fmask = fm_u[inv]
-            return Column(
-                u_arr[inv], bound, None if fmask.all() else fmask
-            )
-        try:
-            u_arr = np.array([int(v) for v in vals], np.int64)
-        except OverflowError:
-            raise KernelBail("vector values beyond int64") from None
-        if u_arr.size and abs(int(np.abs(u_arr).max())) >= INT_SAFE:
-            raise KernelBail("vector values beyond safe int range")
-        return Column(u_arr[inv])
 
     # -------------------------------------------------------------- #
     # Allocation ranks
@@ -1765,22 +1933,10 @@ class CompiledDispatcher:
                 if fall.any():
                     self._publish(board, ps, fall)
 
-    @staticmethod
-    def _art_hash(art, name, shards, lanes):
-        """Key-row (``kh``) or stored-value (``vh``) hashes of a map
-        step's ``lanes`` (a mask or positions).  Hashes of every lane
-        are kept once a quarter of them is asked for."""
-        h = art.get(name)
-        if h is None:
-            cols = art["kcols"] if name == "kh" else [art["vals"]]
-            n = np.count_nonzero(lanes) if lanes.dtype == bool else lanes.size
-            if 4 * n < shards.size:
-                return key_hash(shards[lanes], [c[lanes] for c in cols])
-            h = art[name] = key_hash(shards, cols)
-        return h[lanes]
-
     def _publish(self, board, ps, mask):
-        """Publish the state footprint of ``mask`` lanes of one program.
+        """Publish the state footprint of ``mask`` lanes of one program:
+        per ``pubs`` entry, wildcards on the lanes' shards, the reach of
+        a chain, or the key hashes or cells of the entry's artifact.
 
         A lane whose allocation or insert outcome other lanes can change
         (its chain may run out, or its map fill, this chunk) may take
@@ -1804,37 +1960,18 @@ class CompiledDispatcher:
             if aspect in _NEEDED_ASPECTS and (aspect, obj) not in needs:
                 continue
             art = ps.arts[si]
-            if src is None or type(src) is tuple:
+            if src is None or art is None or type(src) is tuple:
                 if present is None:
                     present = np.unique(shards[mask]).tolist()
-                if src is None:
-                    board.add_wild(aspect, obj, present)
-                else:
+                if type(src) is tuple:
                     for s in present:
                         board.add_reach(aspect, obj, s, src[1], self._reach)
-            elif src in ("kh", "vh"):
-                board.add(aspect, obj, self._art_hash(art, src, shards, mask))
-            else:
-                sel = mask & art["flags"] if src == "live" else mask
-                q = art["q"][sel]
-                board.add(aspect, obj, q[q >= 0])
-        for aspect, obj, vals in ps.dirt_vals:
-            if aspect in _NEEDED_ASPECTS and (aspect, obj) not in needs:
-                continue
-            if vals is None or isinstance(vals, str):
-                if present is None:
-                    present = np.unique(shards[mask]).tolist()
-                if vals is None:
-                    board.add_wild(aspect, obj, present)
                 else:
-                    for s in present:
-                        board.add_reach(aspect, obj, s, vals, self._reach)
-            elif aspect in _ROW_ASPECTS:
-                board.add(aspect, obj, key_hash(
-                    shards[mask], [v[mask] for v in vals]
-                ))
+                    board.add_wild(aspect, obj, present)
+            elif src in ("kh", "vh"):
+                board.add(aspect, obj, _art_vals(art, src, shards, mask))
             else:
-                q = _qualify(vals[mask], shards[mask], len(self._stores))
+                q = art["q"][mask & art["flags"] if src == "live" else mask]
                 board.add(aspect, obj, q[q >= 0])
 
     def _reach(self, shard, chain, aspect):
@@ -1850,7 +1987,7 @@ class CompiledDispatcher:
         rows = aspect in _ROW_ASPECTS
         vals = self._reaches.get((shard, chain, rows))
         if vals is None:
-            k = int(self._bound("dchain_allocate", chain)[shard])
+            k = int(self._bound(_Alloc.op, chain)[shard])
             cells = np.array(self._stores[shard][chain].reach(k), np.int64)
             vals = (
                 key_hash(np.full(cells.size, shard), [cells]) if rows
@@ -1868,87 +2005,63 @@ class CompiledDispatcher:
         objects before it left.  Every demoted lane publishes its
         footprint.
         """
-        kinds = (
-            (_VecPut, (_VecBorrow,)),
-            (_Alloc, (_IsAlloc, _Rejuv)),
-            (_MapPut, (_MapGet, _MapPut)),
-        )
         writers = {}
         readers = {}
         for g in groups:
             for ps in g.progs:
                 if ps.kmask is None or not ps.kmask.any():
                     continue
-                for si, step in enumerate(ps.prog.steps):
-                    for kind, (wcls, rcls) in enumerate(kinds):
-                        if isinstance(step, wcls):
-                            writers.setdefault((kind, step.obj), []).append(
-                                (g, ps, si)
-                            )
-                        if isinstance(step, rcls):
-                            readers.setdefault((kind, step.obj), []).append(
-                                (g, ps, si)
-                            )
+                for step, art in zip(ps.prog.steps, ps.arts):
+                    entry = (g, ps, step, art)
+                    if step.writes:
+                        writers.setdefault(step.obj, []).append(entry)
+                    if step.reads:
+                        readers.setdefault(step.obj, []).append(entry)
         if not writers:
             return
         before = [
             (ps, ps.kmask.copy()) for g in groups for ps in g.progs
             if ps.kmask is not None and ps.kmask.any()
         ]
-        for (kind, obj), entries in writers.items():
-            self._touch(kind, entries, readers.get((kind, obj), ()))
+        for obj, entries in writers.items():
+            self._touch(entries, readers.get(obj, ()))
         for ps, kmask in before:
             dem = kmask & ~ps.kmask
             if dem.any():
                 self._publish(board, ps, dem)
 
-    def _touch(self, kind, entries, readers):
+    @staticmethod
+    def _touch(writers, readers):
         """Demote kernel lanes sharing a written vector row, allocated
-        cell or inserted map key with another kernel lane.
+        cell or inserted map key with another kernel lane, by the rule
+        of the object's writing step class.
 
         Cells are shard-qualified; keys are :func:`~repro.nf.state.key_hash`
         rows of ``(shard, key)``, where a collision only demotes a lane.
         """
-
-        def vals(ps, si, k):
-            art = ps.arts[si]
-            if kind == 2:
-                return self._art_hash(art, "kh", ps.shards, k)
-            return art["q"][k]
-
-        wks = []
-        for _, ps, si in entries:
-            k = np.flatnonzero(ps.kmask)
-            if kind:
-                # A failed allocation or insert writes nothing.
-                k = k[ps.arts[si]["ok"][k]]
-            wks.append(k)
-        # A put that updates a present key conflicts with every reader
-        # of that key; otherwise only with the readers that found the
-        # key absent.
-        updates = kind == 2 and any(
-            ps.arts[si]["found"][k].any()
-            for (_, ps, si), k in zip(entries, wks)
+        wks = [
+            step.written(art, np.flatnonzero(ps.kmask))
+            for _, ps, step, art in writers
+        ]
+        updates = any(
+            step.updates(art, k)
+            for (_, _, step, art), k in zip(writers, wks)
         )
-        rks = []
-        for _, ps, si in readers:
-            k = np.flatnonzero(ps.kmask)
-            if kind == 1:
-                # Only a free cell can be allocated.
-                k = k[~ps.arts[si]["flags"][k]]
-            elif kind == 2 and not updates:
-                k = k[~ps.arts[si]["found"][k]]
-            rks.append(k)
-        # Allocated cells are distinct: they need readers to conflict.
-        if kind == 1 and not any(k.size for k in rks):
+        rks = [
+            step.touched(art, np.flatnonzero(ps.kmask), updates)
+            for _, ps, step, art in readers
+        ]
+        if writers[0][2].distinct and not any(k.size for k in rks):
             return
-        cells = np.concatenate([
-            vals(ps, si, k) for (_, ps, si), k in zip(entries, wks)
-        ])
+        wvals = [
+            _art_vals(art, step.touch_col, ps.shards, k)
+            for (_, ps, step, art), k in zip(writers, wks)
+        ]
+        cells = np.concatenate(wvals)
         if not cells.size:
             return
         lanes = np.concatenate([
-            g.g_lanes[k] for (g, _, _), k in zip(entries, wks)
+            g.g_lanes[k] for (g, _, _, _), k in zip(writers, wks)
         ])
         # Each distinct (cell, lane) once, by cell: a cell two lanes
         # write has no single owner.
@@ -1964,11 +2077,11 @@ class CompiledDispatcher:
         owner[counts > 1] = -1
         multi = uniq[counts > 1]
         if multi.size:
-            for (_, ps, si), k in zip(entries, wks):
-                ps.kmask[k[np.isin(vals(ps, si, k), multi)]] = False
-        for (g, ps, si), k in zip(readers, rks):
+            for (_, ps, _, _), k, v in zip(writers, wks, wvals):
+                ps.kmask[k[np.isin(v, multi)]] = False
+        for (g, ps, step, art), k in zip(readers, rks):
             k = k[ps.kmask[k]]
-            q = vals(ps, si, k)
+            q = _art_vals(art, step.touch_col, ps.shards, k)
             at = np.minimum(np.searchsorted(uniq, q), uniq.size - 1)
             written = uniq[at] == q
             ps.kmask[k[written & (owner[at] != g.g_lanes[k])]] = False
@@ -2015,13 +2128,7 @@ class CompiledDispatcher:
                     sel = kmask & ~art["flags"]
                 else:
                     sel = kmask & art[lanes]
-                if col in ("kh", "vh"):
-                    vals = partial(self._art_hash, art, col, shards)
-                else:
-                    vals = art.get(col)
-                    if vals is not None:
-                        vals = vals.__getitem__
-                dem = _hit_or(dem, _hits(sel, shards, vals, dirt))
+                dem = _hit_or(dem, _hits(sel, shards, art, col, dirt))
             if dem is not None and not (kmask & ~dem).any():
                 break
         return dem
@@ -2032,7 +2139,6 @@ class CompiledDispatcher:
     def _apply_group(self, group, results):
         kept = 0
         g_lanes = group.g_lanes
-        stores = self._stores
         ctxs = self._ctxs
         for ps in group.progs:
             if ps.kmask is None or not ps.kmask.any():
@@ -2048,11 +2154,11 @@ class CompiledDispatcher:
             counts = np.bincount(cores, minlength=len(ctxs))
             for c in np.flatnonzero(counts).tolist():
                 _bump(ctxs[c], prog.bump_ops, int(counts[c]))
-            # A lane opens a flow when one of its allocations succeeds.
+            # A lane opens a flow when one of its steps opens one.
             new = None
             for step, art in zip(prog.steps, ps.arts):
-                if isinstance(step, _Alloc):
-                    ok = art["ok"][kidx]
+                ok = step.opened(art, kidx)
+                if ok is not None:
                     new = ok if new is None else new | ok
             if new is not None and new.any():
                 opened = np.bincount(cores[new], minlength=len(ctxs))
@@ -2087,144 +2193,11 @@ class CompiledDispatcher:
                     repeat(False) if new is None else new.tolist(),
                 )):
                     results[i] = r
-            # Scatters: dchain timestamp refreshes and vector stores.
-            # Hazard demotion guarantees cell-disjointness with every
-            # interpreter lane and every other kernel lane, so apply
-            # order only matters lane-internally (step order below).
-            # Map inserts wait for :meth:`_apply_puts`.
+            # Scatters, in step order: each step writes its kernel lanes'
+            # state or queues it for its chunk-end flush.
             for step, art in zip(prog.steps, ps.arts):
-                if isinstance(step, _Rejuv):
-                    # Lanes from *different* port groups may rejuvenate
-                    # the same cell; defer and apply in lane order so
-                    # last-touched matches the interpreter's trace order.
-                    pend = self._ts_pending.setdefault(step.obj, [])
-                    live = kidx[art["flags"][kidx]]
-                    pend.append((g_lanes[live], art["q"][live]))
-                elif isinstance(step, _VecPut):
-                    vecs = [store[step.obj] for store in stores]
-                    cells = art["cells"][kidx].tolist()
-                    shards = ps.shards[kidx].tolist()
-                    # Elastic runs tag the written rows with the
-                    # writing packet's bucket (same bucket for every
-                    # packet of a flow, so re-tagging is idempotent).
-                    bucket_ids = self._bucket_ids
-                    if bucket_ids is not None:
-                        for c, s, i in zip(cells, shards, lanes_l):
-                            bindex = ctxs[s].bucket_index
-                            if bindex is not None:
-                                bindex.note_index(
-                                    step.obj, c, int(bucket_ids[i])
-                                )
-                    fnames = [fname for fname, _ in art["stored"]]
-                    cols = [_stored_values(col, kidx) for _, col in art["stored"]]
-                    if len(fnames) == 1:
-                        recs = [{fnames[0]: v} for v in cols[0]]
-                    else:
-                        recs = [dict(zip(fnames, row)) for row in zip(*cols)]
-                    for s, pos in _by_shard(ps.shards[kidx], len(stores)):
-                        if pos is None:
-                            vecs[s].put_many(cells, recs)
-                        else:
-                            vecs[s].put_many(
-                                art["cells"][kidx[pos]].tolist(),
-                                [recs[i] for i in pos.tolist()],
-                            )
-                elif isinstance(step, _MapPut):
-                    put = kidx[art["ok"][kidx]]
-                    self._put_pending.setdefault(step.obj, []).append((
-                        g_lanes[put], ps.shards[put], art["vals"][put],
-                        *(c[put] for c in art["kcols"]),
-                    ))
+                step.apply(self, group, ps, art, kidx)
         return kept
-
-    def _apply_allocs(self, k_flag):
-        """Pop each (shard, chain)'s free stack for the kernel lanes'
-        allocations, in rank order, which is lane order."""
-        ts = self._cols.field("timestamp")
-        buckets = self._bucket_ids
-        for name in self._chains:
-            evs = self._events.get(name)
-            if not evs:
-                continue
-            lanes, on, ranks = (
-                np.concatenate([e[i] for e in evs]) for i in (1, 2, 4)
-            )
-            live = ranks < self._rooms[name][on]
-            kern = k_flag[lanes - self._start]
-            for s in np.unique(on[kern & live]).tolist():
-                at = on == s
-                if not kern[at].all():
-                    raise RuntimeError(
-                        f"allocations on {name!r} split between kernel "
-                        "and interpreter lanes"
-                    )
-                at &= live
-                popped = lanes[at][np.argsort(ranks[at])]
-                cells = self._stores[s][name].take(ts[popped])
-                bindex = self._ctxs[s].bucket_index if buckets is not None \
-                    else None
-                if bindex is not None:
-                    for c, i in zip(cells, popped.tolist()):
-                        bindex.note_index(name, c, int(buckets[i]))
-
-    def _apply_puts(self):
-        """Insert the kernel lanes' map puts, per map and shard in lane
-        order, the order ``StateStore``'s value index must see them in.
-        Key tuples are built here, for the applied lanes only; the maps
-        log them for their indexes like any other put."""
-        if not self._put_pending:
-            return
-        stores = self._stores
-        ctxs = self._ctxs
-        buckets = self._bucket_ids
-        for obj, parts in self._put_pending.items():
-            lanes, shards, vals, *kcols = (
-                np.concatenate(col) for col in zip(*parts)
-            )
-            if len(parts) > 1:
-                order = np.argsort(lanes, kind="stable")
-                lanes, shards, vals, *kcols = (
-                    c[order] for c in (lanes, shards, vals, *kcols)
-                )
-            for s, pos in _by_shard(shards, len(stores)):
-                at = slice(None) if pos is None else pos
-                s_keys = list(zip(*[c[at].tolist() for c in kcols]))
-                s_vals = vals[at].tolist()
-                store = stores[s]
-                store[obj].put_many(s_keys, s_vals)
-                store.note_puts(obj, s_keys, s_vals)
-                bindex = ctxs[s].bucket_index if buckets is not None else None
-                if bindex is not None:
-                    for key, i in zip(s_keys, lanes[at].tolist()):
-                        bindex.note_key(obj, key, int(buckets[i]))
-        self._put_pending = {}
-
-    def _flush_ts(self):
-        if not self._ts_pending:
-            return
-        ts = self._cols.field("timestamp")
-        n_shards = len(self._stores)
-        for obj, parts in self._ts_pending.items():
-            if len(parts) == 1:
-                lanes, q = parts[0]
-            else:
-                lanes = np.concatenate([p[0] for p in parts])
-                q = np.concatenate([p[1] for p in parts])
-            if not lanes.size:
-                continue
-            # Lane order is the interpreter's apply order; only the
-            # last write per (shard, cell) is observable before the next
-            # chunk boundary, so collapse to one store per touched cell.
-            order = np.argsort(lanes, kind="stable")
-            q_s = q[order]
-            uniq, first_rev = np.unique(q_s[::-1], return_index=True)
-            times = ts[lanes[order[q_s.size - 1 - first_rev]]]
-            shard = uniq % n_shards
-            cells = uniq // n_shards
-            for s in np.unique(shard).tolist():
-                on = shard == s
-                self._stores[s][obj].stamp(cells[on], times[on])
-        self._ts_pending = {}
 
     # -------------------------------------------------------------- #
     # Accounting

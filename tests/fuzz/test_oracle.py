@@ -153,15 +153,15 @@ def test_exhaust_with_expiry_cycles_full_chains(monkeypatch) -> None:
     allocations fail on full chains and pop cells of free ones, and all
     three oracle legs stay green."""
     seen = {"full": 0, "free": 0}
-    exec_alloc = compiled.CompiledDispatcher._exec_alloc
+    read = compiled._Alloc.read
 
-    def spy(self, step, key, alive, group):
-        art = exec_alloc(self, step, key, alive, group)
+    def spy(self, disp, group, env, cache, steps, alive):
+        art = read(self, disp, group, env, cache, steps, alive)
         seen["full"] += bool((alive & ~art["exposed"]).any())
         seen["free"] += bool(art["ok"].any())
         return art
 
-    monkeypatch.setattr(compiled.CompiledDispatcher, "_exec_alloc", spy)
+    monkeypatch.setattr(compiled._Alloc, "read", spy)
     spec, traces = _expiring_exhaust()
     report = run_oracle(
         spec, [w for w, _ in traces], n_cores=4, maestro_seed=7,
