@@ -757,6 +757,8 @@ class _Alloc(_Step):
     def flush(cls, disp, k_flag):
         """Pop each (shard, chain)'s free stack for the kernel lanes'
         allocations, in rank order, which is lane order."""
+        if not disp._chains:
+            return
         ts = disp._cols.field("timestamp")
         buckets = disp._bucket_ids
         for name in disp._chains:
