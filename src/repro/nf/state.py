@@ -520,13 +520,6 @@ class DChain:
         self._touched[index] = now
         return True, index
 
-    def reach(self, k: int) -> list[int]:
-        """Every index the next ``k`` allocations can return when nothing
-        is freed between them: the top ``k`` cells of the free stack,
-        plus 0 (a failed allocation's index) when fewer are free."""
-        free = self._free
-        return free[len(free) - k:] if k <= len(free) else free + [0]
-
     def peek(self, k: int) -> list[int]:
         """The indices the next ``k`` allocations return, in order
         (``k`` at most the free count)."""

@@ -86,15 +86,6 @@ __all__ = [
 
 #: Lanes per kernel chunk (also the hazard-analysis horizon).
 DEFAULT_CHUNK = 2048
-#: Op kinds known never to free a dchain index.  Expiry (whose sweeping
-#: packets run alone, in one-lane chunks) is the only freeing op; a path
-#: carrying any op outside this set withdraws allocation lowering and
-#: the reach narrowing for its NF.
-_NON_FREEING_OPS = frozenset({
-    "map_get", "map_put", "map_erase", "vector_borrow", "vector_put",
-    "vector_fill", "dchain_allocate", "dchain_is_allocated",
-    "dchain_rejuvenate", "sketch_fetch", "sketch_touch",
-})
 #: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
 _FIXPOINT_MAX = 64
 
@@ -113,10 +104,28 @@ _ASPECTS = (
     "alloc",
 )
 _ROW_ASPECTS = frozenset({"map_w", "map_r", "map_v"})
-#: Aspects only kernel inserts and allocations check: published only in
-#: chunks where such a kernel write is alive.  ``map_n`` (a shard-wide
-#: wildcard) marks a map whose entry count an interpreter lane changes.
-_NEEDED_ASPECTS = frozenset({"map_r", "map_v", "map_n", "flag_r"})
+
+#: The footprint of each ``NfContext`` state op run interpreted: per dirt
+#: aspect, the operand its dirt is keyed by (the entry's ``"key"``, its
+#: stored ``"value"``, its cell ``"index"``, the ``"reach"`` of the chain
+#: it allocates on), or None for a shard-wide wildcard (``map_n`` marks a
+#: map whose entry count the lane changes).  Sketches never run on
+#: kernels: hazard-free.  An op missing here poisons every aspect of its
+#: object, and may free a dchain index: its NF then lowers no allocation
+#: and narrows no dirt to a reach (:func:`_alloc_exact`).
+_FOOTPRINT = {
+    "map_get": (("map_r", "key"),),
+    "map_put": (("map_w", "key"), ("map_v", "value"), ("map_n", None)),
+    "map_erase": (("map_w", "key"), ("map_n", None)),
+    "vector_borrow": (("vec_r", "index"),),
+    "vector_put": (("vec_w", "index"),),
+    "vector_fill": (("vec_w", "index"),),
+    "dchain_allocate": (("alloc", "reach"),),
+    "dchain_is_allocated": (("flag_r", "index"),),
+    "dchain_rejuvenate": (("ts_w", "index"), ("flag_r", "index")),
+    "sketch_fetch": (),
+    "sketch_touch": (),
+}
 
 #: The symbol bindings available before any stateful op runs.
 _BASE_SYMS = frozenset(
@@ -132,7 +141,8 @@ _BASE_SYMS = frozenset(
 #   constructor lowers a ``TraceEntry`` after the path's steps so far or
 #   raises LowerError, and ``inputs``/``binds`` are the expressions the
 #   step evaluates and the result symbols it defines;
-# * ``pubs``, the dirt its lane publishes when it runs interpreted;
+# * ``cols``, the artifact column its lane's exact ``_FOOTPRINT`` dirt
+#   is read from when it runs interpreted, per aspect (default ``q``);
 # * ``read``, its per-chunk work over a port group, which returns the
 #   step's artifact (per-lane columns, ``env`` its bindings, ``oob`` the
 #   lanes that must fall back); ``probes``: it reads the map index;
@@ -153,29 +163,15 @@ _BASE_SYMS = frozenset(
 #   chunk after every group; ``opened``, the lanes that open a flow.
 #
 # ``sig`` is the plain tuple :mod:`repro.symbex.symkernel` decodes, and
-# ``ckey`` keys the per-group step cache.  A new op adds one class here,
-# one ``symkernel`` case and one row of the certifier's lattices, and
+# ``ckey`` keys the per-group step cache.  Lowering an op adds one class
+# here, one ``symkernel`` case and one row of the certifier's lattices
+# (an op new to ``NfContext`` adds its ``_FOOTPRINT`` row too), and
 # nothing else in the dispatcher.
 # ------------------------------------------------------------------ #
 def _after(lowered, op, obj):
     """Whether ``lowered`` (a path's steps so far) holds an ``op`` step
     on ``obj``."""
     return any(s.op == op and s.obj == obj for s in lowered)
-
-
-def _source(expr, col, tainted, chains):
-    """Where an interpreter lane's dirt at ``expr`` is read from: the
-    artifact column ``col``, ``("reach", chain)`` for an allocation's
-    index, or None (a wildcard) when ``expr`` depends on an allocation
-    result: an interpreter lane's allocation may pop another cell than
-    its kernel rank predicted."""
-    if not tainted:
-        return col
-    if isinstance(expr, E.Sym) and expr.name in chains:
-        return ("reach", chains[expr.name])
-    if any(s.name in tainted for s in E.free_symbols(expr)):
-        return None
-    return col
 
 
 class _Step:
@@ -186,10 +182,12 @@ class _Step:
     node = None
     ranked = probes = writes = reads = distinct = False
     touch_col = "q"
+    cols = {}
 
-    def taint(self, tainted, chains):
-        """Track allocation results: ``tainted`` symbols depend on one,
-        ``chains`` maps each allocation's index symbol to its chain."""
+    def taint(self, tainted):
+        """Track the ``tainted`` symbols, whose value depends on an
+        allocation's result: an interpreter lane's allocation may pop
+        another cell than its kernel rank predicted."""
         if tainted and any(
             s.name in tainted for x in self.inputs for s in E.free_symbols(x)
         ):
@@ -221,11 +219,7 @@ class _MapStep(_Step):
 
     __slots__ = ()
     touch_col = "kh"
-
-    def keyed(self, tainted, chains):
-        if any(_source(k, "kh", tainted, chains) != "kh" for k in self.keys):
-            return None
-        return "kh"
+    cols = {"map_r": "kh", "map_w": "kh", "map_v": "vh"}
 
     def touched(self, art, k, updates):
         # A put that updates a present key conflicts with every reader
@@ -256,9 +250,6 @@ class _MapGet(_MapStep):
         self.sig = self.ckey = (
             self.op, self.obj, self.keys, self.found, self.value,
         )
-
-    def pubs(self, tainted, chains):
-        return (("map_r", self.keyed(tainted, chains)),)
 
     def read(self, disp, group, env, cache, steps, alive):
         art = {
@@ -316,13 +307,6 @@ class _MapPut(_MapStep):
         self.binds = (self.ok,)
         self.sig = self.ckey = (self.op, obj, keys, self.value, self.ok)
 
-    def pubs(self, tainted, chains):
-        return (
-            ("map_w", self.keyed(tainted, chains)),
-            ("map_v", _source(self.value, "vh", tainted, chains)),
-            ("map_n", None),
-        )
-
     def written(self, art, k):
         return k[art["ok"][k]]  # a failed insert writes nothing
 
@@ -339,7 +323,6 @@ class _MapPut(_MapStep):
         kidx = np.flatnonzero(alive)
         art = {"kcols": kcols}
         if kidx.size:
-            disp._needs.update((("map_r", self.obj), ("map_v", self.obj)))
             on = group.shards[kidx]
             if self.probe is not None:
                 kh = steps[self.probe.ckey].get("kh")
@@ -357,7 +340,6 @@ class _MapPut(_MapStep):
             # succeed in any order; the others are ranked.
             ranked = ~found & (room < disp._bound(self.op, self.obj))[on]
             if ranked.any():
-                disp._needs.add(("map_n", self.obj))
                 sel = kidx[ranked]
                 exposed[sel] = True
                 ranks = disp._ranks(self, sel, group, room)
@@ -431,9 +413,6 @@ class _VecBorrow(_Step):
         self.binds = tuple(n for _, n in self.fields)
         self.sig = (self.op, self.obj, self.index, self.fields)
         self.ckey = self.sig + tuple(p.sig for p in self.fwd)
-
-    def pubs(self, tainted, chains):
-        return (("vec_r", _source(self.index, "q", tainted, chains)),)
 
     def read(self, disp, group, env, cache, steps, alive):
         g = group.g_lanes.size
@@ -541,21 +520,13 @@ class _IsAlloc(_FlagStep):
     results = ("allocated",)
     checks = (("alloc", "free", "q"),)
 
-    def pubs(self, tainted, chains):
-        return (("flag_r", _source(self.index, "q", tainted, chains)),)
-
 
 class _Rejuv(_FlagStep):
     __slots__ = ()
     op = "dchain_rejuvenate"
     results = ()
     checks = (("ts_w", None, "q"), ("alloc", "free", "q"))
-
-    def pubs(self, tainted, chains):
-        return (
-            ("ts_w", _source(self.index, "live", tainted, chains)),
-            ("flag_r", _source(self.index, "q", tainted, chains)),
-        )
+    cols = {"ts_w": "live"}  # only a live cell's timestamp is written
 
     def apply(self, disp, group, ps, art, kidx):
         # Lanes from *different* port groups may rejuvenate the same
@@ -608,9 +579,6 @@ class _VecPut(_Step):
         self.inputs = (self.index,) + tuple(e for _, e in self.stored)
         self.binds = ()
         self.sig = self.ckey = (self.op, self.obj, self.index, self.stored)
-
-    def pubs(self, tainted, chains):
-        return (("vec_w", _source(self.index, "q", tainted, chains)),)
 
     def read(self, disp, group, env, cache, steps, alive):
         g = group.g_lanes.size
@@ -698,12 +666,8 @@ class _Alloc(_Step):
         self.binds = (self.ok, self.index)
         self.sig = self.ckey = (self.op, self.obj, self.ok, self.index)
 
-    def taint(self, tainted, chains):
-        chains[self.index] = self.obj
+    def taint(self, tainted):
         tainted.update(self.binds)
-
-    def pubs(self, tainted, chains):
-        return (("alloc", ("reach", self.obj)),)
 
     def written(self, art, k):
         return k[art["ok"][k]]  # a failed allocation writes nothing
@@ -720,10 +684,11 @@ class _Alloc(_Step):
         index = np.zeros(g, np.int64)
         kidx = np.flatnonzero(alive)
         if kidx.size:
-            disp._needs.add(("flag_r", name))
             disp._chains.add(name)
             chains = [store[name] for store in disp._stores]
-            n_free = np.array([len(c._free) for c in chains])
+            n_free = np.array([
+                c.capacity - c.allocated_count() for c in chains
+            ])
             ranks = disp._ranks(self, kidx, group, n_free)
             on = group.shards[kidx]
             room = n_free[on]
@@ -806,8 +771,9 @@ class _PathProgram:
     narrow which lanes sit on this path for hazard attribution) and
     ``dirt_descs`` describes the state the *unlowered* suffix touches.
     ``pubs`` holds the ``(artifact index, aspect, obj, source)`` dirt its
-    lanes publish when they run interpreted: per lowered step, with the
-    step's index (its class's ``pubs``), then per dirt descriptor,
+    lanes publish when they run interpreted, from :func:`_dirt`: per
+    lowered step, with the step's index (read from the step artifact's
+    column its class ``cols`` names), then per dirt descriptor,
     indexed past the steps, whose keyed values each chunk evaluates into
     an artifact of its own (``kh`` key hashes or ``q`` cells).
     """
@@ -844,65 +810,55 @@ class _PathProgram:
         self.stop = None
 
 
-def _collect_dirt(entries, known, chains, exact):
-    """Describe the state footprint of unlowered trace entries.
+def _dirt(entry, known, chains, exact):
+    """The ``(aspect, key)`` dirt trace ``entry`` makes when its lane runs
+    interpreted, one pair per aspect of its ``_FOOTPRINT`` row.
 
-    Returns ``(aspect, obj, key)`` descriptors.  ``key`` is ``None`` for
-    a wildcard, a chain name for the *reach* of that chain (the cells
-    its allocations can return this chunk), or a tuple of expressions
-    lowerable against ``known`` (exact demotion).  With ``exact``,
-    allocation dirt and cell dirt (or a stored map value) at an index an
-    allocation bound (``chains`` maps earlier allocations' index symbols
-    to their chain) are reach-keyed; without it they are wildcards.
-    Result symbols of unlowered ops are *not* bound, so downstream
-    expressions depending on them correctly degrade to wildcards.
+    ``key`` is None for a wildcard, a chain name for that chain's *reach*
+    (the cells its allocations can return this chunk) when the operand
+    is an allocation's index (``chains`` maps each earlier allocation's
+    index symbol to its chain; an allocation adds its own), or the
+    operand's expressions when they lower against ``known`` (exact
+    demotion).  Callers leave out of ``known`` the result symbols of
+    unlowered ops and the symbols derived from an allocation's result,
+    so dirt depending on them degrades to a wildcard.  Without
+    ``exact``, allocation dirt is a wildcard too.
     """
-    chains = dict(chains)
-    descs = []
-
-    def _keyed(exprs):
-        for expr in exprs:
-            try:
-                check_expr(expr, known, set())
-            except LowerError:
-                return None
-        return tuple(exprs)
-
-    def _cell(expr):
-        if isinstance(expr, E.Sym) and expr.name in chains:
-            return chains[expr.name]
-        return _keyed((expr,))
-
-    for e in entries:
-        op = e.op
-        if op == "expire":
-            continue
-        if op == "map_get":
-            descs.append(("map_r", e.obj, _keyed(e.key)))
-        elif op in ("map_put", "map_erase"):
-            descs.append(("map_w", e.obj, _keyed(e.key) if e.key else None))
-            descs.append(("map_n", e.obj, None))
-            if op == "map_put":
-                descs.append(("map_v", e.obj, _cell(e.stored[0][1])))
-        elif op in ("vector_put", "vector_fill"):
-            descs.append(("vec_w", e.obj, _cell(e.key[0]) if e.key else None))
-        elif op == "vector_borrow":
-            descs.append(("vec_r", e.obj, _cell(e.key[0])))
-        elif op == "dchain_allocate":
-            descs.append(("alloc", e.obj, e.obj if exact else None))
+    row = _FOOTPRINT.get(entry.op)
+    if row is None:  # unknown op: poison every aspect of the object
+        return [(aspect, None) for aspect in _ASPECTS]
+    dirt = []
+    for aspect, operand in row:
+        key = exprs = None
+        if operand == "reach":
             if exact:
-                chains[e.result("index").name] = e.obj
-        elif op in ("dchain_rejuvenate", "dchain_is_allocated"):
-            if op == "dchain_rejuvenate":
-                descs.append(("ts_w", e.obj, _cell(e.key[0])))
-            descs.append(("flag_r", e.obj, _cell(e.key[0])))
-        elif op in ("sketch_fetch", "sketch_touch"):
-            # Sketches never run on kernels: hazard-free.
-            pass
-        else:  # unknown op: poison every aspect of the object
-            for aspect in _ASPECTS:
-                descs.append((aspect, e.obj, None))
-    return descs
+                key = entry.obj
+                chains[entry.result("index").name] = entry.obj
+        elif operand == "value":
+            exprs = (entry.stored[0][1],)
+        elif operand and entry.key:
+            exprs = entry.key if operand == "key" else entry.key[:1]
+        if exprs:
+            x = exprs[0]
+            if operand != "key" and isinstance(x, E.Sym) and x.name in chains:
+                key = chains[x.name]
+            else:
+                try:
+                    for x in exprs:
+                        check_expr(x, known, set())
+                    key = exprs
+                except LowerError:
+                    pass
+        dirt.append((aspect, key))
+    return dirt
+
+
+def _src(key, col):
+    """The ``pubs`` source of a dirt ``key``: None for a wildcard, a
+    chain's reach, or the artifact column ``col`` of an exact key."""
+    if key is None:
+        return None
+    return ("reach", key) if isinstance(key, str) else col
 
 
 def _alloc_exact(paths):
@@ -910,7 +866,7 @@ def _alloc_exact(paths):
     reaches for these paths: no op but expiry (never swept mid-chunk)
     frees a dchain index."""
     return all(
-        e.op in _NON_FREEING_OPS or e.op == "expire"
+        e.op in _FOOTPRINT or e.op == "expire"
         for path in paths for e in path.trace
     )
 
@@ -957,9 +913,13 @@ def _compile_path(path, pid, exact_alloc):
             known.update(step.binds)
             if step.ranked:
                 step.node = (path.decisions[:e.pc_len], e.index)
-            for aspect, src in step.pubs(tainted, chains):
-                prog.pubs.append((len(prog.steps), aspect, step.obj, src))
-            step.taint(tainted, chains)
+            avail = known - tainted if tainted else known
+            for aspect, key in _dirt(e, avail, chains, exact_alloc):
+                prog.pubs.append((
+                    len(prog.steps), aspect, step.obj,
+                    _src(key, step.cols.get(aspect, "q")),
+                ))
+            step.taint(tainted)
             items.append(("op", step))
             prog.steps.append(step)
         stop = len(entries)
@@ -997,19 +957,16 @@ def _compile_path(path, pid, exact_alloc):
             prog.const_result = PacketResult(*const, False)
             prog.const_new = PacketResult(*const, True)
     else:
-        prog.dirt_descs = _collect_dirt(
-            entries[stop:], known - tainted, chains, exact_alloc
-        )
+        known -= tainted
+        prog.dirt_descs = [
+            (aspect, e.obj, key) for e in entries[stop:]
+            for aspect, key in _dirt(e, known, chains, exact_alloc)
+        ]
         for si, (aspect, obj, key) in enumerate(
             prog.dirt_descs, len(prog.steps)
         ):
-            if key is None:
-                src = None
-            elif isinstance(key, str):
-                src = ("reach", key)
-            else:
-                src = "kh" if aspect in _ROW_ASPECTS else "q"
-            prog.pubs.append((si, aspect, obj, src))
+            col = "kh" if aspect in _ROW_ASPECTS else "q"
+            prog.pubs.append((si, aspect, obj, _src(key, col)))
     # Aspects this program poisons when it bails at run time (lanes
     # unknown -> wildcard everything it could touch).
     prog.wild = [(a, o) for _, a, o, _ in prog.pubs]
@@ -1472,9 +1429,6 @@ class CompiledDispatcher:
         self._chains = set()
         #: Settled ranks per node key, as an array over the chunk's lanes.
         self._override = {}
-        #: The ``(aspect, obj)`` pairs of ``_NEEDED_ASPECTS`` that a
-        #: kernel insert or allocation alive this chunk checks.
-        self._needs = set()
         self._ts_pending = {}
         self._put_pending = {}
 
@@ -1946,7 +1900,6 @@ class CompiledDispatcher:
         footprint of every path through that step, as wildcards.
         """
         shards = ps.shards
-        needs = self._needs
         present = None
         for step, art in zip(ps.prog.steps, ps.arts):
             tight = art.get("tight") if step.node is not None else None
@@ -1959,8 +1912,6 @@ class CompiledDispatcher:
         for si, aspect, obj, src in ps.prog.pubs:
             if si >= len(ps.arts):
                 break
-            if aspect in _NEEDED_ASPECTS and (aspect, obj) not in needs:
-                continue
             art = ps.arts[si]
             if src is None or art is None or type(src) is tuple:
                 if present is None:
@@ -1990,7 +1941,12 @@ class CompiledDispatcher:
         vals = self._reaches.get((shard, chain, rows))
         if vals is None:
             k = int(self._bound(_Alloc.op, chain)[shard])
-            cells = np.array(self._stores[shard][chain].reach(k), np.int64)
+            dchain = self._stores[shard][chain]
+            free = dchain.capacity - dchain.allocated_count()
+            cells = dchain.peek(min(k, free))
+            if k > free:
+                cells.append(0)
+            cells = np.array(cells, np.int64)
             vals = (
                 key_hash(np.full(cells.size, shard), [cells]) if rows
                 else cells * len(self._stores) + shard

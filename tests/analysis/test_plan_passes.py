@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import certify_nf, collect_waivers, lint_nf
 from repro.analysis.plan_passes import (
+    _OP_ASPECTS,
     _certify_demotion,
     _certify_narrowing,
     _certify_program,
@@ -25,7 +26,12 @@ from repro.analysis.source import gather_sources
 from repro.errors import WaiverError
 from repro.nf.api import NF, NfContext, StateDecl, StateKind
 from repro.nf.nfs import ALL_NFS
-from repro.sim.compiled import _alloc_exact, _compile_port, _DirtBoard
+from repro.sim.compiled import (
+    _FOOTPRINT,
+    _alloc_exact,
+    _compile_port,
+    _DirtBoard,
+)
 from repro.symbex import expr as E
 from repro.symbex.engine import explore_nf
 from repro.symbex.tree import ExecutionTree
@@ -247,6 +253,24 @@ def test_unwithdrawn_narrowing_is_flagged_mae301() -> None:
     flagged = certify(True)
     assert flagged and {f.code for f in flagged} == {"MAE301"}
     assert all("dchain_free" in f.message for f in flagged)
+
+
+def test_footprint_rows_are_the_state_api_and_the_certifier_aspects() -> None:
+    """The dispatcher's ``_FOOTPRINT`` has one row per ``NfContext`` state
+    op, with the aspects the certifier derives for it on its own: a new
+    API op cannot silently withdraw allocation lowering, and a wrong row
+    shows even for ops no bundled NF leaves in an unlowered suffix
+    (``vector_fill``, ``map_erase``)."""
+    api = {
+        name for name in vars(NfContext)
+        if name.split("_")[0] in ("map", "vector", "dchain", "sketch")
+    }
+    assert set(_FOOTPRINT) == api
+    for op, row in _FOOTPRINT.items():
+        assert {aspect for aspect, _ in row} == set(_OP_ASPECTS[op] or ()), op
+        assert {operand for _, operand in row} <= {
+            "key", "value", "index", "reach", None,
+        }, op
 
 
 def test_dropped_alloc_reach_is_flagged_mae302(monkeypatch) -> None:

@@ -1,5 +1,7 @@
 """The Table 1 data structures: map, vector, dchain, sketch."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -161,17 +163,6 @@ class TestDChain:
         chain.stamp(np.array([2, 1]), np.array([2.5, 7.0]))
         assert [chain.last_touched(i) for i in range(4)] == [0.0, 7.0, 2.5, 0.0]
 
-    def test_reach_is_the_top_of_the_free_stack(self):
-        chain = DChain(3)
-        assert chain.reach(0) == []
-        first = chain.reach(1)
-        _, index = chain.allocate(0.0)
-        assert first == [index]
-        assert sorted(chain.reach(2)) == sorted(
-            i for i in range(3) if not chain.is_allocated(i)
-        )
-        assert chain.reach(5)[-1] == 0  # more pops than free cells fail
-
     @given(st.lists(st.sampled_from(["alloc", "free", "expire"]), max_size=80))
     @settings(max_examples=30, deadline=None)
     def test_never_double_allocates(self, ops):
@@ -273,6 +264,40 @@ class TestDChainModel:
             assert chain.last_touched(index) == model.cells[index][1]
         # The free stacks agree: the allocation order from here on is
         # the same index sequence.
+        order = [chain.allocate(99.0) for _ in range(9)]
+        assert order == [model.allocate(99.0) for _ in range(9)]
+
+    @given(_CHAIN_OPS, st.integers(0, 8), _TIMES)
+    @settings(max_examples=100, deadline=None)
+    def test_peek_and_take_match_successive_allocations(self, ops, k, now):
+        """``peek(k)`` names, in order, the indices ``k`` successive
+        ``allocate`` calls return, and ``take`` of ``k`` stamps makes
+        exactly those allocations."""
+        chain = DChain(8)
+        for op, *args in ops:
+            if op == "alloc":
+                chain.allocate(*args)
+            elif op == "rejuv":
+                chain.rejuvenate(*args)
+            elif op == "free":
+                chain.free_index(*args)
+            else:
+                chain.expire(*args)
+        free = chain.capacity - chain.allocated_count()
+        assert chain.peek(0) == []
+        assert sorted(chain.peek(free)) == [
+            i for i in range(8) if not chain.is_allocated(i)
+        ]
+        k = min(k, free)
+        model = copy.deepcopy(chain)
+        times = now + np.arange(k) / 8
+        popped = [model.allocate(t) for t in times.tolist()]
+        assert all(ok for ok, _ in popped)
+        assert chain.peek(k) == [index for _, index in popped]
+        assert chain.take(times) == [index for _, index in popped]
+        for index in range(8):
+            assert chain.is_allocated(index) is model.is_allocated(index)
+            assert chain.last_touched(index) == model.last_touched(index)
         order = [chain.allocate(99.0) for _ in range(9)]
         assert order == [model.allocate(99.0) for _ in range(9)]
 

@@ -163,9 +163,30 @@ def test_full_plain_map_beside_free_flow_chain_fuzz_spec():
         assert 0 < chain.allocated_count() < chain.capacity
 
 
-def test_same_new_key_twice_in_one_chunk():
+def test_same_new_key_twice_in_one_chunk(monkeypatch):
     """The second packet of a new flow read the key as absent before the
-    chunk; both run on the interpreter, and the rest stay on kernels."""
+    chunk; both run on the interpreter, and the rest stay on kernels.
+
+    The interpreted allocation publishes its chain's reach: the cells the
+    chunk's allocations can pop, plus index 0 (a failed pop's) once they
+    can pass the end of the free stack, as they do on a small chain."""
+    from repro.sim.compiled import CompiledDispatcher
+
+    reaches = []
+    reach = CompiledDispatcher._reach
+
+    def spy(self, shard, chain, aspect):
+        k = int(self._bound("dchain_allocate", chain)[shard])
+        dchain = self._stores[shard][chain]
+        free = dchain.capacity - dchain.allocated_count()
+        cells = reach(self, shard, chain, aspect)
+        if aspect == "alloc":  # one shard: qualified cells are cells
+            top = dchain.peek(min(k, free)) + [0] * (k > free)
+            assert sorted(cells.tolist()) == sorted(top)
+            reaches.append(k > free)
+        return cells
+
+    monkeypatch.setattr(CompiledDispatcher, "_reach", spy)
     par_ref, par_comp = _pair(Firewall, n_cores=1)
     trace = [_lan(99, 0.0)]
     trace += [_lan(i, 1e-3 * (i + 1)) for i in range(10)]
@@ -174,6 +195,11 @@ def test_same_new_key_twice_in_one_chunk():
     pids = run.compiled_path_ids
     assert pids[3] == -1 and pids[6] == -1
     assert sum(r.new_flow for _, r in run.results) == 11
+    assert reaches and not any(reaches)
+    seen = len(reaches)
+    par_ref, par_comp = _pair(lambda: Firewall(capacity=4), n_cores=1)
+    _run_both(par_ref, par_comp, trace)
+    assert any(reaches[seen:])
 
 
 def test_nat_reply_to_a_cell_allocated_in_the_same_chunk():
