@@ -25,7 +25,9 @@ applicable strategy and per trace:
 * **reference vs. batched vs. compiled** — the same trace through the
   packet-at-a-time reference path, the batched interpreter (kernels
   pinned off), and the compiled batch dataplane (kernels on) must
-  yield identical per-packet (core, action) sequences; compiled
+  yield identical per-packet (core, action) sequences, per-core
+  counters and per-core final state
+  (:meth:`~repro.nf.runtime.ConcreteContext.state_diff`); compiled
   kernel-coverage stats are attached to the report.
 
 Fault injection (``fault=``) seeds known pipeline bugs so the oracle
@@ -50,14 +52,19 @@ and shrinker can be validated end to end:
   chunk wrote;
 * ``no-multi-touch``, ``drop-reach``, ``stale-rank`` — the compiled
   leg's dispatcher skips its kernel-conflict pass, finds no cell in an
-  allocation's reach, or never settles the ranks of two tree nodes'
-  allocations and inserts on one shard.
+  allocation's reach, or keeps on kernels the lanes of two tree nodes
+  that rank allocations or inserts on one shard of a chain or map;
+* ``pop-order`` — the compiled leg applies each shard's kernel
+  allocations in reverse lane order, so a cell's timestamp (and bucket
+  tag) is another lane's.
 
-The last six are dispatcher faults (:func:`inject_dispatcher_fault`):
-each is patched onto the compiled leg's dispatcher only, and every
-trace runs the fast-path check under them.  ``stale-rank`` survives
-the fuzz campaigns (no generated workload interleaves two tree nodes'
-allocations on one shard), so only its hand-built case catches it.
+The last seven are dispatcher faults (:func:`inject_dispatcher_fault`):
+each is patched onto the compiled leg only, and every trace runs the
+fast-path check under them.  ``stale-rank`` survives the fuzz
+campaigns: their workloads do put two nodes' ranked lanes on one
+shard, but the hazard rules already send nearly every such lane to
+the interpreter, and the few left on kernels end in the reference's
+state, so only its hand-built case catches it.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from repro.fuzz.generator import NfSpec, build_nf
 from repro.fuzz.workloads import WorkloadSpec, materialize_workload
 from repro.nf.api import ActionKind
 from repro.nf.runtime import PacketResult
+from repro.nf.state import DChain
 from repro.obs.flight import FlightRecorder
 from repro.sim.equivalence import check_equivalence
 from repro.sim.functional import _get_dispatcher, run_functional
@@ -91,6 +99,7 @@ FAULTS: tuple[str, ...] = (
     "no-multi-touch",
     "drop-reach",
     "stale-rank",
+    "pop-order",
 )
 #: Faults in the compiled leg's dispatcher.
 DISPATCHER_FAULTS = FAULTS[2:]
@@ -540,7 +549,22 @@ def inject_dispatcher_fault(dispatcher, fault: str) -> None:
     elif fault == "drop-reach":
         dispatcher._reach = lambda shard, chain, aspect: np.zeros(0, np.int64)
     elif fault == "stale-rank":
-        dispatcher._settle_ranks = lambda: None
+        dispatcher._demote_shared = lambda: None
+    elif fault == "pop-order":
+        # Kernel allocations are the only callers of ``DChain.take``: one
+        # call per shard and chain.  A shared store is patched once.
+        stores = {id(c.ctx.store): c.ctx.store
+                  for c in dispatcher.parallel.cores}
+        for store in stores.values():
+            for obj in store.objects.values():
+                if isinstance(obj, DChain):
+                    obj.take = _reversed(obj.take)
+
+
+def _reversed(take):
+    """The ``pop-order`` corruption of one chain's ``take``: the cells go
+    to the allocating lanes in reverse lane order."""
+    return lambda times: take(times[::-1])[::-1]
 
 
 def _flipped(result: PacketResult) -> PacketResult:
@@ -646,7 +670,6 @@ def _check_fastpath(
                     codes=("certify-compile",),
                 )
             )
-    ref_stats = [core.ctx.stat_snapshot() for core in ref_parallel.cores]
     skewed = -1
     if fault == "skew-kernel":
         kernel = np.flatnonzero(compiled.compiled_path_ids >= 0)
@@ -671,17 +694,24 @@ def _check_fastpath(
                 break
         else:
             # Same packets, so the per-core lifetime counters (reads,
-            # writes, new flows, locked writes) must agree as well.
-            stats = [core.ctx.stat_snapshot() for core in parallel.cores]
-            core = next(
-                (c for c, (a, b) in enumerate(zip(ref_stats, stats)) if a != b),
-                None,
-            )
-            if core is not None:
-                detail = (
-                    f"{label} fast path's core {core} counters diverge from "
-                    f"reference: {ref_stats[core]} != {stats[core]}"
-                )
+            # writes, new flows, locked writes) and every core's final
+            # state must agree as well.
+            cores = zip(ref_parallel.cores, parallel.cores)
+            for c, (ref, core) in enumerate(cores):
+                a, b = ref.ctx.stat_snapshot(), core.ctx.stat_snapshot()
+                if a != b:
+                    detail = (
+                        f"{label} fast path's core {c} counters diverge "
+                        f"from reference: {a} != {b}"
+                    )
+                elif what := ref.ctx.state_diff(core.ctx):
+                    detail = (
+                        f"{label} fast path's core {c} state diverges "
+                        f"from reference: {what}"
+                    )
+                else:
+                    continue
+                break
         if detail is not None:
             report.failures.append(
                 FuzzFailure(

@@ -230,6 +230,13 @@ class StateStore:
         return self._reverse.get(name, {}).get(int(value))
 
 
+def _contents(obj: Any) -> Any:
+    """Everything a state object holds, comparable with ``==``."""
+    if isinstance(obj, DChain):
+        return obj._free, obj._allocated, obj._touched
+    return obj._data if isinstance(obj, Map) else obj._rows
+
+
 class ConcreteContext(NfContext):
     """NfContext implementation over real data structures and packets."""
 
@@ -356,6 +363,23 @@ class ConcreteContext(NfContext):
             else:
                 reads += count
         return reads, writes, self.new_flow_total, locked_writes
+
+    def state_diff(self, other: ConcreteContext) -> str | None:
+        """What of ``other``'s state first differs from this context's, or
+        None: a state object's name (map contents, vector rows, a chain's
+        free stack, flags and timestamps, sketch rows), ``"value index"``
+        (the store's value-to-key index) or ``"bucket tags"``."""
+        mine, theirs = self.store, other.store
+        for name, obj in mine.objects.items():
+            if _contents(obj) != _contents(theirs[name]):
+                return name
+        if (mine._forward, mine._reverse) != (theirs._forward, theirs._reverse):
+            return "value index"
+        tags = [
+            None if ix is None else (ix._keys, ix._indices)
+            for ix in (self.bucket_index, other.bucket_index)
+        ]
+        return "bucket tags" if tags[0] != tags[1] else None
 
     def _record(self, obj: str, op: str, write: bool, key: Any = None) -> None:
         entry = self._op_intern.get((obj, op, write))

@@ -36,9 +36,10 @@ gate fires are replayed from the trace timestamps up front
 one-lane chunk, so no sweep ever mutates state mid-chunk.  No other op
 frees a dchain index, so the k-th allocation of a chunk on a shard pops
 the k-th cell of that shard's free stack at chunk start: allocating
-kernel lanes are ranked in lane order per (shard, chain), and the cells
-any allocation of the chunk can return are the top of the stack (its
-*reach*).
+kernel lanes are ranked in lane order per tree node and shard, a shard
+where two nodes allocate on one chain runs their lanes interpreted,
+and the cells any allocation of the chunk can return are the top of
+the stack (its *reach*).
 
 The shard is a per-lane column: each chunk is classified once per
 port over every core's lanes, each state read picks the lane's own
@@ -271,13 +272,13 @@ class _MapPut(_MapStep):
     whose pre-chunk probe the step reuses.  A put of a present key
     succeeds; so does every insert into a map with room for all the
     inserts the chunk can make.  Otherwise new keys are ranked like
-    allocations: the k-th insert of the chunk on a (shard, map) succeeds
-    while the map has room for k more.
+    allocations: the k-th insert of its tree node on a (shard, map)
+    succeeds while the map has room for k more.
     """
 
     __slots__ = (
-        "obj", "keys", "value", "ok", "probe", "probes", "entry", "node",
-        "after", "inputs", "binds", "sig", "ckey",
+        "obj", "keys", "value", "ok", "probe", "probes", "node", "after",
+        "inputs", "binds", "sig", "ckey",
     )
     op = "map_put"
     checks = (
@@ -300,7 +301,6 @@ class _MapPut(_MapStep):
             and all(E.structurally_equal(a, b) for a, b in zip(s.keys, keys))
         ), None)
         self.probes = self.probe is None
-        self.entry = entry.index
         self.node = None
         self.after = ()
         self.inputs = keys + (self.value,)
@@ -639,15 +639,15 @@ class _VecPut(_Step):
 
 
 class _Alloc(_Step):
-    """``dchain_allocate``: the lane's rank among the chunk's allocations
-    on its (shard, chain), in lane order, picks its free-stack pop: the
-    k-th allocation takes the k-th cell of the stack, and gets
-    ``(False, 0)`` past its end.  ``entry`` (the trace index) orders one
-    lane's allocations.  Lowers only with ``exact_alloc``."""
+    """``dchain_allocate``: the lane's rank among its tree node's
+    allocations on its (shard, chain), in lane order, picks its
+    free-stack pop: the k-th allocation takes the k-th cell of the
+    stack, and gets ``(False, 0)`` past its end.  Lowers only with
+    ``exact_alloc``."""
 
     __slots__ = (
-        "obj", "ok", "index", "entry", "node", "after", "inputs", "binds",
-        "sig", "ckey",
+        "obj", "ok", "index", "node", "after", "inputs", "binds", "sig",
+        "ckey",
     )
     op = "dchain_allocate"
     checks = (("alloc", "exposed", "q"), ("flag_r", "ok", "q"))
@@ -659,7 +659,6 @@ class _Alloc(_Step):
         self.obj = entry.obj
         self.ok = entry.result("ok").name
         self.index = entry.result("index").name
-        self.entry = entry.index
         self.node = None
         self.after = ()
         self.inputs = ()
@@ -730,9 +729,7 @@ class _Alloc(_Step):
             evs = disp._events.get(name)
             if not evs:
                 continue
-            lanes, on, ranks = (
-                np.concatenate([e[i] for e in evs]) for i in (1, 2, 4)
-            )
+            lanes, on, ranks = (np.concatenate(col) for col in zip(*evs))
             live = ranks < disp._rooms[name][on]
             kern = k_flag[lanes - disp._start]
             for s in np.unique(on[kern & live]).tolist():
@@ -1227,9 +1224,7 @@ class _Group:
     """One port's lanes of a chunk, over every shard, and their
     classification state."""
 
-    __slots__ = (
-        "pp", "g_lanes", "shards", "counts", "by_shard", "progs", "bad",
-    )
+    __slots__ = ("pp", "g_lanes", "shards", "counts", "by_shard", "progs")
 
     def __init__(self, pp, g_lanes, shards, n_shards):
         self.pp = pp
@@ -1239,9 +1234,6 @@ class _Group:
         self.counts = np.bincount(shards, minlength=n_shards)
         self.by_shard = _by_shard(shards, n_shards)
         self.progs = [_ProgState(p, shards) for p in pp.programs]
-        #: Shards whose allocation ranks could not be settled: every
-        #: lane of the group there runs interpreted, as if bailed.
-        self.bad = set()
 
 
 def _ivals(col, g):
@@ -1419,16 +1411,13 @@ class CompiledDispatcher:
         #: Reach dirt per (shard, chain, as key hashes).
         self._reaches = {}
         #: Node-step artifacts per (port, node), and the ranked events
-        #: per chain or map: ``(node key, lanes, shards, trace entry,
-        #: ranks)`` of the lanes that reached an allocation or insert.
+        #: per chain or map, one per node: ``(lanes, shards, ranks)`` of
+        #: the lanes that reached its allocation or insert.
         self._node_arts = {}
         self._events = {}
-        self._offsets = {}
         #: Room per shard of each object with events; the chains.
         self._rooms = {}
         self._chains = set()
-        #: Settled ranks per node key, as an array over the chunk's lanes.
-        self._override = {}
         self._ts_pending = {}
         self._put_pending = {}
 
@@ -1549,8 +1538,7 @@ class CompiledDispatcher:
         for group in groups:
             self._eval_group(group)
         if self._events:
-            self._settle_ranks()
-            groups = self._groups
+            self._demote_shared()
         board = _DirtBoard()
         # Lanes of a port with no program run interpreted with an
         # unknown footprint: no kernel lane of their shard may trust
@@ -1699,40 +1687,21 @@ class CompiledDispatcher:
             ps.arts.append(art)
 
     def _ranks(self, step, sel, group, room):
-        """Ranks of the ``sel`` lanes of ``group`` among the chunk's
-        allocations or inserts on their shard's object, in lane order,
-        for the ranked ``step``; ``room`` is how many more each shard's
-        object takes.
-
-        Ranks continue across the nodes of one object in evaluation
-        order; when lanes of several nodes interleave on a shard,
-        :meth:`_settle_ranks` ranks them again.
-        """
-        key = (group.pp.port, step.node)
-        obj = step.obj
-        lanes = group.g_lanes[sel]
+        """Ranks of the ``sel`` lanes of ``group`` among the lanes of the
+        ranked ``step``'s tree node on their shard, in lane order, from
+        0; ``room`` is how many more each shard's object takes.  Where
+        two nodes rank lanes on one shard of the object,
+        :meth:`_demote_shared` sends them to the interpreter."""
         on = group.shards[sel]
-        override = self._override.get(key)
-        if override is None:
-            off = self._offsets.get(obj)
-            if off is None:
-                off = np.zeros(room.size, np.int64)
-            counts = np.bincount(on, minlength=room.size)
-            order = np.argsort(on, kind="stable")
-            ranks = np.empty(sel.size, np.int64)
-            ranks[order] = (
-                np.arange(sel.size) - (np.cumsum(counts) - counts)[on[order]]
-            )
-            ranks += off[on]
-            self._offsets[obj] = off + counts
-        else:
-            # A lane that did not reach the node before settling has no
-            # rank: it fails here and the settled-rank check.
-            ranks = override[lanes - self._start]
-            ranks = np.where(ranks < 0, room[on], ranks)
-        self._rooms[obj] = room
-        self._events.setdefault(obj, []).append(
-            (key, lanes, on, step.entry, ranks)
+        counts = np.bincount(on, minlength=room.size)
+        order = np.argsort(on, kind="stable")
+        ranks = np.empty(sel.size, np.int64)
+        ranks[order] = (
+            np.arange(sel.size) - (np.cumsum(counts) - counts)[on[order]]
+        )
+        self._rooms[step.obj] = room
+        self._events.setdefault(step.obj, []).append(
+            (group.g_lanes[sel], on, ranks)
         )
         return ranks
 
@@ -1785,83 +1754,29 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     # Allocation ranks
     # -------------------------------------------------------------- #
-    def _rank_faults(self):
-        """Per object whose events were not ranked in lane order on some
-        shard: the lane-order rank of its events, concatenated, and
-        those shards."""
-        faults = {}
+    def _demote_shared(self):
+        """Send to the interpreter the ranked lanes of every shard where
+        two tree nodes (or ports) rank lanes on one chain or map: each
+        node ranks from 0, so neither node's ranks hold there.  The
+        lanes then publish their footprint like any fallback lane."""
+        shared = None
         for obj, evs in self._events.items():
-            if len(evs) == 1 and not self._override:
-                continue  # one node, ranked in lane order as it ran
-            lanes, on, ranks = (
-                np.concatenate([e[i] for e in evs]) for i in (1, 2, 4)
-            )
-            entries = np.concatenate([np.full(e[1].size, e[3]) for e in evs])
-            order = np.lexsort((entries, lanes, on))
-            counts = np.bincount(on, minlength=self._rooms[obj].size)
-            true = np.empty(lanes.size, np.int64)
-            true[order] = (
-                np.arange(lanes.size) - (np.cumsum(counts) - counts)[on[order]]
-            )
-            room = self._rooms[obj][on]
-            off = np.minimum(true, room) != np.minimum(ranks, room)
-            if off.any():
-                faults[obj] = (true, set(np.unique(on[off]).tolist()))
-        return faults
-
-    def _settle_ranks(self):
-        """Give every allocation and ranked insert its lane-order rank
-        on its shard.
-
-        Ranks are first taken per node, in evaluation order.  Where lanes
-        of several nodes (or ports) share an object's shard, the events
-        give each lane its true rank, and the port groups involved are
-        classified once more with those ranks.  A shard still out of
-        order after that (a re-ranked allocation changed which lanes
-        reach one) runs those groups' lanes there on the interpreter,
-        with a wildcard footprint, as if they bailed.
-        """
-        faults = self._rank_faults()
-        if not faults:
+            if len(evs) < 2:
+                continue
+            n = self._rooms[obj].size
+            nodes = sum(np.bincount(on, minlength=n) > 0 for _, on, _ in evs)
+            both = np.flatnonzero(nodes > 1)
+            if not both.size:
+                continue
+            if shared is None:
+                shared = np.zeros(self._size, dtype=bool)
+            for lanes, on, _ in evs:
+                shared[lanes[np.isin(on, both)] - self._start] = True
+        if shared is None:
             return
-        redo = {key[0] for obj in faults for key, *_ in self._events[obj]}
-        override = {}
-        for obj, evs in self._events.items():
-            true = faults[obj][0] if obj in faults else np.concatenate(
-                [e[4] for e in evs]
-            )
-            pos = 0
-            for key, lanes, *_ in evs:
-                if key[0] in redo:
-                    arr = override.get(key)
-                    if arr is None:
-                        arr = override[key] = np.full(self._size, -1, np.int64)
-                    arr[lanes - self._start] = true[pos:pos + lanes.size]
-                pos += lanes.size
-        self._override = override
-        self._events = {
-            obj: kept for obj, evs in self._events.items()
-            if (kept := [e for e in evs if e[0][0] not in redo])
-        }
-        self._node_arts = {
-            k: v for k, v in self._node_arts.items() if k[0] not in redo
-        }
-        n_shards = len(self._stores)
-        for i, g in enumerate(self._groups):
-            if g.pp.port in redo:
-                g = _Group(g.pp, g.g_lanes, g.shards, n_shards)
-                self._groups[i] = g
-                self._eval_group(g)
-        faults = self._rank_faults()
-        if not faults:
-            return
-        by_port = {g.pp.port: g for g in self._groups}
-        for obj, (_, shards) in faults.items():
-            for key, *_ in self._events[obj]:
-                by_port[key[0]].bad.update(shards)
         for g in self._groups:
-            if g.bad:
-                off = _on_shards(g.shards, g.bad)
+            off = shared[g.g_lanes - self._start]
+            if off.any():
                 for ps in g.progs:
                     if ps.kmask is not None:
                         ps.kmask &= ~off
@@ -1871,11 +1786,6 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     def _seed_board(self, groups, board):
         for g in groups:
-            if g.bad:
-                bad = sorted(g.bad)
-                for ps in g.progs:
-                    for aspect, obj in ps.prog.wild:
-                        board.add_wild(aspect, obj, bad)
             for ps in g.progs:
                 prog = ps.prog
                 if ps.bailed:

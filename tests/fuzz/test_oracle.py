@@ -335,23 +335,43 @@ def test_drop_reach_fault_splits_a_shards_allocations(fault) -> None:
 def test_stale_rank_fault_renumbers_psd_pairs(fault) -> None:
     """``test_psd_opens_a_source_and_a_pair_in_one_lane``'s trace: new
     and known sources alternate, so two tree nodes allocate on the pair
-    chain.  Unsettled, each node's lanes take a block of cells, so pairs
-    map to other cells than the reference's.  Results and counters
-    agree (PSD never shows a cell), which is why the fuzz oracle misses
-    this fault; the stores do not."""
+    chain's one shard, each ranking its lanes from 0.  Left on kernels,
+    both nodes' k-th lanes claim the same cell, so pairs map to other
+    cells than the reference's.  Results and counters agree (PSD never
+    shows a cell); the pair map does not."""
     from repro.nf.nfs.psd import PortScanDetector
-    from tests.sim.test_compiled_establish import _lan, _state
+    from tests.sim.test_compiled_establish import _lan, _psd_alternating
 
-    second = []
-    for i in range(4):
-        second.append(_lan(10 + i, 1e-2 + 2e-4 * i))
-        second.append(_lan(i, 1e-2 + 2e-4 * i + 1e-4, dst_port=80))
     runs, par_ref, par_comp = _leg_runs(
         PortScanDetector, 1, fault,
-        [[_lan(i, 1e-4 * i) for i in range(4)], second],
+        [[_lan(i, 1e-4 * i) for i in range(4)],
+         _psd_alternating(range(10, 14), range(4))],
     )
     assert all(ref == comp for ref, comp in runs)
-    ref, comp = (par.cores[0].ctx.store for par in (par_ref, par_comp))
-    assert (
-        _state(ref["psd_touched"]) == _state(comp["psd_touched"])
-    ) is (fault is None)
+    diff = par_ref.cores[0].ctx.state_diff(par_comp.cores[0].ctx)
+    assert diff == (None if fault is None else "psd_touched")
+
+
+@pytest.mark.parametrize("fault", [None, "pop-order"])
+def test_pop_order_fault_expires_the_wrong_flow(fault) -> None:
+    """Two flows open on kernels in one chunk, 0.5 s apart.  Popped in
+    reverse lane order, each one's cell carries the other's timestamp,
+    so the sweep at 1.3 s (1 s expiry) frees the later flow instead of
+    the earlier one: a reply to the earlier flow is forwarded instead of
+    dropped, and one to the later flow dropped."""
+    from repro.nf.nfs.firewall import Firewall
+    from repro.nf.packet import Packet
+    from tests.sim.test_compiled_establish import SERVER, _lan
+
+    def reply(i, t):
+        return (1, Packet(src_ip=SERVER, dst_ip=0x0A000000 + i, src_port=53,
+                          dst_port=4000 + i, timestamp=t))
+
+    runs, _, _ = _leg_runs(
+        lambda: Firewall(expiration_time=1.0), 1, fault,
+        [[_lan(99, 0.0), _lan(0, 0.1), _lan(1, 0.6)],
+         [reply(0, 1.3), reply(1, 1.31)]],
+    )
+    (ref, _), (comp, _) = runs[-1]
+    assert [r.kind.name for _, r in ref] == ["DROP", "FORWARD"]
+    assert (comp == ref) is (fault is None)

@@ -21,7 +21,6 @@ from repro.nf.nfs.firewall import Firewall
 from repro.nf.nfs.nat import Nat
 from repro.nf.nfs.psd import PortScanDetector
 from repro.nf.packet import Packet
-from repro.nf.state import DChain, Map, Sketch, Vector
 from repro.scale import enable_elastic, rescale_parallel
 from repro.sim.compiled import INDEX_MIN_LANES
 from repro.sim.functional import _get_dispatcher, run_functional
@@ -32,33 +31,11 @@ NAT_IP = 0xC0A80101  # Nat's default external address
 PORT_BASE = 1024
 
 
-def _state(obj):
-    if isinstance(obj, Map):
-        return dict(obj._data)
-    if isinstance(obj, Vector):
-        return dict(obj._rows)
-    if isinstance(obj, DChain):
-        return list(obj._free), bytes(obj._allocated), list(obj._touched)
-    if isinstance(obj, Sketch):
-        return [list(row) for row in obj._rows]
-    raise AssertionError(f"unknown state object {obj!r}")
-
-
 def assert_state_identical(par_ref, par_comp):
     """Every core's stores, value indexes and bucket tags agree."""
     assert len(par_ref.cores) == len(par_comp.cores)
-    for ref_core, comp_core in zip(par_ref.cores, par_comp.cores):
-        ref, comp = ref_core.ctx.store, comp_core.ctx.store
-        for name, obj in ref.objects.items():
-            assert _state(obj) == _state(comp.objects[name]), name
-        assert ref._forward == comp._forward
-        assert ref._reverse == comp._reverse
-        ref_b = ref_core.ctx.bucket_index
-        comp_b = comp_core.ctx.bucket_index
-        assert (ref_b is None) == (comp_b is None)
-        if ref_b is not None:
-            assert ref_b._keys == comp_b._keys
-            assert ref_b._indices == comp_b._indices
+    for c, (ref, comp) in enumerate(zip(par_ref.cores, par_comp.cores)):
+        assert ref.ctx.state_diff(comp.ctx) is None, c
 
 
 def _pair(nf_factory, n_cores=2):
@@ -215,36 +192,63 @@ def test_nat_reply_to_a_cell_allocated_in_the_same_chunk():
     assert run.compiled_path_ids[1] == -1
 
 
-def test_psd_opens_a_source_and_a_pair_in_one_lane(monkeypatch):
+def _psd_alternating(new_sources, known):
+    """Per pair of sources: the new one opens itself and a (source,
+    port) pair, then the ``known`` one opens a second pair."""
+    trace = []
+    for i, (new, old) in enumerate(zip(new_sources, known)):
+        trace.append(_lan(new, 1e-2 + 2e-4 * i))
+        trace.append(_lan(old, 1e-2 + 2e-4 * i + 1e-4, dst_port=80))
+    return trace
+
+
+def _assert_psd_counts(par):
+    """Each source's count row holds the number of its pairs."""
+    for core in par.cores:
+        store = core.ctx.store
+        for key, index in store["psd_srcs"]._data.items():
+            ports = sum(k[0] == key[0] for k in store["psd_touched"]._data)
+            assert store["psd_counts"].borrow(index) == {"port_count": ports}
+
+
+def test_psd_opens_a_source_and_a_pair_in_one_lane():
     """A new source allocates on both chains and reads back the count
     row it just wrote; a known source opens only the (source, port).
-    The two kinds of lanes alternate, so their allocations on the pair
-    chain come from two tree nodes and are ranked once more."""
-    from repro.sim.compiled import CompiledDispatcher
-
-    faults = []
-    rank_faults = CompiledDispatcher._rank_faults
-
-    def spy(self):
-        found = rank_faults(self)
-        faults.append(bool(found))
-        return found
-
-    monkeypatch.setattr(CompiledDispatcher, "_rank_faults", spy)
+    The two kinds of lanes alternate, so two tree nodes allocate on the
+    pair chain's one shard: each ranks from 0, so all of them run on the
+    interpreter."""
     par_ref, par_comp = _pair(PortScanDetector, n_cores=1)
     _run_both(par_ref, par_comp, [_lan(i, 1e-4 * i) for i in range(4)])
-    trace = []
-    for i in range(4):
-        trace.append(_lan(10 + i, 1e-2 + 2e-4 * i))
-        trace.append(_lan(i, 1e-2 + 2e-4 * i + 1e-4, dst_port=80))
+    trace = _psd_alternating(range(10, 14), range(4))
     run = _run_both(par_ref, par_comp, trace)
-    assert faults[-2:] == [True, False]  # re-ranked, then settled
-    assert run.compiled["fallback_packets"] == 0
+    assert run.compiled["fallback_packets"] == len(trace)
     assert all(r.new_flow for _, r in run.results)
-    store = par_comp.cores[0].ctx.store
-    for key, index in store["psd_srcs"]._data.items():
-        ports = sum(k[0] == key[0] for k in store["psd_touched"]._data)
-        assert store["psd_counts"].borrow(index) == {"port_count": ports}
+    _assert_psd_counts(par_comp)
+
+
+def test_psd_two_nodes_demote_only_their_shared_shard():
+    """On two cores, core 0 sees new and known sources alternate (two
+    tree nodes allocate on its pair chain) and core 1 only new sources
+    (one node per chain): core 0's lanes run interpreted, core 1's stay
+    on kernels."""
+    par_ref, par_comp = _pair(PortScanDetector, n_cores=2)
+    by_core = ([], [])
+    for i in range(64):
+        by_core[par_ref.rss.core_for(0, _lan(i, 0.0)[1])].append(i)
+    known, new0, new1 = by_core[0][:4], by_core[0][4:8], by_core[1][:5]
+    # Each core's first packet sweeps, alone on the interpreter.
+    warm = known + new1[:1]
+    _run_both(par_ref, par_comp, [_lan(i, 1e-4 * k) for k, i in enumerate(warm)])
+    new1 = new1[1:]
+    trace = _psd_alternating(new0, known)
+    for k, i in enumerate(new1):
+        trace.insert(3 * k + 2, _lan(i, 1e-2 + 2e-4 * k + 1.5e-4))
+    run = _run_both(par_ref, par_comp, trace)
+    on_core1 = np.array([p.src_ip - 0x0A000000 in new1 for _, p in trace])
+    assert (run.compiled_path_ids[on_core1] >= 0).all()
+    assert (run.compiled_path_ids[~on_core1] == -1).all()
+    assert all(r.new_flow for _, r in run.results)
+    _assert_psd_counts(par_comp)
 
 
 class _RowsNF(NF):
