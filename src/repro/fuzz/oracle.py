@@ -27,8 +27,9 @@ applicable strategy and per trace:
   pinned off), and the compiled batch dataplane (kernels on) must
   yield identical per-packet (core, action) sequences, per-core
   counters and per-core final state
-  (:meth:`~repro.nf.runtime.ConcreteContext.state_diff`); compiled
-  kernel-coverage stats are attached to the report.
+  (:meth:`~repro.nf.runtime.ConcreteContext.state_diff`); the report
+  keeps the last compiled leg's coverage stats and sums every compiled
+  leg's kernel and fallback lanes.
 
 Fault injection (``fault=``) seeds known pipeline bugs so the oracle
 and shrinker can be validated end to end:
@@ -47,13 +48,14 @@ and shrinker can be validated end to end:
   their maps logged, so kernel lanes probe a map as it was when the
   index was last rebuilt, missing every put and erase since (the
   compiled leg probes every chunk through its indexes);
-* ``drop-key-dirt`` — the compiled leg's dispatcher never publishes map
-  dirt, so a kernel lane keeps a key an interpreter lane of the same
-  chunk wrote;
+* ``drop-key-dirt`` — the compiled leg's settle pass (``_settle``)
+  publishes onto a board that drops every map aspect, so a kernel lane
+  keeps a key an interpreter lane of the same chunk wrote;
 * ``no-multi-touch``, ``drop-reach``, ``stale-rank`` — the compiled
-  leg's dispatcher skips its kernel-conflict pass, finds no cell in an
-  allocation's reach, or keeps on kernels the lanes of two tree nodes
-  that rank allocations or inserts on one shard of a chain or map;
+  leg's dispatcher skips its kernel-conflict rule (``_multi_touch``),
+  finds no cell in an allocation's reach, or keeps on kernels the lanes
+  of two tree nodes that rank allocations or inserts on one shard of a
+  chain or map (``_demote_shared`` is skipped);
 * ``pop-order`` — the compiled leg applies each shard's kernel
   allocations in reverse lane order, so a cell's timestamp (and bucket
   tag) is another lane's.
@@ -158,7 +160,11 @@ class OracleReport:
     rescale_checks: int = 0
     capacity_divergences: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
+    #: the last compiled leg's coverage stats
     compiled_stats: dict | None = None
+    #: lanes every compiled leg ran on kernels and on the interpreter
+    kernel_packets: int = 0
+    fallback_packets: int = 0
 
     @property
     def ok(self) -> bool:
@@ -175,6 +181,8 @@ class OracleReport:
             "capacity_divergences": self.capacity_divergences,
             "failures": [f.to_dict() for f in self.failures],
             "compiled_stats": self.compiled_stats,
+            "kernel_packets": self.kernel_packets,
+            "fallback_packets": self.fallback_packets,
         }
 
 
@@ -537,15 +545,12 @@ def inject_dispatcher_fault(dispatcher, fault: str) -> None:
         for index in dispatcher._indexes.values():
             index.drain = lambda: None
     elif fault == "drop-key-dirt":
-        publish, seed = dispatcher._publish, dispatcher._seed_board
-        dispatcher._publish = lambda board, ps, mask: publish(
-            _MapDirtDropped(board), ps, mask
-        )
-        dispatcher._seed_board = lambda groups, board: seed(
+        settle = dispatcher._settle
+        dispatcher._settle = lambda groups, board: settle(
             groups, _MapDirtDropped(board)
         )
     elif fault == "no-multi-touch":
-        dispatcher._multi_touch = lambda groups, board: None
+        dispatcher._multi_touch = lambda groups: None
     elif fault == "drop-reach":
         dispatcher._reach = lambda shard, chain, aspect: np.zeros(0, np.int64)
     elif fault == "stale-rank":
@@ -625,6 +630,8 @@ def _check_fastpath(
         return
     report.checks += 1
     report.compiled_stats = compiled.compiled
+    report.kernel_packets += compiled.compiled["kernel_packets"]
+    report.fallback_packets += compiled.compiled["fallback_packets"]
     if certificate is not None:
         certified = set(certificate.supported_pids)
         path_ids = compiled.compiled_path_ids

@@ -52,6 +52,10 @@ class FuzzReport:
     checks: int = 0
     rescale_checks: int = 0
     capacity_divergences: int = 0
+    #: lanes the cases' compiled legs ran on kernels and on the
+    #: interpreter (a clean campaign with no kernel lane tested none)
+    kernel_packets: int = 0
+    fallback_packets: int = 0
     replay: list[ReplayOutcome] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
     reproducers: list[str] = field(default_factory=list)
@@ -82,6 +86,8 @@ class FuzzReport:
             "checks": self.checks,
             "rescale_checks": self.rescale_checks,
             "capacity_divergences": self.capacity_divergences,
+            "kernel_packets": self.kernel_packets,
+            "fallback_packets": self.fallback_packets,
             "replay": [outcome.to_dict() for outcome in self.replay],
             "failures": self.failures,
             "reproducers": self.reproducers,
@@ -206,6 +212,8 @@ class FuzzSession:
         report.checks += oracle.checks
         report.rescale_checks += oracle.rescale_checks
         report.capacity_divergences += oracle.capacity_divergences
+        report.kernel_packets += oracle.kernel_packets
+        report.fallback_packets += oracle.fallback_packets
         if obs.enabled():
             obs.counter("fuzz.cases", 1, seed=case_seed)
         if oracle.ok:

@@ -25,11 +25,12 @@ the oracle: kernel output is bit-identical to
 Correctness hinges on the *frozen-prefix* discipline.  Classification
 reads pre-chunk state, so a kernel lane is only kept when no interpreter
 lane (or other kernel lane) in the same chunk invalidates what it read
-or re-orders what it writes.  This is resolved by a chunk-local hazard
-fixpoint over a "dirt board" of keys/cells touched by fallback lanes:
+or re-orders what it writes.  This is resolved by a chunk-local settle
+pass over a "dirt board" of keys/cells touched by fallback lanes:
 kernel lanes whose reads/writes collide are demoted to the interpreter,
-and each demotion publishes that lane's own footprint as new dirt.  A
-packet whose ``expire_flows`` call sweeps runs alone on the
+and each demotion publishes that lane's own footprint as new dirt, until
+a pass demotes nothing.  A packet whose ``expire_flows`` call sweeps
+runs alone on the
 interpreter: the positions where each chain's once-per-simulated-second
 gate fires are replayed from the trace timestamps up front
 (:func:`repro.nf.runtime.expiry_triggers`), and each becomes a
@@ -87,8 +88,6 @@ __all__ = [
 
 #: Lanes per kernel chunk (also the hazard-analysis horizon).
 DEFAULT_CHUNK = 2048
-#: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
-_FIXPOINT_MAX = 64
 
 #: Fewest lanes a chunk needs to probe maps through their indexes (the
 #: default of ``CompiledDispatcher.index_min_lanes``).  An index probe
@@ -1211,7 +1210,9 @@ class _ProgState:
         self.shards = shards
         self.match = None
         self.force_f = None
-        self.kmask = None
+        #: The lanes left on kernels: all False for a bailed or
+        #: unsupported program.
+        self.kmask = np.zeros(shards.size, dtype=bool)
         self.bailed = False
         #: Per lowered step, then per dirt descriptor (see
         #: ``_PathProgram.pubs``), the chunk's artifact.
@@ -1539,21 +1540,19 @@ class CompiledDispatcher:
             self._eval_group(group)
         if self._events:
             self._demote_shared()
+        self._multi_touch(groups)
         board = _DirtBoard()
         # Lanes of a port with no program run interpreted with an
         # unknown footprint: no kernel lane of their shard may trust
         # its reads.
         if uncovered.any():
             board.wild_all.update(np.unique(shards[uncovered]).tolist())
-        self._seed_board(groups, board)
-        self._multi_touch(groups, board)
-        self._fixpoint(groups, board)
+        self._settle(groups, board)
         k_flag = np.zeros(lanes.size, dtype=bool)
         for g in groups:
             pos = g.g_lanes - start
             for ps in g.progs:
-                if ps.kmask is not None and ps.kmask.any():
-                    k_flag[pos[ps.kmask]] = True
+                k_flag[pos[ps.kmask]] = True
         f_lanes = lanes[~k_flag]
         self._run_fallback(f_lanes, results)
         kept = 0
@@ -1778,26 +1777,44 @@ class CompiledDispatcher:
             off = shared[g.g_lanes - self._start]
             if off.any():
                 for ps in g.progs:
-                    if ps.kmask is not None:
-                        ps.kmask &= ~off
+                    ps.kmask &= ~off
 
     # -------------------------------------------------------------- #
     # Hazard analysis
     # -------------------------------------------------------------- #
-    def _seed_board(self, groups, board):
+    def _settle(self, groups, board):
+        """Publish the footprint of every lane bound for the interpreter,
+        then demote each kernel lane that meets published dirt,
+        publishing it at once, until a pass demotes nothing.
+
+        A pass that goes on has demoted one of the chunk's finitely many
+        kernel lanes, so the loop ends.
+        """
+        progs = []
         for g in groups:
             for ps in g.progs:
-                prog = ps.prog
                 if ps.bailed:
                     # No artifacts survived: wildcard every aspect this
                     # program could touch on the group's shards.
                     shards = [s for s, _ in g.by_shard]
-                    for aspect, obj in prog.wild:
+                    for aspect, obj in ps.prog.wild:
                         board.add_wild(aspect, obj, shards)
                     continue
-                fall = ps.match & ~ps.kmask if prog.supported else ps.match
+                fall = ps.match & ~ps.kmask
                 if fall.any():
                     self._publish(board, ps, fall)
+                progs.append(ps)
+        demoted = True
+        while demoted:
+            demoted = False
+            for ps in progs:
+                if not ps.kmask.any():
+                    continue
+                dem = self._demote_mask(ps, board)
+                if dem is not None and dem.any():
+                    ps.kmask &= ~dem
+                    self._publish(board, ps, dem)
+                    demoted = True
 
     def _publish(self, board, ps, mask):
         """Publish the state footprint of ``mask`` lanes of one program:
@@ -1820,8 +1837,6 @@ class CompiledDispatcher:
                     for aspect, obj in step.after:
                         board.add_wild(aspect, obj, on)
         for si, aspect, obj, src in ps.prog.pubs:
-            if si >= len(ps.arts):
-                break
             art = ps.arts[si]
             if src is None or art is None or type(src) is tuple:
                 if present is None:
@@ -1864,20 +1879,19 @@ class CompiledDispatcher:
             self._reaches[(shard, chain, rows)] = vals
         return vals
 
-    def _multi_touch(self, groups, board):
+    def _multi_touch(self, groups):
         """Serialize same-cell and same-key kernel writes: a vector row,
         an allocated cell or an inserted map key one kernel lane writes
         no other kernel lane may write or read.
 
         Objects go in order of first use; each sees the kernel lanes the
-        objects before it left.  Every demoted lane publishes its
-        footprint.
+        objects before it left.
         """
         writers = {}
         readers = {}
         for g in groups:
             for ps in g.progs:
-                if ps.kmask is None or not ps.kmask.any():
+                if not ps.kmask.any():
                     continue
                 for step, art in zip(ps.prog.steps, ps.arts):
                     entry = (g, ps, step, art)
@@ -1885,18 +1899,8 @@ class CompiledDispatcher:
                         writers.setdefault(step.obj, []).append(entry)
                     if step.reads:
                         readers.setdefault(step.obj, []).append(entry)
-        if not writers:
-            return
-        before = [
-            (ps, ps.kmask.copy()) for g in groups for ps in g.progs
-            if ps.kmask is not None and ps.kmask.any()
-        ]
         for obj, entries in writers.items():
             self._touch(entries, readers.get(obj, ()))
-        for ps, kmask in before:
-            dem = kmask & ~ps.kmask
-            if dem.any():
-                self._publish(board, ps, dem)
 
     @staticmethod
     def _touch(writers, readers):
@@ -1954,28 +1958,6 @@ class CompiledDispatcher:
             written = uniq[at] == q
             ps.kmask[k[written & (owner[at] != g.g_lanes[k])]] = False
 
-    def _fixpoint(self, groups, board):
-        for _ in range(_FIXPOINT_MAX):
-            changed = False
-            for g in groups:
-                for ps in g.progs:
-                    if ps.kmask is None or not ps.kmask.any():
-                        continue
-                    dem = self._demote_mask(ps, board)
-                    if dem is not None and dem.any():
-                        ps.kmask &= ~dem
-                        self._publish(board, ps, dem)
-                        changed = True
-            if not changed:
-                return
-        # Fixpoint overran: demote every remaining kernel lane.
-        for g in groups:
-            for ps in g.progs:
-                if ps.kmask is not None and ps.kmask.any():
-                    mask = ps.kmask.copy()
-                    ps.kmask[:] = False
-                    self._publish(board, ps, mask)
-
     def _demote_mask(self, ps, board):
         kmask = ps.kmask
         shards = ps.shards
@@ -2009,7 +1991,7 @@ class CompiledDispatcher:
         g_lanes = group.g_lanes
         ctxs = self._ctxs
         for ps in group.progs:
-            if ps.kmask is None or not ps.kmask.any():
+            if not ps.kmask.any():
                 continue
             prog = ps.prog
             kidx = np.flatnonzero(ps.kmask)

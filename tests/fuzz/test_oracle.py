@@ -375,3 +375,45 @@ def test_pop_order_fault_expires_the_wrong_flow(fault) -> None:
     (ref, _), (comp, _) = runs[-1]
     assert [r.kind.name for _, r in ref] == ["DROP", "FORWARD"]
     assert (comp == ref) is (fault is None)
+
+
+def test_campaign_totals_its_oracles_kernel_lanes(monkeypatch) -> None:
+    """The fuzz JSON's kernel and fallback lanes are the sums over the
+    campaign's oracle reports, so a clean campaign that ran no kernel
+    lane reads differently from one that did."""
+    from repro.fuzz import runner
+
+    reports = []
+
+    def spy(*args, **kwargs):
+        reports.append(run_oracle(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(runner, "run_oracle", spy)
+    out = runner.FuzzSession(
+        seed=0, runs=2, replay=False, save=False, shrink=False
+    ).run().to_dict()
+    assert out["clean"] and len(reports) == 2
+    assert out["kernel_packets"] == sum(r.kernel_packets for r in reports)
+    assert out["fallback_packets"] == sum(r.fallback_packets for r in reports)
+    assert out["kernel_packets"] > 0
+    for report in reports:
+        assert report.to_dict()["kernel_packets"] == report.kernel_packets
+
+
+def test_ci_fuzz_smoke_runs_every_dispatcher_fault() -> None:
+    """CI's dispatcher-fault loop names every fault in
+    ``DISPATCHER_FAULTS`` but ``stale-rank``, which the campaigns miss
+    (its hand-built case is above), so a new fault cannot skip the
+    gate."""
+    import re
+    from pathlib import Path
+
+    from repro.fuzz.oracle import DISPATCHER_FAULTS
+
+    ci = Path(__file__).resolve().parents[2] / ".github/workflows/ci.yml"
+    loops = re.findall(r"for fault in ([^;\n]+); do", ci.read_text())
+    assert len(loops) == 1
+    assert loops[0].split() == [
+        f for f in DISPATCHER_FAULTS if f != "stale-rank"
+    ]

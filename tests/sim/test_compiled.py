@@ -19,9 +19,10 @@ from repro import obs
 from repro.core.codegen import Strategy
 from repro.core.pipeline import Maestro
 from repro.fuzz.workloads import WorkloadSpec, materialize_workload
-from repro.nf.api import ActionKind
+from repro.nf.api import NF, ActionKind, StateDecl, StateKind
 from repro.nf.nfs import ALL_NFS
 from repro.nf.nfs.firewall import Firewall
+from repro.nf.packet import Packet
 from repro.obs.collect import MemoryCollector
 from repro.sim.functional import _get_dispatcher, run_functional
 
@@ -54,6 +55,7 @@ def assert_runs_identical(run_ref, run_comp, par_ref, par_comp):
     assert run_ref.action_counts() == run_comp.action_counts()
     for ref_core, comp_core in zip(par_ref.cores, par_comp.cores):
         assert ref_core.ctx.stat_snapshot() == comp_core.ctx.stat_snapshot()
+        assert ref_core.ctx.state_diff(comp_core.ctx) is None
 
 
 class TestPerPathIdentity:
@@ -348,3 +350,63 @@ class TestObservability:
         }
         for core in par.cores:
             assert core.ctx.store["fw_flows"]._log is None
+
+
+class _TwoKeyNF(NF):
+    """Forwards a packet whose source (low source port) or destination
+    (otherwise) address is in a read-only map: one map, probed by two
+    keys on the two branches of each port."""
+
+    name = "two_key"
+    ports = {"lan": 0, "wan": 1}
+    KNOWN = tuple(0x0A000000 + i for i in range(0, 16, 2))
+
+    def state(self):
+        return [StateDecl("known", StateKind.MAP, 16)]
+
+    def setup(self, ctx):
+        for ip in self.KNOWN:
+            ctx.map_put("known", (ip,), 1)
+
+    def process(self, ctx, port, pkt):
+        if ctx.cond(ctx.lt(pkt.src_port, ctx.const(1024, 16))):
+            found, _ = ctx.map_get("known", (pkt.src_ip,))
+        else:
+            found, _ = ctx.map_get("known", (pkt.dst_ip,))
+        if ctx.cond(found):
+            ctx.forward(self.other_port(port))
+        else:
+            ctx.drop()
+
+
+class TestUnsharedEvaluation:
+    def test_programs_binding_one_symbol_to_two_keys(self):
+        """Both branches bind the probe's result symbols to different
+        keys, so sibling programs cannot share an env and each is
+        evaluated on its own; the kernels still match the reference."""
+        maestro = Maestro(seed=0)
+        result = maestro.analyze(_TwoKeyNF())
+        par_ref, par_comp = (
+            maestro.parallelize(_TwoKeyNF(), n_cores=2, result=result)
+            for _ in range(2)
+        )
+        disp = _get_dispatcher(par_comp)
+        assert disp.supported_paths == 8
+        assert not any(pp.shared_ok for pp in disp.ports.values())
+        rng = np.random.default_rng(5)
+        trace = [
+            (int(port), Packet(
+                src_ip=0x0A000000 + int(src), dst_ip=0x0A000000 + int(dst),
+                src_port=int(sport), dst_port=80, timestamp=i * 1e-3,
+            ))
+            for i, (port, src, dst, sport) in enumerate(zip(
+                rng.integers(0, 2, 400), rng.integers(0, 16, 400),
+                rng.integers(0, 16, 400), rng.integers(1000, 1050, 400),
+            ))
+        ]
+        run_ref = run_functional(par_ref, trace, fastpath=False)
+        run_comp = run_functional(par_comp, trace)
+        assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
+        assert run_comp.compiled["kernel_packets"] > 0
+        kinds = {r.kind for _, r in run_ref.results}
+        assert kinds == {ActionKind.FORWARD, ActionKind.DROP}

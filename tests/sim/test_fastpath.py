@@ -48,6 +48,7 @@ def assert_runs_identical(run_ref, run_fast, par_ref, par_fast):
     assert np.array_equal(run_ref.core_counts(), run_fast.core_counts())
     for ref_core, fast_core in zip(par_ref.cores, par_fast.cores):
         assert ref_core.ctx.stat_snapshot() == fast_core.ctx.stat_snapshot()
+        assert ref_core.ctx.state_diff(fast_core.ctx) is None
 
 
 class TestEquivalence:
