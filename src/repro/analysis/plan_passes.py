@@ -33,13 +33,14 @@ Checks, one stable code each (all error severity):
     path op that may free a dchain index inside a chunk must not lower
     an allocation or narrow allocation dirt to reaches at all.
 ``MAE302``
-    Hazard-demotion completeness.  For every kernel step kind, a
+    Conflict-pass completeness.  For every kernel step kind, a
     read/write interference lattice derived here (independently of the
-    runtime) names the dirt aspects that must demote the step's lane;
-    the *actual* ``_demote_mask`` is probed with a synthetic one-lane
-    chunk per (step, aspect) pair — wildcard and keyed (allocation
-    dirt keyed by a reach too) — and must demote it.  Programs whose
-    own bail must poison state are checked against their published
+    runtime) names the aspects an interpreter lane must not touch
+    before the step's kernel lane; the *actual* conflict table is
+    probed with a synthetic 2-lane chunk per (step, aspect) pair —
+    wildcard and keyed — and must demote the kernel lane when the
+    interpreter lane comes first, and only then.  Programs whose own
+    bail must poison state are checked against their published
     wildcard set.
 ``MAE303``
     Retired (it certified the classification memo, which is gone); the
@@ -63,6 +64,7 @@ back wholesale is sound, not a finding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -78,10 +80,11 @@ from repro.nf.api import NF
 from repro.nf.state import key_hash
 from repro.sim.compiled import (
     LOWERED_OPS,
-    CompiledDispatcher,
     _alloc_exact,
     _compile_port,
-    _DirtBoard,
+    _Conflicts,
+    _entry,
+    _kernel_footprint,
     _ProgState,
     _qualify,
 )
@@ -110,8 +113,8 @@ __all__ = [
 # independent re-derivation the runtime's tables are checked against.
 # ------------------------------------------------------------------ #
 
-#: Dirt aspects that must demote a kernel lane whose step is of this
-#: kind when an interpreter lane dirtied them first (RAW/WAW pairs):
+#: Aspects that must demote a kernel lane whose step is of this kind
+#: when an earlier interpreter lane touched them (RAW/WAR/WAW pairs):
 #: map probes read map entries; map inserts conflict with interpreter
 #: writes of the key (WAW order), reads of it (the read must not miss
 #: the kernel's later insert), puts of the same value (the store's
@@ -554,16 +557,17 @@ def _check_equivalence(
 
 
 # ------------------------------------------------------------------ #
-# MAE302: hazard-demotion completeness (probes the real runtime)
+# MAE302: conflict-pass completeness (probes the real runtime)
 # ------------------------------------------------------------------ #
 def _probe_state(prog) -> _ProgState:
     """A synthetic one-lane chunk state sitting on ``prog``.
 
-    Artifacts cover every field ``_demote_mask`` can read: an all-zero
-    key and value on shard 0 and cell 0 per step, a *stale* allocation
-    flag (allocation only flips free→allocated, so a lane that
-    classified on a free slot is exactly the lane an allocation
-    invalidates), and a successful allocation of cell 0.
+    Artifacts cover every field a kernel lane's footprint reads: an
+    all-zero key and value on shard 0 and cell 0 per step, a *stale*
+    allocation flag (allocation only flips free→allocated, so a lane
+    that classified on a free slot is exactly the lane an allocation
+    invalidates), and a successful allocation of cell 0 whose outcome
+    other lanes can change.
     """
     shards = np.zeros(1, dtype=np.int64)
     ps = _ProgState(prog, shards)
@@ -576,6 +580,7 @@ def _probe_state(prog) -> _ProgState:
             "cells": cells,
             "q": _qualify(cells, shards, 1),
             "flags": np.zeros(1, dtype=bool),
+            "free": np.ones(1, dtype=bool),
             "ok": np.ones(1, dtype=bool),
             "exposed": np.ones(1, dtype=bool),
         }
@@ -584,43 +589,51 @@ def _probe_state(prog) -> _ProgState:
     return ps
 
 
-def _dirt_boards(aspect: str, step) -> list[tuple[str, _DirtBoard]]:
-    """Wildcard and keyed boards carrying one dirt record that conflicts
-    with the probe lane: its shard, and its shard-qualified key, value
-    or cell."""
-    zero = np.zeros(1, dtype=np.int64)
-    wild = _DirtBoard()
-    wild.add_wild(aspect, step.obj, [0])
+def _probe_keys(aspect: str, step) -> list[tuple[str, object]]:
+    """Wildcard and keyed footprints of one interpreter lane that meet
+    the probe lane: its shard, and its shard-qualified key, value or
+    cell."""
     if aspect in _WILD_ASPECTS:
-        return [("wildcard", wild)]
-    keyed = _DirtBoard()
+        return [("wildcard", None)]
+    zero = np.zeros(1, dtype=np.int64)
     if aspect == "map_v":
-        keyed.add(aspect, step.obj, key_hash(zero, [zero]))
+        keyed = key_hash(zero, [zero])
     elif aspect.startswith("map_"):
-        keyed.add(aspect, step.obj, key_hash(zero, [zero] * len(step.keys)))
+        keyed = key_hash(zero, [zero] * len(step.keys))
     else:
-        keyed.add(aspect, step.obj, [0])
-    return [("wildcard", wild), ("keyed", keyed)]
+        keyed = zero
+    return [("wildcard", None), ("keyed", keyed)]
+
+
+def _demotes(prog, touched, lane: int) -> bool:
+    """Whether an interpreter lane at chunk position ``lane`` touching
+    the ``(aspect, obj, keys)`` of ``touched`` sends the probe kernel
+    lane, at position 1, to the interpreter."""
+    table = _Conflicts(1)
+    at = (np.ones(1, dtype=bool), np.array([lane]), np.zeros(1, np.int64))
+    for aspect, obj, keys in touched:
+        table.add(aspect, obj, partial(_entry, *at, keys),
+                  None if keys is None else False)
+    _kernel_footprint(table, _probe_state(prog), np.ones(1, dtype=np.int64))
+    return any((d == 1).any() for d in table.demoted())
 
 
 def _certify_demotion(pp, findings: list[_Finding]) -> None:
-    disp = CompiledDispatcher.__new__(CompiledDispatcher)
     for prog in pp.programs:
         if not prog.supported:
             continue
         pid = _pid(prog)
-        if prog.steps:
-            # A fully-poisoned board must always demote.
-            board = _DirtBoard()
-            board.wild_all.add(0)
-            dem = disp._demote_mask(_probe_state(prog), board)
-            if dem is None or not bool(np.asarray(dem).all()):
-                findings.append(_Finding(
-                    "MAE302",
-                    "a fully-poisoned dirt board failed to demote this "
-                    "program's kernel lane",
-                    path_id=pid,
-                ))
+        everything = [
+            (aspect, step.obj, None)
+            for step in prog.steps for aspect in _ALL_ASPECTS
+        ]
+        if everything and not _demotes(prog, everything, 0):
+            findings.append(_Finding(
+                "MAE302",
+                "an earlier interpreter lane touching everything failed to "
+                "demote this program's kernel lane",
+                path_id=pid,
+            ))
         for step in prog.steps:
             op = step.sig[0]
             aspects = _INTERFERENCE.get(op)
@@ -628,20 +641,29 @@ def _certify_demotion(pp, findings: list[_Finding]) -> None:
                 findings.append(_Finding(
                     "MAE302",
                     f"kernel step {op!r} has no entry in the interference "
-                    "lattice — its hazards cannot be certified",
+                    "lattice — its conflicts cannot be certified",
                     obj=step.obj, op=op, path_id=pid,
                 ))
                 continue
             for aspect in aspects:
-                for flavor, board in _dirt_boards(aspect, step):
-                    dem = disp._demote_mask(_probe_state(prog), board)
-                    if dem is None or not bool(np.asarray(dem).all()):
+                for flavor, keys in _probe_keys(aspect, step):
+                    touched = [(aspect, step.obj, keys)]
+                    if not _demotes(prog, touched, 0):
                         findings.append(_Finding(
                             "MAE302",
-                            f"{op}({step.obj!r}) kernel lane survives "
-                            f"{flavor} {aspect!r} dirt on {step.obj!r} — "
-                            "the frozen-prefix fixpoint would miss this "
-                            "RAW/WAW pair",
+                            f"{op}({step.obj!r}) kernel lane survives an "
+                            f"earlier lane's {flavor} {aspect!r} on "
+                            f"{step.obj!r} — the conflict pass would miss "
+                            "this RAW/WAR/WAW pair",
+                            obj=step.obj, op=op, path_id=pid,
+                        ))
+                    if _demotes(prog, touched, 2):
+                        findings.append(_Finding(
+                            "MAE302",
+                            f"{op}({step.obj!r}) kernel lane is demoted by "
+                            f"a later lane's {flavor} {aspect!r} on "
+                            f"{step.obj!r} — a later lane sees the kernel "
+                            "writes, as in the reference",
                             obj=step.obj, op=op, path_id=pid,
                         ))
             for aspect in _OP_ASPECTS.get(op) or ():

@@ -48,25 +48,31 @@ and shrinker can be validated end to end:
   their maps logged, so kernel lanes probe a map as it was when the
   index was last rebuilt, missing every put and erase since (the
   compiled leg probes every chunk through its indexes);
-* ``drop-key-dirt`` — the compiled leg's settle pass (``_settle``)
-  publishes onto a board that drops every map aspect, so a kernel lane
-  keeps a key an interpreter lane of the same chunk wrote;
+* ``drop-key-dirt`` — the compiled leg's conflict table drops every
+  map aspect an interpreter lane touches, so a kernel lane keeps a key
+  an earlier interpreter lane of the same chunk wrote;
 * ``no-multi-touch``, ``drop-reach``, ``stale-rank`` — the compiled
-  leg's dispatcher skips its kernel-conflict rule (``_multi_touch``),
-  finds no cell in an allocation's reach, or keeps on kernels the lanes
+  leg's conflict table skips its rule between kernel lanes (a kernel
+  lane keeps a key or cell an earlier kernel lane writes), finds no
+  cell in an allocation's reach, or skips its node rule, so the lanes
   of two tree nodes that rank allocations or inserts on one shard of a
-  chain or map (``_demote_shared`` is skipped);
+  chain or map stay on kernels;
 * ``pop-order`` — the compiled leg applies each shard's kernel
   allocations in reverse lane order, so a cell's timestamp (and bucket
-  tag) is another lane's.
+  tag) is another lane's;
+* ``late-apply`` — the compiled leg runs each chunk's interpreter lanes
+  before it applies the kernel writes, so an interpreter lane misses
+  the write of an earlier kernel lane, which the lane-ordered rule
+  left on kernels.
 
-The last seven are dispatcher faults (:func:`inject_dispatcher_fault`):
+The last eight are dispatcher faults (:func:`inject_dispatcher_fault`):
 each is patched onto the compiled leg only, and every trace runs the
 fast-path check under them.  ``stale-rank`` survives the fuzz
 campaigns: their workloads do put two nodes' ranked lanes on one
-shard, but the hazard rules already send nearly every such lane to
-the interpreter, and the few left on kernels end in the reference's
-state, so only its hand-built case catches it.
+shard, but the other rules already send nearly every such lane to the
+interpreter, and the few left on kernels end in the reference's
+state; its hand-built case and the small-scope check
+(``tests/sim/test_smallscope.py``) catch it.
 """
 
 from __future__ import annotations
@@ -102,6 +108,7 @@ FAULTS: tuple[str, ...] = (
     "drop-reach",
     "stale-rank",
     "pop-order",
+    "late-apply",
 )
 #: Faults in the compiled leg's dispatcher.
 DISPATCHER_FAULTS = FAULTS[2:]
@@ -524,18 +531,22 @@ def _check_rescale(
 
 
 class _MapDirtDropped:
-    """A dirt board that drops every map aspect it is given."""
+    """A conflict table that drops every map aspect an interpreter lane
+    touches."""
 
-    def __init__(self, board):
-        self._board = board
+    def __init__(self, table):
+        self._table = table
 
     def __getattr__(self, name):
-        attr = getattr(self._board, name)
-        if name not in ("add", "add_wild", "add_reach"):
-            return attr
-        return lambda aspect, *args: (
-            None if aspect.startswith("map_") else attr(aspect, *args)
-        )
+        return getattr(self._table, name)
+
+    def add(self, aspect, obj, entry, kernel=False):
+        if kernel or not aspect.startswith("map_"):
+            self._table.add(aspect, obj, entry, kernel)
+
+    def add_reach(self, aspect, obj, *reach):
+        if not aspect.startswith("map_"):
+            self._table.add_reach(aspect, obj, *reach)
 
 
 def inject_dispatcher_fault(dispatcher, fault: str) -> None:
@@ -545,16 +556,30 @@ def inject_dispatcher_fault(dispatcher, fault: str) -> None:
         for index in dispatcher._indexes.values():
             index.drain = lambda: None
     elif fault == "drop-key-dirt":
-        settle = dispatcher._settle
-        dispatcher._settle = lambda groups, board: settle(
-            groups, _MapDirtDropped(board)
+        footprint = dispatcher._footprint
+        dispatcher._footprint = lambda table, groups, fresh: footprint(
+            _MapDirtDropped(table), groups, fresh
         )
     elif fault == "no-multi-touch":
-        dispatcher._multi_touch = lambda groups: None
+        footprint = dispatcher._footprint
+
+        def unordered(table, groups, fresh):
+            table.ordered = False
+            footprint(table, groups, fresh)
+
+        dispatcher._footprint = unordered
     elif fault == "drop-reach":
         dispatcher._reach = lambda shard, chain, aspect: np.zeros(0, np.int64)
     elif fault == "stale-rank":
-        dispatcher._demote_shared = lambda: None
+        dispatcher._node_rule = lambda: ()
+    elif fault == "late-apply":
+        commit = dispatcher._commit
+
+        def late(groups, k_flag, f_lanes, results):
+            dispatcher._run_fallback(f_lanes, results)
+            return commit(groups, k_flag, f_lanes[:0], results)
+
+        dispatcher._commit = late
     elif fault == "pop-order":
         # Kernel allocations are the only callers of ``DChain.take``: one
         # call per shard and chain.  A shared store is patched once.

@@ -23,28 +23,32 @@ the oracle: kernel output is bit-identical to
 :meth:`repro.nf.runtime.ConcreteContext.run`.
 
 Correctness hinges on the *frozen-prefix* discipline.  Classification
-reads pre-chunk state, so a kernel lane is only kept when no interpreter
-lane (or other kernel lane) in the same chunk invalidates what it read
-or re-orders what it writes.  This is resolved by a chunk-local settle
-pass over a "dirt board" of keys/cells touched by fallback lanes:
-kernel lanes whose reads/writes collide are demoted to the interpreter,
-and each demotion publishes that lane's own footprint as new dirt, until
-a pass demotes nothing.  A packet whose ``expire_flows`` call sweeps
-runs alone on the
-interpreter: the positions where each chain's once-per-simulated-second
-gate fires are replayed from the trace timestamps up front
+reads pre-chunk state; each chunk then applies every kernel write and
+runs its interpreter lanes after, which see those writes.  So one
+conflict pass keeps a kernel lane only while nothing earlier in the
+chunk conflicts with it: kernel lane j leaves the kernels when an
+earlier interpreter lane touches its footprint in either direction,
+an earlier kernel lane writes what it reads (or, for a vector row,
+writes it too: row scatters are not applied in lane order), or an
+earlier ranked lane of another tree node ranks on its shard of a
+chain or map.  A demoted lane touches its interpreter footprint,
+which holds its kernel footprint, so it only meets later lanes, and
+the pass repeats until it demotes nothing; a pass that goes on has
+demoted one of the chunk's finitely many kernel lanes.  A packet whose
+``expire_flows`` call sweeps runs alone on the interpreter: the
+positions where each chain's once-per-simulated-second gate fires are
+replayed from the trace timestamps up front
 (:func:`repro.nf.runtime.expiry_triggers`), and each becomes a
 one-lane chunk, so no sweep ever mutates state mid-chunk.  No other op
 frees a dchain index, so the k-th allocation of a chunk on a shard pops
 the k-th cell of that shard's free stack at chunk start: allocating
-kernel lanes are ranked in lane order per tree node and shard, a shard
-where two nodes allocate on one chain runs their lanes interpreted,
-and the cells any allocation of the chunk can return are the top of
-the stack (its *reach*).
+kernel lanes are ranked in lane order per tree node and shard, and the
+cells any allocation of the chunk can return are the top of the stack
+(its *reach*).
 
 The shard is a per-lane column: each chunk is classified once per
 port over every core's lanes, each state read picks the lane's own
-shard store, and hazard keys and cells carry the shard.  The one thing
+shard store, and conflict keys and cells carry the shard.  The one thing
 kept across chunks is each map's :class:`~repro.nf.state.MapIndex`,
 which map probes of a chunk of at least ``INDEX_MIN_LANES`` lanes read
 in one pass over every shard (smaller chunks probe the dicts).  It
@@ -58,6 +62,7 @@ simply reads the shards its new core ids name.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import repeat, starmap
 
 import numpy as np
@@ -86,7 +91,7 @@ __all__ = [
     "CompiledDispatcher", "compile_parallel", "DEFAULT_CHUNK", "LOWERED_OPS",
 ]
 
-#: Lanes per kernel chunk (also the hazard-analysis horizon).
+#: Lanes per kernel chunk (also the conflict pass's horizon).
 DEFAULT_CHUNK = 2048
 
 #: Fewest lanes a chunk needs to probe maps through their indexes (the
@@ -96,23 +101,28 @@ DEFAULT_CHUNK = 2048
 #: the logs wait for the next indexed chunk.
 INDEX_MIN_LANES = 256
 
-#: Dirt aspects: what an interpreter lane touched.  Map aspects are
-#: keyed by (shard, key) row hashes (``map_v`` by the value a put
-#: stores), every other aspect by shard-qualified cells.
-_ASPECTS = (
-    "map_w", "map_r", "map_v", "map_n", "vec_w", "vec_r", "ts_w", "flag_r",
-    "alloc",
-)
+#: Aspects: how a lane touches an object, as the state it names and
+#: whether the lane writes it.  A map's keys (``key``) and the values
+#: its puts store (``val``, for the store's value index) are keyed by
+#: (shard, key) row hashes, its entry count (``n``) by the shard, and
+#: vector rows, chain flags and timestamps by shard-qualified cells.
+#: An allocation writes the flag of the cell it pops.
+_SPACE = {
+    "map_w": ("key", True), "map_r": ("key", False), "map_v": ("val", True),
+    "map_n": ("n", True), "vec_w": ("vec", True), "vec_r": ("vec", False),
+    "ts_w": ("ts", True), "flag_r": ("flag", False), "alloc": ("flag", True),
+}
+_ASPECTS = tuple(_SPACE)
 _ROW_ASPECTS = frozenset({"map_w", "map_r", "map_v"})
 
-#: The footprint of each ``NfContext`` state op run interpreted: per dirt
-#: aspect, the operand its dirt is keyed by (the entry's ``"key"``, its
-#: stored ``"value"``, its cell ``"index"``, the ``"reach"`` of the chain
-#: it allocates on), or None for a shard-wide wildcard (``map_n`` marks a
+#: The footprint of each ``NfContext`` state op run interpreted: per
+#: aspect, the operand it is keyed by (the entry's ``"key"``, its stored
+#: ``"value"``, its cell ``"index"``, the ``"reach"`` of the chain it
+#: allocates on), or None for a shard-wide wildcard (``map_n`` marks a
 #: map whose entry count the lane changes).  Sketches never run on
-#: kernels: hazard-free.  An op missing here poisons every aspect of its
-#: object, and may free a dchain index: its NF then lowers no allocation
-#: and narrows no dirt to a reach (:func:`_alloc_exact`).
+#: kernels: conflict-free.  An op missing here touches every aspect of
+#: its object, and may free a dchain index: its NF then lowers no
+#: allocation and narrows no footprint to a reach (:func:`_alloc_exact`).
 _FOOTPRINT = {
     "map_get": (("map_r", "key"),),
     "map_put": (("map_w", "key"), ("map_v", "value"), ("map_n", None)),
@@ -141,8 +151,8 @@ _BASE_SYMS = frozenset(
 #   constructor lowers a ``TraceEntry`` after the path's steps so far or
 #   raises LowerError, and ``inputs``/``binds`` are the expressions the
 #   step evaluates and the result symbols it defines;
-# * ``cols``, the artifact column its lane's exact ``_FOOTPRINT`` dirt
-#   is read from when it runs interpreted, per aspect (default ``q``);
+# * ``cols``, the artifact column its lane's exact ``_FOOTPRINT`` keys
+#   are read from when it runs interpreted, per aspect (default ``q``);
 # * ``read``, its per-chunk work over a port group, which returns the
 #   step's artifact (per-lane columns, ``env`` its bindings, ``oob`` the
 #   lanes that must fall back); ``probes``: it reads the map index;
@@ -150,15 +160,11 @@ _BASE_SYMS = frozenset(
 #   chunk's earlier lanes on the shard): ``node`` is then its tree node,
 #   shared by every program through it, and ``after`` the ``(aspect,
 #   obj)`` pairs any path through it touches from there on;
-# * ``checks``: the dirt aspects that demote its kernel lane, the lanes
-#   checked (all, or those that read a free flag ("free"), whose
+# * ``touches``: its kernel lane's footprint, per aspect: the lanes
+#   that touch it (all, or those that read a free flag ("free"), whose
 #   allocation or insert succeeds ("ok"), or whose outcome other lanes'
 #   allocations or inserts can change ("exposed")), and the artifact
-#   column the dirt is matched on;
-# * its conflict rule with the other kernel lanes on its object: it
-#   ``writes`` and/or ``reads``; ``written``, ``updates`` and ``touched``
-#   pick the lanes that meet, on column ``touch_col``, and a
-#   ``distinct`` writer never writes one cell twice;
+#   column keying it (None: the shard);
 # * ``apply``, its scatter per group; ``flush``, its write once per
 #   chunk after every group; ``opened``, the lanes that open a flow.
 #
@@ -175,13 +181,13 @@ def _after(lowered, op, obj):
 
 
 class _Step:
-    """The defaults: a step that conflicts with no kernel lane, opens no
+    """The defaults: a step that touches nothing on kernels, opens no
     flow and writes nothing."""
 
     __slots__ = ()
     node = None
-    ranked = probes = writes = reads = distinct = False
-    touch_col = "q"
+    ranked = probes = False
+    touches = ()
     cols = {}
 
     def taint(self, tainted):
@@ -192,15 +198,6 @@ class _Step:
             s.name in tainted for x in self.inputs for s in E.free_symbols(x)
         ):
             tainted.update(self.binds)
-
-    def written(self, art, k):
-        return k
-
-    def updates(self, art, k):
-        return False
-
-    def touched(self, art, k, updates):
-        return k
 
     def opened(self, art, kidx):
         return None
@@ -214,18 +211,11 @@ class _Step:
 
 
 class _MapStep(_Step):
-    """A keyed step on the lane's shard map: its dirt and conflicts meet
-    on (shard, key) row hashes."""
+    """A keyed step on the lane's shard map: its footprint is keyed by
+    (shard, key) row hashes."""
 
     __slots__ = ()
-    touch_col = "kh"
     cols = {"map_r": "kh", "map_w": "kh", "map_v": "vh"}
-
-    def touched(self, art, k, updates):
-        # A put that updates a present key conflicts with every reader
-        # of that key; otherwise only with the readers that found the
-        # key absent.
-        return k if updates else k[~art["found"][k]]
 
 
 class _MapGet(_MapStep):
@@ -235,8 +225,8 @@ class _MapGet(_MapStep):
         "obj", "keys", "found", "value", "inputs", "binds", "sig", "ckey",
     )
     op = "map_get"
-    checks = (("map_w", None, "kh"),)
-    probes = reads = True
+    touches = (("map_r", None, "kh"),)
+    probes = True
 
     def __init__(self, entry, lowered, exact_alloc):
         if _after(lowered, _MapPut.op, entry.obj):
@@ -257,7 +247,6 @@ class _MapGet(_MapStep):
             "oob": None,
         }
         found, value = disp._probe(self, art, group.shards)
-        art["found"] = found
         art["env"] = (
             (self.found, Column(found, 1.0)), (self.value, Column(value)),
         )
@@ -280,11 +269,13 @@ class _MapPut(_MapStep):
         "inputs", "binds", "sig", "ckey",
     )
     op = "map_put"
-    checks = (
-        ("map_w", None, "kh"), ("map_r", None, "kh"), ("map_v", None, "vh"),
+    # It reads whether the key is present; an insert into a map that may
+    # fill this chunk also counts its entries.
+    touches = (
+        ("map_r", None, "kh"), ("map_w", "ok", "kh"), ("map_v", "ok", "vh"),
         ("map_n", "exposed", None),
     )
-    ranked = writes = reads = True
+    ranked = True
 
     def __init__(self, entry, lowered, exact_alloc):
         obj = entry.obj
@@ -306,19 +297,12 @@ class _MapPut(_MapStep):
         self.binds = (self.ok,)
         self.sig = self.ckey = (self.op, obj, keys, self.value, self.ok)
 
-    def written(self, art, k):
-        return k[art["ok"][k]]  # a failed insert writes nothing
-
-    def updates(self, art, k):
-        return art["found"][k].any()
-
     def read(self, disp, group, env, cache, steps, alive):
         g = group.g_lanes.size
         kcols = _key_cols(self.keys, env, cache, g)
         vals = _ivals(eval_expr(self.value, env, cache), g)
         ok = np.ones(g, dtype=bool)
         exposed = np.zeros(g, dtype=bool)
-        present = np.zeros(g, dtype=bool)
         kidx = np.flatnonzero(alive)
         art = {"kcols": kcols}
         if kidx.size:
@@ -330,7 +314,6 @@ class _MapPut(_MapStep):
                 found = env[self.probe.found].arr[kidx]
             else:
                 found = disp._probe(self, art, group.shards, kidx, False)[0]
-            present[kidx] = found
             room = np.array([
                 m.capacity - len(m)
                 for m in (store[self.obj] for store in disp._stores)
@@ -344,7 +327,7 @@ class _MapPut(_MapStep):
                 ranks = disp._ranks(self, sel, group, room)
                 ok[sel] = ranks < room[group.shards[sel]]
         art.update(
-            found=present, vals=vals, ok=ok, exposed=exposed, tight=exposed,
+            vals=vals, ok=ok, exposed=exposed, tight=exposed,
             oob=None, env=((self.ok, Column(ok, 1.0)),),
         )
         return art
@@ -398,8 +381,7 @@ class _VecBorrow(_Step):
         "obj", "index", "fields", "fwd", "inputs", "binds", "sig", "ckey",
     )
     op = "vector_borrow"
-    checks = (("vec_w", None, "q"),)
-    reads = True
+    touches = (("vec_r", None, "q"),)
 
     def __init__(self, entry, lowered, exact_alloc):
         self.obj = entry.obj
@@ -479,7 +461,6 @@ class _FlagStep(_Step):
     names the op's results the step binds."""
 
     __slots__ = ("obj", "index", "inputs", "binds", "sig", "ckey")
-    reads = True
 
     def __init__(self, entry, lowered, exact_alloc):
         if _after(lowered, _Alloc.op, entry.obj):
@@ -489,9 +470,6 @@ class _FlagStep(_Step):
         self.inputs = (self.index,)
         self.binds = tuple(entry.result(r).name for r in self.results)
         self.sig = self.ckey = (self.op, self.obj, self.index) + self.binds
-
-    def touched(self, art, k, updates):
-        return k[~art["flags"][k]]  # only a free cell can be allocated
 
     def read(self, disp, group, env, cache, steps, alive):
         g = group.g_lanes.size
@@ -508,6 +486,7 @@ class _FlagStep(_Step):
             "cells": cells,
             "q": _qualify(cells, group.shards, len(stores)),
             "flags": flags,
+            "free": ~flags,
             "oob": None,
             "env": tuple((name, Column(flags, 1.0)) for name in self.binds),
         }
@@ -517,14 +496,14 @@ class _IsAlloc(_FlagStep):
     __slots__ = ()
     op = "dchain_is_allocated"
     results = ("allocated",)
-    checks = (("alloc", "free", "q"),)
+    touches = (("flag_r", "free", "q"),)
 
 
 class _Rejuv(_FlagStep):
     __slots__ = ()
     op = "dchain_rejuvenate"
     results = ()
-    checks = (("ts_w", None, "q"), ("alloc", "free", "q"))
+    touches = (("flag_r", "free", "q"), ("ts_w", None, "q"))
     cols = {"ts_w": "live"}  # only a live cell's timestamp is written
 
     def apply(self, disp, group, ps, art, kidx):
@@ -568,8 +547,7 @@ class _Rejuv(_FlagStep):
 class _VecPut(_Step):
     __slots__ = ("obj", "index", "stored", "inputs", "binds", "sig", "ckey")
     op = "vector_put"
-    checks = (("vec_w", None, "q"), ("vec_r", None, "q"))
-    writes = True
+    touches = (("vec_w", None, "q"),)
 
     def __init__(self, entry, lowered, exact_alloc):
         self.obj = entry.obj
@@ -603,9 +581,10 @@ class _VecPut(_Step):
         }
 
     def apply(self, disp, group, ps, art, kidx):
-        # Hazard demotion guarantees cell-disjointness with every
-        # interpreter lane and every other kernel lane, so apply order
-        # only matters lane-internally (step order).
+        # The conflict pass leaves each (shard, row) at most one kernel
+        # writer, before which no interpreter lane touches the row; the
+        # interpreter lanes after it run after this scatter.  So only a
+        # lane's own step order matters, not the order of port groups.
         stores = disp._stores
         vecs = [store[self.obj] for store in stores]
         cells = art["cells"][kidx].tolist()
@@ -649,8 +628,10 @@ class _Alloc(_Step):
         "ckey",
     )
     op = "dchain_allocate"
-    checks = (("alloc", "exposed", "q"), ("flag_r", "ok", "q"))
-    ranked = writes = distinct = True
+    # A refused allocation (past the stack's end) keys on cell 0, the
+    # index it returns.
+    touches = (("alloc", "exposed", "q"),)
+    ranked = True
 
     def __init__(self, entry, lowered, exact_alloc):
         if not exact_alloc or _after(lowered, self.op, entry.obj):
@@ -666,9 +647,6 @@ class _Alloc(_Step):
 
     def taint(self, tainted):
         tainted.update(self.binds)
-
-    def written(self, art, k):
-        return k[art["ok"][k]]  # a failed allocation writes nothing
 
     def opened(self, art, kidx):
         return art["ok"][kidx]
@@ -719,7 +697,9 @@ class _Alloc(_Step):
     @classmethod
     def flush(cls, disp, k_flag):
         """Pop each (shard, chain)'s free stack for the kernel lanes'
-        allocations, in rank order, which is lane order."""
+        allocations, in rank order, which is lane order.  A tree node's
+        kernel allocations on a shard must be its ranks 0..m-1: a lane
+        the kernels skip would take the cell a later one was given."""
         if not disp._chains:
             return
         ts = disp._cols.field("timestamp")
@@ -728,17 +708,20 @@ class _Alloc(_Step):
             evs = disp._events.get(name)
             if not evs:
                 continue
+            room = disp._rooms[name]
             lanes, on, ranks = (np.concatenate(col) for col in zip(*evs))
-            live = ranks < disp._rooms[name][on]
-            kern = k_flag[lanes - disp._start]
-            for s in np.unique(on[kern & live]).tolist():
-                at = on == s
-                if not kern[at].all():
-                    raise RuntimeError(
-                        f"allocations on {name!r} split between kernel "
-                        "and interpreter lanes"
-                    )
-                at &= live
+            kern = k_flag[lanes - disp._start] & (ranks < room[on])
+            node = np.repeat(np.arange(len(evs)), [ev[0].size for ev in evs])
+            at = (node * room.size + on)[kern]
+            top = np.full(len(evs) * room.size, -1)
+            np.maximum.at(top, at, ranks[kern])
+            if (top + 1 != np.bincount(at, minlength=top.size)).any():
+                raise RuntimeError(
+                    f"allocations on {name!r} split between kernel "
+                    "and interpreter lanes"
+                )
+            for s in np.unique(on[kern]).tolist():
+                at = kern & (on == s)
                 popped = lanes[at][np.argsort(ranks[at])]
                 cells = disp._stores[s][name].take(ts[popped])
                 bindex = disp._ctxs[s].bucket_index if buckets is not None \
@@ -1086,14 +1069,14 @@ def compile_parallel(parallel: ParallelNF):
 
 
 # ------------------------------------------------------------------ #
-# Run-time: hazard board, per-chunk group state.
+# Run-time: per-chunk group state and the conflict table.
 # ------------------------------------------------------------------ #
 def _qualify(cells, shards, n_shards):
     """Shard-qualified cells: ``cell * n_shards + shard``.
 
     A cell no store can hold (negative, or too large to encode) becomes
-    -1.  Kernel lanes keep it, so it matches no dirt; dirt drops it,
-    because an operation at such a cell touches no state.
+    -1, which footprints drop: an operation at such a cell
+    touches no state.
     """
     ok = (cells >= 0) & (cells <= INT_SAFE // n_shards)
     return np.where(ok, cells * n_shards + shards, -1)
@@ -1113,87 +1096,6 @@ def _by_shard(shards, n_shards):
     return [
         (s, order[e - int(counts[s]):e]) for s, e in zip(present, ends)
     ]
-
-
-def _on_shards(shards, wild):
-    """Lanes whose shard is in the set ``wild``."""
-    return np.isin(shards, np.fromiter(wild, np.int64, count=len(wild)))
-
-
-class _Dirt:
-    """One aspect of one object: the shards dirtied wholesale and the
-    exact qualified cells or key-row hashes, kept sorted on demand."""
-
-    __slots__ = ("wild", "parts", "_sorted")
-
-    def __init__(self):
-        self.wild = set()
-        self.parts = []
-        self._sorted = None
-
-    def add(self, values):
-        values = np.asarray(values)
-        if values.size:
-            self.parts.append(values)
-            self._sorted = None
-
-    def sorted(self):
-        if self._sorted is None:
-            vals = (
-                np.concatenate(self.parts) if len(self.parts) > 1
-                else self.parts[0]
-            )
-            self._sorted = np.unique(vals)
-            self.parts = [self._sorted]
-        return self._sorted
-
-
-class _DirtBoard:
-    """Chunk-local record of state touched by interpreter-bound lanes.
-
-    Per aspect and object, a :class:`_Dirt` holds the shards dirtied
-    wholesale (wildcards) and the exact keys or cells, each qualified by
-    its shard: :func:`~repro.nf.state.key_hash` rows for map aspects,
-    :func:`_qualify` cells otherwise.  ``alloc`` cells are a chain's
-    reach: the free cells an allocation this chunk can hand out.
-    ``wild_all`` holds the shards where a lane of a port with no program
-    runs interpreted.
-    """
-
-    __slots__ = ("tables", "wild_all", "reached")
-
-    def __init__(self):
-        self.tables = {aspect: {} for aspect in _ASPECTS}
-        self.wild_all = set()
-        #: ``(aspect, obj, shard, chain)`` of the reaches already added.
-        self.reached = set()
-
-    def get(self, aspect, obj):
-        """The :class:`_Dirt` of ``obj``, or None."""
-        return self.tables[aspect].get(obj)
-
-    def _entry(self, aspect, obj):
-        table = self.tables[aspect]
-        entry = table.get(obj)
-        if entry is None:
-            entry = table[obj] = _Dirt()
-        return entry
-
-    def add(self, aspect, obj, values):
-        """Mark shard-qualified cells or key hashes of ``obj`` dirty."""
-        self._entry(aspect, obj).add(values)
-
-    def add_wild(self, aspect, obj, shards):
-        """Mark all of ``obj`` dirty on each of ``shards``."""
-        self._entry(aspect, obj).wild.update(shards)
-
-    def add_reach(self, aspect, obj, shard, chain, reach):
-        """Mark ``chain``'s reach on ``shard`` dirty (``reach(shard,
-        chain, aspect)`` gives its values), once per chunk."""
-        key = (aspect, obj, shard, chain)
-        if key not in self.reached:
-            self.reached.add(key)
-            self.add(aspect, obj, reach(shard, chain, aspect))
 
 
 class _ProgState:
@@ -1322,13 +1224,6 @@ def _select(same, a, b):
                   max(a.bound, b.bound))
 
 
-def _hit_or(dem, hit):
-    """``dem | hit``, where None is an empty mask."""
-    if hit is None or not hit.any():
-        return dem
-    return hit if dem is None else dem | hit
-
-
 def _art_vals(art, col, shards, lanes):
     """Artifact column ``col`` at ``lanes`` (a mask or positions).  Key-row
     (``kh``) and stored-value (``vh``) hashes of a map step are made on
@@ -1345,22 +1240,124 @@ def _art_vals(art, col, shards, lanes):
     return h[lanes]
 
 
-def _hits(sel, shards, art, col, dirt):
-    """Lanes of ``sel`` on a shard ``dirt`` wildcards, or whose value in
-    artifact column ``col`` (a qualified cell or key hash) it holds."""
-    hit = sel & _on_shards(shards, dirt.wild) if dirt.wild else None
-    if dirt.parts:
-        d = dirt.sorted()
-        kidx = np.flatnonzero(sel)
-        v = _art_vals(art, col, shards, kidx)
-        at = np.searchsorted(d, v)
-        at[at == d.size] = 0
-        found = d[at] == v
-        if found.any():
-            if hit is None:
-                hit = np.zeros(sel.shape, dtype=bool)
-            hit[kidx[found]] = True
-    return hit
+#: A lane no entry precedes.
+_NEVER = np.iinfo(np.int64).max
+
+
+class _Conflicts:
+    """One chunk's conflict table: what each lane touches, per state
+    (``_SPACE``) of each object, keyed by a shard-qualified cell or a
+    (shard, key) row hash, by every key of its shard (an interpreter
+    lane's wildcard) or by a chain's reach on its shard; :meth:`demoted`
+    applies the lane-ordered rule (see the module docstring)."""
+
+    def __init__(self, n_shards, ordered=True, reached=None):
+        self.n_shards = n_shards
+        #: Whether a kernel entry follows earlier kernel writes.
+        self.ordered = ordered
+        #: Per (state, obj) and ``(kernel, write)`` kind (``kernel`` None:
+        #: interpreter wildcards, keyed by shard), functions making the
+        #: entries' ``(lanes, shards, keys)``; per (aspect, obj, shard,
+        #: chain), a reach's first lane and cells, and the first lane any
+        #: table of the chunk gave it (a later one meets nothing new).
+        self.spaces, self.reaches = {}, {}
+        self.reached = {} if reached is None else reached
+
+    def add(self, aspect, obj, entry, kernel=False):
+        """``entry()`` gives lanes that touch ``obj`` as ``aspect``: kernel
+        ones if ``kernel``, else interpreter ones (wildcards if None)."""
+        space, write = _SPACE[aspect]
+        self.spaces.setdefault((space, obj), {}).setdefault(
+            (kernel, write), []
+        ).append(entry)
+
+    def add_reach(self, aspect, obj, lane, shard, chain, cells):
+        """Interpreter ``lane`` touches ``obj`` as ``aspect`` at any of
+        ``cells()``, the reach of ``chain`` on ``shard``."""
+        key = (aspect, obj, shard, chain)
+        if self.reached.get(key, _NEVER) <= lane:
+            return
+        self.reached[key] = lane
+        reach = self.reaches.get(key)
+        if reach is None:
+            reach = self.reaches[key] = [lane, cells]
+            self.add(aspect, obj, partial(_reach_entry, reach, shard))
+        reach[0] = lane
+
+    def demoted(self):
+        """The lanes of the kernel entries the rule demotes, as a list of
+        arrays (empty when it demotes none)."""
+        out = []
+        for (space, _), kinds in self.spaces.items():
+            taken = {}
+            for write in (False, True):
+                # A kernel read follows interpreter writes, a kernel write
+                # any interpreter entry; in an ordered table both follow
+                # kernel writes, which only vector rows need for writes.
+                follows = {(k, w) for k in (False, None)
+                           for w in (True, not write)}
+                if self.ordered and (not write or space == "vec"):
+                    follows.add((True, True))
+                follows = [k for k in follows if k in kinds]
+                if (True, write) not in kinds or not follows:
+                    continue
+                for kind in {*follows, (True, write)} - taken.keys():
+                    taken[kind] = [np.concatenate(col) for col in zip(
+                        *(entry() for entry in kinds[kind]))]
+                lanes, shards, keys = taken[(True, write)]
+                before = np.full(lanes.size, _NEVER)
+                for kind in follows:
+                    la, sh, ks = taken[kind]
+                    if kind[0] is None:
+                        first = np.full(self.n_shards, _NEVER)
+                        np.minimum.at(first, sh, la)
+                        before = np.minimum(before, first[shards])
+                    elif ks.size:
+                        order = np.lexsort((la, ks))
+                        ks, at = np.unique(ks[order], return_index=True)
+                        la = la[order[at]]
+                        pos = np.minimum(np.searchsorted(ks, keys), ks.size - 1)
+                        hit = ks[pos] == keys
+                        before[hit] = np.minimum(before[hit], la[pos[hit]])
+                dem = before < lanes
+                if dem.any():
+                    out.append(lanes[dem])
+        return out
+
+
+def _entry(mask, lanes, shards, keys):
+    """The ``mask`` lanes of a table entry: ``keys`` may be a function
+    of the mask, and a wildcard's (None) are its shards."""
+    keys = shards if keys is None else keys
+    return lanes[mask], shards[mask], keys(mask) if callable(keys) else keys[mask]
+
+
+def _reach_entry(reach, shard):
+    """A reach's entry: its first lane at every one of its cells."""
+    cells = reach[1]()
+    return np.full(cells.size, reach[0]), np.full(cells.size, shard), cells
+
+
+def _kernel_entry(kmask, art, sel, col, lanes, shards):
+    """The kernel lanes a ``touches`` entry ``(aspect, sel, col)`` of a
+    step with artifact ``art`` names, at a cell some store holds."""
+    m = kmask if sel is None else kmask & art[sel]
+    if col in ("kh", "vh"):
+        return lanes[m], shards[m], _art_vals(art, col, shards, m)
+    keys = shards if col is None else art[col]
+    m = m & (keys >= 0)
+    return lanes[m], shards[m], keys[m]
+
+
+def _kernel_footprint(table, ps, g_lanes):
+    """Add the ``touches`` of ``ps``'s kernel lanes (``g_lanes`` their
+    group's) to ``table``, or, unordered, those its interpreters meet."""
+    for step, art in zip(ps.prog.steps, ps.arts):
+        for aspect, sel, col in step.touches:
+            if table.ordered or (_SPACE[aspect][0], step.obj) in table.spaces:
+                table.add(aspect, step.obj, partial(
+                    _kernel_entry, ps.kmask, art, sel, col, g_lanes, ps.shards
+                ), True)
 
 
 class CompiledDispatcher:
@@ -1409,7 +1406,7 @@ class CompiledDispatcher:
         self._groups = groups
         #: Whether the chunk probes maps through their indexes.
         self._indexed = size >= self.index_min_lanes
-        #: Reach dirt per (shard, chain, as key hashes).
+        #: Reaches per (shard, chain, as key hashes).
         self._reaches = {}
         #: Node-step artifacts per (port, node), and the ranked events
         #: per chain or map, one per node: ``(lanes, shards, ranks)`` of
@@ -1453,8 +1450,8 @@ class CompiledDispatcher:
         self._sweeps = self._plan_sweeps()
         edges = {0, n}
         if self.ports:
-            # The chunk bound is the hazard-analysis horizon; without
-            # programs there is no hazard analysis to bound.
+            # The chunk bound is the conflict pass's horizon; without
+            # programs there is no conflict pass to bound.
             edges.update(range(self.chunk, n, self.chunk))
         if window_packets:
             edges.update(range(window_packets, n, window_packets))
@@ -1516,7 +1513,8 @@ class CompiledDispatcher:
 
     def _run_lanes(self, start, end, results):
         """Classify each port group of the chunk once, over every shard,
-        then run the fallback lanes and apply the kernel lanes."""
+        decide which lanes stay on the kernels, apply their writes, then
+        run the other lanes on the interpreter."""
         lanes = np.arange(start, end)
         ports_l = self._ports_arr[start:end]
         shards = self._shards[start:end]
@@ -1538,30 +1536,26 @@ class CompiledDispatcher:
                 index.sync([store[obj] for store in self._stores])
         for group in groups:
             self._eval_group(group)
-        if self._events:
-            self._demote_shared()
-        self._multi_touch(groups)
-        board = _DirtBoard()
-        # Lanes of a port with no program run interpreted with an
-        # unknown footprint: no kernel lane of their shard may trust
-        # its reads.
-        if uncovered.any():
-            board.wild_all.update(np.unique(shards[uncovered]).tolist())
-        self._settle(groups, board)
+        self._conflict_pass(groups, lanes, uncovered)
         k_flag = np.zeros(lanes.size, dtype=bool)
         for g in groups:
             pos = g.g_lanes - start
             for ps in g.progs:
                 k_flag[pos[ps.kmask]] = True
         f_lanes = lanes[~k_flag]
-        self._run_fallback(f_lanes, results)
+        self.kernel_packets += self._commit(groups, k_flag, f_lanes, results)
+        self.fallback_packets += f_lanes.size
+
+    def _commit(self, groups, k_flag, f_lanes, results):
+        """Apply the kernel lanes' writes, then run ``f_lanes`` on the
+        interpreter, which sees them; return the kernel lane count."""
         kept = 0
         for g in groups:
             kept += self._apply_group(g, results)
         for cls in _STEPS:
             cls.flush(self, k_flag)
-        self.kernel_packets += kept
-        self.fallback_packets += f_lanes.size
+        self._run_fallback(f_lanes, results)
+        return kept
 
     def _run_fallback(self, f_lanes, results):
         if not f_lanes.size:
@@ -1689,8 +1683,8 @@ class CompiledDispatcher:
         """Ranks of the ``sel`` lanes of ``group`` among the lanes of the
         ranked ``step``'s tree node on their shard, in lane order, from
         0; ``room`` is how many more each shard's object takes.  Where
-        two nodes rank lanes on one shard of the object,
-        :meth:`_demote_shared` sends them to the interpreter."""
+        another node ranked an earlier lane on the shard of the object,
+        :meth:`_node_rule` sends a lane to the interpreter."""
         on = group.shards[sel]
         counts = np.bincount(on, minlength=room.size)
         order = np.argsort(on, kind="stable")
@@ -1751,110 +1745,122 @@ class CompiledDispatcher:
         )
 
     # -------------------------------------------------------------- #
-    # Allocation ranks
+    # The conflict pass
     # -------------------------------------------------------------- #
-    def _demote_shared(self):
-        """Send to the interpreter the ranked lanes of every shard where
-        two tree nodes (or ports) rank lanes on one chain or map: each
-        node ranks from 0, so neither node's ranks hold there.  The
-        lanes then publish their footprint like any fallback lane."""
-        shared = None
-        for obj, evs in self._events.items():
+    def _conflict_pass(self, groups, lanes, uncovered):
+        """Send to the interpreter each kernel lane an earlier lane of the
+        chunk conflicts with, pass after pass, to a fixpoint.
+
+        A lane of a port with no program (``uncovered``) touches anything
+        on its shard; :meth:`_node_rule` and :class:`_Conflicts` hold the
+        other rules.  Kernel entries only go, so only the lanes the last
+        pass demoted can demote more.
+        """
+        dem = list(self._node_rule())
+        if uncovered.any():
+            shards = self._shards[lanes]
+            first = np.full(len(self._stores), _NEVER)
+            np.minimum.at(first, shards[uncovered], lanes[uncovered])
+            dem.append(lanes[lanes > first[shards]])
+        ordered, reached = True, {}
+        while ordered or dem:
+            off = np.zeros(lanes.size, dtype=bool)
+            off[np.concatenate([lanes[:0], *dem]) - self._start] = True
+            for g in groups if dem else ():
+                keep = ~off[g.g_lanes - self._start]
+                for ps in g.progs:
+                    ps.kmask &= keep
+            # The first pass adds every interpreter lane and orders the
+            # kernel lanes; a later one adds the lanes the last demoted.
+            table = _Conflicts(len(self._stores), ordered, reached)
+            self._footprint(table, groups, None if ordered else off)
+            dem = table.demoted()
+            ordered = False
+
+    def _node_rule(self):
+        """The ranked lanes an earlier ranked lane of another tree node
+        precedes on their shard of a chain or map (each node ranks from
+        0, so their ranks do not hold)."""
+        n = len(self._stores)
+        for evs in self._events.values():
             if len(evs) < 2:
                 continue
-            n = self._rooms[obj].size
-            nodes = sum(np.bincount(on, minlength=n) > 0 for _, on, _ in evs)
-            both = np.flatnonzero(nodes > 1)
-            if not both.size:
-                continue
-            if shared is None:
-                shared = np.zeros(self._size, dtype=bool)
-            for lanes, on, _ in evs:
-                shared[lanes[np.isin(on, both)] - self._start] = True
-        if shared is None:
-            return
-        for g in self._groups:
-            off = shared[g.g_lanes - self._start]
-            if off.any():
-                for ps in g.progs:
-                    ps.kmask &= ~off
+            first = np.full((len(evs), n), _NEVER)
+            for e, (lanes, on, _) in enumerate(evs):
+                np.minimum.at(first[e], on, lanes)
+            lead = first.argmin(0)
+            first[lead, np.arange(n)] = _NEVER
+            other = first.min(0)
+            for e, (lanes, on, _) in enumerate(evs):
+                yield lanes[(lead[on] != e) | (lanes > other[on])]
 
-    # -------------------------------------------------------------- #
-    # Hazard analysis
-    # -------------------------------------------------------------- #
-    def _settle(self, groups, board):
-        """Publish the footprint of every lane bound for the interpreter,
-        then demote each kernel lane that meets published dirt,
-        publishing it at once, until a pass demotes nothing.
-
-        A pass that goes on has demoted one of the chunk's finitely many
-        kernel lanes, so the loop ends.
-        """
-        progs = []
+    def _footprint(self, table, groups, fresh):
+        """Add to ``table`` what each ``fresh`` interpreter lane (all, when
+        None) touches run interpreted, then the kernel lanes'
+        footprints."""
         for g in groups:
+            kern = np.any([ps.kmask for ps in g.progs], axis=0)
+            interp = ~kern if fresh is None else (
+                fresh[g.g_lanes - self._start] & ~kern
+            )
+            if not interp.any():
+                continue
+            known = np.any([
+                ps.match for ps in g.progs
+                if ps.prog.supported and not ps.bailed
+            ], axis=0)
+            # No artifacts of a bailed program survived: its lanes, which
+            # no other program's path claims, may touch all it can.
+            wild = partial(_entry, interp & ~known, g.g_lanes, g.shards, None)
             for ps in g.progs:
                 if ps.bailed:
-                    # No artifacts survived: wildcard every aspect this
-                    # program could touch on the group's shards.
-                    shards = [s for s, _ in g.by_shard]
                     for aspect, obj in ps.prog.wild:
-                        board.add_wild(aspect, obj, shards)
-                    continue
-                fall = ps.match & ~ps.kmask
-                if fall.any():
-                    self._publish(board, ps, fall)
-                progs.append(ps)
-        demoted = True
-        while demoted:
-            demoted = False
-            for ps in progs:
-                if not ps.kmask.any():
-                    continue
-                dem = self._demote_mask(ps, board)
-                if dem is not None and dem.any():
-                    ps.kmask &= ~dem
-                    self._publish(board, ps, dem)
-                    demoted = True
+                        table.add(aspect, obj, wild, None)
+                elif (ps.match & interp).any():
+                    self._interp_footprint(
+                        table, ps, g.g_lanes, ps.match & interp
+                    )
+        for g in groups:
+            for ps in g.progs:
+                if ps.kmask.any():
+                    _kernel_footprint(table, ps, g.g_lanes)
 
-    def _publish(self, board, ps, mask):
-        """Publish the state footprint of ``mask`` lanes of one program:
-        per ``pubs`` entry, wildcards on the lanes' shards, the reach of
-        a chain, or the key hashes or cells of the entry's artifact.
-
-        A lane whose allocation or insert outcome other lanes can change
-        (its chain may run out, or its map fill, this chunk) may take
-        any path from there when it runs interpreted: it publishes the
-        footprint of every path through that step, as wildcards.
-        """
+    def _interp_footprint(self, table, ps, g_lanes, mask):
+        """Add what the ``mask`` lanes of one program touch run
+        interpreted: per ``pubs`` entry, a wildcard on the lane's shard,
+        the reach of a chain, or its artifact's key hashes or cells.  A
+        lane whose allocation or insert outcome other lanes can change
+        may take any path from there: every path through that step, as
+        wildcards."""
         shards = ps.shards
-        present = None
         for step, art in zip(ps.prog.steps, ps.arts):
             tight = art.get("tight") if step.node is not None else None
-            if tight is not None:
-                sel = mask & tight
-                if sel.any():
-                    on = np.unique(shards[sel]).tolist()
-                    for aspect, obj in step.after:
-                        board.add_wild(aspect, obj, on)
+            if tight is not None and (mask & tight).any():
+                wild = partial(_entry, mask & tight, g_lanes, shards, None)
+                for aspect, obj in step.after:
+                    table.add(aspect, obj, wild, None)
         for si, aspect, obj, src in ps.prog.pubs:
             art = ps.arts[si]
-            if src is None or art is None or type(src) is tuple:
-                if present is None:
-                    present = np.unique(shards[mask]).tolist()
-                if type(src) is tuple:
-                    for s in present:
-                        board.add_reach(aspect, obj, s, src[1], self._reach)
-                else:
-                    board.add_wild(aspect, obj, present)
-            elif src in ("kh", "vh"):
-                board.add(aspect, obj, _art_vals(art, src, shards, mask))
-            else:
-                q = art["q"][mask & art["flags"] if src == "live" else mask]
-                board.add(aspect, obj, q[q >= 0])
+            if type(src) is tuple:  # only each shard's first lane counts
+                present, at = np.unique(shards[mask], return_index=True)
+                lanes = g_lanes[mask][at].tolist()
+                for s, lane in zip(present.tolist(), lanes):
+                    table.add_reach(aspect, obj, lane, s, src[1], partial(
+                        self._reach, s, src[1], aspect
+                    ))
+                continue
+            sel, keys = mask, None
+            if src in ("kh", "vh") and art is not None:
+                keys = partial(_art_vals, art, src, shards)
+            elif src is not None and art is not None:
+                sel = mask & art["flags"] if src == "live" else mask
+                sel, keys = sel & (art["q"] >= 0), art["q"]
+            table.add(aspect, obj, partial(_entry, sel, g_lanes, shards, keys),
+                      None if keys is None else False)
 
     def _reach(self, shard, chain, aspect):
         """The cells allocations on ``chain`` can return on ``shard``
-        this chunk, as ``aspect`` dirt: qualified cells, or key hashes
+        this chunk, as ``aspect`` keys: qualified cells, or key hashes
         of ``(shard, cell)`` for a map value.
 
         Nothing frees an index inside a chunk, so at most ``k`` pops (the
@@ -1878,110 +1884,6 @@ class CompiledDispatcher:
             )
             self._reaches[(shard, chain, rows)] = vals
         return vals
-
-    def _multi_touch(self, groups):
-        """Serialize same-cell and same-key kernel writes: a vector row,
-        an allocated cell or an inserted map key one kernel lane writes
-        no other kernel lane may write or read.
-
-        Objects go in order of first use; each sees the kernel lanes the
-        objects before it left.
-        """
-        writers = {}
-        readers = {}
-        for g in groups:
-            for ps in g.progs:
-                if not ps.kmask.any():
-                    continue
-                for step, art in zip(ps.prog.steps, ps.arts):
-                    entry = (g, ps, step, art)
-                    if step.writes:
-                        writers.setdefault(step.obj, []).append(entry)
-                    if step.reads:
-                        readers.setdefault(step.obj, []).append(entry)
-        for obj, entries in writers.items():
-            self._touch(entries, readers.get(obj, ()))
-
-    @staticmethod
-    def _touch(writers, readers):
-        """Demote kernel lanes sharing a written vector row, allocated
-        cell or inserted map key with another kernel lane, by the rule
-        of the object's writing step class.
-
-        Cells are shard-qualified; keys are :func:`~repro.nf.state.key_hash`
-        rows of ``(shard, key)``, where a collision only demotes a lane.
-        """
-        wks = [
-            step.written(art, np.flatnonzero(ps.kmask))
-            for _, ps, step, art in writers
-        ]
-        updates = any(
-            step.updates(art, k)
-            for (_, _, step, art), k in zip(writers, wks)
-        )
-        rks = [
-            step.touched(art, np.flatnonzero(ps.kmask), updates)
-            for _, ps, step, art in readers
-        ]
-        if writers[0][2].distinct and not any(k.size for k in rks):
-            return
-        wvals = [
-            _art_vals(art, step.touch_col, ps.shards, k)
-            for (_, ps, step, art), k in zip(writers, wks)
-        ]
-        cells = np.concatenate(wvals)
-        if not cells.size:
-            return
-        lanes = np.concatenate([
-            g.g_lanes[k] for (g, _, _, _), k in zip(writers, wks)
-        ])
-        # Each distinct (cell, lane) once, by cell: a cell two lanes
-        # write has no single owner.
-        order = np.lexsort((lanes, cells))
-        cells = cells[order]
-        lanes = lanes[order]
-        new = np.ones(cells.size, dtype=bool)
-        new[1:] = (cells[1:] != cells[:-1]) | (lanes[1:] != lanes[:-1])
-        uniq, first, counts = np.unique(
-            cells[new], return_index=True, return_counts=True
-        )
-        owner = lanes[new][first]
-        owner[counts > 1] = -1
-        multi = uniq[counts > 1]
-        if multi.size:
-            for (_, ps, _, _), k, v in zip(writers, wks, wvals):
-                ps.kmask[k[np.isin(v, multi)]] = False
-        for (g, ps, step, art), k in zip(readers, rks):
-            k = k[ps.kmask[k]]
-            q = _art_vals(art, step.touch_col, ps.shards, k)
-            at = np.minimum(np.searchsorted(uniq, q), uniq.size - 1)
-            written = uniq[at] == q
-            ps.kmask[k[written & (owner[at] != g.g_lanes[k])]] = False
-
-    def _demote_mask(self, ps, board):
-        kmask = ps.kmask
-        shards = ps.shards
-        dem = None
-        if board.wild_all:
-            dem = _hit_or(None, kmask & _on_shards(shards, board.wild_all))
-        for step, art in zip(ps.prog.steps, ps.arts):
-            for aspect, lanes, col in step.checks:
-                dirt = board.get(aspect, step.obj)
-                if dirt is None:
-                    continue
-                if lanes is None:
-                    sel = kmask
-                elif lanes == "free":
-                    # Allocation only flips free -> allocated, and only
-                    # for cells in the reach: a lane that read a free
-                    # flag there read a stale one.
-                    sel = kmask & ~art["flags"]
-                else:
-                    sel = kmask & art[lanes]
-                dem = _hit_or(dem, _hits(sel, shards, art, col, dirt))
-            if dem is not None and not (kmask & ~dem).any():
-                break
-        return dem
 
     # -------------------------------------------------------------- #
     # Stage 2: results, op accounting, scatters

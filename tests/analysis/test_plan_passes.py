@@ -30,7 +30,7 @@ from repro.sim.compiled import (
     _FOOTPRINT,
     _alloc_exact,
     _compile_port,
-    _DirtBoard,
+    _Conflicts,
 )
 from repro.symbex import expr as E
 from repro.symbex.engine import explore_nf
@@ -274,16 +274,17 @@ def test_footprint_rows_are_the_state_api_and_the_certifier_aspects() -> None:
 
 
 def test_dropped_alloc_reach_is_flagged_mae302(monkeypatch) -> None:
-    """A board that loses the reach of allocation dirt leaves lanes that
-    read a soon-allocated cell's free flag on kernels."""
-    add = _DirtBoard.add
+    """A conflict table that loses an interpreter lane's keyed allocation
+    leaves lanes that read a soon-allocated cell's free flag on
+    kernels."""
+    add = _Conflicts.add
 
-    def lossy(self, aspect, obj, values):
-        if aspect == "alloc" and values is not None:
+    def lossy(self, aspect, obj, entry, kernel=False):
+        if aspect == "alloc" and kernel is False:
             return
-        add(self, aspect, obj, values)
+        add(self, aspect, obj, entry, kernel)
 
-    monkeypatch.setattr(_DirtBoard, "add", lossy)
+    monkeypatch.setattr(_Conflicts, "add", lossy)
     pp = _compile_nf(ALL_NFS["nat"](), port=1)
     findings: list = []
     _certify_demotion(pp, findings)

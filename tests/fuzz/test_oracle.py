@@ -377,6 +377,22 @@ def test_pop_order_fault_expires_the_wrong_flow(fault) -> None:
     assert (comp == ref) is (fault is None)
 
 
+@pytest.mark.parametrize("fault", [None, "late-apply"])
+def test_late_apply_fault_opens_one_flow_twice(fault) -> None:
+    """Two packets of one new flow share a chunk: the first opens it on
+    kernels, and the second runs interpreted, after the kernel writes,
+    and finds it.  Run before them, the second opens the flow again."""
+    from repro.nf.nfs.firewall import Firewall
+    from tests.sim.test_compiled_establish import _lan
+
+    trace = [_lan(99, 0.0), _lan(1, 1e-3), _lan(1, 2e-3)]
+    runs, _, _ = _leg_runs(Firewall, 1, fault, [trace])
+    (ref, ref_stats), (comp, comp_stats) = runs[-1]
+    assert not ref[2][1].new_flow
+    assert comp[2][1].new_flow is (fault is not None)
+    assert (comp_stats == ref_stats) is (fault is None)
+
+
 def test_campaign_totals_its_oracles_kernel_lanes(monkeypatch) -> None:
     """The fuzz JSON's kernel and fallback lanes are the sums over the
     campaign's oracle reports, so a clean campaign that ran no kernel
@@ -404,8 +420,8 @@ def test_campaign_totals_its_oracles_kernel_lanes(monkeypatch) -> None:
 def test_ci_fuzz_smoke_runs_every_dispatcher_fault() -> None:
     """CI's dispatcher-fault loop names every fault in
     ``DISPATCHER_FAULTS`` but ``stale-rank``, which the campaigns miss
-    (its hand-built case is above), so a new fault cannot skip the
-    gate."""
+    (its hand-built case above and ``tests/sim/test_smallscope.py``
+    catch it), so a new fault cannot skip the gate."""
     import re
     from pathlib import Path
 

@@ -72,7 +72,8 @@ class TestReachKeyedDirt:
     def test_nat_reply_on_next_free_cell_is_demoted(self):
         """The reply to a flow opened earlier in the same chunk targets
         the cell that flow allocated: its frozen flag read says free, so
-        the lane must be demoted and translated by the interpreter."""
+        the lane must be demoted and translated by the interpreter, after
+        the opening lane's kernel allocation."""
         par_ref, par_comp = self._warm_nat()
         chain = par_comp.cores[0].ctx.store["nat_chain"]
         nxt = chain._free[-1]
@@ -81,7 +82,8 @@ class TestReachKeyedDirt:
         run = _run_both(par_ref, par_comp, trace)
         _, reply = run.results[1]
         assert reply.port == 0 and reply.mods["dst_port"] == 4100
-        assert run.compiled["fallback_packets"] == 2
+        assert run.compiled_path_ids.tolist()[1] == -1
+        assert run.compiled["fallback_packets"] == 1
 
     def test_nat_reply_outside_reach_stays_kernel(self):
         """One allocating lane reaches one cell: a stray reply on a free

@@ -142,11 +142,13 @@ def test_full_plain_map_beside_free_flow_chain_fuzz_spec():
 
 def test_same_new_key_twice_in_one_chunk(monkeypatch):
     """The second packet of a new flow read the key as absent before the
-    chunk; both run on the interpreter, and the rest stay on kernels.
+    chunk, but the first one's kernel insert comes earlier: the second
+    runs on the interpreter, after the kernel writes, and finds it.
 
-    The interpreted allocation publishes its chain's reach: the cells the
-    chunk's allocations can pop, plus index 0 (a failed pop's) once they
-    can pass the end of the free stack, as they do on a small chain."""
+    The interpreted lane's allocation touches its chain's reach: the
+    cells the chunk's allocations can pop, plus index 0 (a failed pop's)
+    once they can pass the end of the free stack, as they do on a small
+    chain."""
     from repro.sim.compiled import CompiledDispatcher
 
     reaches = []
@@ -170,7 +172,7 @@ def test_same_new_key_twice_in_one_chunk(monkeypatch):
     trace.insert(6, _lan(2, 5.5e-3))
     run = _run_both(par_ref, par_comp, trace)
     pids = run.compiled_path_ids
-    assert pids[3] == -1 and pids[6] == -1
+    assert pids[3] >= 0 and pids[6] == -1
     assert sum(r.new_flow for _, r in run.results) == 11
     assert reaches and not any(reaches)
     seen = len(reaches)
@@ -215,13 +217,13 @@ def test_psd_opens_a_source_and_a_pair_in_one_lane():
     """A new source allocates on both chains and reads back the count
     row it just wrote; a known source opens only the (source, port).
     The two kinds of lanes alternate, so two tree nodes allocate on the
-    pair chain's one shard: each ranks from 0, so all of them run on the
-    interpreter."""
+    pair chain's one shard: each ranks from 0, so every lane after the
+    second node's first runs on the interpreter."""
     par_ref, par_comp = _pair(PortScanDetector, n_cores=1)
     _run_both(par_ref, par_comp, [_lan(i, 1e-4 * i) for i in range(4)])
     trace = _psd_alternating(range(10, 14), range(4))
     run = _run_both(par_ref, par_comp, trace)
-    assert run.compiled["fallback_packets"] == len(trace)
+    assert np.flatnonzero(run.compiled_path_ids >= 0).tolist() == [0]
     assert all(r.new_flow for _, r in run.results)
     _assert_psd_counts(par_comp)
 
@@ -229,11 +231,11 @@ def test_psd_opens_a_source_and_a_pair_in_one_lane():
 def test_psd_two_nodes_demote_only_their_shared_shard():
     """On two cores, core 0 sees new and known sources alternate (two
     tree nodes allocate on its pair chain) and core 1 only new sources
-    (one node per chain): core 0's lanes run interpreted, core 1's stay
-    on kernels."""
+    (one node per chain): core 0's lanes after its first run
+    interpreted, core 1's stay on kernels."""
     par_ref, par_comp = _pair(PortScanDetector, n_cores=2)
     by_core = ([], [])
-    for i in range(64):
+    for i in range(0, 4096, 7):
         by_core[par_ref.rss.core_for(0, _lan(i, 0.0)[1])].append(i)
     known, new0, new1 = by_core[0][:4], by_core[0][4:8], by_core[1][:5]
     # Each core's first packet sweeps, alone on the interpreter.
@@ -245,8 +247,11 @@ def test_psd_two_nodes_demote_only_their_shared_shard():
         trace.insert(3 * k + 2, _lan(i, 1e-2 + 2e-4 * k + 1.5e-4))
     run = _run_both(par_ref, par_comp, trace)
     on_core1 = np.array([p.src_ip - 0x0A000000 in new1 for _, p in trace])
+    assert on_core1.sum() == len(new1) == 4
     assert (run.compiled_path_ids[on_core1] >= 0).all()
-    assert (run.compiled_path_ids[~on_core1] == -1).all()
+    assert (run.compiled_path_ids[~on_core1] >= 0).tolist() == [True] + [
+        False
+    ] * 7
     assert all(r.new_flow for _, r in run.results)
     _assert_psd_counts(par_comp)
 
@@ -318,33 +323,41 @@ _KV_PRE = [_pkt(0, 7, 100, -1), _pkt(0, 8, 200, 0)]
 #: NF, the batch run before it, the chunk (from the store after that
 #: batch) and the lanes of the chunk that must run interpreted.
 CONFLICT_CASES = {
-    # Two kernel lanes write row 3: both run interpreted; row 4's
-    # writer stays on the kernels.
+    # Two kernel lanes write row 3: the second runs interpreted, after
+    # the first one's write; row 4's writer stays on the kernels.
     "two-writers-one-row": (_RowsNF, None, lambda store: [
         _pkt(0, 3, 10, 0), _pkt(0, 3, 11, 1), _pkt(0, 4, 12, 2),
-    ], [0, 1]),
-    # A read of row 3, which a kernel lane writes, runs interpreted and
-    # so does that writer, which its read must precede.
+    ], [1]),
+    # A read of row 3 after a kernel lane writes it runs interpreted,
+    # and reads the write.
     "reader-of-a-written-row": (_RowsNF, None, lambda store: [
         _pkt(0, 3, 10, 0), _pkt(1, 3, 0, 1), _pkt(1, 5, 0, 2),
         _pkt(0, 4, 12, 3),
-    ], [0, 1]),
-    # An ``is_allocated`` read of the cell lane 0 pops: the reader runs
-    # interpreted, its flag read demotes the popping lane, and that
-    # allocation takes the shard's others with it.  A reply to an older
-    # cell stays on the kernels.
+    ], [1]),
+    # An ``is_allocated`` read of the cell lane 0 pops runs interpreted
+    # and sees the cell allocated; the allocations, and a reply to an
+    # older cell, stay on the kernels.
     "flag-reader-of-a-popped-cell": (
-        Nat, [_lan(i, 1e-4 * i) for i in range(5)], _nat_replies,
-        [0, 1, 2, 3, 4],
+        Nat, [_lan(i, 1e-4 * i) for i in range(5)], _nat_replies, [1],
     ),
-    # A put updates present key 7 while another lane reads it.
+    # A put updates present key 7 before another lane reads it.
     "update-beside-a-reader": (_KvNF, _KV_PRE, lambda store: [
         _pkt(0, 7, 101, 1), _pkt(1, 7, 0, 2), _pkt(1, 8, 0, 3),
-    ], [0, 1]),
-    # A put inserts new key 9 while a reader found it absent.
+    ], [1]),
+    # A put inserts new key 9 after a reader found it absent, as the
+    # reference's reader does.
     "insert-beside-an-absent-reader": (_KvNF, _KV_PRE, lambda store: [
         _pkt(1, 9, 0, 1), _pkt(0, 9, 5, 2), _pkt(1, 7, 0, 3),
-    ], [0, 1]),
+    ], []),
+    # An interpreter lane after a kernel insert of new key 9 finds it.
+    "reader-after-a-kernel-insert": (_KvNF, _KV_PRE, lambda store: [
+        _pkt(0, 9, 5, 1), _pkt(1, 9, 0, 2), _pkt(1, 7, 0, 3),
+    ], [1]),
+    # Two packets open one new flow: the first stays on the kernels and
+    # the second, interpreted, finds the flow the first one opened.
+    "first-of-a-new-key-repeat": (Firewall, [_lan(99, 0.0)], lambda store: [
+        _lan(1, 1e-3), _lan(2, 2e-3), _lan(1, 3e-3),
+    ], [2]),
     # Readers of present keys stay on the kernels beside an insert of
     # another key, and beside an update of another key.
     "present-readers-without-update": (_KvNF, _KV_PRE, lambda store: [

@@ -29,6 +29,7 @@ from repro.fuzz.oracle import (
     _flipped,
     inject_dispatcher_fault,
 )
+from repro.nf.nfs.cl import ConnectionLimiter
 from repro.nf.nfs.firewall import Firewall
 from repro.nf.nfs.nat import Nat
 from repro.nf.nfs.psd import PortScanDetector
@@ -80,10 +81,20 @@ class _Scope:
         self.n_cores = n_cores
         self.maestro = Maestro(seed=7)
         self.result = self.maestro.analyze(self.nf)
+        plan = self._plan()
+        # On two cores the known source and new source 2 steer to core
+        # 0 and new source 1 to core 1, where the plan lets them.
+        self.sources = []
+        for core in (0, 1, 0) if n_cores > 1 else ():
+            self.sources.append(next((
+                i for i in range(4096) if i not in self.sources
+                and plan.rss.core_for(0, _open(i, 53, 0.0)[1]) == core
+            ), len(self.sources)))
+        self.sources = tuple(self.sources) or (0, 1, 2)
         # A reply goes to the cell the reply's source opened: the known
         # source takes the top of a fresh free stack, new source 1 the
         # next cell (NAT replies name a cell, not a source).
-        chain = self._plan().cores[0].ctx.store.objects.get("nat_chain")
+        chain = plan.cores[0].ctx.store.objects.get("nat_chain")
         self.cells = None if chain is None else chain.peek(2)
 
     def _plan(self):
@@ -93,6 +104,7 @@ class _Scope:
 
     def _reply(self, s, t):
         if self.cells is None:
+            s = self.sources[s]
             return (1, Packet(src_ip=SERVER, dst_ip=CLIENT + s, src_port=53,
                               dst_port=4000 + s, timestamp=t))
         return (1, Packet(src_ip=SERVER, dst_ip=self.nf.external_ip,
@@ -101,8 +113,8 @@ class _Scope:
 
     def _batch(self, word, t0):
         return [
-            _open(sym[1], sym[2], t0 + 1e-3 * i) if sym[0] == "open"
-            else self._reply(sym[1], t0 + 1e-3 * i)
+            _open(self.sources[sym[1]], sym[2], t0 + 1e-3 * i)
+            if sym[0] == "open" else self._reply(sym[1], t0 + 1e-3 * i)
             for i, sym in enumerate(word)
         ]
 
@@ -115,7 +127,7 @@ class _Scope:
         if fault is not None:
             inject_dispatcher_fault(dispatcher, fault)
         batches = (
-            [_open(0, 53, 0.0)], self._batch(word, 0.01),
+            [_open(self.sources[0], 53, 0.0)], self._batch(word, 0.01),
             self._batch(word, 0.02),
         )
         kernel = 0
@@ -144,6 +156,7 @@ class _Scope:
 
 
 _FACTORIES = {
+    "cl": lambda: ConnectionLimiter(capacity=64, sketch_capacity=64),
     "fw": lambda: Firewall(capacity=64),
     "nat": lambda: Nat(capacity=64),
     "psd": lambda: PortScanDetector(capacity=64),
@@ -159,8 +172,12 @@ def _scope(name, n_cores):
 
 
 #: The words each NF runs in tier-1: all of ``fw``'s, and fixed slices
-#: of the costlier ``nat`` and ``psd``.
-SLICES = {"fw": slice(None), "nat": slice(0, None, 2), "psd": slice(0, None, 3)}
+#: of the others.  ``cl`` opens its flows on the interpreter (a sketch
+#: never lowers) beside kernel replies.
+SLICES = {
+    "cl": slice(0, None, 3), "fw": slice(None), "nat": slice(0, None, 2),
+    "psd": slice(0, None, 3),
+}
 
 
 def test_the_alphabet_leaves_354_words():
@@ -181,7 +198,7 @@ def test_every_word_matches_the_reference(name, n_cores):
 
 
 #: Per fault, the scopes searched (in order) for a word that catches it.
-_HUNT = (("fw", 1), ("psd", 1), ("nat", 1), ("fw", 2))
+_HUNT = (("fw", 1), ("cl", 1), ("psd", 1), ("nat", 1), ("fw", 2))
 
 
 @pytest.mark.parametrize("fault", DISPATCHER_FAULTS)
