@@ -138,9 +138,7 @@ class Maestro:
                     keys = solver.solve(
                         compilation.requirements, rng=self._rng, stats=stats
                     )
-                    solver.verify(
-                        compilation.requirements, keys, rng=self._rng, samples=32
-                    )
+                    solver.verify(compilation.requirements, keys)
                 root.set("verdict", solution.verdict.value)
 
             diagnostics: list = []

@@ -18,8 +18,9 @@ of the nullspace with an identical acceptance loop.
 The acceptance test hashes each port's random inputs as one batch with
 :func:`toeplitz_hash_batch`, drawn so that the generator advances exactly
 as a per-sample ``rng.bytes`` loop would: seeded keys are byte-identical
-to that loop's (see ``RssKeySolver._distribution_ok``).  The scalar
-:func:`toeplitz_hash` stays the oracle in :meth:`RssKeySolver.verify`.
+to that loop's (see ``RssKeySolver._distribution_ok``).
+:meth:`RssKeySolver.verify` checks found keys exactly, from one masked
+hash column per input bit, with no sampling and no draws from ``rng``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro import obs
 from repro.errors import RssUnsatisfiableError
 from repro.rs3.fields import FieldSetOption, NicModel, RssField
 from repro.rs3.indirection import IndirectionTable
-from repro.rs3.toeplitz import toeplitz_hash, toeplitz_hash_batch
+from repro.rs3.toeplitz import key_window_table, toeplitz_hash_batch
 from repro.solver import gf2
 
 __all__ = ["CancelField", "CancelBits", "MapFields", "KeySearchStats", "RssKeySolver"]
@@ -366,96 +367,81 @@ class RssKeySolver:
         self,
         requirements: list["CancelField | CancelBits | MapFields"],
         keys: dict[int, bytes],
-        *,
-        rng: np.random.Generator | None = None,
-        samples: int = 256,
     ) -> None:
-        """Property-check keys against the requirements on random inputs.
+        """Check keys against the requirements exactly, for every input.
 
-        Raises :class:`RssUnsatisfiableError` on the first violated sample
-        (used by tests and by the pipeline's self-check).
+        The Toeplitz hash is GF(2)-linear in its input, so a port's
+        table index ``hash(d) & (reta_size - 1)`` is the XOR of the
+        *columns* of ``d``'s set bits, column *i* being the masked hash
+        of the input with only bit *i* set (entry *i* of
+        :func:`key_window_table`).  A cancellation holds exactly when
+        the cancelled bits' columns are 0.  The ``MapFields`` of one
+        ``(port_a, port_b)`` pair feed each port-b bit from a port-a bit
+        (the last requirement wins where two feed one bit); they hold
+        exactly when each port-a column equals the XOR of the port-b
+        columns it feeds and every unfed port-b column is 0.
+
+        Raises :class:`RssUnsatisfiableError` naming the first violated
+        requirement (used by tests and by the pipeline's self-check).
         """
-        rng = rng or np.random.default_rng(7)
-        cancelled_by_port: dict[int, set[RssField]] = {p: set() for p in self.ports}
+        mask = self.nic.reta_size - 1
+        columns = {}
+        for port, option in self.port_options.items():
+            if len(keys[port]) * 8 < option.input_bits + 32:
+                raise ValueError(
+                    f"port {port}: a {len(keys[port])}-byte key is too short "
+                    f"for {option.input_bits} input bits"
+                )
+            columns[port] = key_window_table(keys[port])[: option.input_bits] & mask
+        mapped_ok: dict[tuple[int, int], bool] = {}
         for req in requirements:
             if isinstance(req, CancelField):
-                cancelled_by_port[req.port].add(req.field)
+                positions = self.port_options[req.port].bit_positions(req.field)
+                if columns[req.port][positions.start : positions.stop].any():
+                    raise RssUnsatisfiableError(
+                        f"cancellation violated for {req.field.value} on "
+                        f"port {req.port}"
+                    )
+            elif isinstance(req, CancelBits):
+                start = self.port_options[req.port].offsets()[req.field]
+                width = req.field.width
+                positions = [start + (width - 1 - b) for b in req.bits]
+                if columns[req.port][positions].any():
+                    raise RssUnsatisfiableError(
+                        f"bit cancellation violated for {req.field.value} "
+                        f"on port {req.port}"
+                    )
+            else:
+                pair = (req.port_a, req.port_b)
+                if pair not in mapped_ok:
+                    mapped_ok[pair] = self._mapping_holds(
+                        requirements, pair, columns
+                    )
+                if not mapped_ok[pair]:
+                    raise RssUnsatisfiableError(
+                        f"mapping violated: {req.field_a.value}@{req.port_a}"
+                        f" -> {req.field_b.value}@{req.port_b}"
+                    )
 
-        def random_input(port: int) -> bytearray:
-            return bytearray(rng.bytes(self.port_options[port].input_bytes))
-
-        def with_field(
-            data: bytearray, port: int, fld: RssField, value: bytes
-        ) -> bytearray:
-            out = bytearray(data)
-            start = self.port_options[port].offsets()[fld] // 8
-            out[start : start + fld.width // 8] = value
-            return out
-
+    def _mapping_holds(
+        self,
+        requirements: list["CancelField | CancelBits | MapFields"],
+        pair: tuple[int, int],
+        columns: dict[int, np.ndarray],
+    ) -> bool:
+        """Whether every input pair that agrees on the mapped fields of
+        ``pair`` lands on one table index (see :meth:`verify`)."""
+        port_a, port_b = pair
+        col_a, col_b = columns[port_a], columns[port_b]
+        feeder = np.full(col_b.size, -1, dtype=np.intp)
         for req in requirements:
-            for _ in range(samples):
-                if isinstance(req, CancelField):
-                    base = random_input(req.port)
-                    flipped = with_field(
-                        base, req.port, req.field, rng.bytes(req.field.width // 8)
-                    )
-                    mask = self.nic.reta_size - 1
-                    if (
-                        toeplitz_hash(keys[req.port], bytes(base)) & mask
-                    ) != (toeplitz_hash(keys[req.port], bytes(flipped)) & mask):
-                        raise RssUnsatisfiableError(
-                            f"cancellation violated for {req.field.value} on "
-                            f"port {req.port}"
-                        )
-                elif isinstance(req, CancelBits):
-                    base = random_input(req.port)
-                    start = self.port_options[req.port].offsets()[req.field]
-                    width = req.field.width
-                    flipped = bytearray(base)
-                    for field_bit in req.bits:
-                        position = start + (width - 1 - field_bit)
-                        if rng.random() < 0.7:
-                            flipped[position // 8] ^= 1 << (7 - position % 8)
-                    # Scoped to the table-index bits (see build_system).
-                    mask = self.nic.reta_size - 1
-                    index_base = toeplitz_hash(keys[req.port], bytes(base)) & mask
-                    index_flip = (
-                        toeplitz_hash(keys[req.port], bytes(flipped)) & mask
-                    )
-                    if index_base != index_flip:
-                        raise RssUnsatisfiableError(
-                            f"bit cancellation violated for {req.field.value} "
-                            f"on port {req.port}"
-                        )
-                else:
-                    # Two packets agreeing on every mapped field pair (and
-                    # with all non-cancelled unmapped fields equal too) must
-                    # collide.  Construct d' from d via the full mapping set.
-                    data_a = random_input(req.port_a)
-                    data_b = random_input(req.port_b)
-                    for other in requirements:
-                        if not isinstance(other, MapFields):
-                            continue
-                        if other.port_a != req.port_a or other.port_b != req.port_b:
-                            continue
-                        start = (
-                            self.port_options[other.port_a].offsets()[other.field_a]
-                            // 8
-                        )
-                        value = bytes(
-                            data_a[start : start + other.field_a.width // 8]
-                        )
-                        data_b = with_field(
-                            data_b, other.port_b, other.field_b, value
-                        )
-                    # Queue colocation is the specification: compare the
-                    # table-index bits (cancelled fields may legitimately
-                    # perturb the unused high hash bits).
-                    mask = self.nic.reta_size - 1
-                    hash_a = toeplitz_hash(keys[req.port_a], bytes(data_a)) & mask
-                    hash_b = toeplitz_hash(keys[req.port_b], bytes(data_b)) & mask
-                    if hash_a != hash_b:
-                        raise RssUnsatisfiableError(
-                            f"mapping violated: {req.field_a.value}@{req.port_a}"
-                            f" -> {req.field_b.value}@{req.port_b}"
-                        )
+            if isinstance(req, MapFields) and (req.port_a, req.port_b) == pair:
+                pos_a = self.port_options[port_a].bit_positions(req.field_a)
+                pos_b = self.port_options[port_b].bit_positions(req.field_b)
+                feeder[pos_b.start : pos_b.stop] = pos_a
+        fed = feeder >= 0
+        if col_b[~fed].any():
+            return False
+        residue = col_a.copy()
+        np.bitwise_xor.at(residue, feeder[fed], col_b[fed])
+        return not residue.any()

@@ -9,7 +9,7 @@ core's counters and every core's state
 (:meth:`~repro.nf.runtime.ConcreteContext.state_diff`).
 
 The alphabet has 8 symbols: a LAN packet from a known source or one of
-two new ones, to destination port 53 or 80, and a WAN reply to the
+two new ones, to one of two destination ports, and a WAN reply to the
 known source or to the first new one.  Relabelling the new sources in
 order of first appearance leaves 354 distinct words.  Each case builds
 two plans from one analysis, runs a one-packet warm batch (it opens the
@@ -39,10 +39,11 @@ from repro.sim.functional import _get_dispatcher, run_functional
 SERVER = 0x08080808
 CLIENT = 0x0A000000
 
-#: ``("open", source, destination port)`` from source 0 (known), 1 or 2
-#: (new), and ``("reply", source)`` to source 0 or 1.
+#: ``("open", source, destination)`` from source 0 (known), 1 or 2
+#: (new) to the scope's destination port 0 or 1, and ``("reply",
+#: source)`` to source 0 or 1.
 ALPHABET = tuple(
-    [("open", s, d) for s in (0, 1, 2) for d in (53, 80)]
+    [("open", s, d) for s in (0, 1, 2) for d in (0, 1)]
     + [("reply", 0), ("reply", 1)]
 )
 
@@ -82,20 +83,36 @@ class _Scope:
         self.maestro = Maestro(seed=7)
         self.result = self.maestro.analyze(self.nf)
         plan = self._plan()
+        self.rss = plan.rss
         # On two cores the known source and new source 2 steer to core
         # 0 and new source 1 to core 1, where the plan lets them.
-        self.sources = []
+        self.sources, self.dports = [], (53, 80)
         for core in (0, 1, 0) if n_cores > 1 else ():
             self.sources.append(next((
                 i for i in range(4096) if i not in self.sources
-                and plan.rss.core_for(0, _open(i, 53, 0.0)[1]) == core
+                and self.rss.core_for(*_open(i, 53, 0.0)) == core
             ), len(self.sources)))
         self.sources = tuple(self.sources) or (0, 1, 2)
+        # ``nat`` steers LAN packets by destination port, so no source
+        # reaches a second core: there the second destination port is
+        # the first from 80 on that steers to the other core.
+        if n_cores > 1 and len({self._core(("open", s, 0)) for s in (0, 1, 2)}) == 1:
+            home = self._core(("open", 0, 0))
+            self.dports = (53, next(
+                d for d in range(80, 1 << 16)
+                if self.rss.core_for(*_open(self.sources[0], d, 0.0)) != home
+            ))
         # A reply goes to the cell the reply's source opened: the known
         # source takes the top of a fresh free stack, new source 1 the
         # next cell (NAT replies name a cell, not a source).
         chain = plan.cores[0].ctx.store.objects.get("nat_chain")
         self.cells = None if chain is None else chain.peek(2)
+        if n_cores > 1:
+            cores = {self._core(sym) for sym in ALPHABET}
+            assert cores == {0, 1}, f"every symbol steers to core {cores}"
+
+    def _core(self, sym):
+        return self.rss.core_for(*self._batch([sym], 0.0)[0])
 
     def _plan(self):
         return self.maestro.parallelize(
@@ -113,7 +130,7 @@ class _Scope:
 
     def _batch(self, word, t0):
         return [
-            _open(self.sources[sym[1]], sym[2], t0 + 1e-3 * i)
+            _open(self.sources[sym[1]], self.dports[sym[2]], t0 + 1e-3 * i)
             if sym[0] == "open" else self._reply(sym[1], t0 + 1e-3 * i)
             for i, sym in enumerate(word)
         ]
